@@ -93,8 +93,8 @@ def build_simulation(mix, policy="twill", *, platform_text: str | None = None,
                          else presets.matrix_text())
     if isinstance(policy, str):
         policy = make_policy(policy)
-    descriptors = {r.model: presets.model_text(r.model)
-                   for r in scenario.requests}
+    descriptors = {m: presets.model_text(m)
+                   for m in dict.fromkeys(r.model for r in scenario.requests)}
     return Simulation(platform, scenario, policy, descriptors, matrix,
                       **engine_kwargs)
 

@@ -398,6 +398,10 @@ class _Task:
         )
 
 
+def _task_key(request_id: str, part: str | None) -> str:
+    return request_id if part is None else f"{request_id}#{part}"
+
+
 _RANK_COMPLETION = 0
 _RANK_ARRIVAL = 1
 
@@ -428,25 +432,43 @@ class Simulation:
         self.tasks: dict[str, _Task] = {}
         self._profiles: dict[str, AppProfile] = {}
         self._signatures: dict[str, SignatureMap] = {}
+        # each descriptor is decoded and analysed once; requests for one
+        # model and task kind differ only in priority and workload size
+        parsed: dict[tuple, AppProfile] = {}
+        signatures: dict[str, SignatureMap] = {}
+        threshold = ({} if affinity_threshold is None
+                     else {"threshold": affinity_threshold})
         for r in scenario.requests:
             if r.model not in descriptors:
                 raise EngineError(f"no descriptor for model {r.model!r}")
-            profile = parse_model(descriptors[r.model], priority=r.priority,
-                                  task_kind=r.task_kind,
-                                  workload_size=r.workload_size)
-            self._profiles[r.request_id] = profile
-            if affinity_threshold is None:
-                self._signatures[r.request_id] = layer_affinity(profile, matrix)
-            else:
-                self._signatures[r.request_id] = layer_affinity(
-                    profile, matrix, threshold=affinity_threshold)
+            base = parsed.get((r.model, r.task_kind))
+            if base is None:
+                base = parsed[r.model, r.task_kind] = parse_model(
+                    descriptors[r.model], priority=r.priority,
+                    task_kind=r.task_kind, workload_size=r.workload_size)
+            if r.model not in signatures:
+                signatures[r.model] = layer_affinity(base, matrix, **threshold)
+            self._profiles[r.request_id] = dataclasses.replace(
+                base, priority=r.priority, workload_size=r.workload_size)
+            self._signatures[r.request_id] = signatures[r.model]
 
         self._heap: list[tuple] = []
         self._seq = 0
         self._ran = False
         self._completed_requests: set[str] = set()
-        self._scheduled: set[str] = set()
         self._arrivals = {r.request_id: r.arrival_ms for r in scenario.requests}
+        # indexes that keep each event's cost independent of how many
+        # requests have already finished
+        self._parts: dict[str, list[_Task]] = {}  # request id -> its tasks
+        self._views: dict[str, TaskView] = {}  # in self.tasks order
+        self._stale: set[str] = set()  # tasks changed since their view
+        self._dependents: dict[str, list[str]] = {}  # producer -> requests
+        self._pending_producers: dict[str, int] = {}
+        for r in scenario.requests:
+            producers = set(r.depends_on)
+            self._pending_producers[r.request_id] = len(producers)
+            for p in producers:
+                self._dependents.setdefault(p, []).append(r.request_id)
         self.trace = Trace(
             scenario=scenario.name,
             policy=policy.name,
@@ -465,16 +487,15 @@ class Simulation:
         for r in self.scenario.requests:
             if not r.depends_on:
                 self._push(r.arrival_ms, _RANK_ARRIVAL, "arrival", r.request_id)
-                self._scheduled.add(r.request_id)
 
-    def _release_dependents(self, now: float):
-        for r in self.scenario.requests:
-            if r.request_id in self._scheduled:
-                continue
-            if all(d in self._completed_requests for d in r.depends_on):
-                self._push(max(now, r.arrival_ms), _RANK_ARRIVAL,
-                           "arrival", r.request_id)
-                self._scheduled.add(r.request_id)
+    def _release_dependents(self, producer: str, now: float):
+        """Schedule, in scenario order, the dependents of a request that
+        just completed whose producers are now all complete."""
+        for rid in self._dependents.get(producer, ()):
+            self._pending_producers[rid] -= 1
+            if self._pending_producers[rid] == 0:
+                self._push(max(now, self._arrivals[rid]), _RANK_ARRIVAL,
+                           "arrival", rid)
 
     # -- power -------------------------------------------------------------
 
@@ -491,11 +512,12 @@ class Simulation:
         p = self._power()
         if self.trace.power and self.trace.power[-1].power_mw == p:
             return
+        utils = self._utilization()
         self.trace.power.append(PowerRecord(
             time_ms=now,
             power_mw=p,
             freqs_mhz=tuple(self.states[c].freq_mhz for c in self.trace.cluster_ids),
-            utils=tuple(self._utilization()[c] for c in self.trace.cluster_ids),
+            utils=tuple(utils[c] for c in self.trace.cluster_ids),
         ))
 
     # -- task mechanics ----------------------------------------------------
@@ -509,12 +531,15 @@ class Simulation:
     def _sync(self, task: _Task, now: float):
         if task.cluster_id is not None and not task.frozen and now > task.last_sync:
             task.done += self._rate(task) * (now - task.last_sync)
+            self._stale.add(task.key)
         task.last_sync = max(task.last_sync, now)
 
     def _sync_all(self, now: float):
-        for task in self.tasks.values():
-            if not task.completed:
-                self._sync(task, now)
+        # only a task on a cluster makes progress; a pending or frozen
+        # task gets a fresh last_sync when it is next mapped or thawed
+        for st in self.states.values():
+            if st.occupant is not None:
+                self._sync(self.tasks[st.occupant], now)
 
     def _reschedule(self, task: _Task, now: float):
         task.epoch += 1
@@ -542,10 +567,11 @@ class Simulation:
 
     def _spawn_task(self, request_id: str, part: str | None,
                     work: float | None, native: bool, now: float) -> _Task:
-        key = request_id if part is None else f"{request_id}#{part}"
+        key = _task_key(request_id, part)
         if key in self.tasks:
             raise EngineError(f"task {key!r} already exists")
         profile = self._profiles[request_id]
+        parts = self._parts.setdefault(request_id, [])
         if part is not None:
             whole = self.tasks.get(request_id)
             if whole is not None:
@@ -553,6 +579,9 @@ class Simulation:
                     raise EngineError(
                         f"{request_id}: cannot split a request that already ran")
                 del self.tasks[request_id]
+                del self._views[request_id]
+                self._stale.discard(request_id)
+                parts.remove(whole)
             if work is None:
                 raise EngineError(f"{key}: part decisions must carry work_gflops")
         total = profile.work_gflops
@@ -566,20 +595,20 @@ class Simulation:
             native=native,
             arrival_ms=self._arrivals.get(request_id, now),
         )
-        mapped = sum(t.work for t in self.tasks.values()
-                     if t.request_id == request_id)
+        mapped = sum(t.work for t in parts)
         if task.work < 0 or mapped + task.work > total + _WORK_EPS:
             raise EngineError(
                 f"{key}: parts exceed the request's total work "
                 f"({mapped + task.work:.6f} > {total:.6f} GFLOPs)")
         self.tasks[key] = task
+        self._views[key] = task.view()
+        parts.append(task)
         return task
 
     # -- decision application ----------------------------------------------
 
     def _task_for(self, decision: Decision) -> _Task:
-        key = (decision.request_id if decision.part is None
-               else f"{decision.request_id}#{decision.part}")
+        key = _task_key(decision.request_id, decision.part)
         task = self.tasks.get(key)
         if task is None:
             raise EngineError(f"decision names unknown task {key!r}")
@@ -611,9 +640,7 @@ class Simulation:
             raise EngineError("SET_FREQ is only valid from dvfs_update()")
 
         if d.kind is DecisionKind.MAP:
-            key = (d.request_id if d.part is None
-                   else f"{d.request_id}#{d.part}")
-            task = self.tasks.get(key)
+            task = self.tasks.get(_task_key(d.request_id, d.part))
             if task is None:
                 task = self._spawn_task(d.request_id, d.part, d.work_gflops,
                                         d.native, now)
@@ -693,8 +720,8 @@ class Simulation:
         else:  # pragma: no cover - enum is exhaustive
             raise EngineError(f"unknown decision kind {d.kind}")
 
-        acted.add(self.tasks[d.request_id if d.part is None
-                             else f"{d.request_id}#{d.part}"].key)
+        acted.add(task.key)
+        self._stale.add(task.key)
         self._log_decision(d, now)
 
     def _apply_set_freq(self, d: Decision, now: float):
@@ -746,11 +773,13 @@ class Simulation:
         task.completed_ms = now
         freed = task.cluster_id
         self._vacate(task)
+        self._views[task.key] = task.view()  # final: a DONE task never changes
+        self._stale.discard(task.key)
         return freed
 
     def _request_complete(self, request_id: str) -> bool:
-        parts = [t for t in self.tasks.values() if t.request_id == request_id]
-        if not parts or not all(t.completed for t in parts):
+        parts = self._parts[request_id]
+        if not all(t.completed for t in parts):
             return False
         total = self._profiles[request_id].work_gflops
         return sum(t.work for t in parts) >= total - _WORK_EPS * max(1.0, total)
@@ -773,6 +802,9 @@ class Simulation:
             batch = []
             while self._heap and self._heap[0][0] == now and self._heap[0][1] == rank:
                 batch.append(heapq.heappop(self._heap))
+            if not batch:
+                # a time that never equals itself (NaN) would spin forever
+                raise EngineError(f"event loop made no progress at t={now}")
 
             events: list[ControllerEvent] = []
             for _, _, _, kind, payload in batch:
@@ -782,9 +814,11 @@ class Simulation:
                     if task.epoch != epoch or task.completed:
                         continue  # superseded by a later decision
                     freed = self._finish_task(task, now)
-                    if self._request_complete(task.request_id):
-                        self._completed_requests.add(task.request_id)
-                        self._release_dependents(now)
+                    rid = task.request_id
+                    if (rid not in self._completed_requests
+                            and self._request_complete(rid)):
+                        self._completed_requests.add(rid)
+                        self._release_dependents(rid, now)
                     if freed is not None:
                         events.append(ControllerEvent(
                             EventKind.CLUSTER_FREED, cluster_id=freed))
@@ -815,11 +849,14 @@ class Simulation:
         return self.trace
 
     def _view(self, now: float) -> ControllerView:
+        for key in self._stale:
+            self._views[key] = self.tasks[key].view()
+        self._stale.clear()
         return ControllerView(
             now=now,
             platform=self.platform,
             states=dict(self.states),
-            tasks={k: t.view() for k, t in self.tasks.items()},
+            tasks=dict(self._views),
             dla_fallback_penalty=self.dla_fallback_penalty,
         )
 
@@ -828,8 +865,7 @@ class Simulation:
         for r in self.scenario.requests:
             if r.request_id in self._completed_requests:
                 continue
-            parts = [t for t in self.tasks.values()
-                     if t.request_id == r.request_id]
+            parts = self._parts.get(r.request_id)
             if not parts:
                 state = ("never released (waiting on "
                          f"{[d for d in r.depends_on if d not in self._completed_requests]})")
@@ -843,8 +879,7 @@ class Simulation:
 
     def _finalize_trace(self):
         for r in self.scenario.requests:
-            parts = [t for t in self.tasks.values()
-                     if t.request_id == r.request_id]
+            parts = self._parts.get(r.request_id, [])
             profile = self._profiles[r.request_id]
             first_map = min((t.first_map_ms for t in parts
                              if t.first_map_ms is not None), default=None)

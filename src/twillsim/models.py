@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 # Fraction of FLOPs that must be DLA-feasible before a model is
 # considered a DLA candidate at all.
@@ -67,7 +68,7 @@ class AppProfile:
     reference_workload: int = 1
     workload_unit: str = "units"
 
-    @property
+    @cached_property
     def total_flops(self) -> int:
         return sum(l.flops for l in self.layers)
 

@@ -18,6 +18,7 @@ falling back to the platform's configured slope otherwise.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .engine import (
@@ -42,11 +43,16 @@ class QueueEntry:
     enqueued_ms: float
 
 
+def _thaw_order(entry: QueueEntry) -> tuple:
+    return (-entry.priority, entry.enqueued_ms, entry.task_key)
+
+
 class FreezeQueue:
     """Frozen and deferred tasks, thawed by priority then seniority."""
 
     def __init__(self):
         self._entries: dict[str, QueueEntry] = {}
+        self._ordered: list[QueueEntry] = []  # kept sorted by _thaw_order
 
     def __len__(self):
         return len(self._entries)
@@ -57,17 +63,16 @@ class FreezeQueue:
     def add(self, task_key: str, priority: int, now: float):
         if task_key in self._entries:
             raise ValueError(f"{task_key} is already queued")
-        self._entries[task_key] = QueueEntry(task_key, priority, now)
+        entry = self._entries[task_key] = QueueEntry(task_key, priority, now)
+        bisect.insort(self._ordered, entry, key=_thaw_order)
 
     def remove(self, task_key: str):
-        del self._entries[task_key]
-
-    def ordered(self) -> list[QueueEntry]:
-        return sorted(self._entries.values(),
-                      key=lambda e: (-e.priority, e.enqueued_ms, e.task_key))
+        entry = self._entries.pop(task_key)
+        del self._ordered[bisect.bisect_left(self._ordered, _thaw_order(entry),
+                                             key=_thaw_order)]
 
     def best(self, predicate) -> QueueEntry | None:
-        for entry in self.ordered():
+        for entry in self._ordered:
             if predicate(entry):
                 return entry
         return None
@@ -137,10 +142,11 @@ class TwillPolicy(Policy):
         """The running task with the largest strict speedup on `cid`."""
         best = None
         best_key = None
-        for task in view.tasks.values():
-            if task.state is not TaskState.RUNNING or task.key in touched:
+        for occ_cid, key in planned.items():
+            if key is None or key in touched:
                 continue
-            if planned.get(task.cluster_id) != task.key:
+            task = view.tasks[key]
+            if task.state is not TaskState.RUNNING or task.cluster_id != occ_cid:
                 continue
             r_cur = view.exec_rate(task.key, task.cluster_id)
             r_new = view.exec_rate(task.key, cid)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import graphlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -34,6 +35,8 @@ class InferenceRequest:
     def __post_init__(self):
         if self.priority < 1:
             raise WorkloadError(f"{self.request_id}: priority must be >= 1")
+        if not math.isfinite(self.arrival_ms):
+            raise WorkloadError(f"{self.request_id}: arrival time must be finite")
         if self.arrival_ms < 0:
             raise WorkloadError(f"{self.request_id}: negative arrival time")
         if self.workload_size <= 0:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from twillsim import presets
+from twillsim import cli, presets
 from twillsim.cli import main
 
 
@@ -132,3 +132,21 @@ def test_protocol_breakage_is_an_internal_error(tmp_path, capsys):
     }))
     assert main(["run", "--mix", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("internal error:")
+
+
+def test_nan_arrival_exits_one_before_any_run(tmp_path, capsys, monkeypatch):
+    # a NaN arrival never equals the loop's clock; should validation let
+    # it through, fail here instead of starting a run that would spin
+    def no_run(*args, **kwargs):
+        raise AssertionError("a NaN arrival reached build_simulation")
+    monkeypatch.setattr(cli, "build_simulation", no_run)
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({
+        "name": "nan",
+        "requests": [{"model": "vgg-19", "priority": 1,
+                      "arrival_ms": float("nan"), "workload_size": 1}],
+    }))
+    assert main(["run", "--mix", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "finite" in err

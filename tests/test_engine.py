@@ -2,18 +2,29 @@
 protocol, checked against hand-computed schedules on a toy platform."""
 
 import json
+import signal
 
 import pytest
 
 from twillsim import (
+    POLICIES,
     Decision,
     DecisionKind,
     EngineError,
     EventKind,
+    InferenceRequest,
+    Policy,
     Simulation,
+    TaskKind,
+    TaskState,
     build_simulation,
+    layer_affinity,
     load_matrix,
+    load_platform,
+    make_policy,
+    parse_model,
     presets,
+    random_mix,
     write_trace,
 )
 from twillsim.engine import decisions_csv, power_csv, requests_csv, summary_json
@@ -353,6 +364,126 @@ def test_runaway_simulation_is_cut_off():
     with pytest.raises(EngineError, match="stuck|past"):
         run_toy(scenario(request("a", "toy-matmul", size=1)),
                 map_on_arrival(plan), max_time_ms=100.0)
+
+
+def test_a_cycle_that_pops_nothing_is_an_error():
+    req = request("a", "toy-conv")
+    # bypass the request's own validation to reach the engine's guard
+    object.__setattr__(req, "arrival_ms", float("nan"))
+
+    def hung(signum, frame):
+        raise TimeoutError("the event loop spun without popping an event")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        with pytest.raises(EngineError, match="no progress"):
+            run_toy(scenario(req), map_on_arrival({"a": [MAP("a", "gpu0")]}))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# -- incremental bookkeeping matches a full rebuild -------------------------
+
+
+class ShadowPolicy(Policy):
+    """Delegates to a policy after checking, at every call, that the view
+    equals one rebuilt from every task, in the same key order."""
+
+    def __init__(self, inner: Policy):
+        self.inner = inner
+        self.name = inner.name
+        self.sim = None
+        self.calls = 0
+        self.split = False
+
+    def _check(self, view):
+        rebuilt = {k: t.view() for k, t in self.sim.tasks.items()}
+        assert list(view.tasks) == list(rebuilt)
+        assert view.tasks == rebuilt
+        for t in view.tasks.values():
+            if t.state is TaskState.DONE:
+                assert t.done_gflops == t.work_gflops
+        self.calls += 1
+        self.split = self.split or any(t.part for t in rebuilt.values())
+
+    def decide(self, view, events):
+        self._check(view)
+        return self.inner.decide(view, events)
+
+    def dvfs_update(self, view, p_before_mw, p_after_mw, handled_events):
+        self._check(view)
+        return self.inner.dvfs_update(view, p_before_mw, p_after_mw,
+                                      handled_events)
+
+
+def run_shadowed(mix, policy: str) -> ShadowPolicy:
+    shadow = ShadowPolicy(make_policy(policy))
+    shadow.sim = build_simulation(mix, shadow)
+    shadow.sim.run()
+    assert shadow.calls > 0
+    return shadow
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("mix", ["mix1", "mix2", "mix3", "mix4", "mix5"])
+def test_view_matches_a_full_rebuild_on_packaged_runs(mix, policy):
+    run_shadowed(mix, policy)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_view_matches_a_full_rebuild_with_dependencies(policy):
+    scn = random_mix(11, presets.available_models(), n_requests=40,
+                     dependency_p=0.4)
+    assert sum(1 for r in scn.requests if r.depends_on) >= 10
+    run_shadowed(scn, policy)
+
+
+def test_view_matches_a_full_rebuild_across_a_split():
+    # the whole task spawned at arrival is replaced by its parts
+    assert run_shadowed("mix1", "static_subgraph").split
+
+
+def test_derived_profiles_match_a_fresh_parse():
+    models = presets.available_models()
+    descriptors = {m: presets.model_text(m) for m in models}
+    requests = [request(f"{m}/{size}/{prio}", m, priority=prio, size=size)
+                for m in models for size in (1, 3, 6) for prio in (1, 3)]
+    requests += [InferenceRequest(f"{m}/gen", m, priority=2, arrival_ms=0.0,
+                                  workload_size=2,
+                                  task_kind=TaskKind.GENERATIVE)
+                 for m in models]
+    sim = Simulation(load_platform(presets.platform_text()),
+                     scenario(*requests), ScriptedPolicy(), descriptors,
+                     MATRIX)
+    for r in requests:
+        fresh = parse_model(descriptors[r.model], priority=r.priority,
+                            task_kind=r.task_kind,
+                            workload_size=r.workload_size)
+        derived = sim._profiles[r.request_id]
+        assert derived == fresh
+        assert derived.total_flops == fresh.total_flops
+        assert derived.work_gflops == fresh.work_gflops
+        assert sim._signatures[r.request_id] == layer_affinity(fresh, MATRIX)
+
+
+def test_done_tasks_stay_in_the_view_with_all_work_done():
+    scn = scenario(request("a", "toy-conv"),
+                   request("b", "toy-matmul", arrival_ms=1000.0))
+    seen = {}
+
+    def decide(view, events):
+        if view.now == 1000.0:
+            seen["a"] = view.tasks["a"]
+        return [MAP(e.request_id, "gpu0") for e in events
+                if e.kind is EventKind.ARRIVAL]
+
+    run_toy(scn, decide)
+    done = seen["a"]
+    assert done.state is TaskState.DONE
+    assert done.cluster_id is None
+    assert done.done_gflops == done.work_gflops == pytest.approx(300.0)
 
 
 # -- edge cases and serialization -------------------------------------------

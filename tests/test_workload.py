@@ -102,6 +102,13 @@ def test_request_field_validation():
         InferenceRequest("a", "m", priority=1, arrival_ms=0, workload_size=0)
 
 
+@pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+def test_non_finite_arrival_rejected(arrival):
+    with pytest.raises(WorkloadError, match="finite"):
+        InferenceRequest("a", "m", priority=1, arrival_ms=arrival,
+                         workload_size=1)
+
+
 def test_released_requests_gate_on_deps_and_time():
     doc = {"requests": [
         {"id": "prompt", "model": "bert-base", "priority": 2, "arrival_ms": 0,
