@@ -11,13 +11,13 @@ from twillsim import layer_affinity, load_matrix, parse_model, presets
 
 matrix = load_matrix(presets.matrix_text())
 
-print(f"{'model':<18} {'kind':<12} {'DLA-fraction':>12}  placement preference")
-print("-" * 68)
+print(f"{'model':<18} {'DLA-fraction':>12}  placement preference")
+print("-" * 55)
 for name in presets.available_models():
     profile = parse_model(presets.model_text(name), priority=1)
     sig = layer_affinity(profile, matrix)
     order = " > ".join(sig.preferred_clusters)
-    print(f"{name:<18} {profile.task_kind.value:<12} {sig.dla_flops_fraction:>12.4f}  {order}")
+    print(f"{name:<18} {sig.dla_flops_fraction:>12.4f}  {order}")
 
 print()
 for name in ("resnet-50", "bert-base"):

@@ -51,7 +51,6 @@ from .models import (
     LayerSpec,
     ModelError,
     SignatureMap,
-    TaskKind,
     dla_compatible,
     layer_affinity,
     load_matrix,
@@ -64,7 +63,6 @@ from .workload import (
     WorkloadScenario,
     load_mix,
     random_mix,
-    released_requests,
     serialize_mix,
 )
 
@@ -80,11 +78,8 @@ def build_simulation(mix, policy="twill", *, platform_text: str | None = None,
     policy may be a policy name or a Policy instance.
     """
     if isinstance(mix, str):
-        try:
-            text = presets.mix_text(mix)
-        except presets.PresetError:
-            text = presets.scenario_text(mix)
-        scenario = load_mix(text, known_models=presets.available_models())
+        scenario = load_mix(presets.mix_or_scenario_text(mix),
+                            known_models=presets.available_models())
     else:
         scenario = mix
     platform = load_platform(platform_text if platform_text is not None
@@ -109,58 +104,3 @@ def simulate(mix, policy="twill", *, out_dir=None, **kwargs) -> Trace:
     if out_dir is not None:
         write_trace(trace, out_dir)
     return trace
-
-
-__all__ = [
-    "AFFINITY_THRESHOLD",
-    "AppProfile",
-    "ClusterKind",
-    "ClusterSpec",
-    "ClusterState",
-    "CompatibilityMatrix",
-    "ControllerEvent",
-    "ControllerView",
-    "Decision",
-    "DecisionKind",
-    "EngineError",
-    "EventKind",
-    "FreezeQueue",
-    "GpuQueuePolicy",
-    "InferenceRequest",
-    "LayerSpec",
-    "ModelError",
-    "POLICIES",
-    "PlatformError",
-    "PlatformSpec",
-    "Policy",
-    "SignatureMap",
-    "Simulation",
-    "StaticDvfsPolicy",
-    "StaticSubgraphPolicy",
-    "TaskKind",
-    "TaskState",
-    "TaskView",
-    "Trace",
-    "TwillPolicy",
-    "WorkloadError",
-    "WorkloadScenario",
-    "build_simulation",
-    "dla_compatible",
-    "effective_rate",
-    "initial_states",
-    "layer_affinity",
-    "load_matrix",
-    "load_mix",
-    "load_platform",
-    "make_policy",
-    "parse_model",
-    "power_draw",
-    "presets",
-    "random_mix",
-    "released_requests",
-    "serialize_mix",
-    "serialize_platform",
-    "set_frequency",
-    "simulate",
-    "write_trace",
-]

@@ -9,7 +9,6 @@ none of them track the power budget.
 from __future__ import annotations
 
 from .engine import (
-    ControllerEvent,
     ControllerView,
     Decision,
     DecisionKind,
@@ -17,7 +16,6 @@ from .engine import (
     Policy,
 )
 from .hardware import ClusterKind
-from .models import AFFINITY_THRESHOLD
 from .twill import TwillPolicy
 
 # a static splitter does not bother offloading sub-5% crumbs of a model
@@ -28,11 +26,22 @@ def _clusters_of_kind(view: ControllerView, kind: ClusterKind) -> list[str]:
     return sorted(c.cluster_id for c in view.platform.clusters if c.kind is kind)
 
 
-def _free(view: ControllerView, planned: dict, cluster_id: str) -> bool:
-    return planned[cluster_id] is None
+class _RaceToIdle(Policy):
+    """Governor that pins every busy GPU at its top frequency, without
+    consulting the power budget."""
+
+    def dvfs_update(self, view, p_before_mw, p_after_mw, handled_events):
+        decisions = []
+        for gpu in _clusters_of_kind(view, ClusterKind.GPU):
+            state = view.states[gpu]
+            top = state.spec.max_level
+            if state.occupant is not None and state.current_level != top:
+                decisions.append(Decision(DecisionKind.SET_FREQ,
+                                          cluster_id=gpu, level=top))
+        return decisions
 
 
-class GpuQueuePolicy(Policy):
+class GpuQueuePolicy(_RaceToIdle):
     """Strict FIFO onto the GPU; the DLA is never used.
 
     The governor simply pins a busy GPU at its top frequency, trusting
@@ -51,45 +60,32 @@ class GpuQueuePolicy(Policy):
         decisions = []
         planned = {cid: st.occupant for cid, st in view.states.items()}
         for gpu in _clusters_of_kind(view, ClusterKind.GPU):
-            if self._fifo and _free(view, planned, gpu):
+            if self._fifo and planned[gpu] is None:
                 rid = self._fifo.pop(0)
                 planned[gpu] = rid
                 decisions.append(Decision(DecisionKind.MAP, request_id=rid,
                                           cluster_id=gpu))
         return decisions
 
-    def dvfs_update(self, view, p_before_mw, p_after_mw, handled_events):
-        decisions = []
-        for gpu in _clusters_of_kind(view, ClusterKind.GPU):
-            state = view.states[gpu]
-            top = state.spec.num_levels - 1
-            if state.occupant is not None and state.current_level != top:
-                decisions.append(Decision(DecisionKind.SET_FREQ,
-                                          cluster_id=gpu, level=top))
-        return decisions
 
-
-class StaticDvfsPolicy(Policy):
+class StaticDvfsPolicy(_RaceToIdle):
     """Map once at arrival, then race-to-idle at the top frequency.
 
-    An arrival takes the GPU when free; a DLA-suited model (nearly all
-    of its work supported there) takes a free DLA instead; everything
-    else waits in one FIFO and is placed on the first cluster that frees
-    up and suits it.  The governor clocks a busy GPU to the top level
+    An arrival takes the GPU when free; a DLA-suited model (one whose
+    affinity signature prefers the DLA) takes a free DLA instead;
+    everything else waits in one FIFO and is placed on the first cluster
+    that frees up and suits it.  The governor clocks a busy GPU to the top level
     without consulting the power budget, which is exactly how this
     scheme overshoots a shared cap when both clusters are loaded.
     """
 
     name = "static_dvfs"
 
-    def __init__(self, dla_threshold: float = AFFINITY_THRESHOLD):
+    def __init__(self):
         self._fifo: list[str] = []
-        self.dla_threshold = dla_threshold
 
     def _suits(self, view, rid: str, kind: ClusterKind) -> bool:
-        if kind is ClusterKind.GPU:
-            return True
-        return view.tasks[rid].dla_fraction >= self.dla_threshold
+        return kind.name in view.tasks[rid].preferred_kinds
 
     def decide(self, view, events):
         decisions = []
@@ -104,32 +100,22 @@ class StaticDvfsPolicy(Policy):
             if e.kind is EventKind.CLUSTER_FREED:
                 kind = view.cluster_kind(e.cluster_id)
                 for rid in self._fifo:
-                    if _free(view, planned, e.cluster_id) and self._suits(view, rid, kind):
+                    if planned[e.cluster_id] is None and self._suits(view, rid, kind):
                         self._fifo.remove(rid)
                         place(rid, e.cluster_id)
                         break
             else:
                 rid = e.request_id
                 gpus = [c for c in _clusters_of_kind(view, ClusterKind.GPU)
-                        if _free(view, planned, c)]
+                        if planned[c] is None]
                 dlas = [c for c in _clusters_of_kind(view, ClusterKind.DLA)
-                        if _free(view, planned, c)]
+                        if planned[c] is None]
                 if gpus:
                     place(rid, gpus[0])
                 elif dlas and self._suits(view, rid, ClusterKind.DLA):
                     place(rid, dlas[0])
                 else:
                     self._fifo.append(rid)
-        return decisions
-
-    def dvfs_update(self, view, p_before_mw, p_after_mw, handled_events):
-        decisions = []
-        for gpu in _clusters_of_kind(view, ClusterKind.GPU):
-            state = view.states[gpu]
-            top = state.spec.num_levels - 1
-            if state.occupant is not None and state.current_level != top:
-                decisions.append(Decision(DecisionKind.SET_FREQ,
-                                          cluster_id=gpu, level=top))
         return decisions
 
 
@@ -145,9 +131,8 @@ class StaticSubgraphPolicy(Policy):
 
     name = "static_subgraph"
 
-    def __init__(self, min_offload: float = MIN_OFFLOAD_FRACTION):
+    def __init__(self):
         self._gpu_fifo: list[tuple[str, str | None, float | None]] = []
-        self.min_offload = min_offload
 
     def decide(self, view, events):
         decisions = []
@@ -163,7 +148,7 @@ class StaticSubgraphPolicy(Policy):
             if e.kind is EventKind.CLUSTER_FREED:
                 if view.cluster_kind(e.cluster_id) is not ClusterKind.GPU:
                     continue
-                if self._gpu_fifo and _free(view, planned, e.cluster_id):
+                if self._gpu_fifo and planned[e.cluster_id] is None:
                     rid, part, work = self._gpu_fifo.pop(0)
                     place(rid, part, work, False, e.cluster_id)
                 continue
@@ -171,11 +156,11 @@ class StaticSubgraphPolicy(Policy):
             rid = e.request_id
             task = view.tasks[rid]
             dlas = [c for c in _clusters_of_kind(view, ClusterKind.DLA)
-                    if _free(view, planned, c)]
+                    if planned[c] is None]
             gpus = [c for c in _clusters_of_kind(view, ClusterKind.GPU)
-                    if _free(view, planned, c)]
+                    if planned[c] is None]
             frac = task.dla_fraction
-            split = frac >= self.min_offload and dlas
+            split = frac >= MIN_OFFLOAD_FRACTION and dlas
             if split:
                 dla_work = frac * task.work_gflops
                 gpu_work = task.work_gflops - dla_work

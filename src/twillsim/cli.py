@@ -110,16 +110,8 @@ def _load_scenario(mix: str, seed: int) -> WorkloadScenario:
             raise CliError(f"scenario file not found: {mix}")
         return load_mix(path.read_text(),
                         known_models=presets.available_models())
-    try:
-        text = presets.mix_text(mix)
-    except presets.PresetError:
-        try:
-            text = presets.scenario_text(mix)
-        except presets.PresetError:
-            raise CliError(
-                f"no packaged mix or scenario named {mix!r} "
-                f"(available: {', '.join(presets.available_mixes())})") from None
-    return load_mix(text, known_models=presets.available_models())
+    return load_mix(presets.mix_or_scenario_text(mix),
+                    known_models=presets.available_models())
 
 
 def _platform_text(path: str | None) -> str:

@@ -23,18 +23,21 @@ import dataclasses
 import heapq
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .hardware import (
     ClusterKind,
     ClusterState,
+    PlatformError,
     PlatformSpec,
     initial_states,
     power_draw,
     set_frequency,
 )
 from .models import (
+    AFFINITY_THRESHOLD,
     AppProfile,
     CompatibilityMatrix,
     SignatureMap,
@@ -123,10 +126,6 @@ class TaskView:
     dla_fraction: float
     native: bool
 
-    @property
-    def remaining_gflops(self) -> float:
-        return max(0.0, self.work_gflops - self.done_gflops)
-
 
 @dataclass(frozen=True)
 class ControllerView:
@@ -140,13 +139,6 @@ class ControllerView:
 
     def cluster_kind(self, cluster_id: str) -> ClusterKind:
         return self.platform.cluster(cluster_id).kind
-
-    def free_clusters(self) -> list[str]:
-        return [cid for cid, st in self.states.items() if st.occupant is None]
-
-    def occupant(self, cluster_id: str) -> TaskView | None:
-        key = self.states[cluster_id].occupant
-        return self.tasks[key] if key is not None else None
 
     def exec_rate(self, task_key: str, cluster_id: str) -> float:
         """Effective GFLOP/s for the task on that cluster at its current
@@ -416,8 +408,19 @@ class Simulation:
                  migration_overhead_ms: float = MIGRATION_OVERHEAD_MS,
                  freeze_overhead_ms: float = FREEZE_OVERHEAD_MS,
                  dla_fallback_penalty: float = DLA_FALLBACK_PENALTY,
-                 affinity_threshold: float | None = None,
+                 affinity_threshold: float = AFFINITY_THRESHOLD,
                  max_time_ms: float = 1e7):
+        for name, value in (("ctrl_overhead_ms", ctrl_overhead_ms),
+                            ("migration_overhead_ms", migration_overhead_ms),
+                            ("freeze_overhead_ms", freeze_overhead_ms)):
+            if not (math.isfinite(value) and value >= 0):
+                raise PlatformError(f"{name} must be finite and non-negative, got {value}")
+        if not (math.isfinite(dla_fallback_penalty) and dla_fallback_penalty >= 1):
+            raise PlatformError(
+                f"dla_fallback_penalty must be finite and at least 1, got {dla_fallback_penalty}")
+        if not 0.0 <= affinity_threshold <= 1.0:
+            raise PlatformError(
+                f"affinity_threshold must lie in [0, 1], got {affinity_threshold}")
         self.platform = _apply_overrides(platform, scenario.platform_overrides)
         self.scenario = scenario
         self.policy = policy
@@ -433,21 +436,19 @@ class Simulation:
         self._profiles: dict[str, AppProfile] = {}
         self._signatures: dict[str, SignatureMap] = {}
         # each descriptor is decoded and analysed once; requests for one
-        # model and task kind differ only in priority and workload size
-        parsed: dict[tuple, AppProfile] = {}
+        # model differ only in priority and workload size
+        parsed: dict[str, AppProfile] = {}
         signatures: dict[str, SignatureMap] = {}
-        threshold = ({} if affinity_threshold is None
-                     else {"threshold": affinity_threshold})
         for r in scenario.requests:
             if r.model not in descriptors:
                 raise EngineError(f"no descriptor for model {r.model!r}")
-            base = parsed.get((r.model, r.task_kind))
+            base = parsed.get(r.model)
             if base is None:
-                base = parsed[r.model, r.task_kind] = parse_model(
+                base = parsed[r.model] = parse_model(
                     descriptors[r.model], priority=r.priority,
-                    task_kind=r.task_kind, workload_size=r.workload_size)
-            if r.model not in signatures:
-                signatures[r.model] = layer_affinity(base, matrix, **threshold)
+                    workload_size=r.workload_size)
+                signatures[r.model] = layer_affinity(
+                    base, matrix, threshold=affinity_threshold)
             self._profiles[r.request_id] = dataclasses.replace(
                 base, priority=r.priority, workload_size=r.workload_size)
             self._signatures[r.request_id] = signatures[r.model]

@@ -12,6 +12,7 @@ The DLA has a single frequency level and does not participate in DVFS.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -22,7 +23,9 @@ class ClusterKind(Enum):
 
 
 class PlatformError(ValueError):
-    """Raised for malformed or inconsistent platform configurations."""
+    """Raised for malformed or inconsistent platform configurations,
+    including out-of-range engine knobs (control overheads, DLA fallback
+    penalty, affinity threshold)."""
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,11 @@ class PlatformSpec:
     clusters: tuple[ClusterSpec, ...]
 
     def __post_init__(self):
-        if self.tdp_mw <= 0:
-            raise PlatformError("tdp_mw must be positive")
-        if self.base_power_mw < 0:
-            raise PlatformError("base_power_mw must be non-negative")
+        if not (math.isfinite(self.tdp_mw) and self.tdp_mw > 0):
+            raise PlatformError(f"tdp_mw must be finite and positive, got {self.tdp_mw}")
+        if not (math.isfinite(self.base_power_mw) and self.base_power_mw >= 0):
+            raise PlatformError(
+                f"base_power_mw must be finite and non-negative, got {self.base_power_mw}")
         ids = [c.cluster_id for c in self.clusters]
         if len(set(ids)) != len(ids):
             raise PlatformError("duplicate cluster_id")
@@ -100,10 +104,6 @@ class ClusterState:
     @property
     def throughput(self) -> float:
         return self.spec.throughput_gflops[self.current_level]
-
-    @property
-    def free(self) -> bool:
-        return self.occupant is None
 
 
 def set_frequency(state: ClusterState, level: int) -> ClusterState:
@@ -164,6 +164,10 @@ def load_platform(text: str) -> PlatformSpec:
         )
     except KeyError as e:
         raise PlatformError(f"platform config missing field {e.args[0]!r}") from None
+    except PlatformError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise PlatformError(f"platform config has a malformed field: {e}") from None
 
 
 def serialize_platform(platform: PlatformSpec) -> str:

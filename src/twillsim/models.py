@@ -12,8 +12,7 @@ heavy penalty when the whole model is pinned to the DLA.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from functools import cached_property
 
 # Fraction of FLOPs that must be DLA-feasible before a model is
@@ -21,12 +20,6 @@ from functools import cached_property
 AFFINITY_THRESHOLD = 0.9
 
 PARAM_OPS = ("Conv", "FullyConnected")
-
-
-class TaskKind(Enum):
-    DNN_BATCH = "dnn_batch"
-    ENCODER_PROMPT = "encoder_prompt"
-    GENERATIVE = "generative"
 
 
 class ModelError(ValueError):
@@ -61,7 +54,6 @@ class AppProfile:
     """A parsed model plus the request-level attributes that drive cost."""
 
     name: str
-    task_kind: TaskKind
     priority: int
     workload_size: int
     layers: tuple[LayerSpec, ...]
@@ -101,18 +93,8 @@ class SignatureMap:
 
     model: str
     dla_flops_fraction: float
-    fallback_fraction: float
     preferred_clusters: tuple[str, ...]  # cluster kinds, mapping-attempt order
     layer_feasible: tuple[bool, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "dla_flops_fraction": self.dla_flops_fraction,
-            "fallback_fraction": self.fallback_fraction,
-            "preferred_clusters": list(self.preferred_clusters),
-            "layer_feasible": list(self.layer_feasible),
-        }
 
 
 def _pair(v) -> tuple[int, int]:
@@ -139,6 +121,10 @@ def load_matrix(text: str) -> CompatibilityMatrix:
         )
     except KeyError as e:
         raise ModelError(f"compatibility matrix missing field {e.args[0]!r}") from None
+    except ModelError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ModelError(f"compatibility matrix has a malformed field: {e}") from None
 
 
 def _layer_from_dict(d: dict) -> LayerSpec:
@@ -155,14 +141,18 @@ def _layer_from_dict(d: dict) -> LayerSpec:
         )
     except KeyError as e:
         raise ModelError(f"layer entry missing field {e.args[0]!r}") from None
+    except ModelError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ModelError(f"layer entry has a malformed field: {e}") from None
 
 
-def parse_model(descriptor_text: str, priority: int, task_kind: TaskKind | None = None,
+def parse_model(descriptor_text: str, priority: int,
                 workload_size: int | None = None) -> AppProfile:
     """Build an AppProfile from a JSON descriptor.
 
-    task_kind and workload_size fall back to the descriptor defaults when
-    not supplied by the caller.
+    workload_size falls back to the descriptor default when not supplied
+    by the caller.
     """
     try:
         doc = json.loads(descriptor_text)
@@ -172,7 +162,6 @@ def parse_model(descriptor_text: str, priority: int, task_kind: TaskKind | None 
         layers = tuple(_layer_from_dict(l) for l in doc["layers"])
         profile = AppProfile(
             name=doc["name"],
-            task_kind=task_kind or TaskKind(doc["default_task_kind"]),
             priority=priority,
             workload_size=workload_size if workload_size is not None
             else int(doc["default_workload_size"]),
@@ -182,6 +171,10 @@ def parse_model(descriptor_text: str, priority: int, task_kind: TaskKind | None 
         )
     except KeyError as e:
         raise ModelError(f"model descriptor missing field {e.args[0]!r}") from None
+    except ModelError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ModelError(f"model descriptor has a malformed field: {e}") from None
     if not profile.layers:
         raise ModelError(f"{profile.name}: descriptor has no layers")
     if profile.workload_size <= 0:
@@ -234,15 +227,9 @@ def layer_affinity(profile: AppProfile, matrix: CompatibilityMatrix,
     return SignatureMap(
         model=profile.name,
         dla_flops_fraction=fraction,
-        fallback_fraction=1.0 - fraction,
         preferred_clusters=preferred,
         layer_feasible=feasible,
     )
-
-
-def fallback_fraction(signature: SignatureMap) -> float:
-    """FLOPs fraction that falls back when the whole model runs on DLA."""
-    return signature.fallback_fraction
 
 
 def segment_fractions(profile: AppProfile) -> tuple[float, ...]:

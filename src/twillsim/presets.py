@@ -59,6 +59,19 @@ def scenario_text(name: str) -> str:
     return read_data(f"scenarios/{name}.json")
 
 
+def mix_or_scenario_text(name: str) -> str:
+    """Text of the packaged mix `name`, else of the packaged scenario."""
+    try:
+        return mix_text(name)
+    except PresetError:
+        try:
+            return scenario_text(name)
+        except PresetError:
+            raise PresetError(
+                f"no packaged mix or scenario named {name!r} "
+                f"(available: {', '.join(available_mixes())})") from None
+
+
 def _names_in(subdir: str) -> list[str]:
     seen = set()
     override = os.environ.get(CONFIG_ENV_VAR)

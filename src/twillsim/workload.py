@@ -15,8 +15,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .models import TaskKind
-
 
 class WorkloadError(ValueError):
     """Raised for malformed or inconsistent scenario files."""
@@ -29,7 +27,6 @@ class InferenceRequest:
     priority: int
     arrival_ms: float
     workload_size: int
-    task_kind: TaskKind | None = None  # None -> model default
     depends_on: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -86,6 +83,8 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
         raise WorkloadError(f"scenario is not valid JSON: {e}") from None
     if "requests" not in doc:
         raise WorkloadError("scenario missing field 'requests'")
+    if not isinstance(doc["requests"], list):
+        raise WorkloadError("scenario field 'requests' must be a list")
     requests = []
     counters: dict[str, int] = {}
     for entry in doc["requests"]:
@@ -93,18 +92,20 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
             model = entry["model"]
             n = counters.get(model, 0)
             counters[model] = n + 1
-            kind = TaskKind(entry["task_kind"]) if "task_kind" in entry else None
             requests.append(InferenceRequest(
                 request_id=entry.get("id", f"{model}-{n}"),
                 model=model,
                 priority=int(entry["priority"]),
                 arrival_ms=float(entry["arrival_ms"]),
                 workload_size=int(entry["workload_size"]),
-                task_kind=kind,
                 depends_on=tuple(entry.get("depends_on", ())),
             ))
         except KeyError as e:
             raise WorkloadError(f"request entry missing field {e.args[0]!r}") from None
+        except WorkloadError:
+            raise
+        except (TypeError, ValueError) as e:
+            raise WorkloadError(f"request entry has a malformed field: {e}") from None
     ids = [r.request_id for r in requests]
     if len(set(ids)) != len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})
@@ -113,10 +114,15 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
         unknown = sorted({r.model for r in requests} - set(known_models))
         if unknown:
             raise WorkloadError(f"unknown models: {unknown}")
+    try:
+        overrides = {k: float(v) for k, v in
+                     dict(doc.get("platform_overrides", {})).items()}
+    except (TypeError, ValueError) as e:
+        raise WorkloadError(f"scenario field 'platform_overrides' is malformed: {e}") from None
     scenario = WorkloadScenario(
         name=doc.get("name", "unnamed"),
         requests=tuple(requests),
-        platform_overrides=dict(doc.get("platform_overrides", {})),
+        platform_overrides=overrides,
     )
     _check_dag(scenario.requests)
     return scenario
@@ -132,7 +138,6 @@ def serialize_mix(scenario: WorkloadScenario) -> str:
                 "priority": r.priority,
                 "arrival_ms": r.arrival_ms,
                 "workload_size": r.workload_size,
-                **({"task_kind": r.task_kind.value} if r.task_kind else {}),
                 **({"depends_on": list(r.depends_on)} if r.depends_on else {}),
             }
             for r in scenario.requests
@@ -141,18 +146,6 @@ def serialize_mix(scenario: WorkloadScenario) -> str:
     if scenario.platform_overrides:
         doc["platform_overrides"] = scenario.platform_overrides
     return json.dumps(doc, indent=2)
-
-
-def released_requests(scenario: WorkloadScenario, completed: set[str],
-                      now: float) -> list[InferenceRequest]:
-    """Requests whose arrival time has passed and whose producers are done."""
-    out = []
-    for r in scenario.requests:
-        if r.request_id in completed:
-            continue
-        if r.arrival_ms <= now and all(d in completed for d in r.depends_on):
-            out.append(r)
-    return out
 
 
 def random_mix(seed: int, model_names, n_requests: int, horizon_ms: float = 500.0,

@@ -15,7 +15,7 @@ from twillsim import (
     presets,
 )
 from twillsim.baselines import POLICIES
-from toys import TOY_DESCRIPTORS, request, scenario, tiny_platform
+from toys import TOY_DESCRIPTORS, crumb_text, request, scenario, tiny_platform
 
 MATRIX = load_matrix(presets.matrix_text())
 
@@ -90,6 +90,19 @@ def test_static_dvfs_places_once_and_keeps_transformers_off_the_dla():
     assert "MIGRATE" not in kinds and "FREEZE" not in kinds
 
 
+@pytest.mark.parametrize("threshold,placed", [(0.9, "gpu0"), (0.5, "dla0")])
+def test_static_dvfs_reads_suitability_from_the_signature(threshold, placed):
+    # toy-mixed is half supported: DLA-suited only under a threshold of 0.5
+    sim = Simulation(tiny_platform(),
+                     scenario(request("a", "toy-matmul"),
+                              request("b", "toy-mixed", arrival_ms=10.0)),
+                     StaticDvfsPolicy(), TOY_DESCRIPTORS, MATRIX,
+                     affinity_threshold=threshold)
+    maps = {d.request_id: d.cluster_id for d in sim.run().decisions
+            if d.kind == "MAP"}
+    assert maps == {"a": "gpu0", "b": placed}
+
+
 def test_static_dvfs_overshoots_a_shared_budget():
     # race-to-idle on both engines at once blows through the cap
     sim = build_simulation("priority_freeze", policy="static_dvfs")
@@ -143,10 +156,12 @@ def test_subgraph_skips_offload_crumbs():
                           request("a", "toy-matmul"))
     assert tape(trace) == [(0.0, "MAP", "a", "gpu0")]
 
-    _, trace = run_policy(StaticSubgraphPolicy(min_offload=0.6),
-                          request("a", "toy-mixed"))
-    # half the model is supported, but the bar was raised above it
-    assert tape(trace) == [(0.0, "MAP", "a", "gpu0")]
+    # about 4.8% of the work is supported: under the bar, so no split
+    sim = Simulation(tiny_platform(), scenario(request("a", "toy-crumb")),
+                     StaticSubgraphPolicy(),
+                     {"toy-crumb": crumb_text()}, MATRIX)
+    assert 0.0 < sim._signatures["a"].dla_flops_fraction < 0.05
+    assert tape(sim.run()) == [(0.0, "MAP", "a", "gpu0")]
 
 
 def test_subgraph_on_the_production_board_only_maps():

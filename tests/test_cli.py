@@ -150,3 +150,72 @@ def test_nan_arrival_exits_one_before_any_run(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "finite" in err
+
+
+@pytest.mark.parametrize("knob", [
+    "ctrl_overhead_ms=-100",       # would credit work done before the map
+    "migration_overhead_ms=inf",   # would run to the time cut-off
+    "dla_fallback_penalty=0",      # would make fallback faster than native
+    "affinity_threshold=nan",
+    "tdp_mw=nan",                  # would never count time over budget
+    "freeze_overhead_ms=-1",
+    "base_power_mw=inf",
+    "affinity_threshold=1.5",
+])
+def test_bad_set_values_exit_one(knob, capsys):
+    assert main(["run", "--mix", "mix1", "--set", knob]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert knob.split("=")[0] in err
+
+
+def _assert_input_error(argv, capsys, field):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert field in err
+    assert "Traceback" not in err
+
+
+_ENTRY = {"model": "vgg-19", "priority": 1, "arrival_ms": 0, "workload_size": 1}
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"requests": [{**_ENTRY, "priority": "high"}]}, "high"),
+    ({"requests": [{**_ENTRY, "depends_on": 5}]}, "not iterable"),
+    ({"requests": {"a": _ENTRY}}, "list"),
+    ({"requests": [], "platform_overrides": {"tdp_mw": "lots"}}, "lots"),
+    ({"requests": [], "platform_overrides": [1, 2]}, "platform_overrides"),
+])
+def test_wrong_typed_scenario_field_exits_one(doc, field, tmp_path, capsys):
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps(doc))
+    _assert_input_error(["run", "--mix", str(mix)], capsys, field)
+
+
+def test_wrong_typed_platform_field_exits_one(tmp_path, capsys):
+    doc = json.loads(presets.platform_text())
+    doc["clusters"][0]["freq_levels_mhz"] = ["fast"]
+    board = tmp_path / "board.json"
+    board.write_text(json.dumps(doc))
+    _assert_input_error(["run", "--mix", "mix1", "--platform", str(board)],
+                        capsys, "fast")
+
+
+@pytest.mark.parametrize("relative,path,value", [
+    ("dla_matrix.json", ["max_batch"], "many"),
+    ("models/efficientnet-b4.json", ["layers", 0, "flops"], "lots"),
+    ("models/efficientnet-b4.json", ["layers", 0, "kernel"], [3, 3, 3]),
+    ("models/efficientnet-b4.json", ["reference_workload"], "one"),
+])
+def test_wrong_typed_descriptor_field_exits_one(relative, path, value, tmp_path,
+                                                capsys, monkeypatch):
+    doc = json.loads(presets.read_data(relative))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    (tmp_path / relative).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / relative).write_text(json.dumps(doc))
+    monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
+    _assert_input_error(["run", "--mix", "mix1"], capsys, "malformed")

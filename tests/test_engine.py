@@ -12,10 +12,8 @@ from twillsim import (
     DecisionKind,
     EngineError,
     EventKind,
-    InferenceRequest,
     Policy,
     Simulation,
-    TaskKind,
     TaskState,
     build_simulation,
     layer_affinity,
@@ -450,16 +448,11 @@ def test_derived_profiles_match_a_fresh_parse():
     descriptors = {m: presets.model_text(m) for m in models}
     requests = [request(f"{m}/{size}/{prio}", m, priority=prio, size=size)
                 for m in models for size in (1, 3, 6) for prio in (1, 3)]
-    requests += [InferenceRequest(f"{m}/gen", m, priority=2, arrival_ms=0.0,
-                                  workload_size=2,
-                                  task_kind=TaskKind.GENERATIVE)
-                 for m in models]
     sim = Simulation(load_platform(presets.platform_text()),
                      scenario(*requests), ScriptedPolicy(), descriptors,
                      MATRIX)
     for r in requests:
         fresh = parse_model(descriptors[r.model], priority=r.priority,
-                            task_kind=r.task_kind,
                             workload_size=r.workload_size)
         derived = sim._profiles[r.request_id]
         assert derived == fresh

@@ -1,0 +1,29 @@
+"""The fixed reference for "same behaviour": the trace files of the 20
+packaged runs (five mixes under four policies) hash to the digests the
+benchmark pins in bench/digests.json."""
+
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
+import pytest
+
+from twillsim import POLICIES, simulate
+
+ROOT = Path(__file__).resolve().parents[1]
+PINNED = json.loads((ROOT / "bench" / "digests.json").read_text())["zoo"]["outputs"]
+MIXES = ["mix1", "mix2", "mix3", "mix4", "mix5"]
+TRACE_FILES = ["decisions.csv", "requests.csv", "power.csv", "summary.json"]
+
+
+def test_every_packaged_run_is_pinned():
+    assert sorted(PINNED) == sorted(f"{m}/{p}" for m in MIXES for p in POLICIES)
+
+
+@pytest.mark.parametrize("mix,policy", itertools.product(MIXES, sorted(POLICIES)))
+def test_trace_files_match_the_pinned_digests(mix, policy, tmp_path):
+    simulate(mix, policy, out_dir=tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in TRACE_FILES}
+    assert got == {name: PINNED[f"{mix}/{policy}"][name] for name in TRACE_FILES}

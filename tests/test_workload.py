@@ -10,7 +10,6 @@ from twillsim.workload import (
     WorkloadError,
     load_mix,
     random_mix,
-    released_requests,
     serialize_mix,
 )
 
@@ -109,31 +108,12 @@ def test_non_finite_arrival_rejected(arrival):
                          workload_size=1)
 
 
-def test_released_requests_gate_on_deps_and_time():
-    doc = {"requests": [
-        {"id": "prompt", "model": "bert-base", "priority": 2, "arrival_ms": 0,
-         "workload_size": 128},
-        {"id": "decode", "model": "gemma-3-1b", "priority": 3, "arrival_ms": 10,
-         "workload_size": 64, "depends_on": ["prompt"]},
-    ]}
-    sc = load_mix(json.dumps(doc))
-    assert [r.request_id for r in released_requests(sc, set(), 0.0)] == ["prompt"]
-    # producer finished but arrival not reached
-    assert released_requests(sc, {"prompt"}, 5.0) == []
-    assert [r.request_id for r in released_requests(sc, {"prompt"}, 50.0)] == ["decode"]
-    assert released_requests(sc, {"prompt", "decode"}, 99.0) == []
-
-
-def test_released_requests_respect_arrival_over_dep():
-    doc = {"requests": [
-        {"id": "prompt", "model": "bert-base", "priority": 2, "arrival_ms": 0,
-         "workload_size": 128},
-        {"id": "late", "model": "gemma-3-1b", "priority": 3, "arrival_ms": 500,
-         "workload_size": 64, "depends_on": ["prompt"]},
-    ]}
-    sc = load_mix(json.dumps(doc))
-    assert released_requests(sc, {"prompt"}, 100.0) == []
-    assert len(released_requests(sc, {"prompt"}, 500.0)) == 1
+def test_task_kind_key_is_ignored():
+    entry = {"id": "a", "model": "bert-base", "priority": 1, "arrival_ms": 0,
+             "workload_size": 128}
+    plain = load_mix(json.dumps({"requests": [entry]}))
+    tagged = load_mix(json.dumps({"requests": [{**entry, "task_kind": "generative"}]}))
+    assert tagged == plain
 
 
 def test_random_mix_is_reproducible():

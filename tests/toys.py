@@ -50,7 +50,6 @@ def tiny_platform(tdp_mw=1_000_000.0, **cluster_overrides):
 def _descriptor(name, layers, size):
     return json.dumps({
         "name": name,
-        "default_task_kind": "dnn_batch",
         "workload_unit": "units",
         "reference_workload": 1,
         "default_workload_size": size,
@@ -86,6 +85,14 @@ def mixed_text(name="toy-mixed", n_each=5, gflops_each=30.0, size=1):
     mm = json.loads(matmul_text(n_layers=n_each, gflops_each=gflops_each))
     layers = conv["layers"] + mm["layers"]
     return _descriptor(name, layers, size)
+
+
+def crumb_text(name="toy-crumb"):
+    """Mostly DLA-infeasible model: one Conv layer then 20 MatMul layers of
+    the same size (affinity 1/21, under the 5% offload bar)."""
+    conv = json.loads(conv_text(n_layers=1))
+    mm = json.loads(matmul_text(n_layers=20, gflops_each=30.0))
+    return _descriptor(name, conv["layers"] + mm["layers"], 1)
 
 
 TOY_DESCRIPTORS = {

@@ -12,7 +12,6 @@ Run from the repo root:  python tools/gen_descriptors.py
 from __future__ import annotations
 
 import json
-import math
 import os
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "twillsim", "data", "models")
@@ -270,53 +269,43 @@ def decoder_llm(dim, depth, q_heads, kv_heads, head_dim, inter, vocab, ctx=512):
 
 MODELS = {
     "vgg-19": dict(
-        family="cnn", default_task_kind="dnn_batch", workload_unit="images",
-        reference_workload=1, default_workload_size=32, build=vgg19,
-        sanity_gflops=(37.0, 42.0),
+        workload_unit="images", reference_workload=1, default_workload_size=32,
+        build=vgg19, sanity_gflops=(37.0, 42.0),
     ),
     "resnet-50": dict(
-        family="cnn", default_task_kind="dnn_batch", workload_unit="images",
-        reference_workload=1, default_workload_size=32,
+        workload_unit="images", reference_workload=1, default_workload_size=32,
         build=lambda: resnet([3, 4, 6, 3]), sanity_gflops=(7.5, 9.5),
     ),
     "resnet-152": dict(
-        family="cnn", default_task_kind="dnn_batch", workload_unit="images",
-        reference_workload=1, default_workload_size=32,
+        workload_unit="images", reference_workload=1, default_workload_size=32,
         build=lambda: resnet([3, 8, 36, 3]), sanity_gflops=(21.0, 25.5),
     ),
     "efficientnet-b4": dict(
-        family="cnn", default_task_kind="dnn_batch", workload_unit="images",
-        reference_workload=1, default_workload_size=32,
+        workload_unit="images", reference_workload=1, default_workload_size=32,
         build=efficientnet_b4, sanity_gflops=(7.0, 10.5),
     ),
     "vit-base": dict(
-        family="vision_transformer", default_task_kind="encoder_prompt",
         workload_unit="images", reference_workload=1, default_workload_size=32,
         build=lambda: vit(768, 12, 12, 3072), sanity_gflops=(33.0, 37.0),
     ),
     "vit-large": dict(
-        family="vision_transformer", default_task_kind="encoder_prompt",
         workload_unit="images", reference_workload=1, default_workload_size=32,
         build=lambda: vit(1024, 24, 16, 4096), sanity_gflops=(118.0, 128.0),
     ),
     "bert-base": dict(
-        family="text_encoder", default_task_kind="encoder_prompt",
         workload_unit="tokens", reference_workload=128, default_workload_size=128,
         build=lambda: bert(768, 12, 12, 3072), sanity_gflops=(21.0, 24.0),
     ),
     "bert-large": dict(
-        family="text_encoder", default_task_kind="encoder_prompt",
         workload_unit="tokens", reference_workload=128, default_workload_size=128,
         build=lambda: bert(1024, 24, 16, 4096), sanity_gflops=(76.0, 82.0),
     ),
     "deepseek-r1-1.5b": dict(
-        family="decoder_llm", default_task_kind="generative",
         workload_unit="tokens", reference_workload=1, default_workload_size=100,
         build=lambda: decoder_llm(1536, 28, 12, 2, 128, 8960, 151936),
         sanity_gflops=(2.8, 3.6),
     ),
     "gemma-3-1b": dict(
-        family="decoder_llm", default_task_kind="generative",
         workload_unit="tokens", reference_workload=1, default_workload_size=100,
         build=lambda: decoder_llm(1152, 26, 4, 1, 256, 6912, 262144),
         sanity_gflops=(1.7, 2.4),
@@ -324,34 +313,34 @@ MODELS = {
 }
 
 
+def render(name: str) -> str:
+    """The descriptor text for one model, as written to OUT_DIR."""
+    cfg = MODELS[name]
+    layers = cfg["build"]()
+    total = sum(l["flops"] for l in layers)
+    lo, hi = cfg["sanity_gflops"]
+    if not lo <= total / 1e9 <= hi:
+        raise SystemExit(
+            f"{name}: {total / 1e9:.2f} GFLOPs outside sanity window [{lo}, {hi}]"
+        )
+    doc = {
+        "name": name,
+        "workload_unit": cfg["workload_unit"],
+        "reference_workload": cfg["reference_workload"],
+        "default_workload_size": cfg["default_workload_size"],
+        "total_flops": total,
+        "layers": layers,
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
-    for name, cfg in MODELS.items():
-        layers = cfg["build"]()
-        total = sum(l["flops"] for l in layers)
-        lo, hi = cfg["sanity_gflops"]
-        ref = cfg["reference_workload"]
-        if not lo <= total / 1e9 <= hi:
-            raise SystemExit(
-                f"{name}: {total / 1e9:.2f} GFLOPs outside sanity window [{lo}, {hi}]"
-            )
-        doc = {
-            "name": name,
-            "family": cfg["family"],
-            "default_task_kind": cfg["default_task_kind"],
-            "workload_unit": cfg["workload_unit"],
-            "reference_workload": ref,
-            "default_workload_size": cfg["default_workload_size"],
-            "total_flops": total,
-            "layers": layers,
-        }
+    for name in MODELS:
         path = os.path.join(OUT_DIR, f"{name}.json")
         with open(path, "w") as f:
-            json.dump(doc, f, indent=1)
-            f.write("\n")
-        print(f"{name:<20} {len(layers):4d} layers  {total / 1e9:8.2f} GFLOPs "
-              f"({total / ref / 1e9:.3f} per {cfg['workload_unit'][:-1]})")
-
+            f.write(render(name))
+        print(f"wrote {path}")
 
 if __name__ == "__main__":
     main()
