@@ -18,6 +18,7 @@ actuation holds.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import heapq
@@ -435,6 +436,10 @@ class Simulation:
         self.tasks: dict[str, _Task] = {}
         self._profiles: dict[str, AppProfile] = {}
         self._signatures: dict[str, SignatureMap] = {}
+        # resume points by (id of the layers tuple, workload size); all
+        # requests for one model share that tuple, and it lives as long
+        # as their profiles do
+        self._segments: dict[tuple[int, int], tuple[float, ...]] = {}
         # each descriptor is decoded and analysed once; requests for one
         # model differ only in priority and workload size
         parsed: dict[str, AppProfile] = {}
@@ -449,8 +454,8 @@ class Simulation:
                     workload_size=r.workload_size)
                 signatures[r.model] = layer_affinity(
                     base, matrix, threshold=affinity_threshold)
-            self._profiles[r.request_id] = dataclasses.replace(
-                base, priority=r.priority, workload_size=r.workload_size)
+            self._profiles[r.request_id] = base.for_request(
+                r.priority, r.workload_size)
             self._signatures[r.request_id] = signatures[r.model]
 
         self._heap: list[tuple] = []
@@ -555,13 +560,13 @@ class Simulation:
         """Drop progress to the last completed segment boundary."""
         if task.work <= 0 or task.done <= 0:
             return
-        frac = task.done / task.work
-        best = 0.0
-        for b in segment_fractions(task.profile):
-            if b <= frac + 1e-12:
-                best = b
-            else:
-                break
+        profile = task.profile
+        key = (id(profile.layers), profile.workload_size)
+        bounds = self._segments.get(key)
+        if bounds is None:
+            bounds = self._segments[key] = segment_fractions(profile)
+        # bounds ascend from 0.0: take the last one not past the progress
+        best = bounds[bisect.bisect_right(bounds, task.done / task.work + 1e-12) - 1]
         new_done = best * task.work
         task.rolled_back += task.done - new_done
         task.done = new_done
@@ -626,14 +631,16 @@ class Simulation:
         return cluster_id
 
     def _occupy(self, task: _Task, cluster_id: str):
-        self.states[cluster_id] = dataclasses.replace(
-            self.states[cluster_id], occupant=task.key)
+        state = self.states[cluster_id]
+        self.states[cluster_id] = ClusterState(state.spec, state.current_level,
+                                               task.key)
         task.cluster_id = cluster_id
 
     def _vacate(self, task: _Task):
         if task.cluster_id is not None:
-            self.states[task.cluster_id] = dataclasses.replace(
-                self.states[task.cluster_id], occupant=None)
+            state = self.states[task.cluster_id]
+            self.states[task.cluster_id] = ClusterState(
+                state.spec, state.current_level, None)
             task.cluster_id = None
 
     def _apply_decision(self, d: Decision, now: float, acted: set[str]):

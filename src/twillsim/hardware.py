@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -51,10 +51,13 @@ class ClusterSpec:
             raise PlatformError(f"{self.cluster_id}: throughput must be strictly increasing")
         if self.kind is ClusterKind.DLA and len(self.freq_levels_mhz) != 1:
             raise PlatformError(f"{self.cluster_id}: DLA clusters have exactly one frequency level")
-        if self.idle_power_mw < 0 or self.active_power_slope_mw_per_mhz < 0:
-            raise PlatformError(f"{self.cluster_id}: power coefficients must be non-negative")
-        if any(t <= 0 for t in self.throughput_gflops):
-            raise PlatformError(f"{self.cluster_id}: throughput entries must be positive")
+        if not all(math.isfinite(v) and v >= 0
+                   for v in (self.idle_power_mw, self.active_power_slope_mw_per_mhz)):
+            raise PlatformError(
+                f"{self.cluster_id}: power coefficients must be finite and non-negative")
+        if not all(math.isfinite(t) and t > 0 for t in self.throughput_gflops):
+            raise PlatformError(
+                f"{self.cluster_id}: throughput entries must be finite and positive")
 
     @property
     def num_levels(self) -> int:
@@ -114,7 +117,7 @@ def set_frequency(state: ClusterState, level: int) -> ClusterState:
         raise PlatformError(
             f"{state.spec.cluster_id}: level {level} outside table [0, {state.spec.max_level}]"
         )
-    return replace(state, current_level=level)
+    return ClusterState(state.spec, level, state.occupant)
 
 
 def power_draw(platform: PlatformSpec, states: dict[str, ClusterState],
@@ -155,6 +158,9 @@ def load_platform(text: str) -> PlatformSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise PlatformError(f"platform config is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise PlatformError(
+            f"platform config must be a JSON object, not {type(doc).__name__}")
     try:
         return PlatformSpec(
             name=doc.get("name", "unnamed"),

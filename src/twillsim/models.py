@@ -7,12 +7,17 @@ fraction decides whether the model prefers the DLA at all.  Models whose
 feasible fraction falls below the affinity threshold are treated as
 GPU-only by the schedulers, because unsupported layers fall back at a
 heavy penalty when the whole model is pinned to the DLA.
+
+Descriptors repeat layers (a transformer block is the same table row
+after row), so `parse_model` builds one `LayerSpec` per distinct entry
+and shares it among the identical ones, and `layer_affinity` classifies
+each distinct layer once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 # Fraction of FLOPs that must be DLA-feasible before a model is
@@ -64,6 +69,12 @@ class AppProfile:
     def total_flops(self) -> int:
         return sum(l.flops for l in self.layers)
 
+    def for_request(self, priority: int, workload_size: int) -> AppProfile:
+        """A copy for one request, sharing the layers and their FLOP sum."""
+        profile = replace(self, priority=priority, workload_size=workload_size)
+        vars(profile)["total_flops"] = self.total_flops
+        return profile
+
     @property
     def work_gflops(self) -> float:
         """Total work for this request, scaled from the reference unit."""
@@ -107,6 +118,9 @@ def load_matrix(text: str) -> CompatibilityMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelError(f"compatibility matrix is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ModelError(
+            f"compatibility matrix must be a JSON object, not {type(doc).__name__}")
     try:
         return CompatibilityMatrix(
             name=doc.get("name", "unnamed"),
@@ -147,6 +161,46 @@ def _layer_from_dict(d: dict) -> LayerSpec:
         raise ModelError(f"layer entry has a malformed field: {e}") from None
 
 
+# Marks a field absent from a layer entry; an explicit null is not absent.
+_ABSENT = object()
+
+
+def _layers_from_list(entries) -> tuple[LayerSpec, ...]:
+    """Decode layer entries, one LayerSpec per distinct entry.
+
+    An entry is keyed on exactly the raw values `_layer_from_dict`
+    reads (each shape as the tuple it iterates), so entries with equal
+    keys decode to equal layers and only the first is decoded.  An
+    entry that is not a dict or holds unhashable values is decoded on
+    its own, which raises the error it always raised.
+    """
+    seen: dict[tuple, LayerSpec] = {}
+    layers = []
+    for d in entries:
+        try:
+            get = d.get
+            key = (get("op_type", _ABSENT), get("precision", _ABSENT),
+                   get("flops", _ABSENT),
+                   _seq_key(get("in_shape", _ABSENT)),
+                   _seq_key(get("out_shape", _ABSENT)),
+                   _seq_key(get("kernel", _ABSENT)),
+                   _seq_key(get("stride", _ABSENT)),
+                   _seq_key(get("padding", _ABSENT)))
+            layer = seen.get(key)
+        except (AttributeError, TypeError):
+            key = layer = None
+        if layer is None:
+            layer = _layer_from_dict(d)
+            if key is not None:
+                seen[key] = layer
+        layers.append(layer)
+    return tuple(layers)
+
+
+def _seq_key(v):
+    return v if v is _ABSENT else tuple(v)
+
+
 def parse_model(descriptor_text: str, priority: int,
                 workload_size: int | None = None) -> AppProfile:
     """Build an AppProfile from a JSON descriptor.
@@ -158,8 +212,11 @@ def parse_model(descriptor_text: str, priority: int,
         doc = json.loads(descriptor_text)
     except json.JSONDecodeError as e:
         raise ModelError(f"model descriptor is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ModelError(
+            f"model descriptor must be a JSON object, not {type(doc).__name__}")
     try:
-        layers = tuple(_layer_from_dict(l) for l in doc["layers"])
+        layers = _layers_from_list(doc["layers"])
         profile = AppProfile(
             name=doc["name"],
             priority=priority,
@@ -179,6 +236,8 @@ def parse_model(descriptor_text: str, priority: int,
         raise ModelError(f"{profile.name}: descriptor has no layers")
     if profile.workload_size <= 0:
         raise ModelError(f"{profile.name}: workload_size must be positive")
+    if profile.reference_workload <= 0:
+        raise ModelError(f"{profile.name}: reference_workload must be positive")
     declared = doc.get("total_flops")
     if declared is not None and int(declared) != profile.total_flops:
         raise ModelError(
@@ -216,7 +275,14 @@ def dla_compatible(layer: LayerSpec, matrix: CompatibilityMatrix) -> bool:
 def layer_affinity(profile: AppProfile, matrix: CompatibilityMatrix,
                    threshold: float = AFFINITY_THRESHOLD) -> SignatureMap:
     """Classify every layer and derive the model's scheduling signature."""
-    feasible = tuple(dla_compatible(l, matrix) for l in profile.layers)
+    verdicts: dict[int, bool] = {}  # by id: the profile keeps each layer alive
+    feasible = []
+    for l in profile.layers:
+        ok = verdicts.get(id(l))
+        if ok is None:
+            ok = verdicts[id(l)] = dla_compatible(l, matrix)
+        feasible.append(ok)
+    feasible = tuple(feasible)
     total = profile.total_flops
     if total > 0:
         dla_flops = sum(l.flops for l, ok in zip(profile.layers, feasible) if ok)

@@ -93,12 +93,7 @@ class TwillPolicy(Policy):
         decisions: list[Decision] = []
         planned = {cid: st.occupant for cid, st in view.states.items()}
         touched: set[str] = set()
-
-        def kind_of(cid: str) -> str:
-            return view.cluster_kind(cid).name
-
-        def free_ids() -> list[str]:
-            return sorted(c for c, occ in planned.items() if occ is None)
+        kinds = {c.cluster_id: c.kind.name for c in view.platform.clusters}
 
         freed = [e.cluster_id for e in events
                  if e.kind is EventKind.CLUSTER_FREED]
@@ -112,7 +107,7 @@ class TwillPolicy(Policy):
             if planned[cid] is not None:
                 continue
             entry = self.queue.best(
-                lambda e: kind_of(cid) in view.tasks[e.task_key].preferred_kinds)
+                lambda e: kinds[cid] in view.tasks[e.task_key].preferred_kinds)
             if entry is not None:
                 self.queue.remove(entry.task_key)
                 decisions.append(Decision(DecisionKind.UNFREEZE,
@@ -133,7 +128,7 @@ class TwillPolicy(Policy):
 
         for rid in arrivals:
             decisions.extend(
-                self._place_arrival(view, rid, planned, touched))
+                self._place_arrival(view, rid, planned, touched, kinds))
 
         return decisions
 
@@ -158,19 +153,17 @@ class TwillPolicy(Policy):
         return best
 
     def _place_arrival(self, view: ControllerView, rid: str,
-                       planned: dict, touched: set[str]) -> list[Decision]:
+                       planned: dict, touched: set[str],
+                       kinds: dict[str, str]) -> list[Decision]:
         task = view.tasks[rid]
         prefs = task.preferred_kinds
 
-        def kind_of(cid: str) -> str:
-            return view.cluster_kind(cid).name
-
         # fastest free preferred cluster
         free_pref = [c for c, occ in planned.items()
-                     if occ is None and kind_of(c) in prefs]
+                     if occ is None and kinds[c] in prefs]
         if free_pref:
             target = min(free_pref, key=lambda c: (
-                -view.exec_rate(rid, c), prefs.index(kind_of(c)), c))
+                -view.exec_rate(rid, c), prefs.index(kinds[c]), c))
             planned[target] = rid
             touched.add(rid)
             return [Decision(DecisionKind.MAP, request_id=rid,
@@ -178,14 +171,14 @@ class TwillPolicy(Policy):
 
         # displace an occupant that has somewhere of its own to go
         occupied_pref = sorted(
-            (c for c in planned if kind_of(c) in prefs),
+            (c for c in planned if kinds[c] in prefs),
             key=lambda c: (-view.exec_rate(rid, c), c))
         for cid in occupied_pref:
             occ = view.tasks[planned[cid]]
             if occ.state is not TaskState.RUNNING or occ.key in touched:
                 continue
             room = [c for c, o in planned.items()
-                    if o is None and kind_of(c) in occ.preferred_kinds]
+                    if o is None and kinds[c] in occ.preferred_kinds]
             if not room:
                 continue
             target = min(room, key=lambda c: (-view.exec_rate(occ.key, c), c))

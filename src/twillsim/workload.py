@@ -81,6 +81,8 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise WorkloadError(f"scenario is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise WorkloadError(f"scenario must be a JSON object, not {type(doc).__name__}")
     if "requests" not in doc:
         raise WorkloadError("scenario missing field 'requests'")
     if not isinstance(doc["requests"], list):

@@ -219,3 +219,44 @@ def test_wrong_typed_descriptor_field_exits_one(relative, path, value, tmp_path,
     (tmp_path / relative).write_text(json.dumps(doc))
     monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
     _assert_input_error(["run", "--mix", "mix1"], capsys, "malformed")
+
+
+@pytest.mark.parametrize("field", ["idle_power_mw", "active_power_slope_mw_per_mhz"])
+def test_non_finite_cluster_power_exits_one(field, tmp_path, capsys):
+    # a NaN coefficient used to run, writing nan power and reporting no
+    # time over budget
+    doc = json.loads(presets.platform_text())
+    doc["clusters"][0][field] = float("nan")
+    board = tmp_path / "board.json"
+    board.write_text(json.dumps(doc))
+    _assert_input_error(["run", "--mix", "mix1", "--platform", str(board)],
+                        capsys, "finite")
+
+
+@pytest.mark.parametrize("value", [0, -128])
+def test_non_positive_reference_workload_exits_one(value, tmp_path, capsys,
+                                                   monkeypatch):
+    doc = json.loads(presets.model_text("bert-base"))
+    doc["reference_workload"] = value
+    (tmp_path / "models").mkdir()
+    (tmp_path / "models" / "bert-base.json").write_text(json.dumps(doc))
+    monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
+    _assert_input_error(["run", "--mix", "mix1"], capsys, "reference_workload")
+
+
+@pytest.mark.parametrize("relative", [
+    "platform.json", "dla_matrix.json", "models/bert-base.json"])
+def test_non_object_data_file_exits_one(relative, tmp_path, capsys, monkeypatch):
+    (tmp_path / relative).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / relative).write_text("[]")
+    monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
+    _assert_input_error(["run", "--mix", "mix1"], capsys, "JSON object")
+
+
+@pytest.mark.parametrize("text", ["[]", "5"])
+def test_non_object_platform_and_mix_files_exit_one(text, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    _assert_input_error(["run", "--mix", "mix1", "--platform", str(bad)],
+                        capsys, "JSON object")
+    _assert_input_error(["run", "--mix", str(bad)], capsys, "JSON object")

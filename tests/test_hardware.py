@@ -150,6 +150,27 @@ def test_cluster_spec_validation():
         ClusterSpec("d", ClusterKind.DLA, (300.0, 400.0), (1.0, 2.0), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("field", ["idle_power_mw", "active_power_slope_mw_per_mhz"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_cluster_power_coefficients_must_be_finite(field, value):
+    good = dict(idle_power_mw=100.0, active_power_slope_mw_per_mhz=1.0)
+    with pytest.raises(PlatformError, match="power coefficients"):
+        ClusterSpec("g", ClusterKind.GPU, (300, 400), (1.0, 2.0),
+                    **{**good, field: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_cluster_throughput_must_be_finite_and_positive(value):
+    with pytest.raises(PlatformError, match="throughput"):
+        ClusterSpec("g", ClusterKind.GPU, (300, 400), (1.0, value), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("text", ["[]", "5", '"board"', "null"])
+def test_load_platform_rejects_a_non_object(text):
+    with pytest.raises(PlatformError, match="JSON object"):
+        load_platform(text)
+
+
 def test_load_platform_rejects_garbage():
     with pytest.raises(PlatformError):
         load_platform("not json at all {")

@@ -15,8 +15,9 @@ from twillsim import (
     load_matrix,
     parse_model,
 )
+import twillsim
 from twillsim import presets
-from twillsim.models import segment_fractions
+from twillsim.models import _layer_from_dict, segment_fractions
 
 DENSE_CONV_MODELS = ["vgg-19", "resnet-50", "resnet-152"]
 
@@ -86,6 +87,94 @@ def test_parse_model_rejects_bad_input():
     del doc["total_flops"]
     with pytest.raises(ModelError, match="no layers"):
         parse_model(json.dumps(doc), priority=1)
+
+
+@pytest.mark.parametrize("name", presets.available_models())
+def test_interned_layers_equal_a_per_entry_decode(name):
+    entries = json.loads(presets.model_text(name))["layers"]
+    layers = _profile(name).layers
+    assert len(layers) == len(entries)
+    for entry, layer in zip(entries, layers):
+        assert layer == _layer_from_dict(entry)
+    # identical entries share one object, distinct ones never do
+    first = {}
+    for entry, layer in zip(entries, layers):
+        assert first.setdefault(json.dumps(entry, sort_keys=True), layer) is layer
+    assert len({id(l) for l in layers}) == len(first) < len(entries)
+
+
+def _vgg_with_layers(*extra):
+    doc = json.loads(presets.model_text("vgg-19"))
+    doc["layers"] += list(extra)
+    del doc["total_flops"]
+    return json.dumps(doc)
+
+
+def _first_entry(op_type):
+    doc = json.loads(presets.model_text("vgg-19"))
+    return next(l for l in doc["layers"] if l["op_type"] == op_type)
+
+
+def test_explicit_null_geometry_is_not_an_absent_one():
+    relu = _first_entry("Relu")
+    for field in ("kernel", "stride", "padding"):
+        with pytest.raises(ModelError, match="malformed"):
+            parse_model(_vgg_with_layers(relu, {**relu, field: None}), priority=1)
+
+
+def _without(entry, field):
+    return {k: v for k, v in entry.items() if k != field}
+
+
+@pytest.mark.parametrize("bad", [
+    [1, 2],
+    "Relu",
+    None,
+    _without(_first_entry("Relu"), "flops"),
+    _without(_first_entry("Conv"), "in_shape"),
+    {**_first_entry("Relu"), "flops": "lots"},
+    {**_first_entry("Relu"), "in_shape": [[1, 64]]},
+    {**_first_entry("Conv"), "kernel": [3, 3, 3]},
+    {**_first_entry("Conv"), "stride": None},
+    {**_first_entry("Conv"), "flops": -1},
+])
+def test_malformed_entry_after_an_identical_valid_one(bad):
+    """Interning never lets a bad entry borrow a valid twin's layer, and
+    the error is the one the entry raises when decoded on its own."""
+    with pytest.raises(ModelError) as alone:
+        _layer_from_dict(bad)
+    twin = _first_entry("Conv" if isinstance(bad, dict) and "kernel" in bad
+                        else "Relu")
+    with pytest.raises(ModelError) as parsed:
+        parse_model(_vgg_with_layers(twin, bad), priority=1)
+    assert str(parsed.value) == str(alone.value)
+
+
+def test_reference_workload_must_be_positive():
+    doc = json.loads(presets.model_text("bert-base"))
+    for value in (0, -128):
+        doc["reference_workload"] = value
+        with pytest.raises(ModelError, match="reference_workload"):
+            parse_model(json.dumps(doc), priority=1)
+
+
+@pytest.mark.parametrize("text", ["[]", "5", '"vgg-19"', "null"])
+def test_top_level_must_be_an_object(text):
+    with pytest.raises(ModelError, match="JSON object"):
+        parse_model(text, priority=1)
+    with pytest.raises(ModelError, match="JSON object"):
+        load_matrix(text)
+
+
+def test_for_request_equals_a_fresh_parse():
+    text = presets.model_text("gemma-3-1b")
+    base = parse_model(text, priority=1)
+    derived = base.for_request(3, 7)
+    fresh = parse_model(text, priority=3, workload_size=7)
+    assert derived == fresh
+    assert derived.layers is base.layers
+    assert derived.total_flops == fresh.total_flops
+    assert derived.work_gflops == fresh.work_gflops
 
 
 def test_layer_geometry_invariant():
@@ -182,6 +271,44 @@ def test_preferred_clusters_follow_threshold(matrix):
     effnet = layer_affinity(_profile("efficientnet-b4"), matrix, threshold=0.9999)
     assert effnet.preferred_clusters == ("GPU",)
     assert 0.0 < AFFINITY_THRESHOLD < 1.0
+
+
+@pytest.mark.parametrize("name", presets.available_models())
+def test_affinity_classifies_every_layer(matrix, name):
+    profile = _profile(name)
+    sig = layer_affinity(profile, matrix)
+    assert sig.layer_feasible == tuple(dla_compatible(l, matrix)
+                                       for l in profile.layers)
+
+
+def test_engine_parses_and_analyses_each_model_once(monkeypatch):
+    """The engine looks both functions up on twillsim.engine per
+    Simulation; the benchmark's models.* metrics wrap those names."""
+    calls = {"parse": [], "affinity": []}
+    parse, affinity = twillsim.engine.parse_model, twillsim.engine.layer_affinity
+
+    def counted_parse(text, *args, **kwargs):
+        profile = parse(text, *args, **kwargs)
+        calls["parse"].append(profile.name)
+        return profile
+
+    def counted_affinity(profile, *args, **kwargs):
+        calls["affinity"].append(profile.name)
+        return affinity(profile, *args, **kwargs)
+
+    monkeypatch.setattr(twillsim.engine, "parse_model", counted_parse)
+    monkeypatch.setattr(twillsim.engine, "layer_affinity", counted_affinity)
+    mix2 = twillsim.load_mix(presets.mix_text("mix2"))
+    repeated = twillsim.random_mix(5, presets.available_models(), n_requests=30)
+    assert len(repeated.requests) > len({r.model for r in repeated.requests})
+    # a second build of mix2 parses again: there is no cache across builds
+    for scenario in (mix2, repeated, mix2):
+        models = sorted({r.model for r in scenario.requests})
+        calls["parse"].clear()
+        calls["affinity"].clear()
+        twillsim.build_simulation(scenario, "twill")
+        assert sorted(calls["parse"]) == models
+        assert sorted(calls["affinity"]) == models
 
 
 def test_affinity_is_deterministic(matrix):

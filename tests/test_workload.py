@@ -108,6 +108,12 @@ def test_non_finite_arrival_rejected(arrival):
                          workload_size=1)
 
 
+@pytest.mark.parametrize("text", ["[]", "5", '"mix1"', "null"])
+def test_top_level_must_be_an_object(text):
+    with pytest.raises(WorkloadError, match="JSON object"):
+        load_mix(text)
+
+
 def test_task_kind_key_is_ignored():
     entry = {"id": "a", "model": "bert-base", "priority": 1, "arrival_ms": 0,
              "workload_size": 128}
