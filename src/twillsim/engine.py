@@ -18,7 +18,6 @@ actuation holds.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import dataclasses
 import heapq
@@ -436,10 +435,6 @@ class Simulation:
         self.tasks: dict[str, _Task] = {}
         self._profiles: dict[str, AppProfile] = {}
         self._signatures: dict[str, SignatureMap] = {}
-        # resume points by (id of the layers tuple, workload size); all
-        # requests for one model share that tuple, and it lives as long
-        # as their profiles do
-        self._segments: dict[tuple[int, int], tuple[float, ...]] = {}
         # each descriptor is decoded and analysed once; requests for one
         # model differ only in priority and workload size
         parsed: dict[str, AppProfile] = {}
@@ -560,13 +555,13 @@ class Simulation:
         """Drop progress to the last completed segment boundary."""
         if task.work <= 0 or task.done <= 0:
             return
-        profile = task.profile
-        key = (id(profile.layers), profile.workload_size)
-        bounds = self._segments.get(key)
-        if bounds is None:
-            bounds = self._segments[key] = segment_fractions(profile)
-        # bounds ascend from 0.0: take the last one not past the progress
-        best = bounds[bisect.bisect_right(bounds, task.done / task.work + 1e-12) - 1]
+        frac = task.done / task.work
+        best = 0.0
+        for b in segment_fractions(task.profile):
+            if b <= frac + 1e-12:
+                best = b
+            else:
+                break
         new_done = best * task.work
         task.rolled_back += task.done - new_done
         task.done = new_done
@@ -631,16 +626,14 @@ class Simulation:
         return cluster_id
 
     def _occupy(self, task: _Task, cluster_id: str):
-        state = self.states[cluster_id]
-        self.states[cluster_id] = ClusterState(state.spec, state.current_level,
-                                               task.key)
+        self.states[cluster_id] = dataclasses.replace(
+            self.states[cluster_id], occupant=task.key)
         task.cluster_id = cluster_id
 
     def _vacate(self, task: _Task):
         if task.cluster_id is not None:
-            state = self.states[task.cluster_id]
-            self.states[task.cluster_id] = ClusterState(
-                state.spec, state.current_level, None)
+            self.states[task.cluster_id] = dataclasses.replace(
+                self.states[task.cluster_id], occupant=None)
             task.cluster_id = None
 
     def _apply_decision(self, d: Decision, now: float, acted: set[str]):

@@ -26,7 +26,6 @@ from twillsim import (
     write_trace,
 )
 from twillsim.engine import decisions_csv, power_csv, requests_csv, summary_json
-from twillsim.models import segment_fractions
 from toys import (
     TOY_DESCRIPTORS,
     ScriptedPolicy,
@@ -460,28 +459,6 @@ def test_derived_profiles_match_a_fresh_parse():
         assert derived.total_flops == fresh.total_flops
         assert derived.work_gflops == fresh.work_gflops
         assert sim._signatures[r.request_id] == layer_affinity(fresh, MATRIX)
-
-
-def test_rollback_lands_on_the_last_boundary_reached():
-    """Rollback resumes from the last segment boundary at or below the
-    progress (1e-12 slack), whatever rollbacks of the same model at
-    other sizes came first."""
-    text = presets.model_text("resnet-50")
-    sizes = (1, 3, 6, 1, 3)
-    requests = [request(f"r{i}", "resnet-50", size=n) for i, n in enumerate(sizes)]
-    sim = Simulation(load_platform(presets.platform_text()), scenario(*requests),
-                     ScriptedPolicy(), {"resnet-50": text}, MATRIX)
-    for r in requests:
-        task = sim._spawn_task(r.request_id, None, None, False, 0.0)
-        bounds = segment_fractions(parse_model(text, priority=1,
-                                               workload_size=r.workload_size))
-        for b in bounds[1:-1:7] + bounds[-2:]:
-            for frac in (b, b - 1e-12, b - 5e-13, b - 1e-9, b + 1e-9):
-                task.done, task.rolled_back = frac * task.work, 0.0
-                expected = max(x for x in bounds if x <= frac + 1e-12) * task.work
-                sim._rollback_to_boundary(task)
-                assert task.done == expected, (r.workload_size, b, frac)
-                assert task.rolled_back == frac * task.work - expected
 
 
 def test_done_tasks_stay_in_the_view_with_all_work_done():
