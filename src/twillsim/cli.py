@@ -27,11 +27,11 @@ from .baselines import POLICIES
 from .engine import EngineError, Trace, write_trace
 from .hardware import PlatformError
 from .models import ModelError
-from .workload import WorkloadError, WorkloadScenario, load_mix, random_mix
+from .workload import (PLATFORM_OVERRIDE_KEYS, WorkloadError, WorkloadScenario,
+                       load_mix, random_mix)
 
 ALL_MIXES = ("mix1", "mix2", "mix3", "mix4", "mix5")
 
-_PLATFORM_KEYS = ("tdp_mw", "base_power_mw")
 _ENGINE_KEYS = ("ctrl_overhead_ms", "migration_overhead_ms",
                 "freeze_overhead_ms", "dla_fallback_penalty",
                 "affinity_threshold")
@@ -90,14 +90,14 @@ def _parse_overrides(pairs: list[str]) -> tuple[dict, dict]:
             num = float(value)
         except ValueError:
             raise CliError(f"--set {key}: {value!r} is not a number") from None
-        if key in _PLATFORM_KEYS:
+        if key in PLATFORM_OVERRIDE_KEYS:
             platform_overrides[key] = num
         elif key in _ENGINE_KEYS:
             engine_kwargs[key] = num
         else:
             raise CliError(
                 f"unknown --set key {key!r}; expected one of "
-                f"{', '.join(_PLATFORM_KEYS + _ENGINE_KEYS)}")
+                f"{', '.join(PLATFORM_OVERRIDE_KEYS + _ENGINE_KEYS)}")
     return platform_overrides, engine_kwargs
 
 

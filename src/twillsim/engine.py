@@ -915,10 +915,6 @@ class Simulation:
 def _apply_overrides(platform: PlatformSpec, overrides: dict) -> PlatformSpec:
     if not overrides:
         return platform
-    allowed = {"tdp_mw", "base_power_mw"}
-    unknown = set(overrides) - allowed
-    if unknown:
-        raise EngineError(f"unsupported platform overrides: {sorted(unknown)}")
     return dataclasses.replace(
         platform, **{k: float(v) for k, v in overrides.items()})
 

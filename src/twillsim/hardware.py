@@ -45,6 +45,9 @@ class ClusterSpec:
                 f"{self.cluster_id}: {len(self.freq_levels_mhz)} frequency levels "
                 f"but {len(self.throughput_gflops)} throughput entries"
             )
+        if not all(math.isfinite(f) and f > 0 for f in self.freq_levels_mhz):
+            raise PlatformError(
+                f"{self.cluster_id}: frequency levels must be finite and positive MHz")
         if any(b <= a for a, b in zip(self.freq_levels_mhz, self.freq_levels_mhz[1:])):
             raise PlatformError(f"{self.cluster_id}: frequency levels must be strictly ascending")
         if any(b <= a for a, b in zip(self.throughput_gflops, self.throughput_gflops[1:])):

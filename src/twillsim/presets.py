@@ -1,16 +1,24 @@
-"""Access to the packaged platform/model/mix data files.
+"""Access to the packaged platform, model, mix and scenario data.
+
+The platform, DLA matrix, mixes and scenarios are JSON files under the
+packaged ``data/`` tree.  The model descriptors are generated by
+``twillsim/zoo.py`` from architecture code.
 
 All lookups honor the TWILLSIM_CONFIG_DIR environment variable, which
 points at a directory with the same layout as the packaged ``data/``
 tree (platform.json, dla_matrix.json, models/, mixes/, scenarios/).
-Files missing from the override directory fall back to the packaged
-copies, so a config dir only needs to carry what it changes.
+A file there replaces the packaged copy of the same name, and a
+``models/<name>.json`` there adds a model to the zoo or replaces one.
+Anything missing from the override directory falls back to the
+packaged copy, so a config dir only needs to carry what it changes.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+
+from . import zoo
 
 CONFIG_ENV_VAR = "TWILLSIM_CONFIG_DIR"
 
@@ -21,17 +29,25 @@ class PresetError(FileNotFoundError):
     """Raised when a named preset cannot be found."""
 
 
-def _resolve(relative: str) -> Path:
+def _override(relative: str) -> Path | None:
+    """The config-dir copy of a data file, if there is one."""
     override = os.environ.get(CONFIG_ENV_VAR)
-    if override:
-        candidate = Path(override) / relative
-        if candidate.is_file():
-            return candidate
-    candidate = _PACKAGED / relative
-    if candidate.is_file():
-        return candidate
-    raise PresetError(f"no packaged data file {relative!r}"
-                      + (f" (also checked {override})" if override else ""))
+    if override and (Path(override) / relative).is_file():
+        return Path(override) / relative
+    return None
+
+
+def _not_found(what: str) -> PresetError:
+    override = os.environ.get(CONFIG_ENV_VAR)
+    return PresetError(f"no packaged {what}"
+                       + (f" (also checked {override})" if override else ""))
+
+
+def _resolve(relative: str) -> Path:
+    path = _override(relative) or _PACKAGED / relative
+    if path.is_file():
+        return path
+    raise _not_found(f"data file {relative!r}")
 
 
 def read_data(relative: str) -> str:
@@ -48,7 +64,13 @@ def matrix_text() -> str:
 
 
 def model_text(name: str) -> str:
-    return read_data(f"models/{name}.json")
+    """Descriptor text of model `name`: a config-dir file, else the zoo's."""
+    path = _override(f"models/{name}.json")
+    if path is not None:
+        return path.read_text()
+    if name in zoo.MODELS:
+        return zoo.descriptor_text(name)
+    raise _not_found(f"model {name!r}")
 
 
 def mix_text(name: str) -> str:
@@ -84,7 +106,7 @@ def _names_in(subdir: str) -> list[str]:
 
 
 def available_models() -> list[str]:
-    return _names_in("models")
+    return sorted({*_names_in("models"), *zoo.MODELS})
 
 
 def available_mixes() -> list[str]:

@@ -16,6 +16,10 @@ import random
 from dataclasses import dataclass, field
 
 
+# PlatformSpec fields a scenario may override
+PLATFORM_OVERRIDE_KEYS = ("tdp_mw", "base_power_mw")
+
+
 class WorkloadError(ValueError):
     """Raised for malformed or inconsistent scenario files."""
 
@@ -45,6 +49,13 @@ class WorkloadScenario:
     name: str
     requests: tuple[InferenceRequest, ...]
     platform_overrides: dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        unknown = sorted(set(self.platform_overrides) - set(PLATFORM_OVERRIDE_KEYS))
+        if unknown:
+            raise WorkloadError(
+                f"unknown platform overrides {unknown}; expected any of "
+                f"{', '.join(PLATFORM_OVERRIDE_KEYS)}")
 
     def request(self, request_id: str) -> InferenceRequest:
         for r in self.requests:

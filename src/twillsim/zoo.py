@@ -1,4 +1,4 @@
-"""Regenerate the packaged model descriptors in src/twillsim/data/models/.
+"""The packaged model zoo: per-layer descriptors built from architecture code.
 
 Each descriptor is a per-layer table (op type, precision, FLOPs, shapes,
 conv geometry) synthesized from the model's public architecture config.
@@ -6,15 +6,16 @@ FLOP counts are exact integers for one reference inference unit:
 one image for CNNs and vision transformers, one 128-token sequence for
 text encoders, one generated token for decoder LLMs.
 
-Run from the repo root:  python tools/gen_descriptors.py
+`descriptor_text(name)` renders a model as descriptor JSON, the same
+text a user-supplied descriptor file holds, so packaged and user models
+enter the simulator through one parser.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import os
 
-OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "twillsim", "data", "models")
 PRECISION = "FP16"
 
 
@@ -33,12 +34,12 @@ def layer(op, flops, in_shape, out_shape, kernel=None, stride=None, padding=None
     return d
 
 
-def conv(cin, cout, h_in, w_in, k, s, p, groups=1, op="Conv"):
+def conv(cin, cout, h_in, w_in, k, s, p, groups=1):
     h_out = (h_in + 2 * p - k) // s + 1
     w_out = (w_in + 2 * p - k) // s + 1
     flops = 2 * k * k * (cin // groups) * cout * h_out * w_out
     return (
-        layer(op, flops, [1, cin, h_in, w_in], [1, cout, h_out, w_out],
+        layer("Conv", flops, [1, cin, h_in, w_in], [1, cout, h_out, w_out],
               kernel=[k, k], stride=[s, s], padding=[p, p]),
         h_out,
         w_out,
@@ -55,9 +56,8 @@ def elemwise(op, c, h, w, per_elem=1):
     return layer(op, per_elem * n, [1, c, h, w], [1, c, h, w])
 
 
-def matmul(m, k, n, label_shape_in=None, label_shape_out=None):
-    return layer("MatMul", 2 * m * k * n,
-                 label_shape_in or [1, m, k], label_shape_out or [1, m, n])
+def matmul(m, k, n, in_shape, out_shape):
+    return layer("MatMul", 2 * m * k * n, in_shape, out_shape)
 
 
 # ---------------------------------------------------------------- CNNs
@@ -87,7 +87,7 @@ def vgg19():
     return layers
 
 
-def resnet(blocks, name_channels=(64, 128, 256, 512)):
+def resnet(blocks):
     layers = []
     ly, h, w = conv(3, 64, 224, 224, k=7, s=2, p=3)
     layers.append(ly)
@@ -97,7 +97,7 @@ def resnet(blocks, name_channels=(64, 128, 256, 512)):
     layers.append(layer("MaxPool", 9 * n_out, [1, 64, h, w], [1, 64, h // 2, w // 2]))
     h = w = h // 2
     c_in = 64
-    for stage, (width, reps) in enumerate(zip(name_channels, blocks)):
+    for stage, (width, reps) in enumerate(zip((64, 128, 256, 512), blocks)):
         c_out = width * 4
         for i in range(reps):
             s = 2 if (stage > 0 and i == 0) else 1
@@ -147,7 +147,6 @@ def efficientnet_b4():
         for i in range(reps):
             s = stride if i == 0 else 1
             mid = c_in * expand
-            h_in, w_in = h, w
             if expand != 1:
                 ly, h2, w2 = conv(c_in, mid, h, w, k=1, s=1, p=0)
                 layers.append(ly)
@@ -267,80 +266,40 @@ def decoder_llm(dim, depth, q_heads, kv_heads, head_dim, inter, vocab, ctx=512):
     return layers
 
 
+# name -> (workload_unit, reference_workload, default_workload_size, build)
 MODELS = {
-    "vgg-19": dict(
-        workload_unit="images", reference_workload=1, default_workload_size=32,
-        build=vgg19, sanity_gflops=(37.0, 42.0),
-    ),
-    "resnet-50": dict(
-        workload_unit="images", reference_workload=1, default_workload_size=32,
-        build=lambda: resnet([3, 4, 6, 3]), sanity_gflops=(7.5, 9.5),
-    ),
-    "resnet-152": dict(
-        workload_unit="images", reference_workload=1, default_workload_size=32,
-        build=lambda: resnet([3, 8, 36, 3]), sanity_gflops=(21.0, 25.5),
-    ),
-    "efficientnet-b4": dict(
-        workload_unit="images", reference_workload=1, default_workload_size=32,
-        build=efficientnet_b4, sanity_gflops=(7.0, 10.5),
-    ),
-    "vit-base": dict(
-        workload_unit="images", reference_workload=1, default_workload_size=32,
-        build=lambda: vit(768, 12, 12, 3072), sanity_gflops=(33.0, 37.0),
-    ),
-    "vit-large": dict(
-        workload_unit="images", reference_workload=1, default_workload_size=32,
-        build=lambda: vit(1024, 24, 16, 4096), sanity_gflops=(118.0, 128.0),
-    ),
-    "bert-base": dict(
-        workload_unit="tokens", reference_workload=128, default_workload_size=128,
-        build=lambda: bert(768, 12, 12, 3072), sanity_gflops=(21.0, 24.0),
-    ),
-    "bert-large": dict(
-        workload_unit="tokens", reference_workload=128, default_workload_size=128,
-        build=lambda: bert(1024, 24, 16, 4096), sanity_gflops=(76.0, 82.0),
-    ),
-    "deepseek-r1-1.5b": dict(
-        workload_unit="tokens", reference_workload=1, default_workload_size=100,
-        build=lambda: decoder_llm(1536, 28, 12, 2, 128, 8960, 151936),
-        sanity_gflops=(2.8, 3.6),
-    ),
-    "gemma-3-1b": dict(
-        workload_unit="tokens", reference_workload=1, default_workload_size=100,
-        build=lambda: decoder_llm(1152, 26, 4, 1, 256, 6912, 262144),
-        sanity_gflops=(1.7, 2.4),
-    ),
+    "vgg-19": ("images", 1, 32, vgg19),
+    "resnet-50": ("images", 1, 32, lambda: resnet([3, 4, 6, 3])),
+    "resnet-152": ("images", 1, 32, lambda: resnet([3, 8, 36, 3])),
+    "efficientnet-b4": ("images", 1, 32, efficientnet_b4),
+    "vit-base": ("images", 1, 32, lambda: vit(768, 12, 12, 3072)),
+    "vit-large": ("images", 1, 32, lambda: vit(1024, 24, 16, 4096)),
+    "bert-base": ("tokens", 128, 128, lambda: bert(768, 12, 12, 3072)),
+    "bert-large": ("tokens", 128, 128, lambda: bert(1024, 24, 16, 4096)),
+    "deepseek-r1-1.5b": (
+        "tokens", 1, 100,
+        lambda: decoder_llm(1536, 28, 12, 2, 128, 8960, 151936)),
+    "gemma-3-1b": (
+        "tokens", 1, 100,
+        lambda: decoder_llm(1152, 26, 4, 1, 256, 6912, 262144)),
 }
 
 
-def render(name: str) -> str:
-    """The descriptor text for one model, as written to OUT_DIR."""
-    cfg = MODELS[name]
-    layers = cfg["build"]()
-    total = sum(l["flops"] for l in layers)
-    lo, hi = cfg["sanity_gflops"]
-    if not lo <= total / 1e9 <= hi:
-        raise SystemExit(
-            f"{name}: {total / 1e9:.2f} GFLOPs outside sanity window [{lo}, {hi}]"
-        )
-    doc = {
+@functools.cache
+def descriptor_text(name: str) -> str:
+    """The descriptor JSON of the packaged model `name`.
+
+    Rendered once per process: building a model and dumping it costs a
+    few milliseconds, and packaged mixes ask for the same text once per
+    simulation.  Compact JSON, because indenting costs 5x more to dump.
+    """
+    unit, reference, default_size, build = MODELS[name]
+    layers = build()
+    return json.dumps({
         "name": name,
-        "workload_unit": cfg["workload_unit"],
-        "reference_workload": cfg["reference_workload"],
-        "default_workload_size": cfg["default_workload_size"],
-        "total_flops": total,
+        "workload_unit": unit,
+        "reference_workload": reference,
+        "default_workload_size": default_size,
+        "total_flops": sum(l["flops"] for l in layers),
         "layers": layers,
-    }
-    return json.dumps(doc, indent=1) + "\n"
-
-
-def main():
-    os.makedirs(OUT_DIR, exist_ok=True)
-    for name in MODELS:
-        path = os.path.join(OUT_DIR, f"{name}.json")
-        with open(path, "w") as f:
-            f.write(render(name))
-        print(f"wrote {path}")
-
-if __name__ == "__main__":
-    main()
+    })

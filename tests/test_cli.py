@@ -1,10 +1,11 @@
 """Command-line interface: exit codes, output files, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from twillsim import cli, presets
+from twillsim import Decision, DecisionKind, EventKind, TwillPolicy, cli, presets
 from twillsim.cli import main
 
 
@@ -122,16 +123,18 @@ def test_usage_errors_exit_one(capsys):
     assert main(["run"]) == 1  # --mix is required
 
 
-def test_protocol_breakage_is_an_internal_error(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "name": "bad",
-        "requests": [{"model": "vgg-19", "priority": 1,
-                      "arrival_ms": 0, "workload_size": 1}],
-        "platform_overrides": {"bogus": 1.0},
-    }))
-    assert main(["run", "--mix", str(bad)]) == 2
-    assert capsys.readouterr().err.startswith("internal error:")
+def test_protocol_breakage_is_an_internal_error(capsys, monkeypatch):
+    # a policy that breaks the decision protocol is a fault in the
+    # program, not bad input
+    def map_nowhere(self, view, events):
+        return [Decision(kind=DecisionKind.MAP, request_id=e.request_id,
+                         cluster_id="gpu9")
+                for e in events if e.kind is EventKind.ARRIVAL]
+    monkeypatch.setattr(TwillPolicy, "decide", map_nowhere)
+    assert main(["run", "--mix", "mix1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "gpu9" in err
 
 
 def test_nan_arrival_exits_one_before_any_run(tmp_path, capsys, monkeypatch):
@@ -186,6 +189,7 @@ _ENTRY = {"model": "vgg-19", "priority": 1, "arrival_ms": 0, "workload_size": 1}
     ({"requests": {"a": _ENTRY}}, "list"),
     ({"requests": [], "platform_overrides": {"tdp_mw": "lots"}}, "lots"),
     ({"requests": [], "platform_overrides": [1, 2]}, "platform_overrides"),
+    ({"requests": [], "platform_overrides": {"bogus": 1.0}}, "bogus"),
 ])
 def test_wrong_typed_scenario_field_exits_one(doc, field, tmp_path, capsys):
     mix = tmp_path / "mix.json"
@@ -210,7 +214,9 @@ def test_wrong_typed_platform_field_exits_one(tmp_path, capsys):
 ])
 def test_wrong_typed_descriptor_field_exits_one(relative, path, value, tmp_path,
                                                 capsys, monkeypatch):
-    doc = json.loads(presets.read_data(relative))
+    doc = json.loads(presets.model_text(Path(relative).stem)
+                     if relative.startswith("models/")
+                     else presets.read_data(relative))
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -231,6 +237,17 @@ def test_non_finite_cluster_power_exits_one(field, tmp_path, capsys):
     board.write_text(json.dumps(doc))
     _assert_input_error(["run", "--mix", "mix1", "--platform", str(board)],
                         capsys, "finite")
+
+
+@pytest.mark.parametrize("level", [0, -500])
+def test_non_positive_frequency_level_exits_one(level, tmp_path, capsys):
+    # a level of -500 MHz used to run and write -500 into power.csv
+    doc = json.loads(presets.platform_text())
+    doc["clusters"][0]["freq_levels_mhz"][0] = level
+    board = tmp_path / "board.json"
+    board.write_text(json.dumps(doc))
+    _assert_input_error(["run", "--mix", "mix1", "--platform", str(board)],
+                        capsys, "positive MHz")
 
 
 @pytest.mark.parametrize("value", [0, -128])

@@ -15,6 +15,7 @@ from twillsim import (
     Policy,
     Simulation,
     TaskState,
+    WorkloadError,
     build_simulation,
     layer_affinity,
     load_matrix,
@@ -331,10 +332,8 @@ def test_simulation_runs_only_once():
 
 
 def test_unknown_platform_override_is_rejected():
-    scn = scenario(request("a", "toy-conv"), overrides={"bogus": 1.0})
-    with pytest.raises(EngineError, match="bogus"):
-        Simulation(tiny_platform(), scn, ScriptedPolicy(),
-                   TOY_DESCRIPTORS, MATRIX)
+    with pytest.raises(WorkloadError, match="bogus"):
+        scenario(request("a", "toy-conv"), overrides={"bogus": 1.0})
 
 
 def test_missing_descriptor_is_rejected():

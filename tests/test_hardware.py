@@ -150,6 +150,13 @@ def test_cluster_spec_validation():
         ClusterSpec("d", ClusterKind.DLA, (300.0, 400.0), (1.0, 2.0), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("levels", [(0, 400), (-500, 400), (float("nan"), 400),
+                                    (300, float("inf"))])
+def test_cluster_frequency_levels_must_be_positive(levels):
+    with pytest.raises(PlatformError, match="finite and positive MHz"):
+        ClusterSpec("g", ClusterKind.GPU, levels, (1.0, 2.0), 0.0, 1.0)
+
+
 @pytest.mark.parametrize("field", ["idle_power_mw", "active_power_slope_mw_per_mhz"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_cluster_power_coefficients_must_be_finite(field, value):

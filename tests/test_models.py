@@ -1,8 +1,7 @@
 """Descriptor parsing and DLA-compatibility classification."""
 
-import importlib.util
+import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +15,7 @@ from twillsim import (
     parse_model,
 )
 import twillsim
-from twillsim import presets
+from twillsim import presets, zoo
 from twillsim.models import _layer_from_dict, segment_fractions
 
 DENSE_CONV_MODELS = ["vgg-19", "resnet-50", "resnet-152"]
@@ -330,22 +329,71 @@ def test_segment_fractions_batched():
     assert segment_fractions(profile) == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def _generator():
-    path = Path(__file__).resolve().parents[1] / "tools" / "gen_descriptors.py"
-    spec = importlib.util.spec_from_file_location("gen_descriptors", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+# sha256 of the sorted-key JSON, total FLOPs and layer count of each
+# packaged model, taken from the descriptor files the zoo replaced
+PACKAGED_CONTENT = [
+    ("bert-base", "16110d83913e65991a19027b3a21969eb6677b4bcafc046893fa7ff784942914", 22374875904, 172),
+    ("bert-large", "e86bf543dd30a4c16c9197ab610f4f3d334bac64d2649569585255b42d426940", 78991983616, 340),
+    ("deepseek-r1-1.5b", "5d17f00e105546b0914632db42d1dd479391e200cddeb1ea74a062dfc3ac287d", 3177129088, 452),
+    ("efficientnet-b4", "de761d6da709312fb12de79eee90e40b96614d02987b1d62e67f764ee77cc261", 8973760824, 476),
+    ("gemma-3-1b", "6c99490ca1ac801bb736559ef298debc1e805c0cab6a0cf6b0252e24774ec8a9", 2055639040, 420),
+    ("resnet-152", "47822f640ebf79b2a592ea234b832fe806807e84a0294a006cb3f25b1bd26cf1", 22644463544, 515),
+    ("resnet-50", "491050f705dc5fc63712b277eb9a0b5b7fe56075984e33bd4a2269c361bbc9ea", 7753631672, 175),
+    ("vgg-19", "44fb947f2f6cdc92e07a7cba7e16bebc714d56cad165307b9332b932e8116e5b", 39285109688, 44),
+    ("vit-base", "d5ca623d337f25701eb9c41aa2bd51654ce8ceeaad04da7ee8264bd17d7be98a", 35174230248, 172),
+    ("vit-large", "38830b86c48d916a09b9ed792e6b748c5011b9646086fe66913003e22101250a", 123232608312, 340),
+]
 
 
-GENERATOR = _generator()
-PACKAGED_MODELS = Path(presets.__file__).resolve().parent / "data" / "models"
+def test_content_pin_covers_the_zoo():
+    assert sorted(zoo.MODELS) == [name for name, *_ in PACKAGED_CONTENT]
 
 
-def test_generator_covers_every_packaged_model():
-    assert sorted(GENERATOR.MODELS) == sorted(p.stem for p in PACKAGED_MODELS.glob("*.json"))
+@pytest.mark.parametrize("name,digest,total_flops,n_layers", PACKAGED_CONTENT,
+                         ids=[name for name, *_ in PACKAGED_CONTENT])
+def test_packaged_model_content_is_pinned(name, digest, total_flops, n_layers):
+    doc = json.loads(presets.model_text(name))
+    canonical = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(canonical).hexdigest() == digest
+    assert doc["total_flops"] == total_flops
+    assert len(doc["layers"]) == n_layers
 
 
-@pytest.mark.parametrize("name", sorted(GENERATOR.MODELS))
-def test_packaged_descriptor_is_its_generator_output(name):
-    assert GENERATOR.render(name) == (PACKAGED_MODELS / f"{name}.json").read_text()
+@pytest.mark.parametrize("name,lo,hi", [
+    ("vgg-19", 37.0, 42.0),
+    ("resnet-50", 7.5, 9.5),
+    ("resnet-152", 21.0, 25.5),
+    ("efficientnet-b4", 7.0, 10.5),
+    ("vit-base", 33.0, 37.0),
+    ("vit-large", 118.0, 128.0),
+    ("bert-base", 21.0, 24.0),
+    ("bert-large", 76.0, 82.0),
+    ("deepseek-r1-1.5b", 2.8, 3.6),
+    ("gemma-3-1b", 1.7, 2.4),
+])
+def test_packaged_model_gflops_match_the_published_architecture(name, lo, hi):
+    """Windows around each architecture's published GFLOPs per
+    reference unit, so a slip in a builder shows up as a wrong model."""
+    assert lo <= _profile(name).total_flops / 1e9 <= hi
+
+
+def test_config_dir_adds_and_replaces_models(tmp_path, monkeypatch):
+    toy = json.loads(presets.model_text("vgg-19"))
+    toy["name"] = "toy"
+    bert = json.loads(presets.model_text("bert-base"))
+    bert["default_workload_size"] = 7
+    (tmp_path / "models").mkdir()
+    (tmp_path / "models" / "toy.json").write_text(json.dumps(toy))
+    (tmp_path / "models" / "bert-base.json").write_text(json.dumps(bert))
+    monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
+    assert "toy" in presets.available_models()
+    assert "bert-base" in presets.available_models()
+    scenario = twillsim.load_mix(json.dumps({"requests": [
+        {"model": "toy", "priority": 1, "arrival_ms": 0, "workload_size": 1}]}),
+        known_models=presets.available_models())
+    trace = twillsim.build_simulation(scenario, "twill").run()
+    assert trace.requests[0].completed_ms is not None
+    assert parse_model(presets.model_text("bert-base"),
+                       priority=1).workload_size == 7
+    with pytest.raises(presets.PresetError, match="no-such-model"):
+        presets.model_text("no-such-model")
