@@ -22,8 +22,10 @@ import csv
 import dataclasses
 import heapq
 import io
+import itertools
 import json
 import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -107,7 +109,7 @@ class TaskState(Enum):
     DONE = "done"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskView:
     """Read-only snapshot of one task, as shown to policies."""
 
@@ -127,14 +129,112 @@ class TaskView:
     native: bool
 
 
-@dataclass(frozen=True)
+_ABSENT = object()  # logged for a key the snapshot did not have
+
+
+class TaskSnapshot(Mapping):
+    """Read-only mapping of every task at one decide cycle, DONE tasks
+    included, in creation order; it never changes once taken.
+
+    Taking one costs O(tasks changed since the previous one), by
+    reverse diffs (Baker's shallow binding): the newest snapshot reads
+    the engine's live dict, and before the engine changes, adds or
+    deletes a key it logs the key's old view and creation number into
+    the newest snapshot's diff.  An older snapshot is the live dict
+    with the diffs of itself and every newer snapshot undone; it is
+    rebuilt once, on first use.  A held snapshot keeps every newer one,
+    and so their diffs, alive.
+    """
+
+    __slots__ = ("_live", "_order", "_len", "_diff", "_newer", "_frozen")
+
+    def __init__(self, live: dict[str, TaskView], order: dict[str, int]):
+        self._live = live  # the engine's views, in creation order
+        self._order = order  # the engine's key -> creation number
+        self._len = len(live)
+        self._diff: dict[str, tuple] = {}  # key -> (old view, number)
+        self._newer: TaskSnapshot | None = None
+        self._frozen: dict[str, TaskView] | None = None
+
+    def _log(self, key: str):
+        """Called before the engine changes `key` in the live dict."""
+        if key not in self._diff:
+            self._diff[key] = (self._live.get(key, _ABSENT),
+                               self._order.get(key))
+
+    def _contents(self) -> dict[str, TaskView]:
+        if self._newer is None:  # the newest, which may still change
+            return self._rebuild() if self._diff else self._live
+        if self._frozen is None:
+            self._frozen = self._rebuild()
+        return self._frozen
+
+    def _rebuild(self) -> dict[str, TaskView]:
+        old: dict[str, tuple] = {}
+        snap = self
+        while snap is not None:
+            for key, entry in snap._diff.items():
+                old.setdefault(key, entry)  # the earliest change wins
+            snap = snap._newer
+        rows = [(self._order[k], k, v) for k, v in self._live.items()
+                if k not in old]
+        rows += [(n, k, v) for k, (v, n) in old.items() if v is not _ABSENT]
+        rows.sort(key=lambda row: row[0])
+        return {k: v for _, k, v in rows}
+
+    def __getitem__(self, key: str) -> TaskView:
+        if self._newer is not None:
+            return self._contents()[key]
+        entry = self._diff.get(key)
+        if entry is None:
+            return self._live[key]
+        if entry[0] is _ABSENT:
+            raise KeyError(key)
+        return entry[0]
+
+    def __iter__(self):
+        return iter(self._contents())
+
+    def __reversed__(self):
+        return reversed(self._contents())
+
+    def __len__(self) -> int:
+        return self._len
+
+    def values(self):
+        return _SnapshotValues(self)
+
+    def items(self):
+        return _SnapshotItems(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._contents()!r})"
+
+
+# ValuesView and ItemsView look every key up again; these iterate the
+# snapshot's dict in one pass
+class _SnapshotValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._contents().values())
+
+
+class _SnapshotItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._contents().items())
+
+
+@dataclass(frozen=True, slots=True)
 class ControllerView:
     """Snapshot handed to a policy at each decide cycle."""
 
     now: float
     platform: PlatformSpec
     states: dict[str, ClusterState]
-    tasks: dict[str, TaskView]
+    tasks: Mapping[str, TaskView]
     dla_fallback_penalty: float
 
     def cluster_kind(self, cluster_id: str) -> ClusterKind:
@@ -187,7 +287,7 @@ class Policy:
 # trace records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionRecord:
     time_ms: float
     kind: str
@@ -337,6 +437,19 @@ def _r6(x):
 # internal task bookkeeping
 
 
+def _draft(cls):
+    """A class with the slots of the frozen dataclass `cls` and no guard
+    on them.  The engine fills one by plain attribute stores and then
+    relabels it as `cls`: `cls.__init__` pays one object.__setattr__
+    per field, and the engine builds several such records per cycle."""
+    return type(f"_{cls.__name__}Draft", (), {"__slots__": cls.__slots__})
+
+
+_TaskViewDraft = _draft(TaskView)
+_ControllerViewDraft = _draft(ControllerView)
+_DecisionRecordDraft = _draft(DecisionRecord)
+
+
 @dataclass
 class _Task:
     key: str
@@ -372,22 +485,23 @@ class _Task:
         return TaskState.PENDING
 
     def view(self) -> TaskView:
-        return TaskView(
-            key=self.key,
-            request_id=self.request_id,
-            part=self.part,
-            model=self.profile.name,
-            priority=self.profile.priority,
-            state=self.state,
-            cluster_id=self.cluster_id,
-            started=self.started,
-            work_gflops=self.work,
-            done_gflops=self.done,
-            arrival_ms=self.arrival_ms,
-            preferred_kinds=self.signature.preferred_clusters,
-            dla_fraction=self.signature.dla_flops_fraction,
-            native=self.native,
-        )
+        v = _TaskViewDraft()
+        v.key = self.key
+        v.request_id = self.request_id
+        v.part = self.part
+        v.model = self.profile.name
+        v.priority = self.profile.priority
+        v.state = self.state
+        v.cluster_id = self.cluster_id
+        v.started = self.started
+        v.work_gflops = self.work
+        v.done_gflops = self.done
+        v.arrival_ms = self.arrival_ms
+        v.preferred_kinds = self.signature.preferred_clusters
+        v.dla_fraction = self.signature.dla_flops_fraction
+        v.native = self.native
+        v.__class__ = TaskView
+        return v
 
 
 def _task_key(request_id: str, part: str | None) -> str:
@@ -462,7 +576,12 @@ class Simulation:
         # requests have already finished
         self._parts: dict[str, list[_Task]] = {}  # request id -> its tasks
         self._views: dict[str, TaskView] = {}  # in self.tasks order
+        self._order: dict[str, int] = {}  # key -> creation number
+        self._created = itertools.count()
         self._stale: set[str] = set()  # tasks changed since their view
+        # the newest snapshot handed out, which logs each change to _views
+        self._snapshot = TaskSnapshot(self._views, self._order)
+        self._power_mw: float | None = None  # None: states changed since
         self._dependents: dict[str, list[str]] = {}  # producer -> requests
         self._pending_producers: dict[str, int] = {}
         for r in scenario.requests:
@@ -507,7 +626,12 @@ class Simulation:
                 for cid, st in self.states.items()}
 
     def _power(self) -> float:
-        return power_draw(self.platform, self.states, self._utilization())
+        # computed once per change of cluster state (_occupy, _vacate,
+        # _apply_set_freq), not per sample
+        if self._power_mw is None:
+            self._power_mw = power_draw(self.platform, self.states,
+                                        self._utilization())
+        return self._power_mw
 
     def _record_power(self, now: float):
         p = self._power()
@@ -580,7 +704,9 @@ class Simulation:
                     raise EngineError(
                         f"{request_id}: cannot split a request that already ran")
                 del self.tasks[request_id]
+                self._snapshot._log(request_id)
                 del self._views[request_id]
+                del self._order[request_id]
                 self._stale.discard(request_id)
                 parts.remove(whole)
             if work is None:
@@ -602,6 +728,8 @@ class Simulation:
                 f"{key}: parts exceed the request's total work "
                 f"({mapped + task.work:.6f} > {total:.6f} GFLOPs)")
         self.tasks[key] = task
+        self._snapshot._log(key)
+        self._order[key] = next(self._created)
         self._views[key] = task.view()
         parts.append(task)
         return task
@@ -628,12 +756,14 @@ class Simulation:
     def _occupy(self, task: _Task, cluster_id: str):
         self.states[cluster_id] = dataclasses.replace(
             self.states[cluster_id], occupant=task.key)
+        self._power_mw = None
         task.cluster_id = cluster_id
 
     def _vacate(self, task: _Task):
         if task.cluster_id is not None:
             self.states[task.cluster_id] = dataclasses.replace(
                 self.states[task.cluster_id], occupant=None)
+            self._power_mw = None
             task.cluster_id = None
 
     def _apply_decision(self, d: Decision, now: float, acted: set[str]):
@@ -739,6 +869,7 @@ class Simulation:
         if occupant is not None:
             self._sync(occupant, now)
         self.states[d.cluster_id] = set_frequency(state, d.level)
+        self._power_mw = None
         if occupant is not None:
             self._reschedule(occupant, now)
         self._log_decision(d, now)
@@ -747,15 +878,16 @@ class Simulation:
         freq = None
         if d.kind is DecisionKind.SET_FREQ:
             freq = self.states[d.cluster_id].freq_mhz
-        self.trace.decisions.append(DecisionRecord(
-            time_ms=now,
-            kind=d.kind.value,
-            request_id=d.request_id,
-            part=d.part,
-            cluster_id=d.cluster_id,
-            level=d.level,
-            freq_mhz=freq,
-        ))
+        r = _DecisionRecordDraft()
+        r.time_ms = now
+        r.kind = d.kind.value
+        r.request_id = d.request_id
+        r.part = d.part
+        r.cluster_id = d.cluster_id
+        r.level = d.level
+        r.freq_mhz = freq
+        r.__class__ = DecisionRecord
+        self.trace.decisions.append(r)
 
     # -- completion handling -------------------------------------------------
 
@@ -774,6 +906,7 @@ class Simulation:
         task.completed_ms = now
         freed = task.cluster_id
         self._vacate(task)
+        self._snapshot._log(task.key)
         self._views[task.key] = task.view()  # final: a DONE task never changes
         self._stale.discard(task.key)
         return freed
@@ -850,16 +983,22 @@ class Simulation:
         return self.trace
 
     def _view(self, now: float) -> ControllerView:
+        log = self._snapshot._log
         for key in self._stale:
+            log(key)
             self._views[key] = self.tasks[key].view()
         self._stale.clear()
-        return ControllerView(
-            now=now,
-            platform=self.platform,
-            states=dict(self.states),
-            tasks=dict(self._views),
-            dla_fallback_penalty=self.dla_fallback_penalty,
-        )
+        snapshot = TaskSnapshot(self._views, self._order)
+        self._snapshot._newer = snapshot
+        self._snapshot = snapshot
+        v = _ControllerViewDraft()
+        v.now = now
+        v.platform = self.platform
+        v.states = dict(self.states)
+        v.tasks = snapshot
+        v.dla_fallback_penalty = self.dla_fallback_penalty
+        v.__class__ = ControllerView
+        return v
 
     def _check_drained(self):
         stuck = []
@@ -915,8 +1054,7 @@ class Simulation:
 def _apply_overrides(platform: PlatformSpec, overrides: dict) -> PlatformSpec:
     if not overrides:
         return platform
-    return dataclasses.replace(
-        platform, **{k: float(v) for k, v in overrides.items()})
+    return dataclasses.replace(platform, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -970,8 +1108,29 @@ def power_csv(trace: Trace) -> str:
     return buf.getvalue()
 
 
+# An indented dump runs json's pure-Python encoder.  The request entries
+# hold only scalars, so the C encoder renders them in the same bytes
+# when its item separator carries the newline and the entry indent; the
+# list's own breaks are then put in where one entry ends and the next
+# begins.  That is the only place "},\n      {" can occur: an encoded
+# string holds no raw newline.
+_encode_entries = json.JSONEncoder(
+    sort_keys=True, separators=(",\n      ", ": ")).encode
+
+
 def summary_json(trace: Trace) -> str:
-    return json.dumps(trace.summary(), indent=2, sort_keys=True) + "\n"
+    """json.dumps(trace.summary(), indent=2, sort_keys=True) + "\\n"."""
+    doc = trace.summary()
+    entries, doc["requests"] = doc["requests"], []
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if entries:
+        body = _encode_entries(entries)[2:-2].replace(
+            "},\n      {", "\n    },\n    {\n      ")
+        # only a top-level key sits two spaces in from a line start
+        text = text.replace(
+            '\n  "requests": []',
+            '\n  "requests": [\n    {\n      ' + body + "\n    }\n  ]", 1)
+    return text + "\n"
 
 
 def write_trace(trace: Trace, out_dir) -> None:

@@ -51,11 +51,19 @@ class WorkloadScenario:
     platform_overrides: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        unknown = sorted(set(self.platform_overrides) - set(PLATFORM_OVERRIDE_KEYS))
+        try:
+            overrides = {k: float(v)
+                         for k, v in dict(self.platform_overrides).items()}
+        except (TypeError, ValueError) as e:
+            raise WorkloadError(
+                f"scenario field 'platform_overrides' is malformed: {e}") from None
+        unknown = sorted(set(overrides) - set(PLATFORM_OVERRIDE_KEYS))
         if unknown:
             raise WorkloadError(
                 f"unknown platform overrides {unknown}; expected any of "
                 f"{', '.join(PLATFORM_OVERRIDE_KEYS)}")
+        # converted once, here, for every way a scenario is made
+        object.__setattr__(self, "platform_overrides", overrides)
 
     def request(self, request_id: str) -> InferenceRequest:
         for r in self.requests:
@@ -127,15 +135,10 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
         unknown = sorted({r.model for r in requests} - set(known_models))
         if unknown:
             raise WorkloadError(f"unknown models: {unknown}")
-    try:
-        overrides = {k: float(v) for k, v in
-                     dict(doc.get("platform_overrides", {})).items()}
-    except (TypeError, ValueError) as e:
-        raise WorkloadError(f"scenario field 'platform_overrides' is malformed: {e}") from None
     scenario = WorkloadScenario(
         name=doc.get("name", "unnamed"),
         requests=tuple(requests),
-        platform_overrides=overrides,
+        platform_overrides=doc.get("platform_overrides", {}),
     )
     _check_dag(scenario.requests)
     return scenario

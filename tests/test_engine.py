@@ -26,7 +26,14 @@ from twillsim import (
     random_mix,
     write_trace,
 )
-from twillsim.engine import decisions_csv, power_csv, requests_csv, summary_json
+from twillsim.engine import (
+    RequestRecord,
+    Trace,
+    decisions_csv,
+    power_csv,
+    requests_csv,
+    summary_json,
+)
 from toys import (
     TOY_DESCRIPTORS,
     ScriptedPolicy,
@@ -381,18 +388,42 @@ def test_a_cycle_that_pops_nothing_is_an_error():
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize("gap_ms, batches", [(0.0, [["a", "b"]]),
+                                             (1e-12, [["a"], ["b"]])])
+def test_events_share_a_cycle_only_at_exactly_equal_times(gap_ms, batches):
+    scn = scenario(request("a", "toy-conv", arrival_ms=100.0),
+                   request("b", "toy-matmul", arrival_ms=100.0 + gap_ms))
+    arrivals, handled = [], []
+
+    def decide(view, events):
+        if all(e.kind is EventKind.ARRIVAL for e in events):
+            arrivals.append([e.request_id for e in events])
+        return [MAP(e.request_id, "gpu0" if e.request_id == "a" else "dla0")
+                for e in events if e.kind is EventKind.ARRIVAL]
+
+    def dvfs(view, p_before, p_after, handled_events):
+        if view.now < 200.0:
+            handled.append(handled_events)
+        return []
+
+    run_toy(scn, decide, dvfs)
+    assert arrivals == batches
+    assert handled == [len(b) for b in batches]
+
+
 # -- incremental bookkeeping matches a full rebuild -------------------------
 
 
 class ShadowPolicy(Policy):
     """Delegates to a policy after checking, at every call, that the view
-    equals one rebuilt from every task, in the same key order."""
+    equals one rebuilt from every task, in the same key order.  It keeps
+    every view with copies of its tasks and states, for check_held."""
 
     def __init__(self, inner: Policy):
         self.inner = inner
         self.name = inner.name
         self.sim = None
-        self.calls = 0
+        self.held = []
         self.split = False
 
     def _check(self, view):
@@ -402,8 +433,22 @@ class ShadowPolicy(Policy):
         for t in view.tasks.values():
             if t.state is TaskState.DONE:
                 assert t.done_gflops == t.work_gflops
-        self.calls += 1
+        self.held.append((view, list(view.tasks.items()), dict(view.states)))
         self.split = self.split or any(t.part for t in rebuilt.values())
+
+    def check_held(self):
+        """Every view handed out still shows what it showed when given,
+        item by item, in the same order and by identity."""
+        assert self.held
+        for view, items, states in self.held:
+            assert len(view.tasks) == len(items)
+            assert [k for k in view.tasks] == [k for k, _ in items]
+            assert all(a is b for a, b in zip(view.tasks.values(),
+                                              (t for _, t in items)))
+            assert all(view.tasks[k] is t for k, t in items)
+            assert list(reversed(view.tasks)) == [k for k, _ in items][::-1]
+            assert view.states == states
+            assert all(view.states[c] is st for c, st in states.items())
 
     def decide(self, view, events):
         self._check(view)
@@ -419,7 +464,7 @@ def run_shadowed(mix, policy: str) -> ShadowPolicy:
     shadow = ShadowPolicy(make_policy(policy))
     shadow.sim = build_simulation(mix, shadow)
     shadow.sim.run()
-    assert shadow.calls > 0
+    shadow.check_held()
     return shadow
 
 
@@ -438,8 +483,46 @@ def test_view_matches_a_full_rebuild_with_dependencies(policy):
 
 
 def test_view_matches_a_full_rebuild_across_a_split():
-    # the whole task spawned at arrival is replaced by its parts
-    assert run_shadowed("mix1", "static_subgraph").split
+    # the whole task spawned at arrival is replaced by its parts, which
+    # are appended after it; views held from before still list it
+    shadow = run_shadowed("mix1", "static_subgraph")
+    assert shadow.split
+    split = {k.split("#")[0] for k in shadow.sim.tasks if "#" in k}
+    assert not split & set(shadow.sim.tasks)
+    assert any(split & {k for k, _ in items} for _, items, _ in shadow.held)
+
+
+def test_held_views_keep_a_task_that_left_and_came_back():
+    # a zero-work part replaces the whole task "a", and once it is done
+    # "a" is mapped whole again: the key leaves the task order and comes
+    # back at its end
+    def decide(view, events):
+        if view.now == 0.0:
+            return [MAP("a", "gpu0", part="p", work_gflops=0.0),
+                    MAP("b", "dla0")]
+        return [MAP("a", "gpu0")] if "a" not in view.tasks else []
+
+    shadow = ShadowPolicy(ScriptedPolicy(decide))
+    shadow.sim = Simulation(
+        tiny_platform(), scenario(request("a", "toy-conv"),
+                                  request("b", "toy-matmul")),
+        shadow, TOY_DESCRIPTORS, MATRIX)
+    trace = shadow.sim.run()
+    assert all(r.completed_ms is not None for r in trace.requests)
+    assert list(shadow.sim.tasks) == ["b", "a#p", "a"]
+    orders = [[k for k, _ in items] for _, items, _ in shadow.held]
+    assert ["a", "b"] in orders and ["b", "a#p"] in orders
+    shadow.check_held()
+
+
+def test_view_tasks_are_read_only():
+    view, items, _ = run_shadowed("mix1", "twill").held[-1]
+    key, task = items[0]
+    with pytest.raises(TypeError):
+        view.tasks[key] = task
+    with pytest.raises(TypeError):
+        del view.tasks[key]
+    assert view.tasks[key] is task
 
 
 def test_derived_profiles_match_a_fresh_parse():
@@ -510,6 +593,39 @@ def test_trace_tables_round_to_fixed_columns():
     doc = json.loads(summary_json(trace))
     assert doc["makespan_ms"] == 265.0
     assert doc["requests"][0]["request_id"] == "a"
+
+
+def _trace(request_ids, scenario_name="toy", done=True):
+    trace = Trace(scenario=scenario_name, policy="p", platform="b",
+                  tdp_mw=1000.0, cluster_ids=("gpu0",))
+    for k, rid in enumerate(request_ids):
+        end = 10.0 * k + 1 / 3 if done else None
+        trace.requests.append(RequestRecord(
+            request_id=rid, model="toy-conv", priority=k % 3 + 1,
+            arrival_ms=0.1 * k, first_map_ms=None if k % 2 else 0.1 * k,
+            completed_ms=end, waiting_ms=None if k % 2 else 0.0,
+            latency_ms=None if end is None else end - 0.1 * k,
+            work_gflops=300.0 + k))
+    return trace
+
+
+AWKWARD_IDS = ['say "hi"', "a,b", "back\\slash", "two\nlines", "naïve-π-😀",
+               "}, {", '\n  "requests": []', ""]
+
+
+@pytest.mark.parametrize("trace", [
+    _trace(AWKWARD_IDS),
+    _trace(AWKWARD_IDS, done=False),
+    _trace(["a", "b"], scenario_name='x "requests": [] y'),
+    _trace(["a"], scenario_name='\n  "requests": []\n'),
+    _trace([]),
+    _trace([], scenario_name='"requests": '),
+    build_simulation("mix2", policy="static_subgraph").run(),
+], ids=["awkward-ids", "unfinished", "scenario-quote", "scenario-newline",
+        "empty", "empty-scenario-quote", "mix2"])
+def test_summary_json_matches_an_indented_dump(trace):
+    expected = json.dumps(trace.summary(), indent=2, sort_keys=True) + "\n"
+    assert summary_json(trace) == expected
 
 
 def test_repeat_runs_serialize_identically(tmp_path):

@@ -8,6 +8,7 @@ from twillsim import presets
 from twillsim.workload import (
     InferenceRequest,
     WorkloadError,
+    WorkloadScenario,
     load_mix,
     random_mix,
     serialize_mix,
@@ -112,6 +113,25 @@ def test_non_finite_arrival_rejected(arrival):
 def test_top_level_must_be_an_object(text):
     with pytest.raises(WorkloadError, match="JSON object"):
         load_mix(text)
+
+
+A_REQUEST = (InferenceRequest("a", "vgg-19", 1, 0.0, 1),)
+
+
+@pytest.mark.parametrize("overrides", [{"tdp_mw": "lots"}, {"tdp_mw": None},
+                                       {"base_power_mw": [1.0]}, [1, 2]])
+def test_api_scenario_rejects_non_numeric_overrides(overrides):
+    with pytest.raises(WorkloadError, match="platform_overrides"):
+        WorkloadScenario("x", A_REQUEST, platform_overrides=overrides)
+
+
+def test_api_scenario_converts_overrides_once():
+    given = {"tdp_mw": 12000, "base_power_mw": "2500.5"}
+    scn = WorkloadScenario("x", A_REQUEST, platform_overrides=given)
+    assert scn.platform_overrides == {"tdp_mw": 12000.0,
+                                      "base_power_mw": 2500.5}
+    assert all(type(v) is float for v in scn.platform_overrides.values())
+    assert given == {"tdp_mw": 12000, "base_power_mw": "2500.5"}
 
 
 def test_task_kind_key_is_ignored():
