@@ -41,7 +41,6 @@ from .hardware import (
     initial_states,
     load_platform,
     power_draw,
-    serialize_platform,
     set_frequency,
 )
 from .models import (
@@ -63,14 +62,12 @@ from .workload import (
     WorkloadScenario,
     load_mix,
     random_mix,
-    serialize_mix,
 )
 
 __version__ = "0.1.0"
 
 
 def build_simulation(mix, policy="twill", *, platform_text: str | None = None,
-                     matrix_text: str | None = None,
                      **engine_kwargs) -> Simulation:
     """Assemble a Simulation from packaged data.
 
@@ -84,8 +81,7 @@ def build_simulation(mix, policy="twill", *, platform_text: str | None = None,
         scenario = mix
     platform = load_platform(platform_text if platform_text is not None
                              else presets.platform_text())
-    matrix = load_matrix(matrix_text if matrix_text is not None
-                         else presets.matrix_text())
+    matrix = load_matrix(presets.matrix_text())
     if isinstance(policy, str):
         policy = make_policy(policy)
     descriptors = {m: presets.model_text(m)

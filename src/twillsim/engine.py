@@ -356,25 +356,6 @@ class Trace:
         span = self.makespan_ms
         return self.time_over_budget_ms() / span if span > 0 else 0.0
 
-    def decisions_at(self, time_ms: float, tol: float = 1e-6) -> list[DecisionRecord]:
-        return [d for d in self.decisions if abs(d.time_ms - time_ms) <= tol]
-
-    def power_samples(self, period_ms: float = 5.0) -> list[tuple[float, float]]:
-        """Sample the piecewise-constant power profile at a fixed cadence
-        over [0, makespan]."""
-        if not self.power:
-            return []
-        end = self.makespan_ms
-        samples = []
-        idx = 0
-        t = 0.0
-        while t <= end:
-            while idx + 1 < len(self.power) and self.power[idx + 1].time_ms <= t:
-                idx += 1
-            samples.append((t, self.power[idx].power_mw))
-            t += period_ms
-        return samples
-
     def waiting_by_priority(self) -> dict[int, dict[str, float]]:
         out: dict[int, dict[str, float]] = {}
         for prio in sorted({r.priority for r in self.requests}):
@@ -695,6 +676,9 @@ class Simulation:
         key = _task_key(request_id, part)
         if key in self.tasks:
             raise EngineError(f"task {key!r} already exists")
+        if work is not None and not (math.isfinite(work) and work >= 0):
+            raise EngineError(f"{key}: work_gflops must be finite and "
+                              f"non-negative, not {work!r}")
         profile = self._profiles[request_id]
         parts = self._parts.setdefault(request_id, [])
         if part is not None:
@@ -723,7 +707,7 @@ class Simulation:
             arrival_ms=self._arrivals.get(request_id, now),
         )
         mapped = sum(t.work for t in parts)
-        if task.work < 0 or mapped + task.work > total + _WORK_EPS:
+        if mapped + task.work > total + _WORK_EPS:
             raise EngineError(
                 f"{key}: parts exceed the request's total work "
                 f"({mapped + task.work:.6f} > {total:.6f} GFLOPs)")
@@ -897,7 +881,8 @@ class Simulation:
         # counter is integrated incrementally across every rate change.
         # Their agreement is the work-conservation invariant.
         task.completion_residual = task.done - task.work
-        if abs(task.completion_residual) > _WORK_EPS * max(1.0, task.work):
+        # written so that a NaN residual fails it too
+        if not abs(task.completion_residual) <= _WORK_EPS * max(1.0, task.work):
             raise EngineError(
                 f"{task.key}: completion fired with {task.done:.9f} of "
                 f"{task.work:.9f} GFLOPs done")

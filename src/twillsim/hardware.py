@@ -179,27 +179,6 @@ def load_platform(text: str) -> PlatformSpec:
         raise PlatformError(f"platform config has a malformed field: {e}") from None
 
 
-def serialize_platform(platform: PlatformSpec) -> str:
-    """Inverse of load_platform: load_platform(serialize_platform(p)) == p."""
-    doc = {
-        "name": platform.name,
-        "tdp_mw": platform.tdp_mw,
-        "base_power_mw": platform.base_power_mw,
-        "clusters": [
-            {
-                "cluster_id": c.cluster_id,
-                "kind": c.kind.value,
-                "freq_levels_mhz": list(c.freq_levels_mhz),
-                "throughput_gflops": list(c.throughput_gflops),
-                "idle_power_mw": c.idle_power_mw,
-                "active_power_slope_mw_per_mhz": c.active_power_slope_mw_per_mhz,
-            }
-            for c in platform.clusters
-        ],
-    }
-    return json.dumps(doc, indent=1)
-
-
 def initial_states(platform: PlatformSpec) -> dict[str, ClusterState]:
     """All clusters at their lowest level, unoccupied."""
     return {c.cluster_id: ClusterState(spec=c) for c in platform.clusters}

@@ -63,7 +63,6 @@ class AppProfile:
     workload_size: int
     layers: tuple[LayerSpec, ...]
     reference_workload: int = 1
-    workload_unit: str = "units"
 
     @cached_property
     def total_flops(self) -> int:
@@ -109,7 +108,6 @@ class CompatibilityMatrix:
 class SignatureMap:
     """Per-model scheduling signature derived from the layer analysis."""
 
-    model: str
     dla_flops_fraction: float
     preferred_clusters: tuple[str, ...]  # cluster kinds, mapping-attempt order
     layer_feasible: tuple[bool, ...]
@@ -231,7 +229,6 @@ def parse_model(descriptor_text: str, priority: int,
             else int(doc["default_workload_size"]),
             layers=layers,
             reference_workload=int(doc.get("reference_workload", 1)),
-            workload_unit=doc.get("workload_unit", "units"),
         )
     except KeyError as e:
         raise ModelError(f"model descriptor missing field {e.args[0]!r}") from None
@@ -298,7 +295,6 @@ def layer_affinity(profile: AppProfile, matrix: CompatibilityMatrix,
         fraction = 0.0
     preferred = ("DLA", "GPU") if fraction >= threshold else ("GPU",)
     return SignatureMap(
-        model=profile.name,
         dla_flops_fraction=fraction,
         preferred_clusters=preferred,
         layer_feasible=feasible,

@@ -57,9 +57,6 @@ class FreezeQueue:
     def __len__(self):
         return len(self._entries)
 
-    def __contains__(self, task_key: str):
-        return task_key in self._entries
-
     def add(self, task_key: str, priority: int, now: float):
         if task_key in self._entries:
             raise ValueError(f"{task_key} is already queued")

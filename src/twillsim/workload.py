@@ -12,6 +12,7 @@ from __future__ import annotations
 import graphlib
 import json
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 
@@ -34,6 +35,17 @@ class InferenceRequest:
     depends_on: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for name in ("priority", "workload_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise WorkloadError(
+                    f"{self.request_id}: {name} must be an integer, not {value!r}")
+        arrival = self.arrival_ms
+        if isinstance(arrival, bool) or not isinstance(arrival, numbers.Real):
+            raise WorkloadError(
+                f"{self.request_id}: arrival_ms must be a number, not {arrival!r}")
+        # an int arrival would be written as "0", not "0.000000", in the trace
+        object.__setattr__(self, "arrival_ms", float(arrival))
         if self.priority < 1:
             raise WorkloadError(f"{self.request_id}: priority must be >= 1")
         if not math.isfinite(self.arrival_ms):
@@ -64,12 +76,11 @@ class WorkloadScenario:
                 f"{', '.join(PLATFORM_OVERRIDE_KEYS)}")
         # converted once, here, for every way a scenario is made
         object.__setattr__(self, "platform_overrides", overrides)
-
-    def request(self, request_id: str) -> InferenceRequest:
-        for r in self.requests:
-            if r.request_id == request_id:
-                return r
-        raise WorkloadError(f"no request {request_id!r} in scenario {self.name!r}")
+        ids = [r.request_id for r in self.requests]
+        if len(set(ids)) != len(ids):
+            dup = sorted({i for i in ids if ids.count(i) > 1})
+            raise WorkloadError(f"duplicate request ids: {dup}")
+        _check_dag(self.requests)
 
 
 def _check_dag(requests: tuple[InferenceRequest, ...]) -> None:
@@ -116,9 +127,9 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
             requests.append(InferenceRequest(
                 request_id=entry.get("id", f"{model}-{n}"),
                 model=model,
-                priority=int(entry["priority"]),
-                arrival_ms=float(entry["arrival_ms"]),
-                workload_size=int(entry["workload_size"]),
+                priority=entry["priority"],
+                arrival_ms=entry["arrival_ms"],
+                workload_size=entry["workload_size"],
                 depends_on=tuple(entry.get("depends_on", ())),
             ))
         except KeyError as e:
@@ -127,41 +138,15 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
             raise
         except (TypeError, ValueError) as e:
             raise WorkloadError(f"request entry has a malformed field: {e}") from None
-    ids = [r.request_id for r in requests]
-    if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if ids.count(i) > 1})
-        raise WorkloadError(f"duplicate request ids: {dup}")
     if known_models is not None:
         unknown = sorted({r.model for r in requests} - set(known_models))
         if unknown:
             raise WorkloadError(f"unknown models: {unknown}")
-    scenario = WorkloadScenario(
+    return WorkloadScenario(
         name=doc.get("name", "unnamed"),
         requests=tuple(requests),
         platform_overrides=doc.get("platform_overrides", {}),
     )
-    _check_dag(scenario.requests)
-    return scenario
-
-
-def serialize_mix(scenario: WorkloadScenario) -> str:
-    doc = {
-        "name": scenario.name,
-        "requests": [
-            {
-                "id": r.request_id,
-                "model": r.model,
-                "priority": r.priority,
-                "arrival_ms": r.arrival_ms,
-                "workload_size": r.workload_size,
-                **({"depends_on": list(r.depends_on)} if r.depends_on else {}),
-            }
-            for r in scenario.requests
-        ],
-    }
-    if scenario.platform_overrides:
-        doc["platform_overrides"] = scenario.platform_overrides
-    return json.dumps(doc, indent=2)
 
 
 def random_mix(seed: int, model_names, n_requests: int, horizon_ms: float = 500.0,

@@ -266,21 +266,21 @@ def decoder_llm(dim, depth, q_heads, kv_heads, head_dim, inter, vocab, ctx=512):
     return layers
 
 
-# name -> (workload_unit, reference_workload, default_workload_size, build)
+# name -> (reference_workload, default_workload_size, build)
 MODELS = {
-    "vgg-19": ("images", 1, 32, vgg19),
-    "resnet-50": ("images", 1, 32, lambda: resnet([3, 4, 6, 3])),
-    "resnet-152": ("images", 1, 32, lambda: resnet([3, 8, 36, 3])),
-    "efficientnet-b4": ("images", 1, 32, efficientnet_b4),
-    "vit-base": ("images", 1, 32, lambda: vit(768, 12, 12, 3072)),
-    "vit-large": ("images", 1, 32, lambda: vit(1024, 24, 16, 4096)),
-    "bert-base": ("tokens", 128, 128, lambda: bert(768, 12, 12, 3072)),
-    "bert-large": ("tokens", 128, 128, lambda: bert(1024, 24, 16, 4096)),
+    "vgg-19": (1, 32, vgg19),
+    "resnet-50": (1, 32, lambda: resnet([3, 4, 6, 3])),
+    "resnet-152": (1, 32, lambda: resnet([3, 8, 36, 3])),
+    "efficientnet-b4": (1, 32, efficientnet_b4),
+    "vit-base": (1, 32, lambda: vit(768, 12, 12, 3072)),
+    "vit-large": (1, 32, lambda: vit(1024, 24, 16, 4096)),
+    "bert-base": (128, 128, lambda: bert(768, 12, 12, 3072)),
+    "bert-large": (128, 128, lambda: bert(1024, 24, 16, 4096)),
     "deepseek-r1-1.5b": (
-        "tokens", 1, 100,
+        1, 100,
         lambda: decoder_llm(1536, 28, 12, 2, 128, 8960, 151936)),
     "gemma-3-1b": (
-        "tokens", 1, 100,
+        1, 100,
         lambda: decoder_llm(1152, 26, 4, 1, 256, 6912, 262144)),
 }
 
@@ -293,11 +293,10 @@ def descriptor_text(name: str) -> str:
     few milliseconds, and packaged mixes ask for the same text once per
     simulation.  Compact JSON, because indenting costs 5x more to dump.
     """
-    unit, reference, default_size, build = MODELS[name]
+    reference, default_size, build = MODELS[name]
     layers = build()
     return json.dumps({
         "name": name,
-        "workload_unit": unit,
         "reference_workload": reference,
         "default_workload_size": default_size,
         "total_flops": sum(l["flops"] for l in layers),

@@ -29,7 +29,8 @@ from twillsim import (
     random_mix,
 )
 from twillsim.engine import decisions_csv, summary_json
-from toys import TOY_DESCRIPTORS, request, scenario, tiny_platform
+from toys import (TOY_DESCRIPTORS, decisions_at, power_samples, request,
+                  scenario, tiny_platform)
 
 MIXES = ["mix1", "mix2", "mix3", "mix4", "mix5"]
 POLICY_NAMES = ["twill", "gpu_queue", "static_dvfs", "static_subgraph"]
@@ -77,7 +78,7 @@ def test_c1_handover_sequence():
             (1309.995036, "MIGRATE", "resnet-152-0", "gpu0"),
         ]
         # the handover happens in the cycle of the second arrival
-        at_arrival = trace.decisions_at(400.0)
+        at_arrival = decisions_at(trace, 400.0)
         assert [(d.kind, d.request_id, d.cluster_id) for d in at_arrival] == [
             ("MIGRATE", "resnet-152-0", "dla0"),
             ("MAP", "bert-base-0", "gpu0"),
@@ -85,7 +86,7 @@ def test_c1_handover_sequence():
         # and the displaced model returns the moment the newcomer is done
         bert_done = next(r.completed_ms for r in trace.requests
                          if r.request_id == "bert-base-0")
-        back = trace.decisions_at(bert_done)
+        back = decisions_at(trace, bert_done)
         assert [(d.kind, d.request_id, d.cluster_id) for d in back] == [
             ("MIGRATE", "resnet-152-0", "gpu0"),
         ]
@@ -98,7 +99,7 @@ def test_c2_priority_preemption_sequence():
                    "completion, clock restored after drain"):
         trace = build_simulation("priority_freeze", policy="twill").run()
 
-        at_arrival = trace.decisions_at(400.0)
+        at_arrival = decisions_at(trace, 400.0)
         assert [(d.kind, d.request_id) for d in at_arrival] == [
             ("FREEZE", "resnet-152-0"),
             ("MAP", "bert-base-0"),
@@ -107,7 +108,7 @@ def test_c2_priority_preemption_sequence():
 
         bert_done = next(r.completed_ms for r in trace.requests
                          if r.request_id == "bert-base-0")
-        thaw = trace.decisions_at(bert_done)
+        thaw = decisions_at(trace, bert_done)
         assert [(d.kind, d.request_id, d.cluster_id) for d in thaw] == [
             ("UNFREEZE", "resnet-152-0", "gpu0"),
         ]
@@ -159,7 +160,7 @@ def test_c5_power_capping(mix_traces):
                    "adaptive policy, static DVFS overshoots mix1/mix2"):
         for mix in MIXES:
             trace = mix_traces[mix]["twill"]
-            samples = trace.power_samples(period_ms=5.0)
+            samples = power_samples(trace, period_ms=5.0)
             assert samples, mix
             over = sum(1 for _, p in samples if p > trace.tdp_mw + 1e-9)
             assert over / len(samples) <= 0.01, (mix, over, len(samples))

@@ -190,6 +190,14 @@ _ENTRY = {"model": "vgg-19", "priority": 1, "arrival_ms": 0, "workload_size": 1}
     ({"requests": [], "platform_overrides": {"tdp_mw": "lots"}}, "lots"),
     ({"requests": [], "platform_overrides": [1, 2]}, "platform_overrides"),
     ({"requests": [], "platform_overrides": {"bogus": 1.0}}, "bogus"),
+    ({"requests": [{**_ENTRY, "priority": 2.7}]},
+     "priority must be an integer, not 2.7"),
+    ({"requests": [{**_ENTRY, "workload_size": 2.9}]},
+     "workload_size must be an integer, not 2.9"),
+    ({"requests": [{**_ENTRY, "priority": True}]},
+     "priority must be an integer, not True"),
+    ({"requests": [{**_ENTRY, "arrival_ms": "soon"}]},
+     "arrival_ms must be a number, not 'soon'"),
 ])
 def test_wrong_typed_scenario_field_exits_one(doc, field, tmp_path, capsys):
     mix = tmp_path / "mix.json"

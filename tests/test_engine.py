@@ -38,7 +38,9 @@ from toys import (
     TOY_DESCRIPTORS,
     ScriptedPolicy,
     conv_text,
+    decisions_at,
     matmul_text,
+    power_samples,
     request,
     scenario,
     tiny_platform,
@@ -92,7 +94,7 @@ def test_power_samples_follow_breakpoints():
     scn = scenario(request("a", "toy-conv"))
     _, trace = run_toy(scn, map_on_arrival({"a": [MAP("a", "gpu0")]}))
 
-    samples = trace.power_samples(period_ms=5.0)
+    samples = power_samples(trace, period_ms=5.0)
     assert len(samples) == 54  # 0, 5, ..., 265
     assert samples[0] == (0.0, 1550.0)
     assert all(p == 1550.0 for t, p in samples if t < 265.0)
@@ -143,7 +145,7 @@ def test_migration_restarts_from_segment_boundary():
     resume = 400.0 + 15.0 + 30.0
     assert trace.requests[0].completed_ms == pytest.approx(resume + 900.0 / 1.0)
 
-    mig, mapped = trace.decisions_at(400.0)
+    mig, mapped = decisions_at(trace, 400.0)
     assert (mig.kind, mig.request_id, mig.cluster_id) == ("MIGRATE", "a", "dla0")
     assert (mapped.kind, mapped.request_id) == ("MAP", "b")
     assert trace.requests[1].completed_ms == pytest.approx(415.0 + 350.0 / 1.2)
@@ -230,6 +232,13 @@ def test_parts_may_not_exceed_the_request():
         MAP("a", "gpu0", part="fb", work_gflops=150.0),
     ]}
     with pytest.raises(EngineError, match="exceed"):
+        run_toy(scenario(request("a", "toy-conv")), map_on_arrival(plan))
+
+
+@pytest.mark.parametrize("work", [float("nan"), float("inf"), -1.0])
+def test_part_work_must_be_finite_and_non_negative(work):
+    plan = {"a": [MAP("a", "gpu0", part="p", work_gflops=work)]}
+    with pytest.raises(EngineError, match="a#p: work_gflops must be finite"):
         run_toy(scenario(request("a", "toy-conv")), map_on_arrival(plan))
 
 

@@ -12,7 +12,6 @@ from twillsim import (
     initial_states,
     load_platform,
     power_draw,
-    serialize_platform,
     set_frequency,
 )
 from twillsim import presets
@@ -34,11 +33,6 @@ def test_load_default_platform(platform):
     assert gpu.freq_levels_mhz[0] == 306.0
     assert gpu.freq_levels_mhz[-1] == 1173.0
     assert dla.num_levels == 1
-
-
-def test_serialize_round_trip(platform):
-    again = load_platform(serialize_platform(platform))
-    assert again == platform
 
 
 def test_unknown_cluster_raises(platform):

@@ -331,18 +331,19 @@ def test_segment_fractions_batched():
 
 
 # sha256 of the sorted-key JSON, total FLOPs and layer count of each
-# packaged model, taken from the descriptor files the zoo replaced
+# packaged model, taken from the descriptor files the zoo replaced, with
+# their never-read "workload_unit" key dropped
 PACKAGED_CONTENT = [
-    ("bert-base", "16110d83913e65991a19027b3a21969eb6677b4bcafc046893fa7ff784942914", 22374875904, 172),
-    ("bert-large", "e86bf543dd30a4c16c9197ab610f4f3d334bac64d2649569585255b42d426940", 78991983616, 340),
-    ("deepseek-r1-1.5b", "5d17f00e105546b0914632db42d1dd479391e200cddeb1ea74a062dfc3ac287d", 3177129088, 452),
-    ("efficientnet-b4", "de761d6da709312fb12de79eee90e40b96614d02987b1d62e67f764ee77cc261", 8973760824, 476),
-    ("gemma-3-1b", "6c99490ca1ac801bb736559ef298debc1e805c0cab6a0cf6b0252e24774ec8a9", 2055639040, 420),
-    ("resnet-152", "47822f640ebf79b2a592ea234b832fe806807e84a0294a006cb3f25b1bd26cf1", 22644463544, 515),
-    ("resnet-50", "491050f705dc5fc63712b277eb9a0b5b7fe56075984e33bd4a2269c361bbc9ea", 7753631672, 175),
-    ("vgg-19", "44fb947f2f6cdc92e07a7cba7e16bebc714d56cad165307b9332b932e8116e5b", 39285109688, 44),
-    ("vit-base", "d5ca623d337f25701eb9c41aa2bd51654ce8ceeaad04da7ee8264bd17d7be98a", 35174230248, 172),
-    ("vit-large", "38830b86c48d916a09b9ed792e6b748c5011b9646086fe66913003e22101250a", 123232608312, 340),
+    ("bert-base", "415d41ad0cb9479f77a58aab4e06288f6adf554b68c09c235d3fef20bedcda49", 22374875904, 172),
+    ("bert-large", "13e8db93dcc4a13820cda7f7621a7dcc431295c2baf48b8e987244a0ebee8e26", 78991983616, 340),
+    ("deepseek-r1-1.5b", "8b43c99c76191de915a28498229a38bee35ea4352ad5053d8912be19f9322660", 3177129088, 452),
+    ("efficientnet-b4", "d15cc0ddf698181029e40582d7322e1bc7d1817e163a373f5abfa86b92bd46fc", 8973760824, 476),
+    ("gemma-3-1b", "866b219f1ed9969ec0f0195461ea8f94b1f5353ab92654649579725da74836bf", 2055639040, 420),
+    ("resnet-152", "799e766c7f02a8850ad46c09dadcd2b2688f457d790be615912ad71a4e5afe76", 22644463544, 515),
+    ("resnet-50", "4b0766ffbb7e4b79560b1c9b5a85afe8e0b99b924aa02d5131db9265939ac3df", 7753631672, 175),
+    ("vgg-19", "d0dc38714277793851118ff9e6c47c017fb0ecb231b2794d7e74878970bacac3", 39285109688, 44),
+    ("vit-base", "7a7d05e09ee39b0110841019b1d3af0dfbbf6b73afd557806bcffd0da1c28d53", 35174230248, 172),
+    ("vit-large", "5988e8666e21493c5db209aefa7c60307568936a1f021709e220e5e4e13672b4", 123232608312, 340),
 ]
 
 

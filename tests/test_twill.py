@@ -22,7 +22,8 @@ from twillsim import (
 )
 from twillsim.engine import ControllerView
 from twillsim.hardware import set_frequency
-from toys import TOY_DESCRIPTORS, request, scenario, tiny_platform
+from toys import (TOY_DESCRIPTORS, decisions_at, request, scenario,
+                  tiny_platform)
 
 MATRIX = load_matrix(presets.matrix_text())
 
@@ -167,7 +168,7 @@ def test_handover_scenario_migrates_at_the_second_arrival():
     first_freq = next(d for d in trace.decisions if d.kind == "SET_FREQ")
     assert (first_freq.level, first_freq.freq_mhz) == (7, 1173.0)
 
-    handover = trace.decisions_at(400.0)
+    handover = decisions_at(trace, 400.0)
     assert [d.kind for d in handover] == ["MIGRATE", "MAP"]
 
     assert all(r.waiting_ms == 0.0 for r in trace.requests)
@@ -194,7 +195,7 @@ def test_priority_scenario_freezes_then_restores_clock():
     assert [(d.level, d.freq_mhz) for d in freqs] == [
         (7, 1173.0), (6, 918.0), (7, 1173.0)]
 
-    preempt = trace.decisions_at(400.0)
+    preempt = decisions_at(trace, 400.0)
     assert [d.kind for d in preempt] == ["FREEZE", "MAP"]
 
     assert all(r.waiting_ms == 0.0 for r in trace.requests)

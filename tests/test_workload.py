@@ -1,17 +1,17 @@
 """Scenario parsing, dependency handling, and the random generator."""
 
 import json
+import re
 
 import pytest
 
-from twillsim import presets
+from twillsim import presets, simulate
 from twillsim.workload import (
     InferenceRequest,
     WorkloadError,
     WorkloadScenario,
     load_mix,
     random_mix,
-    serialize_mix,
 )
 
 ALL_MIXES = ["mix1", "mix2", "mix3", "mix4", "mix5"]
@@ -32,18 +32,6 @@ def test_packaged_scenarios_load():
         sc = load_mix(presets.scenario_text(name),
                       known_models=presets.available_models())
         assert sc.requests
-
-
-def test_round_trip():
-    mix = load_mix(presets.mix_text("mix3"))
-    assert load_mix(serialize_mix(mix)) == mix
-
-
-def test_request_lookup():
-    mix = load_mix(presets.mix_text("mix1"))
-    assert mix.request("bert-base-0").priority == 2
-    with pytest.raises(WorkloadError):
-        mix.request("nope")
 
 
 def test_auto_ids_count_per_model():
@@ -132,6 +120,51 @@ def test_api_scenario_converts_overrides_once():
                                       "base_power_mw": 2500.5}
     assert all(type(v) is float for v in scn.platform_overrides.values())
     assert given == {"tdp_mw": 12000, "base_power_mw": "2500.5"}
+
+
+def test_api_scenario_rejects_duplicate_ids():
+    with pytest.raises(WorkloadError, match=r"duplicate request ids: \['a'\]"):
+        WorkloadScenario("x", A_REQUEST * 2)
+
+
+def test_api_scenario_rejects_an_unknown_dependency():
+    with pytest.raises(WorkloadError, match="depends on unknown request 'ghost'"):
+        WorkloadScenario("x", (InferenceRequest("a", "vgg-19", 1, 0.0, 1,
+                                                depends_on=("ghost",)),))
+
+
+def test_api_scenario_rejects_a_dependency_cycle():
+    with pytest.raises(WorkloadError, match="dependency cycle"):
+        WorkloadScenario("x", (
+            InferenceRequest("a", "vgg-19", 1, 0.0, 1, depends_on=("b",)),
+            InferenceRequest("b", "vgg-19", 1, 0.0, 1, depends_on=("a",)),
+        ))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("priority", "high"), ("priority", 2.7), ("priority", True),
+    ("workload_size", "4"), ("workload_size", 2.9), ("workload_size", False),
+    ("arrival_ms", "0"), ("arrival_ms", None), ("arrival_ms", True),
+])
+def test_api_request_rejects_wrong_typed_fields(field, value):
+    fields = {"priority": 1, "arrival_ms": 0.0, "workload_size": 1, field: value}
+    message = f"{field} must be .*{re.escape(repr(value))}"
+    with pytest.raises(WorkloadError, match=message):
+        InferenceRequest("a", "vgg-19", **fields)
+
+
+def test_int_and_float_arrivals_write_identical_traces(tmp_path):
+    def run(arrivals, out):
+        simulate(WorkloadScenario("x", (
+            InferenceRequest("a", "vgg-19", 1, arrivals[0], 1),
+            InferenceRequest("b", "resnet-50", 2, arrivals[1], 1),
+        )), out_dir=out)
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    as_ints = run((0, 3), tmp_path / "int")
+    assert as_ints == run((0.0, 3.0), tmp_path / "float")
+    assert len(as_ints) == 4
+    assert type(InferenceRequest("a", "m", 1, 0, 1).arrival_ms) is float
 
 
 def test_task_kind_key_is_ignored():

@@ -1,4 +1,5 @@
-"""Hand-sized platforms, models, and scripted policies for engine tests.
+"""Hand-sized platforms, models, scripted policies and trace helpers for
+engine tests.
 
 The production platform and model library live in twillsim.data; the
 fixtures here are deliberately small, with round-number rates, so that
@@ -50,7 +51,6 @@ def tiny_platform(tdp_mw=1_000_000.0, **cluster_overrides):
 def _descriptor(name, layers, size):
     return json.dumps({
         "name": name,
-        "workload_unit": "units",
         "reference_workload": 1,
         "default_workload_size": size,
         "total_flops": sum(l["flops"] for l in layers),
@@ -111,6 +111,27 @@ def request(request_id, model, priority=1, arrival_ms=0.0, size=1, deps=()):
 def scenario(*requests, name="toy", overrides=None):
     return WorkloadScenario(name=name, requests=tuple(requests),
                             platform_overrides=dict(overrides or {}))
+
+
+def decisions_at(trace, time_ms, tol=1e-6):
+    return [d for d in trace.decisions if abs(d.time_ms - time_ms) <= tol]
+
+
+def power_samples(trace, period_ms=5.0):
+    """Sample the trace's piecewise-constant power profile at a fixed
+    cadence over [0, makespan]."""
+    if not trace.power:
+        return []
+    end = trace.makespan_ms
+    samples = []
+    idx = 0
+    t = 0.0
+    while t <= end:
+        while idx + 1 < len(trace.power) and trace.power[idx + 1].time_ms <= t:
+            idx += 1
+        samples.append((t, trace.power[idx].power_mw))
+        t += period_ms
+    return samples
 
 
 class ScriptedPolicy(Policy):
