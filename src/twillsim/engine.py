@@ -25,9 +25,10 @@ import io
 import itertools
 import json
 import math
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .hardware import (
     ClusterKind,
@@ -201,30 +202,8 @@ class TaskSnapshot(Mapping):
     def __len__(self) -> int:
         return self._len
 
-    def values(self):
-        return _SnapshotValues(self)
-
-    def items(self):
-        return _SnapshotItems(self)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._contents()!r})"
-
-
-# ValuesView and ItemsView look every key up again; these iterate the
-# snapshot's dict in one pass
-class _SnapshotValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return iter(self._mapping._contents().values())
-
-
-class _SnapshotItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return iter(self._mapping._contents().items())
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,11 +263,11 @@ class Policy:
 
 
 # ---------------------------------------------------------------------------
-# trace records
+# trace records; a decision or request record's field order is its CSV
+# column order
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionRecord:
+class DecisionRecord(NamedTuple):
     time_ms: float
     kind: str
     request_id: str | None
@@ -298,8 +277,7 @@ class DecisionRecord:
     freq_mhz: float | None
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     request_id: str
     model: str
     priority: int
@@ -311,8 +289,7 @@ class RequestRecord:
     work_gflops: float
 
 
-@dataclass(frozen=True)
-class PowerRecord:
+class PowerRecord(NamedTuple):
     time_ms: float
     power_mw: float
     freqs_mhz: tuple[float, ...]
@@ -428,7 +405,6 @@ def _draft(cls):
 
 _TaskViewDraft = _draft(TaskView)
 _ControllerViewDraft = _draft(ControllerView)
-_DecisionRecordDraft = _draft(DecisionRecord)
 
 
 @dataclass
@@ -720,13 +696,6 @@ class Simulation:
 
     # -- decision application ----------------------------------------------
 
-    def _task_for(self, decision: Decision) -> _Task:
-        key = _task_key(decision.request_id, decision.part)
-        task = self.tasks.get(key)
-        if task is None:
-            raise EngineError(f"decision names unknown task {key!r}")
-        return task
-
     def _require_free(self, cluster_id: str | None) -> str:
         if cluster_id is None:
             raise EngineError("mapping decision without a target cluster")
@@ -753,14 +722,17 @@ class Simulation:
     def _apply_decision(self, d: Decision, now: float, acted: set[str]):
         if d.kind is DecisionKind.SET_FREQ:
             raise EngineError("SET_FREQ is only valid from dvfs_update()")
+        key = _task_key(d.request_id, d.part)
+        task = self.tasks.get(key)
+        if task is None:
+            if d.kind is not DecisionKind.MAP:
+                raise EngineError(f"decision names unknown task {key!r}")
+            task = self._spawn_task(d.request_id, d.part, d.work_gflops,
+                                    d.native, now)
+        if key in acted:
+            raise EngineError(f"{key}: two decisions in one cycle")
 
         if d.kind is DecisionKind.MAP:
-            task = self.tasks.get(_task_key(d.request_id, d.part))
-            if task is None:
-                task = self._spawn_task(d.request_id, d.part, d.work_gflops,
-                                        d.native, now)
-            if task.key in acted:
-                raise EngineError(f"{task.key}: two decisions in one cycle")
             if task.started or task.frozen or task.cluster_id is not None:
                 raise EngineError(f"{task.key}: MAP on a task that already ran")
             self._require_free(d.cluster_id)
@@ -773,9 +745,6 @@ class Simulation:
             self._reschedule(task, now)
 
         elif d.kind is DecisionKind.MIGRATE:
-            task = self._task_for(d)
-            if task.key in acted:
-                raise EngineError(f"{task.key}: two decisions in one cycle")
             if task.state is not TaskState.RUNNING:
                 raise EngineError(f"{task.key}: MIGRATE on a task that is not running")
             if d.cluster_id == task.cluster_id:
@@ -790,9 +759,6 @@ class Simulation:
             self._reschedule(task, now)
 
         elif d.kind is DecisionKind.FREEZE:
-            task = self._task_for(d)
-            if task.key in acted:
-                raise EngineError(f"{task.key}: two decisions in one cycle")
             if task.frozen or task.completed:
                 raise EngineError(f"{task.key}: FREEZE on a {task.state.value} task")
             if task.started:
@@ -807,9 +773,6 @@ class Simulation:
             task.epoch += 1
 
         elif d.kind is DecisionKind.UNFREEZE:
-            task = self._task_for(d)
-            if task.key in acted:
-                raise EngineError(f"{task.key}: two decisions in one cycle")
             if not task.frozen:
                 raise EngineError(f"{task.key}: UNFREEZE on a task that is not frozen")
             self._require_free(d.cluster_id)
@@ -862,16 +825,9 @@ class Simulation:
         freq = None
         if d.kind is DecisionKind.SET_FREQ:
             freq = self.states[d.cluster_id].freq_mhz
-        r = _DecisionRecordDraft()
-        r.time_ms = now
-        r.kind = d.kind.value
-        r.request_id = d.request_id
-        r.part = d.part
-        r.cluster_id = d.cluster_id
-        r.level = d.level
-        r.freq_mhz = freq
-        r.__class__ = DecisionRecord
-        self.trace.decisions.append(r)
+        self.trace.decisions.append(DecisionRecord(
+            now, d.kind.value, d.request_id, d.part, d.cluster_id, d.level,
+            freq))
 
     # -- completion handling -------------------------------------------------
 
@@ -1045,13 +1001,6 @@ def _apply_overrides(platform: PlatformSpec, overrides: dict) -> PlatformSpec:
 # ---------------------------------------------------------------------------
 # trace serialization
 
-_DECISION_FIELDS = ["time_ms", "kind", "request_id", "part", "cluster_id",
-                    "level", "freq_mhz"]
-_REQUEST_FIELDS = ["request_id", "model", "priority", "arrival_ms",
-                   "first_map_ms", "completed_ms", "waiting_ms",
-                   "latency_ms", "work_gflops"]
-
-
 def _fmt(v):
     if v is None:
         return ""
@@ -1060,37 +1009,33 @@ def _fmt(v):
     return str(v)
 
 
-def decisions_csv(trace: Trace) -> str:
+def _table(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_DECISION_FIELDS)
-    for d in trace.decisions:
-        w.writerow([_fmt(getattr(d, f)) for f in _DECISION_FIELDS])
+    w.writerow(header)
+    w.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
+
+
+def decisions_csv(trace: Trace) -> str:
+    return _table(DecisionRecord._fields, trace.decisions)
 
 
 def requests_csv(trace: Trace) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_REQUEST_FIELDS)
-    for r in trace.requests:
-        w.writerow([_fmt(getattr(r, f)) for f in _REQUEST_FIELDS])
-    return buf.getvalue()
+    return _table(RequestRecord._fields, trace.requests)
 
 
 def power_csv(trace: Trace) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     header = ["time_ms", "power_mw"]
     for cid in trace.cluster_ids:
         header += [f"{cid}_freq_mhz", f"{cid}_util"]
-    w.writerow(header)
+    rows = []
     for p in trace.power:
-        row = [_fmt(p.time_ms), _fmt(p.power_mw)]
+        row = [p.time_ms, p.power_mw]
         for f, u in zip(p.freqs_mhz, p.utils):
-            row += [_fmt(f), _fmt(u)]
-        w.writerow(row)
-    return buf.getvalue()
+            row += [f, u]
+        rows.append(row)
+    return _table(header, rows)
 
 
 # An indented dump runs json's pure-Python encoder.  The request entries

@@ -35,6 +35,12 @@ class InferenceRequest:
     depends_on: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.request_id, str):
+            raise WorkloadError(
+                f"request_id must be a string, not {self.request_id!r}")
+        if not isinstance(self.model, str):
+            raise WorkloadError(
+                f"{self.request_id}: model must be a string, not {self.model!r}")
         for name in ("priority", "workload_size"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -54,6 +60,15 @@ class InferenceRequest:
             raise WorkloadError(f"{self.request_id}: negative arrival time")
         if self.workload_size <= 0:
             raise WorkloadError(f"{self.request_id}: workload_size must be positive")
+        # a string would be read as its characters, one id per character;
+        # a number fails in tuple() as "not iterable"
+        deps = self.depends_on
+        if not isinstance(deps, str):
+            deps = tuple(deps)
+        if isinstance(deps, str) or not all(isinstance(d, str) for d in deps):
+            raise WorkloadError(f"{self.request_id}: depends_on must be a list "
+                                f"of request ids, not {self.depends_on!r}")
+        object.__setattr__(self, "depends_on", deps)
 
 
 @dataclass(frozen=True)
@@ -119,8 +134,8 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
         raise WorkloadError("scenario field 'requests' must be a list")
     requests = []
     counters: dict[str, int] = {}
-    for entry in doc["requests"]:
-        try:
+    try:
+        for entry in doc["requests"]:
             model = entry["model"]
             n = counters.get(model, 0)
             counters[model] = n + 1
@@ -130,23 +145,23 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
                 priority=entry["priority"],
                 arrival_ms=entry["arrival_ms"],
                 workload_size=entry["workload_size"],
-                depends_on=tuple(entry.get("depends_on", ())),
+                depends_on=entry.get("depends_on", ()),
             ))
-        except KeyError as e:
-            raise WorkloadError(f"request entry missing field {e.args[0]!r}") from None
-        except WorkloadError:
-            raise
-        except (TypeError, ValueError) as e:
-            raise WorkloadError(f"request entry has a malformed field: {e}") from None
-    if known_models is not None:
-        unknown = sorted({r.model for r in requests} - set(known_models))
-        if unknown:
-            raise WorkloadError(f"unknown models: {unknown}")
-    return WorkloadScenario(
-        name=doc.get("name", "unnamed"),
-        requests=tuple(requests),
-        platform_overrides=doc.get("platform_overrides", {}),
-    )
+        if known_models is not None:
+            unknown = sorted({r.model for r in requests} - set(known_models))
+            if unknown:
+                raise WorkloadError(f"unknown models: {unknown}")
+        return WorkloadScenario(
+            name=doc.get("name", "unnamed"),
+            requests=tuple(requests),
+            platform_overrides=doc.get("platform_overrides", {}),
+        )
+    except KeyError as e:
+        raise WorkloadError(f"request entry missing field {e.args[0]!r}") from None
+    except WorkloadError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise WorkloadError(f"request entry has a malformed field: {e}") from None
 
 
 def random_mix(seed: int, model_names, n_requests: int, horizon_ms: float = 500.0,

@@ -198,6 +198,12 @@ _ENTRY = {"model": "vgg-19", "priority": 1, "arrival_ms": 0, "workload_size": 1}
      "priority must be an integer, not True"),
     ({"requests": [{**_ENTRY, "arrival_ms": "soon"}]},
      "arrival_ms must be a number, not 'soon'"),
+    ({"requests": [{**_ENTRY, "id": [1]}]},
+     "request_id must be a string, not [1]"),
+    ({"requests": [{**_ENTRY, "depends_on": [[1]]}]},
+     "depends_on must be a list of request ids, not [[1]]"),
+    ({"requests": [{**_ENTRY, "id": "a", "depends_on": "a"}]},
+     "a: depends_on must be a list of request ids, not 'a'"),
 ])
 def test_wrong_typed_scenario_field_exits_one(doc, field, tmp_path, capsys):
     mix = tmp_path / "mix.json"

@@ -1,6 +1,8 @@
 """Event loop semantics: timing arithmetic, overheads, and the decision
 protocol, checked against hand-computed schedules on a toy platform."""
 
+import csv
+import io
 import json
 import signal
 
@@ -27,6 +29,8 @@ from twillsim import (
     write_trace,
 )
 from twillsim.engine import (
+    DecisionRecord,
+    PowerRecord,
     RequestRecord,
     Trace,
     decisions_csv,
@@ -606,7 +610,7 @@ def test_trace_tables_round_to_fixed_columns():
 
 def _trace(request_ids, scenario_name="toy", done=True):
     trace = Trace(scenario=scenario_name, policy="p", platform="b",
-                  tdp_mw=1000.0, cluster_ids=("gpu0",))
+                  tdp_mw=1000.0, cluster_ids=("gpu0", "dla0"))
     for k, rid in enumerate(request_ids):
         end = 10.0 * k + 1 / 3 if done else None
         trace.requests.append(RequestRecord(
@@ -615,6 +619,16 @@ def _trace(request_ids, scenario_name="toy", done=True):
             completed_ms=end, waiting_ms=None if k % 2 else 0.0,
             latency_ms=None if end is None else end - 0.1 * k,
             work_gflops=300.0 + k))
+        trace.decisions.append(DecisionRecord(
+            time_ms=0.1 * k, kind="MAP", request_id=rid,
+            part=None if k % 2 else rid, cluster_id="dla0", level=None,
+            freq_mhz=None))
+        trace.decisions.append(DecisionRecord(
+            time_ms=0.1 * k, kind="SET_FREQ", request_id=None, part=None,
+            cluster_id="gpu0", level=k, freq_mhz=300.0 + k / 3))
+        trace.power.append(PowerRecord(
+            time_ms=0.1 * k, power_mw=500.0 + k / 7,
+            freqs_mhz=(300.0 + k / 3, 1400.0), utils=(float(k % 2), 1.0)))
     return trace
 
 
@@ -635,6 +649,46 @@ AWKWARD_IDS = ['say "hi"', "a,b", "back\\slash", "two\nlines", "naïve-π-😀",
 def test_summary_json_matches_an_indented_dump(trace):
     expected = json.dumps(trace.summary(), indent=2, sort_keys=True) + "\n"
     assert summary_json(trace) == expected
+
+
+DECISION_COLUMNS = ["time_ms", "kind", "request_id", "part", "cluster_id",
+                    "level", "freq_mhz"]
+REQUEST_COLUMNS = ["request_id", "model", "priority", "arrival_ms",
+                   "first_map_ms", "completed_ms", "waiting_ms", "latency_ms",
+                   "work_gflops"]
+
+
+def _reference_csv(header, rows):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow(["" if v is None else f"{v:.6f}" if isinstance(v, float)
+                    else str(v) for v in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("trace", [
+    _trace(AWKWARD_IDS),
+    _trace(AWKWARD_IDS, done=False),
+    _trace([]),
+], ids=["awkward-ids", "unfinished", "empty"])
+def test_csv_writers_match_a_per_field_reference(trace):
+    assert decisions_csv(trace) == _reference_csv(DECISION_COLUMNS, [
+        [getattr(d, name) for name in DECISION_COLUMNS]
+        for d in trace.decisions])
+    assert requests_csv(trace) == _reference_csv(REQUEST_COLUMNS, [
+        [getattr(r, name) for name in REQUEST_COLUMNS]
+        for r in trace.requests])
+    header, rows = ["time_ms", "power_mw"], []
+    for cid in trace.cluster_ids:
+        header += [f"{cid}_freq_mhz", f"{cid}_util"]
+    for p in trace.power:
+        row = [p.time_ms, p.power_mw]
+        for i in range(len(trace.cluster_ids)):
+            row += [p.freqs_mhz[i], p.utils[i]]
+        rows.append(row)
+    assert power_csv(trace) == _reference_csv(header, rows)
 
 
 def test_repeat_runs_serialize_identically(tmp_path):

@@ -145,12 +145,15 @@ def test_api_scenario_rejects_a_dependency_cycle():
     ("priority", "high"), ("priority", 2.7), ("priority", True),
     ("workload_size", "4"), ("workload_size", 2.9), ("workload_size", False),
     ("arrival_ms", "0"), ("arrival_ms", None), ("arrival_ms", True),
+    ("request_id", [1]), ("model", None), ("depends_on", "ab"),
+    ("depends_on", ("b", 1)),
 ])
 def test_api_request_rejects_wrong_typed_fields(field, value):
-    fields = {"priority": 1, "arrival_ms": 0.0, "workload_size": 1, field: value}
+    fields = {"request_id": "a", "model": "vgg-19", "priority": 1,
+              "arrival_ms": 0.0, "workload_size": 1, field: value}
     message = f"{field} must be .*{re.escape(repr(value))}"
     with pytest.raises(WorkloadError, match=message):
-        InferenceRequest("a", "vgg-19", **fields)
+        InferenceRequest(**fields)
 
 
 def test_int_and_float_arrivals_write_identical_traces(tmp_path):
