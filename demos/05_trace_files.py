@@ -21,7 +21,7 @@ with tempfile.TemporaryDirectory() as tmp:
     for path in sorted(out.iterdir()):
         print(f"  {path.name} ({path.stat().st_size} bytes)")
     print("\nfirst decisions:")
-    for line in (out / "decisions.csv").read_text().splitlines()[:6]:
+    for line in (out / "decisions.csv").read_text("utf-8").splitlines()[:6]:
         print(f"  {line}")
 
     print("\nsame mix with a relaxed 12 W budget:")

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import build_simulation, presets
 from .baselines import POLICIES
-from .engine import EngineError, Trace, write_trace
+from .engine import EngineError, Trace, _write_files, write_trace
 from .hardware import PlatformError
 from .models import ModelError
 from .workload import (PLATFORM_OVERRIDE_KEYS, WorkloadError, WorkloadScenario,
@@ -108,7 +108,7 @@ def _load_scenario(mix: str, seed: int) -> WorkloadScenario:
     if path.suffix == ".json" or path.exists():
         if not path.is_file():
             raise CliError(f"scenario file not found: {mix}")
-        return load_mix(path.read_text(),
+        return load_mix(path.read_text(encoding="utf-8"),
                         known_models=presets.available_models())
     return load_mix(presets.mix_or_scenario_text(mix),
                     known_models=presets.available_models())
@@ -120,7 +120,7 @@ def _platform_text(path: str | None) -> str:
     p = Path(path)
     if not p.is_file():
         raise CliError(f"platform file not found: {path}")
-    return p.read_text()
+    return p.read_text(encoding="utf-8")
 
 
 def _simulate(mix: str, policy: str, args) -> Trace:
@@ -201,18 +201,20 @@ def cmd_compare(args) -> int:
         print("  ".join(f"{str(r[f]):<{widths[f]}}" for f in _COMPARE_FIELDS))
 
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=_COMPARE_FIELDS, lineterminator="\n")
         w.writeheader()
         w.writerows(rows)
-        (out / "comparison.csv").write_text(buf.getvalue())
+        _write_files(args.out, {"comparison.csv": buf.getvalue()})
         print(f"comparison.csv written to {args.out}")
     return 0
 
 
 def main(argv=None) -> int:
+    # ids are printed as the terminal's encoding allows: under a non-UTF-8
+    # locale a non-ASCII id must not end a run whose files are UTF-8 anyway
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -25,6 +25,7 @@ import io
 import itertools
 import json
 import math
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -70,6 +71,10 @@ class DecisionKind(Enum):
     FREEZE = "FREEZE"
     UNFREEZE = "UNFREEZE"
     SET_FREQ = "SET_FREQ"
+
+
+# an Enum's .value is a descriptor lookup; the decision log reads it per row
+_KIND_NAMES = {kind: kind.value for kind in DecisionKind}
 
 
 class EventKind(Enum):
@@ -707,15 +712,17 @@ class Simulation:
         return cluster_id
 
     def _occupy(self, task: _Task, cluster_id: str):
-        self.states[cluster_id] = dataclasses.replace(
-            self.states[cluster_id], occupant=task.key)
+        state = self.states[cluster_id]
+        self.states[cluster_id] = ClusterState(state.spec, state.current_level,
+                                               task.key)
         self._power_mw = None
         task.cluster_id = cluster_id
 
     def _vacate(self, task: _Task):
         if task.cluster_id is not None:
-            self.states[task.cluster_id] = dataclasses.replace(
-                self.states[task.cluster_id], occupant=None)
+            state = self.states[task.cluster_id]
+            self.states[task.cluster_id] = ClusterState(
+                state.spec, state.current_level, None)
             self._power_mw = None
             task.cluster_id = None
 
@@ -826,8 +833,8 @@ class Simulation:
         if d.kind is DecisionKind.SET_FREQ:
             freq = self.states[d.cluster_id].freq_mhz
         self.trace.decisions.append(DecisionRecord(
-            now, d.kind.value, d.request_id, d.part, d.cluster_id, d.level,
-            freq))
+            now, _KIND_NAMES[d.kind], d.request_id, d.part, d.cluster_id,
+            d.level, freq))
 
     # -- completion handling -------------------------------------------------
 
@@ -1001,19 +1008,13 @@ def _apply_overrides(platform: PlatformSpec, overrides: dict) -> PlatformSpec:
 # ---------------------------------------------------------------------------
 # trace serialization
 
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.6f}"
-    return str(v)
-
-
 def _table(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    w.writerows([_fmt(v) for v in row] for row in rows)
+    # csv.writer already writes None as "" and an int or str as str(v)
+    w.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row]
+                for row in rows)
     return buf.getvalue()
 
 
@@ -1065,11 +1066,38 @@ def summary_json(trace: Trace) -> str:
 
 def write_trace(trace: Trace, out_dir) -> None:
     """Write decisions.csv, requests.csv, power.csv and summary.json."""
-    from pathlib import Path
+    _write_files(out_dir, {
+        "decisions.csv": decisions_csv(trace),
+        "requests.csv": requests_csv(trace),
+        "power.csv": power_csv(trace),
+        "summary.json": summary_json(trace),
+    })
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "decisions.csv").write_text(decisions_csv(trace))
-    (out / "requests.csv").write_text(requests_csv(trace))
-    (out / "power.csv").write_text(power_csv(trace))
-    (out / "summary.json").write_text(summary_json(trace))
+
+def _write_files(out_dir, texts: dict[str, str]) -> None:
+    """Write each text as UTF-8 to the file of its name under out_dir.
+
+    Every text is encoded before any file is opened, so a text that
+    cannot be encoded leaves all the files as they were.  An existing
+    file is rewritten in place and then cut to the new length: on ext4,
+    closing a non-empty file that was truncated to zero starts its
+    writeback, which costs several times the write itself.  The file
+    keeps its inode, links and mode, and a symlink is followed.  A file
+    whose write fails is cut to zero, so that no new head sits on an old
+    tail.  Nothing is synced to disk.
+    """
+    blobs = [(name, text.encode()) for name, text in texts.items()]
+    os.makedirs(out_dir, exist_ok=True)
+    for name, blob in blobs:
+        fd = os.open(os.path.join(out_dir, name), os.O_WRONLY | os.O_CREAT,
+                     0o666)
+        try:
+            view = memoryview(blob)
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(blob))
+        except OSError:
+            os.ftruncate(fd, 0)
+            raise
+        finally:
+            os.close(fd)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -120,7 +120,7 @@ def set_frequency(state: ClusterState, level: int) -> ClusterState:
         raise PlatformError(
             f"{state.spec.cluster_id}: level {level} outside table [0, {state.spec.max_level}]"
         )
-    return replace(state, current_level=level)
+    return ClusterState(state.spec, level, state.occupant)
 
 
 def power_draw(platform: PlatformSpec, states: dict[str, ClusterState],

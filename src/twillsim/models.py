@@ -17,7 +17,7 @@ each distinct layer once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 # Fraction of FLOPs that must be DLA-feasible before a model is
@@ -77,7 +77,8 @@ class AppProfile:
         itself stores it on first access, the instance `__dict__` under
         the property's name, which `frozen` does not guard.
         """
-        profile = replace(self, priority=priority, workload_size=workload_size)
+        profile = AppProfile(self.name, priority, workload_size, self.layers,
+                             self.reference_workload)
         vars(profile)["total_flops"] = self.total_flops
         return profile
 

@@ -52,7 +52,7 @@ def _resolve(relative: str) -> Path:
 
 def read_data(relative: str) -> str:
     """Return the text of a data file by path relative to the data root."""
-    return _resolve(relative).read_text()
+    return _resolve(relative).read_text(encoding="utf-8")
 
 
 def platform_text() -> str:
@@ -67,7 +67,7 @@ def model_text(name: str) -> str:
     """Descriptor text of model `name`: a config-dir file, else the zoo's."""
     path = _override(f"models/{name}.json")
     if path is not None:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     if name in zoo.MODELS:
         return zoo.descriptor_text(name)
     raise _not_found(f"model {name!r}")

@@ -82,6 +82,18 @@ class TwillPolicy(Policy):
         self.queue = FreezeQueue()
         # per-GPU (freq_mhz, power_mw, busy-cluster fingerprint)
         self._samples: dict[str, tuple[float, float, tuple[str, ...]]] = {}
+        self._board = None
+        self._kinds: dict[str, str] = {}
+        self._gpu_ids: list[str] = []
+
+    def _layout(self, platform) -> None:
+        """Derive the cluster kinds by id and the sorted GPU ids once per
+        board, not on every call."""
+        if platform is not self._board:
+            self._board = platform
+            self._kinds = {c.cluster_id: c.kind.name for c in platform.clusters}
+            self._gpu_ids = sorted(c.cluster_id for c in platform.clusters
+                                   if c.kind is ClusterKind.GPU)
 
     # -- mapping -----------------------------------------------------------
 
@@ -90,7 +102,8 @@ class TwillPolicy(Policy):
         decisions: list[Decision] = []
         planned = {cid: st.occupant for cid, st in view.states.items()}
         touched: set[str] = set()
-        kinds = {c.cluster_id: c.kind.name for c in view.platform.clusters}
+        self._layout(view.platform)
+        kinds = self._kinds
 
         freed = [e.cluster_id for e in events
                  if e.kind is EventKind.CLUSTER_FREED]
@@ -222,11 +235,10 @@ class TwillPolicy(Policy):
         decisions = []
         fingerprint = tuple(sorted(
             c for c, st in view.states.items() if st.occupant is not None))
-        for cid in sorted(view.states):
+        self._layout(view.platform)
+        for cid in self._gpu_ids:
             state = view.states[cid]
             spec = state.spec
-            if spec.kind is not ClusterKind.GPU:
-                continue
             if state.occupant is None:
                 # nothing running: leave the clock alone, and drop the
                 # sample so an idle-period reading never feeds the slope

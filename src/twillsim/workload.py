@@ -38,6 +38,13 @@ class InferenceRequest:
         if not isinstance(self.request_id, str):
             raise WorkloadError(
                 f"request_id must be a string, not {self.request_id!r}")
+        # the id is written into the trace files as UTF-8; a lone
+        # surrogate, which JSON can spell, would fail only then
+        try:
+            self.request_id.encode()
+        except UnicodeEncodeError:
+            raise WorkloadError(
+                f"request_id must be UTF-8 text, not {self.request_id!r}") from None
         if not isinstance(self.model, str):
             raise WorkloadError(
                 f"{self.request_id}: model must be a string, not {self.model!r}")
@@ -60,11 +67,15 @@ class InferenceRequest:
             raise WorkloadError(f"{self.request_id}: negative arrival time")
         if self.workload_size <= 0:
             raise WorkloadError(f"{self.request_id}: workload_size must be positive")
-        # a string would be read as its characters, one id per character;
-        # a number fails in tuple() as "not iterable"
+        # a string would be read as its characters, one id per character
         deps = self.depends_on
         if not isinstance(deps, str):
-            deps = tuple(deps)
+            try:
+                deps = tuple(deps)
+            except TypeError as e:
+                raise WorkloadError(
+                    f"{self.request_id}: depends_on must be a list of request "
+                    f"ids, not {self.depends_on!r} ({e})") from None
         if isinstance(deps, str) or not all(isinstance(d, str) for d in deps):
             raise WorkloadError(f"{self.request_id}: depends_on must be a list "
                                 f"of request ids, not {self.depends_on!r}")
@@ -78,6 +89,9 @@ class WorkloadScenario:
     platform_overrides: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise WorkloadError(
+                f"scenario name must be a string, not {self.name!r}")
         try:
             overrides = {k: float(v)
                          for k, v in dict(self.platform_overrides).items()}

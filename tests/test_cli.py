@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, output files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,26 @@ def test_run_writes_the_four_trace_files(tmp_path, capsys):
     doc = json.loads((out_dir / "summary.json").read_text())
     assert doc["scenario"] == "mix2"
     assert doc["policy"] == "twill"
+
+
+def test_trace_bytes_do_not_depend_on_the_locale(tmp_path, capsys):
+    doc = {"name": "naïve", "requests": [{**_ENTRY, "id": "naïve-π"}]}
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    assert main(["run", "--mix", str(mix), "--out", str(tmp_path / "here")]) == 0
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    # the subprocess imports the same package as this test
+    env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    done = subprocess.run(
+        [sys.executable, "-m", "twillsim.cli", "run", "--mix", str(mix),
+         "--out", str(tmp_path / "ascii")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name in ("decisions.csv", "requests.csv", "power.csv", "summary.json"):
+        assert ((tmp_path / "ascii" / name).read_bytes()
+                == (tmp_path / "here" / name).read_bytes()), name
+    assert "naïve-π" in (tmp_path / "here" / "requests.csv").read_text("utf-8")
 
 
 def test_repeat_invocations_write_identical_bytes(tmp_path, capsys):
@@ -204,6 +227,10 @@ _ENTRY = {"model": "vgg-19", "priority": 1, "arrival_ms": 0, "workload_size": 1}
      "depends_on must be a list of request ids, not [[1]]"),
     ({"requests": [{**_ENTRY, "id": "a", "depends_on": "a"}]},
      "a: depends_on must be a list of request ids, not 'a'"),
+    ({"requests": [{**_ENTRY, "id": "a\udc80"}]},
+     "request_id must be UTF-8 text, not 'a\\udc80'"),
+    ({"name": {"x": 1}, "requests": [_ENTRY]},
+     "scenario name must be a string, not {'x': 1}"),
 ])
 def test_wrong_typed_scenario_field_exits_one(doc, field, tmp_path, capsys):
     mix = tmp_path / "mix.json"

@@ -2,8 +2,10 @@
 protocol, checked against hand-computed schedules on a toy platform."""
 
 import csv
+import errno
 import io
 import json
+import os
 import signal
 
 import pytest
@@ -699,3 +701,72 @@ def test_repeat_runs_serialize_identically(tmp_path):
         first = (tmp_path / "one" / name).read_bytes()
         second = (tmp_path / "two" / name).read_bytes()
         assert first == second, name
+
+
+TRACE_FILES = ("decisions.csv", "requests.csv", "power.csv", "summary.json")
+
+
+def _file_bytes(out_dir):
+    return {name: (out_dir / name).read_bytes() for name in TRACE_FILES}
+
+
+def test_rewrite_cuts_the_old_tail_and_keeps_each_file(tmp_path):
+    """A rerun into the same directory rewrites each file in place: the
+    old, longer content is gone, while inode, mode and hard links stay
+    and a symlink is followed."""
+    trace = build_simulation("mix1", policy="twill").run()
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    write_trace(trace, fresh)
+    out.mkdir()
+    stale = b"stale\n" * 20_000
+    for name in TRACE_FILES:
+        (out / name).write_bytes(stale)
+    (out / "decisions.csv").chmod(0o600)
+    twin = tmp_path / "twin.csv"
+    twin.hardlink_to(out / "requests.csv")
+    target = tmp_path / "target.csv"
+    target.write_bytes(stale)
+    (out / "power.csv").unlink()
+    (out / "power.csv").symlink_to(target)
+    before = {name: (out / name).stat() for name in TRACE_FILES}
+    assert all(len(blob) < len(stale) for blob in _file_bytes(fresh).values())
+
+    write_trace(trace, out)
+    assert _file_bytes(out) == _file_bytes(fresh)
+    assert twin.read_bytes() == (fresh / "requests.csv").read_bytes()
+    assert (out / "power.csv").is_symlink()
+    for name in TRACE_FILES:
+        after = (out / name).stat()
+        assert (after.st_ino, after.st_mode) == (before[name].st_ino,
+                                                 before[name].st_mode), name
+
+
+def test_an_unencodable_trace_leaves_the_old_files_untouched(tmp_path):
+    write_trace(build_simulation("mix1", policy="twill").run(), tmp_path)
+    before = _file_bytes(tmp_path)
+    # the lone surrogate reaches only power.csv, the third file written
+    trace = _trace(["a"])
+    trace.cluster_ids = ("gpu0", "dla\udc80")
+    with pytest.raises(UnicodeEncodeError):
+        write_trace(trace, tmp_path)
+    assert _file_bytes(tmp_path) == before
+
+
+def test_a_failed_write_leaves_that_file_empty(tmp_path, monkeypatch):
+    trace = build_simulation("mix1", policy="twill").run()
+    write_trace(trace, tmp_path)
+    before = _file_bytes(tmp_path)
+    real_write = os.write
+
+    def write_then_fail(fd, data):
+        real_write(fd, data[:10])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", write_then_fail)
+        with pytest.raises(OSError, match="No space left"):
+            write_trace(trace, tmp_path)
+    # the first file failed and holds nothing; the others were not reached
+    after = _file_bytes(tmp_path)
+    assert after.pop("decisions.csv") == b""
+    assert after == {k: v for k, v in before.items() if k != "decisions.csv"}

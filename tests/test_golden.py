@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from twillsim import POLICIES, simulate
+from twillsim import POLICIES, simulate, write_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = json.loads((ROOT / "bench" / "digests.json").read_text())["zoo"]["outputs"]
@@ -24,6 +24,19 @@ def test_every_packaged_run_is_pinned():
 @pytest.mark.parametrize("mix,policy", itertools.product(MIXES, sorted(POLICIES)))
 def test_trace_files_match_the_pinned_digests(mix, policy, tmp_path):
     simulate(mix, policy, out_dir=tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in TRACE_FILES}
+    assert got == {name: PINNED[f"{mix}/{policy}"][name] for name in TRACE_FILES}
+
+
+@pytest.mark.parametrize("mix,policy", itertools.product(MIXES, sorted(POLICIES)))
+def test_rewriting_over_longer_files_matches_the_pinned_digests(mix, policy,
+                                                                 tmp_path):
+    trace = simulate(mix, policy, out_dir=tmp_path)
+    for name in TRACE_FILES:
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() * 2)
+    write_trace(trace, tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in TRACE_FILES}
     assert got == {name: PINNED[f"{mix}/{policy}"][name] for name in TRACE_FILES}

@@ -146,7 +146,8 @@ def test_api_scenario_rejects_a_dependency_cycle():
     ("workload_size", "4"), ("workload_size", 2.9), ("workload_size", False),
     ("arrival_ms", "0"), ("arrival_ms", None), ("arrival_ms", True),
     ("request_id", [1]), ("model", None), ("depends_on", "ab"),
-    ("depends_on", ("b", 1)),
+    ("depends_on", ("b", 1)), ("depends_on", 5), ("depends_on", None),
+    ("request_id", "a\udc80"),
 ])
 def test_api_request_rejects_wrong_typed_fields(field, value):
     fields = {"request_id": "a", "model": "vgg-19", "priority": 1,
