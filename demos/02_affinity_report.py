@@ -14,14 +14,14 @@ matrix = load_matrix(presets.matrix_text())
 print(f"{'model':<18} {'DLA-fraction':>12}  placement preference")
 print("-" * 55)
 for name in presets.available_models():
-    profile = parse_model(presets.model_text(name), priority=1)
+    profile = parse_model(presets.model_text(name))
     sig = layer_affinity(profile, matrix)
     order = " > ".join(sig.preferred_clusters)
     print(f"{name:<18} {sig.dla_flops_fraction:>12.4f}  {order}")
 
 print()
 for name in ("resnet-50", "bert-base"):
-    profile = parse_model(presets.model_text(name), priority=1)
+    profile = parse_model(presets.model_text(name))
     sig = layer_affinity(profile, matrix)
     feasible = Counter()
     blocked = Counter()

@@ -108,7 +108,7 @@ def _load_scenario(mix: str, seed: int) -> WorkloadScenario:
     if path.suffix == ".json" or path.exists():
         if not path.is_file():
             raise CliError(f"scenario file not found: {mix}")
-        return load_mix(path.read_text(encoding="utf-8"),
+        return load_mix(presets.read_file(path),
                         known_models=presets.available_models())
     return load_mix(presets.mix_or_scenario_text(mix),
                     known_models=presets.available_models())
@@ -120,7 +120,7 @@ def _platform_text(path: str | None) -> str:
     p = Path(path)
     if not p.is_file():
         raise CliError(f"platform file not found: {path}")
-    return p.read_text(encoding="utf-8")
+    return presets.read_file(p)
 
 
 def _simulate(mix: str, policy: str, args) -> Trace:

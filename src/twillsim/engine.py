@@ -49,7 +49,7 @@ from .models import (
     parse_model,
     segment_fractions,
 )
-from .workload import WorkloadScenario
+from .workload import InferenceRequest, WorkloadScenario
 
 CTRL_OVERHEAD_MS = 15.0
 MIGRATION_OVERHEAD_MS = 30.0
@@ -415,12 +415,11 @@ _ControllerViewDraft = _draft(ControllerView)
 @dataclass
 class _Task:
     key: str
-    request_id: str
+    request: InferenceRequest
     part: str | None
     profile: AppProfile
     signature: SignatureMap
     work: float
-    arrival_ms: float = 0.0
     native: bool = False
     done: float = 0.0
     rolled_back: float = 0.0
@@ -449,16 +448,16 @@ class _Task:
     def view(self) -> TaskView:
         v = _TaskViewDraft()
         v.key = self.key
-        v.request_id = self.request_id
+        v.request_id = self.request.request_id
         v.part = self.part
         v.model = self.profile.name
-        v.priority = self.profile.priority
+        v.priority = self.request.priority
         v.state = self.state
         v.cluster_id = self.cluster_id
         v.started = self.started
         v.work_gflops = self.work
         v.done_gflops = self.done
-        v.arrival_ms = self.arrival_ms
+        v.arrival_ms = self.request.arrival_ms
         v.preferred_kinds = self.signature.preferred_clusters
         v.dla_fraction = self.signature.dla_flops_fraction
         v.native = self.native
@@ -509,31 +508,23 @@ class Simulation:
 
         self.states = initial_states(self.platform)
         self.tasks: dict[str, _Task] = {}
+        self._requests = {r.request_id: r for r in scenario.requests}
+        # each descriptor is decoded and analysed once, by model name
         self._profiles: dict[str, AppProfile] = {}
         self._signatures: dict[str, SignatureMap] = {}
-        # each descriptor is decoded and analysed once; requests for one
-        # model differ only in priority and workload size
-        parsed: dict[str, AppProfile] = {}
-        signatures: dict[str, SignatureMap] = {}
         for r in scenario.requests:
             if r.model not in descriptors:
                 raise EngineError(f"no descriptor for model {r.model!r}")
-            base = parsed.get(r.model)
-            if base is None:
-                base = parsed[r.model] = parse_model(
-                    descriptors[r.model], priority=r.priority,
-                    workload_size=r.workload_size)
-                signatures[r.model] = layer_affinity(
-                    base, matrix, threshold=affinity_threshold)
-            self._profiles[r.request_id] = base.for_request(
-                r.priority, r.workload_size)
-            self._signatures[r.request_id] = signatures[r.model]
+            if r.model not in self._profiles:
+                profile = self._profiles[r.model] = parse_model(
+                    descriptors[r.model])
+                self._signatures[r.model] = layer_affinity(
+                    profile, matrix, threshold=affinity_threshold)
 
         self._heap: list[tuple] = []
         self._seq = 0
         self._ran = False
         self._completed_requests: set[str] = set()
-        self._arrivals = {r.request_id: r.arrival_ms for r in scenario.requests}
         # indexes that keep each event's cost independent of how many
         # requests have already finished
         self._parts: dict[str, list[_Task]] = {}  # request id -> its tasks
@@ -576,8 +567,8 @@ class Simulation:
         for rid in self._dependents.get(producer, ()):
             self._pending_producers[rid] -= 1
             if self._pending_producers[rid] == 0:
-                self._push(max(now, self._arrivals[rid]), _RANK_ARRIVAL,
-                           "arrival", rid)
+                arrival_ms = self._requests[rid].arrival_ms
+                self._push(max(now, arrival_ms), _RANK_ARRIVAL, "arrival", rid)
 
     # -- power -------------------------------------------------------------
 
@@ -643,7 +634,7 @@ class Simulation:
             return
         frac = task.done / task.work
         best = 0.0
-        for b in segment_fractions(task.profile):
+        for b in segment_fractions(task.profile, task.request.workload_size):
             if b <= frac + 1e-12:
                 best = b
             else:
@@ -653,14 +644,13 @@ class Simulation:
         task.done = new_done
 
     def _spawn_task(self, request_id: str, part: str | None,
-                    work: float | None, native: bool, now: float) -> _Task:
+                    work: float | None, native: bool) -> _Task:
         key = _task_key(request_id, part)
         if key in self.tasks:
             raise EngineError(f"task {key!r} already exists")
         if work is not None and not (math.isfinite(work) and work >= 0):
             raise EngineError(f"{key}: work_gflops must be finite and "
                               f"non-negative, not {work!r}")
-        profile = self._profiles[request_id]
         parts = self._parts.setdefault(request_id, [])
         if part is not None:
             whole = self.tasks.get(request_id)
@@ -676,16 +666,17 @@ class Simulation:
                 parts.remove(whole)
             if work is None:
                 raise EngineError(f"{key}: part decisions must carry work_gflops")
-        total = profile.work_gflops
+        request = self._requests[request_id]
+        profile = self._profiles[request.model]
+        total = profile.work_gflops(request.workload_size)
         task = _Task(
             key=key,
-            request_id=request_id,
+            request=request,
             part=part,
             profile=profile,
-            signature=self._signatures[request_id],
+            signature=self._signatures[request.model],
             work=total if work is None else work,
             native=native,
-            arrival_ms=self._arrivals.get(request_id, now),
         )
         mapped = sum(t.work for t in parts)
         if mapped + task.work > total + _WORK_EPS:
@@ -734,8 +725,11 @@ class Simulation:
         if task is None:
             if d.kind is not DecisionKind.MAP:
                 raise EngineError(f"decision names unknown task {key!r}")
+            if d.request_id not in self._parts:
+                raise EngineError(
+                    f"{key}: MAP for request {d.request_id!r}, which has not arrived")
             task = self._spawn_task(d.request_id, d.part, d.work_gflops,
-                                    d.native, now)
+                                    d.native)
         if key in acted:
             raise EngineError(f"{key}: two decisions in one cycle")
 
@@ -863,7 +857,8 @@ class Simulation:
         parts = self._parts[request_id]
         if not all(t.completed for t in parts):
             return False
-        total = self._profiles[request_id].work_gflops
+        r = self._requests[request_id]
+        total = self._profiles[r.model].work_gflops(r.workload_size)
         return sum(t.work for t in parts) >= total - _WORK_EPS * max(1.0, total)
 
     # -- main loop -----------------------------------------------------------
@@ -896,7 +891,7 @@ class Simulation:
                     if task.epoch != epoch or task.completed:
                         continue  # superseded by a later decision
                     freed = self._finish_task(task, now)
-                    rid = task.request_id
+                    rid = task.request.request_id
                     if (rid not in self._completed_requests
                             and self._request_complete(rid)):
                         self._completed_requests.add(rid)
@@ -906,8 +901,7 @@ class Simulation:
                             EventKind.CLUSTER_FREED, cluster_id=freed))
                 elif kind == "arrival":
                     (request_id,) = payload
-                    if request_id not in self.tasks:
-                        self._spawn_task(request_id, None, None, False, now)
+                    self._spawn_task(request_id, None, None, False)
                     events.append(ControllerEvent(
                         EventKind.ARRIVAL, request_id=request_id))
 
@@ -968,12 +962,11 @@ class Simulation:
     def _finalize_trace(self):
         for r in self.scenario.requests:
             parts = self._parts.get(r.request_id, [])
-            profile = self._profiles[r.request_id]
             first_map = min((t.first_map_ms for t in parts
                              if t.first_map_ms is not None), default=None)
             completed = max((t.completed_ms for t in parts), default=None) \
                 if all(t.completed for t in parts) and parts else None
-            arrival = self._arrivals[r.request_id]
+            arrival = r.arrival_ms
             self.trace.requests.append(RequestRecord(
                 request_id=r.request_id,
                 model=r.model,
@@ -983,7 +976,7 @@ class Simulation:
                 completed_ms=completed,
                 waiting_ms=None if first_map is None else first_map - arrival,
                 latency_ms=None if completed is None else completed - arrival,
-                work_gflops=profile.work_gflops,
+                work_gflops=self._profiles[r.model].work_gflops(r.workload_size),
             ))
 
     # -- invariant helpers (used by tests) -----------------------------------

@@ -38,6 +38,16 @@ class ClusterSpec:
     active_power_slope_mw_per_mhz: float
 
     def __post_init__(self):
+        if not isinstance(self.cluster_id, str):
+            raise PlatformError(
+                f"cluster_id must be a string, not {self.cluster_id!r}")
+        # the id heads trace columns written as UTF-8; a lone surrogate,
+        # which JSON can spell, would fail only after the whole run
+        try:
+            self.cluster_id.encode()
+        except UnicodeEncodeError:
+            raise PlatformError(
+                f"cluster_id must be UTF-8 text, not {self.cluster_id!r}") from None
         if not self.freq_levels_mhz:
             raise PlatformError(f"{self.cluster_id}: empty frequency table")
         if len(self.freq_levels_mhz) != len(self.throughput_gflops):
@@ -79,6 +89,10 @@ class PlatformSpec:
     clusters: tuple[ClusterSpec, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise PlatformError(f"platform name must be a string, not {self.name!r}")
+        if not self.clusters:
+            raise PlatformError(f"{self.name}: platform has no clusters")
         if not (math.isfinite(self.tdp_mw) and self.tdp_mw > 0):
             raise PlatformError(f"tdp_mw must be finite and positive, got {self.tdp_mw}")
         if not (math.isfinite(self.base_power_mw) and self.base_power_mw >= 0):

@@ -56,11 +56,12 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class AppProfile:
-    """A parsed model plus the request-level attributes that drive cost."""
+    """A parsed model: its layers and the workload unit their FLOPs cover.
+
+    Priority, workload size and arrival belong to each request.
+    """
 
     name: str
-    priority: int
-    workload_size: int
     layers: tuple[LayerSpec, ...]
     reference_workload: int = 1
 
@@ -68,24 +69,9 @@ class AppProfile:
     def total_flops(self) -> int:
         return sum(l.flops for l in self.layers)
 
-    def for_request(self, priority: int, workload_size: int) -> AppProfile:
-        """A copy for one request, sharing the layers and their FLOP sum.
-
-        Each copy would otherwise re-sum the model's layers: for 400
-        requests that is 127k additions, 6.5 ms on a 2-CPU x86_64 host
-        and about 5% of such a run.  The sum goes where `cached_property`
-        itself stores it on first access, the instance `__dict__` under
-        the property's name, which `frozen` does not guard.
-        """
-        profile = AppProfile(self.name, priority, workload_size, self.layers,
-                             self.reference_workload)
-        vars(profile)["total_flops"] = self.total_flops
-        return profile
-
-    @property
-    def work_gflops(self) -> float:
-        """Total work for this request, scaled from the reference unit."""
-        return self.total_flops / 1e9 * self.workload_size / self.reference_workload
+    def work_gflops(self, workload_size: int) -> float:
+        """Work of a request of that size, scaled from the reference unit."""
+        return self.total_flops / 1e9 * workload_size / self.reference_workload
 
 
 @dataclass(frozen=True)
@@ -207,13 +193,8 @@ def _seq_key(v):
     return v if v is _ABSENT else tuple(v)
 
 
-def parse_model(descriptor_text: str, priority: int,
-                workload_size: int | None = None) -> AppProfile:
-    """Build an AppProfile from a JSON descriptor.
-
-    workload_size falls back to the descriptor default when not supplied
-    by the caller.
-    """
+def parse_model(descriptor_text: str) -> AppProfile:
+    """Build an AppProfile from a JSON descriptor."""
     try:
         doc = json.loads(descriptor_text)
     except json.JSONDecodeError as e:
@@ -225,9 +206,6 @@ def parse_model(descriptor_text: str, priority: int,
         layers = _layers_from_list(doc["layers"])
         profile = AppProfile(
             name=doc["name"],
-            priority=priority,
-            workload_size=workload_size if workload_size is not None
-            else int(doc["default_workload_size"]),
             layers=layers,
             reference_workload=int(doc.get("reference_workload", 1)),
         )
@@ -239,8 +217,6 @@ def parse_model(descriptor_text: str, priority: int,
         raise ModelError(f"model descriptor has a malformed field: {e}") from None
     if not profile.layers:
         raise ModelError(f"{profile.name}: descriptor has no layers")
-    if profile.workload_size <= 0:
-        raise ModelError(f"{profile.name}: workload_size must be positive")
     if profile.reference_workload <= 0:
         raise ModelError(f"{profile.name}: reference_workload must be positive")
     declared = doc.get("total_flops")
@@ -302,16 +278,16 @@ def layer_affinity(profile: AppProfile, matrix: CompatibilityMatrix,
     )
 
 
-def segment_fractions(profile: AppProfile) -> tuple[float, ...]:
+def segment_fractions(profile: AppProfile,
+                      workload_size: int) -> tuple[float, ...]:
     """Cumulative work fractions where a migrated task may resume.
 
     For a single-unit request the boundaries are the layer edges; for a
     multi-unit stream they are the unit edges (a completed unit is never
     recomputed, the unit in flight restarts).
     """
-    n = profile.workload_size
-    if n > 1:
-        return tuple(i / n for i in range(n + 1))
+    if workload_size > 1:
+        return tuple(i / workload_size for i in range(workload_size + 1))
     total = profile.total_flops
     if total == 0:
         return (0.0, 1.0)

@@ -26,7 +26,8 @@ _PACKAGED = Path(__file__).resolve().parent / "data"
 
 
 class PresetError(FileNotFoundError):
-    """Raised when a named preset cannot be found."""
+    """Raised when a named preset cannot be found, or an input file is
+    not UTF-8 text."""
 
 
 def _override(relative: str) -> Path | None:
@@ -50,9 +51,17 @@ def _resolve(relative: str) -> Path:
     raise _not_found(f"data file {relative!r}")
 
 
+def read_file(path: Path) -> str:
+    """The text of a UTF-8 input file; any other bytes are a PresetError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise PresetError(f"{path}: {e}") from None
+
+
 def read_data(relative: str) -> str:
     """Return the text of a data file by path relative to the data root."""
-    return _resolve(relative).read_text(encoding="utf-8")
+    return read_file(_resolve(relative))
 
 
 def platform_text() -> str:
@@ -67,7 +76,7 @@ def model_text(name: str) -> str:
     """Descriptor text of model `name`: a config-dir file, else the zoo's."""
     path = _override(f"models/{name}.json")
     if path is not None:
-        return path.read_text(encoding="utf-8")
+        return read_file(path)
     if name in zoo.MODELS:
         return zoo.descriptor_text(name)
     raise _not_found(f"model {name!r}")

@@ -203,7 +203,7 @@ def test_c6_affinity_conformance():
         matrix_doc = json.loads(presets.matrix_text())
         for name in CNN_MODELS + TRANSFORMER_MODELS:
             text = presets.model_text(name)
-            profile = parse_model(text, priority=1)
+            profile = parse_model(text)
             sig = layer_affinity(profile, MATRIX)
 
             expected = tuple(independent_feasible(l, matrix_doc)
@@ -223,8 +223,7 @@ GPU_RATE = 2.5            # toy GPU at its top level, GF/ms
 DLA_RATES = {"toy-conv": 1.0, "toy-matmul": 0.125}
 C7_SIZE = 4               # batch size: keeps the 15 ms control charge
                           # second-order next to the service times
-WORKS = {name: parse_model(text, priority=1,
-                           workload_size=C7_SIZE).work_gflops
+WORKS = {name: parse_model(text).work_gflops(C7_SIZE)
          for name, text in TOY_DESCRIPTORS.items()}
 
 
@@ -341,8 +340,7 @@ class AuditedTwill(TwillPolicy):
 
 
 def preferred_kinds_by_model():
-    return {name: layer_affinity(parse_model(text, priority=1),
-                                 MATRIX).preferred_clusters
+    return {name: layer_affinity(parse_model(text), MATRIX).preferred_clusters
             for name, text in TOY_DESCRIPTORS.items()}
 
 
@@ -411,8 +409,8 @@ def test_c9_control_overhead_accounting():
     with criterion("[C9] control overhead: each placement charges exactly "
                    "the configured hold before execution"):
         text = presets.model_text("resnet-152")
-        w_big = parse_model(text, priority=1, workload_size=96).work_gflops
-        w_small = parse_model(text, priority=1, workload_size=8).work_gflops
+        w_big = parse_model(text).work_gflops(96)
+        w_small = parse_model(text).work_gflops(8)
 
         def probe(**kwargs):
             scn = WorkloadScenario(

@@ -160,7 +160,7 @@ def test_subgraph_skips_offload_crumbs():
     sim = Simulation(tiny_platform(), scenario(request("a", "toy-crumb")),
                      StaticSubgraphPolicy(),
                      {"toy-crumb": crumb_text()}, MATRIX)
-    assert 0.0 < sim._signatures["a"].dla_flops_fraction < 0.05
+    assert 0.0 < sim._signatures["toy-crumb"].dla_flops_fraction < 0.05
     assert tape(sim.run()) == [(0.0, "MAP", "a", "gpu0")]
 
 

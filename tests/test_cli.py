@@ -268,6 +268,40 @@ def test_wrong_typed_descriptor_field_exits_one(relative, path, value, tmp_path,
     _assert_input_error(["run", "--mix", "mix1"], capsys, "malformed")
 
 
+@pytest.mark.parametrize("edit,message", [
+    # each used to run, then die with a raw TypeError or UnicodeEncodeError
+    (lambda d: d["clusters"][0].update(cluster_id=5),
+     "cluster_id must be a string, not 5"),
+    (lambda d: d["clusters"][0].update(cluster_id="g\udc80"),
+     "cluster_id must be UTF-8 text"),
+    # used to exit 0 and write the object into summary.json
+    (lambda d: d.update(name={"a": 1}), "platform name must be a string"),
+    # used to exit 2 as an internal error
+    (lambda d: d.update(clusters=[]), "platform has no clusters"),
+], ids=["int_cluster_id", "surrogate_cluster_id", "object_name", "no_clusters"])
+def test_bad_platform_identity_exits_one(edit, message, tmp_path, capsys):
+    doc = json.loads(presets.platform_text())
+    edit(doc)
+    board = tmp_path / "board.json"
+    board.write_text(json.dumps(doc))
+    _assert_input_error(["run", "--mix", "mix1", "--platform", str(board)],
+                        capsys, message)
+
+
+@pytest.mark.parametrize("where", ["mix", "platform", "config_dir_model"])
+def test_non_utf8_input_file_exits_one(where, tmp_path, capsys, monkeypatch):
+    # a 0xff byte used to end the run in a raw UnicodeDecodeError
+    bad = tmp_path / "models" / "bert-base.json"
+    bad.parent.mkdir()
+    bad.write_bytes(b'{"name": "bad\xff"}')
+    if where == "config_dir_model":
+        monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
+    argv = {"mix": ["run", "--mix", str(bad)],
+            "platform": ["run", "--mix", "mix1", "--platform", str(bad)],
+            "config_dir_model": ["run", "--mix", "mix1"]}[where]
+    _assert_input_error(argv, capsys, f"{bad}: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize("field", ["idle_power_mw", "active_power_slope_mw_per_mhz"])
 def test_non_finite_cluster_power_exits_one(field, tmp_path, capsys):
     # a NaN coefficient used to run, writing nan power and reporting no

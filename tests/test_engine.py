@@ -330,6 +330,20 @@ def test_decision_protocol_violations(plan, match):
         run_toy(two_arrivals(), map_on_arrival(plan))
 
 
+@pytest.mark.parametrize("scn,plan", [
+    # b arrives at 100 ms: mapped at 0 it used to run early and report a
+    # negative wait
+    (two_arrivals(), {"a": [MAP("a", "gpu0"), MAP("b", "dla0")]}),
+    # b waits on a, which is still running
+    (scenario(request("a", "toy-conv"), request("b", "toy-conv", deps=["a"])),
+     {"a": [MAP("a", "gpu0"), MAP("b", "dla0")]}),
+    (two_arrivals(), {"a": [MAP("zzz", "gpu0")]}),
+], ids=["future_arrival", "unmet_dependency", "unknown_request"])
+def test_map_before_the_request_arrives_is_rejected(scn, plan):
+    with pytest.raises(EngineError, match="has not arrived"):
+        run_toy(scn, map_on_arrival(plan))
+
+
 def test_dvfs_update_may_only_set_frequencies():
     def dvfs(view, p_before, p_after, handled):
         return [MAP("a", "gpu0")]
@@ -548,14 +562,15 @@ def test_derived_profiles_match_a_fresh_parse():
     sim = Simulation(load_platform(presets.platform_text()),
                      scenario(*requests), ScriptedPolicy(), descriptors,
                      MATRIX)
+    assert set(sim._profiles) == set(sim._signatures) == set(models)
     for r in requests:
-        fresh = parse_model(descriptors[r.model], priority=r.priority,
-                            workload_size=r.workload_size)
-        derived = sim._profiles[r.request_id]
+        fresh = parse_model(descriptors[r.model])
+        derived = sim._profiles[r.model]
         assert derived == fresh
         assert derived.total_flops == fresh.total_flops
-        assert derived.work_gflops == fresh.work_gflops
-        assert sim._signatures[r.request_id] == layer_affinity(fresh, MATRIX)
+        assert (derived.work_gflops(r.workload_size)
+                == fresh.work_gflops(r.workload_size))
+        assert sim._signatures[r.model] == layer_affinity(fresh, MATRIX)
 
 
 def test_done_tasks_stay_in_the_view_with_all_work_done():

@@ -166,6 +166,19 @@ def test_cluster_throughput_must_be_finite_and_positive(value):
         ClusterSpec("g", ClusterKind.GPU, (300, 400), (1.0, value), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("edit,match", [
+    (lambda d: d["clusters"][0].update(cluster_id=5), "cluster_id must be a string"),
+    (lambda d: d["clusters"][0].update(cluster_id="g\udc80"), "UTF-8"),
+    (lambda d: d.update(name={"a": 1}), "name must be a string"),
+    (lambda d: d.update(clusters=[]), "no clusters"),
+], ids=["int_cluster_id", "surrogate_cluster_id", "object_name", "no_clusters"])
+def test_load_platform_rejects_bad_ids_names_and_empty_boards(edit, match):
+    doc = json.loads(presets.platform_text())
+    edit(doc)
+    with pytest.raises(PlatformError, match=match):
+        load_platform(json.dumps(doc))
+
+
 @pytest.mark.parametrize("text", ["[]", "5", '"board"', "null"])
 def test_load_platform_rejects_a_non_object(text):
     with pytest.raises(PlatformError, match="JSON object"):

@@ -26,8 +26,8 @@ def matrix():
     return load_matrix(presets.matrix_text())
 
 
-def _profile(name, priority=1, **kw):
-    return parse_model(presets.model_text(name), priority=priority, **kw)
+def _profile(name):
+    return parse_model(presets.model_text(name))
 
 
 @pytest.mark.parametrize("name", DENSE_CONV_MODELS)
@@ -56,37 +56,39 @@ def test_declared_total_must_match_layer_sum():
     doc = json.loads(presets.model_text("vgg-19"))
     doc["total_flops"] += 1
     with pytest.raises(ModelError, match="total_flops"):
-        parse_model(json.dumps(doc), priority=1)
+        parse_model(json.dumps(doc))
 
 
 def test_parse_model_defaults_from_descriptor():
     profile = _profile("bert-base")
     assert profile.reference_workload == 128
-    # no size given: the descriptor's default_workload_size applies
-    assert profile.workload_size == 128
+    # a request carries its own size: a descriptor's default_workload_size
+    # is ignored like any unknown key
+    doc = json.loads(presets.model_text("bert-base"))
+    doc["default_workload_size"] = 7
+    assert parse_model(json.dumps(doc)) == profile
 
 
 def test_workload_scaling():
-    base = _profile("vgg-19", workload_size=1)
-    batch = _profile("vgg-19", workload_size=32)
-    assert batch.work_gflops == pytest.approx(32 * base.work_gflops)
+    vgg = _profile("vgg-19")
+    assert vgg.work_gflops(32) == pytest.approx(32 * vgg.work_gflops(1))
     # tokens scale against the descriptor's reference sequence length
-    bert = _profile("bert-base", workload_size=128)
-    assert bert.work_gflops == pytest.approx(bert.total_flops / 1e9)
+    bert = _profile("bert-base")
+    assert bert.work_gflops(128) == pytest.approx(bert.total_flops / 1e9)
 
 
 def test_parse_model_rejects_bad_input():
     with pytest.raises(ModelError):
-        parse_model("{", priority=1)
+        parse_model("{")
     doc = json.loads(presets.model_text("vgg-19"))
     del doc["name"]
     with pytest.raises(ModelError, match="name"):
-        parse_model(json.dumps(doc), priority=1)
+        parse_model(json.dumps(doc))
     doc = json.loads(presets.model_text("vgg-19"))
     doc["layers"] = []
     del doc["total_flops"]
     with pytest.raises(ModelError, match="no layers"):
-        parse_model(json.dumps(doc), priority=1)
+        parse_model(json.dumps(doc))
 
 
 @pytest.mark.parametrize("name", presets.available_models())
@@ -119,7 +121,7 @@ def test_explicit_null_geometry_is_not_an_absent_one():
     relu = _first_entry("Relu")
     for field in ("kernel", "stride", "padding"):
         with pytest.raises(ModelError, match="malformed"):
-            parse_model(_vgg_with_layers(relu, {**relu, field: None}), priority=1)
+            parse_model(_vgg_with_layers(relu, {**relu, field: None}))
 
 
 def _without(entry, field):
@@ -146,7 +148,7 @@ def test_malformed_entry_after_an_identical_valid_one(bad):
     twin = _first_entry("Conv" if isinstance(bad, dict) and "kernel" in bad
                         else "Relu")
     with pytest.raises(ModelError) as parsed:
-        parse_model(_vgg_with_layers(twin, bad), priority=1)
+        parse_model(_vgg_with_layers(twin, bad))
     assert str(parsed.value) == str(alone.value)
 
 
@@ -155,26 +157,15 @@ def test_reference_workload_must_be_positive():
     for value in (0, -128):
         doc["reference_workload"] = value
         with pytest.raises(ModelError, match="reference_workload"):
-            parse_model(json.dumps(doc), priority=1)
+            parse_model(json.dumps(doc))
 
 
 @pytest.mark.parametrize("text", ["[]", "5", '"vgg-19"', "null"])
 def test_top_level_must_be_an_object(text):
     with pytest.raises(ModelError, match="JSON object"):
-        parse_model(text, priority=1)
+        parse_model(text)
     with pytest.raises(ModelError, match="JSON object"):
         load_matrix(text)
-
-
-def test_for_request_equals_a_fresh_parse():
-    text = presets.model_text("gemma-3-1b")
-    base = parse_model(text, priority=1)
-    derived = base.for_request(3, 7)
-    fresh = parse_model(text, priority=3, workload_size=7)
-    assert derived == fresh
-    assert derived.layers is base.layers
-    assert derived.total_flops == fresh.total_flops
-    assert derived.work_gflops == fresh.work_gflops
 
 
 def test_layer_geometry_invariant():
@@ -283,13 +274,16 @@ def test_affinity_classifies_every_layer(matrix, name):
 
 def test_engine_parses_and_analyses_each_model_once(monkeypatch):
     """The engine looks both functions up on twillsim.engine per
-    Simulation; the benchmark's models.* metrics wrap those names."""
+    Simulation; the benchmark's models.* metrics wrap those names and
+    read the descriptor text from the first argument or descriptor_text=."""
     calls = {"parse": [], "affinity": []}
+    texts = {}
     parse, affinity = twillsim.engine.parse_model, twillsim.engine.layer_affinity
 
-    def counted_parse(text, *args, **kwargs):
-        profile = parse(text, *args, **kwargs)
+    def counted_parse(*args, **kwargs):
+        profile = parse(*args, **kwargs)
         calls["parse"].append(profile.name)
+        texts[profile.name] = args[0] if args else kwargs.get("descriptor_text")
         return profile
 
     def counted_affinity(profile, *args, **kwargs):
@@ -309,6 +303,7 @@ def test_engine_parses_and_analyses_each_model_once(monkeypatch):
         twillsim.build_simulation(scenario, "twill")
         assert sorted(calls["parse"]) == models
         assert sorted(calls["affinity"]) == models
+        assert all(texts[m] == presets.model_text(m) for m in models)
 
 
 def test_affinity_is_deterministic(matrix):
@@ -318,32 +313,32 @@ def test_affinity_is_deterministic(matrix):
 
 
 def test_segment_fractions_single_unit():
-    profile = _profile("vgg-19", workload_size=1)
-    fr = segment_fractions(profile)
+    profile = _profile("vgg-19")
+    fr = segment_fractions(profile, 1)
     assert fr[0] == 0.0 and fr[-1] == pytest.approx(1.0)
     assert len(fr) == len(profile.layers) + 1
     assert all(a <= b for a, b in zip(fr, fr[1:]))
 
 
 def test_segment_fractions_batched():
-    profile = _profile("resnet-50", workload_size=4)
-    assert segment_fractions(profile) == (0.0, 0.25, 0.5, 0.75, 1.0)
+    profile = _profile("resnet-50")
+    assert segment_fractions(profile, 4) == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 # sha256 of the sorted-key JSON, total FLOPs and layer count of each
 # packaged model, taken from the descriptor files the zoo replaced, with
-# their never-read "workload_unit" key dropped
+# their never-read "workload_unit" and "default_workload_size" keys dropped
 PACKAGED_CONTENT = [
-    ("bert-base", "415d41ad0cb9479f77a58aab4e06288f6adf554b68c09c235d3fef20bedcda49", 22374875904, 172),
-    ("bert-large", "13e8db93dcc4a13820cda7f7621a7dcc431295c2baf48b8e987244a0ebee8e26", 78991983616, 340),
-    ("deepseek-r1-1.5b", "8b43c99c76191de915a28498229a38bee35ea4352ad5053d8912be19f9322660", 3177129088, 452),
-    ("efficientnet-b4", "d15cc0ddf698181029e40582d7322e1bc7d1817e163a373f5abfa86b92bd46fc", 8973760824, 476),
-    ("gemma-3-1b", "866b219f1ed9969ec0f0195461ea8f94b1f5353ab92654649579725da74836bf", 2055639040, 420),
-    ("resnet-152", "799e766c7f02a8850ad46c09dadcd2b2688f457d790be615912ad71a4e5afe76", 22644463544, 515),
-    ("resnet-50", "4b0766ffbb7e4b79560b1c9b5a85afe8e0b99b924aa02d5131db9265939ac3df", 7753631672, 175),
-    ("vgg-19", "d0dc38714277793851118ff9e6c47c017fb0ecb231b2794d7e74878970bacac3", 39285109688, 44),
-    ("vit-base", "7a7d05e09ee39b0110841019b1d3af0dfbbf6b73afd557806bcffd0da1c28d53", 35174230248, 172),
-    ("vit-large", "5988e8666e21493c5db209aefa7c60307568936a1f021709e220e5e4e13672b4", 123232608312, 340),
+    ("bert-base", "d9547ce62361b168478ccf17c3cf8c5f1814ae40a791ce6fd52a5fd90c101eab", 22374875904, 172),
+    ("bert-large", "da105b89a67f4a25c39b30636ed1d65dc651987d17128643f6ec6db8e4dbce2d", 78991983616, 340),
+    ("deepseek-r1-1.5b", "4c4e02fd5ba92c12f4d2b87eb89e2bee437de7f8dfc7f9cdca2bf8431d98d513", 3177129088, 452),
+    ("efficientnet-b4", "3c3a681a13317805224d289206b7e9d29b93a2708342a41bfa3ee4739f8acdf0", 8973760824, 476),
+    ("gemma-3-1b", "dae8519b2c9148b51be4ad66156d2f8101b72d5d3402c940541adbbc8e350079", 2055639040, 420),
+    ("resnet-152", "f9b388f1b6fb750cd9cf170d7aa3c03f4d43f904cbc8105845960fb4a68fe0ef", 22644463544, 515),
+    ("resnet-50", "982a3e36173b838fd23b6608fa0cae960a3fe3ca84686da5ecfb580c6b821454", 7753631672, 175),
+    ("vgg-19", "9e33932184c5cc2cd5fac09efb55a4649d745485bb594b4a561b6b90d9ab4d0e", 39285109688, 44),
+    ("vit-base", "f5c2e9380181e6c194b2ef96c1b35488dd9bedededdee5241ab80a5d93194c53", 35174230248, 172),
+    ("vit-large", "a5c88093b133d4ee9c977759690723bf171ee334d5a8a4596082ce835872523d", 123232608312, 340),
 ]
 
 
@@ -383,7 +378,7 @@ def test_config_dir_adds_and_replaces_models(tmp_path, monkeypatch):
     toy = json.loads(presets.model_text("vgg-19"))
     toy["name"] = "toy"
     bert = json.loads(presets.model_text("bert-base"))
-    bert["default_workload_size"] = 7
+    bert["reference_workload"] = 7
     (tmp_path / "models").mkdir()
     (tmp_path / "models" / "toy.json").write_text(json.dumps(toy))
     (tmp_path / "models" / "bert-base.json").write_text(json.dumps(bert))
@@ -395,7 +390,6 @@ def test_config_dir_adds_and_replaces_models(tmp_path, monkeypatch):
         known_models=presets.available_models())
     trace = twillsim.build_simulation(scenario, "twill").run()
     assert trace.requests[0].completed_ms is not None
-    assert parse_model(presets.model_text("bert-base"),
-                       priority=1).workload_size == 7
+    assert parse_model(presets.model_text("bert-base")).reference_workload == 7
     with pytest.raises(presets.PresetError, match="no-such-model"):
         presets.model_text("no-such-model")

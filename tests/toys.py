@@ -48,17 +48,16 @@ def tiny_platform(tdp_mw=1_000_000.0, **cluster_overrides):
     return load_platform(json.dumps(doc))
 
 
-def _descriptor(name, layers, size):
+def _descriptor(name, layers):
     return json.dumps({
         "name": name,
         "reference_workload": 1,
-        "default_workload_size": size,
         "total_flops": sum(l["flops"] for l in layers),
         "layers": layers,
     })
 
 
-def conv_text(name="toy-conv", n_layers=10, gflops_each=30.0, size=1):
+def conv_text(name="toy-conv", n_layers=10, gflops_each=30.0):
     """Fully DLA-feasible model: n equal Conv layers (affinity 1.0)."""
     layer = {
         "op_type": "Conv", "precision": "FP16",
@@ -66,25 +65,25 @@ def conv_text(name="toy-conv", n_layers=10, gflops_each=30.0, size=1):
         "in_shape": [1, 8, 32, 32], "out_shape": [1, 8, 32, 32],
         "kernel": [3, 3], "stride": [1, 1], "padding": [1, 1],
     }
-    return _descriptor(name, [dict(layer) for _ in range(n_layers)], size)
+    return _descriptor(name, [dict(layer) for _ in range(n_layers)])
 
 
-def matmul_text(name="toy-matmul", n_layers=7, gflops_each=50.0, size=1):
+def matmul_text(name="toy-matmul", n_layers=7, gflops_each=50.0):
     """DLA-infeasible model: n equal MatMul layers (affinity 0.0)."""
     layer = {
         "op_type": "MatMul", "precision": "FP16",
         "flops": int(gflops_each * 1e9),
         "in_shape": [1, 64, 64], "out_shape": [1, 64, 64],
     }
-    return _descriptor(name, [dict(layer) for _ in range(n_layers)], size)
+    return _descriptor(name, [dict(layer) for _ in range(n_layers)])
 
 
-def mixed_text(name="toy-mixed", n_each=5, gflops_each=30.0, size=1):
+def mixed_text(name="toy-mixed", n_each=5, gflops_each=30.0):
     """Half-and-half model: conv then matmul layers (affinity 0.5)."""
     conv = json.loads(conv_text(n_layers=n_each, gflops_each=gflops_each))
     mm = json.loads(matmul_text(n_layers=n_each, gflops_each=gflops_each))
     layers = conv["layers"] + mm["layers"]
-    return _descriptor(name, layers, size)
+    return _descriptor(name, layers)
 
 
 def crumb_text(name="toy-crumb"):
@@ -92,7 +91,7 @@ def crumb_text(name="toy-crumb"):
     the same size (affinity 1/21, under the 5% offload bar)."""
     conv = json.loads(conv_text(n_layers=1))
     mm = json.loads(matmul_text(n_layers=20, gflops_each=30.0))
-    return _descriptor(name, conv["layers"] + mm["layers"], 1)
+    return _descriptor(name, conv["layers"] + mm["layers"])
 
 
 TOY_DESCRIPTORS = {
