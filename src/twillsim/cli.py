@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -123,13 +123,27 @@ def _platform_text(path: str | None) -> str:
     return presets.read_file(p)
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an --out that cannot be made a directory, before any run:
+    the files are written only after the whole run."""
+    if not out:
+        return
+    path = Path(out)
+    for p in (path, *path.parents):
+        if os.path.lexists(p):  # a dangling symlink is no directory either
+            if not p.is_dir():
+                raise CliError(f"--out {out}: {p} is not a directory")
+            return
+
+
 def _simulate(mix: str, policy: str, args) -> Trace:
     platform_overrides, engine_kwargs = _parse_overrides(args.overrides)
     scenario = _load_scenario(mix, args.seed)
     if platform_overrides:
-        scenario = dataclasses.replace(
-            scenario, platform_overrides={**scenario.platform_overrides,
-                                          **platform_overrides})
+        # a new scenario, so that its constructor checks the merged values
+        scenario = WorkloadScenario(
+            scenario.name, scenario.requests,
+            {**scenario.platform_overrides, **platform_overrides})
     sim = build_simulation(scenario, policy,
                            platform_text=_platform_text(args.platform),
                            **engine_kwargs)
@@ -152,6 +166,7 @@ def _print_run(trace: Trace):
 
 
 def cmd_run(args) -> int:
+    _check_out(args.out)
     trace = _simulate(args.mix, args.policy, args)
     _print_run(trace)
     if args.out:
@@ -171,6 +186,7 @@ def cmd_compare(args) -> int:
     unknown = sorted(set(args.policies) - set(POLICIES))
     if unknown:
         raise CliError(f"unknown policies: {', '.join(unknown)}")
+    _check_out(args.out)
 
     rows = []
     for mix in args.mixes:

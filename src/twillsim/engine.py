@@ -19,7 +19,6 @@ actuation holds.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import heapq
 import io
 import itertools
@@ -27,7 +26,6 @@ import json
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -82,15 +80,13 @@ class EventKind(Enum):
     CLUSTER_FREED = "CLUSTER_FREED"
 
 
-@dataclass(frozen=True)
-class ControllerEvent:
+class ControllerEvent(NamedTuple):
     kind: EventKind
     request_id: str | None = None
     cluster_id: str | None = None
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One scheduling action.
 
     part/work_gflops/native support policies that split a request into
@@ -115,8 +111,7 @@ class TaskState(Enum):
     DONE = "done"
 
 
-@dataclass(frozen=True, slots=True)
-class TaskView:
+class TaskView(NamedTuple):
     """Read-only snapshot of one task, as shown to policies."""
 
     key: str
@@ -211,8 +206,7 @@ class TaskSnapshot(Mapping):
         return f"{type(self).__name__}({self._contents()!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class ControllerView:
+class ControllerView(NamedTuple):
     """Snapshot handed to a policy at each decide cycle."""
 
     now: float
@@ -301,16 +295,19 @@ class PowerRecord(NamedTuple):
     utils: tuple[float, ...]
 
 
-@dataclass
 class Trace:
-    scenario: str
-    policy: str
-    platform: str
-    tdp_mw: float
-    cluster_ids: tuple[str, ...]
-    decisions: list[DecisionRecord] = field(default_factory=list)
-    requests: list[RequestRecord] = field(default_factory=list)
-    power: list[PowerRecord] = field(default_factory=list)
+    """What one run did, as the trace files record it."""
+
+    def __init__(self, scenario: str, policy: str, platform: str,
+                 tdp_mw: float, cluster_ids: tuple[str, ...]):
+        self.scenario = scenario
+        self.policy = policy
+        self.platform = platform
+        self.tdp_mw = tdp_mw
+        self.cluster_ids = cluster_ids
+        self.decisions: list[DecisionRecord] = []
+        self.requests: list[RequestRecord] = []
+        self.power: list[PowerRecord] = []
 
     @property
     def makespan_ms(self) -> float:
@@ -400,40 +397,39 @@ def _r6(x):
 # internal task bookkeeping
 
 
-def _draft(cls):
-    """A class with the slots of the frozen dataclass `cls` and no guard
-    on them.  The engine fills one by plain attribute stores and then
-    relabels it as `cls`: `cls.__init__` pays one object.__setattr__
-    per field, and the engine builds several such records per cycle."""
-    return type(f"_{cls.__name__}Draft", (), {"__slots__": cls.__slots__})
-
-
-_TaskViewDraft = _draft(TaskView)
-_ControllerViewDraft = _draft(ControllerView)
-
-
-@dataclass
 class _Task:
-    key: str
-    request: InferenceRequest
-    part: str | None
-    profile: AppProfile
-    signature: SignatureMap
-    work: float
-    native: bool = False
-    done: float = 0.0
-    rolled_back: float = 0.0
-    cluster_id: str | None = None
-    frozen: bool = False
-    frozen_on: str | None = None
-    started: bool = False
-    completed: bool = False
-    resume_at: float = 0.0
-    last_sync: float = 0.0
-    epoch: int = 0
-    first_map_ms: float | None = None
-    completed_ms: float | None = None
-    completion_residual: float = 0.0
+    """The engine's mutable record of one task: a whole request, or one
+    part of it."""
+
+    __slots__ = ("key", "request", "part", "profile", "signature", "work",
+                 "native", "done", "rolled_back", "cluster_id", "frozen",
+                 "frozen_on", "started", "completed", "resume_at",
+                 "last_sync", "epoch", "first_map_ms", "completed_ms",
+                 "completion_residual")
+
+    def __init__(self, key: str, request: InferenceRequest, part: str | None,
+                 profile: AppProfile, signature: SignatureMap, work: float,
+                 native: bool):
+        self.key = key
+        self.request = request
+        self.part = part
+        self.profile = profile
+        self.signature = signature
+        self.work = work
+        self.native = native
+        self.done = 0.0
+        self.rolled_back = 0.0
+        self.cluster_id: str | None = None
+        self.frozen = False
+        self.frozen_on: str | None = None
+        self.started = False
+        self.completed = False
+        self.resume_at = 0.0
+        self.last_sync = 0.0
+        self.epoch = 0
+        self.first_map_ms: float | None = None
+        self.completed_ms: float | None = None
+        self.completion_residual = 0.0
 
     @property
     def state(self) -> TaskState:
@@ -446,23 +442,15 @@ class _Task:
         return TaskState.PENDING
 
     def view(self) -> TaskView:
-        v = _TaskViewDraft()
-        v.key = self.key
-        v.request_id = self.request.request_id
-        v.part = self.part
-        v.model = self.profile.name
-        v.priority = self.request.priority
-        v.state = self.state
-        v.cluster_id = self.cluster_id
-        v.started = self.started
-        v.work_gflops = self.work
-        v.done_gflops = self.done
-        v.arrival_ms = self.request.arrival_ms
-        v.preferred_kinds = self.signature.preferred_clusters
-        v.dla_fraction = self.signature.dla_flops_fraction
-        v.native = self.native
-        v.__class__ = TaskView
-        return v
+        # tuple.__new__ skips the Python-level TaskView.__new__; the
+        # engine builds a view per changed task per cycle
+        request, signature = self.request, self.signature
+        return tuple.__new__(TaskView, (
+            self.key, request.request_id, self.part, self.profile.name,
+            request.priority, self.state, self.cluster_id, self.started,
+            self.work, self.done, request.arrival_ms,
+            signature.preferred_clusters, signature.dla_flops_fraction,
+            self.native))
 
 
 def _task_key(request_id: str, part: str | None) -> str:
@@ -767,7 +755,7 @@ class Simulation:
                 task.frozen_on = task.cluster_id
                 self._vacate(task)
                 # log the vacated cluster, whatever the policy filled in
-                d = dataclasses.replace(d, cluster_id=task.frozen_on)
+                d = d._replace(cluster_id=task.frozen_on)
             # a never-started task may be frozen too: that is deferred
             # admission straight into the thaw queue, with no charge
             task.frozen = True
@@ -933,14 +921,9 @@ class Simulation:
         snapshot = TaskSnapshot(self._views, self._order)
         self._snapshot._newer = snapshot
         self._snapshot = snapshot
-        v = _ControllerViewDraft()
-        v.now = now
-        v.platform = self.platform
-        v.states = dict(self.states)
-        v.tasks = snapshot
-        v.dla_fallback_penalty = self.dla_fallback_penalty
-        v.__class__ = ControllerView
-        return v
+        return tuple.__new__(ControllerView, (
+            now, self.platform, dict(self.states), snapshot,
+            self.dla_fallback_penalty))
 
     def _check_drained(self):
         stuck = []
@@ -995,7 +978,9 @@ class Simulation:
 def _apply_overrides(platform: PlatformSpec, overrides: dict) -> PlatformSpec:
     if not overrides:
         return platform
-    return dataclasses.replace(platform, **overrides)
+    # through the constructor, which checks the new values; _replace
+    # would not
+    return PlatformSpec(**{**platform._asdict(), **overrides})
 
 
 # ---------------------------------------------------------------------------

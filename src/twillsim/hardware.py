@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from typing import NamedTuple
 
 
 class ClusterKind(Enum):
@@ -28,49 +29,72 @@ class PlatformError(ValueError):
     penalty, affinity threshold)."""
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    cluster_id: str
-    kind: ClusterKind
-    freq_levels_mhz: tuple[int, ...]
-    throughput_gflops: tuple[float, ...]  # effective compute rate per level
-    idle_power_mw: float
-    active_power_slope_mw_per_mhz: float
+def _number(value, name: str, convert=float):
+    """`value` through `convert`, refusing a bool first: Python counts
+    True as 1, so a JSON true would read as 1 mW or 1 MHz."""
+    if isinstance(value, bool):
+        raise PlatformError(f"{name} must be a number, not {value!r}")
+    return convert(value)
 
-    def __post_init__(self):
-        if not isinstance(self.cluster_id, str):
+
+def _whole_mhz(f):
+    """A frequency level in whole MHz, as the trace prints it; a NaN or
+    infinity is kept for the range check to refuse."""
+    return f if isinstance(f, float) and not math.isfinite(f) else int(f)
+
+
+class ClusterSpec(namedtuple("ClusterSpec", (
+        "cluster_id", "kind", "freq_levels_mhz", "throughput_gflops",
+        "idle_power_mw", "active_power_slope_mw_per_mhz"))):
+    """One compute cluster; throughput_gflops is the effective compute
+    rate at each of its frequency levels."""
+
+    __slots__ = ()
+
+    def __new__(cls, cluster_id: str, kind: ClusterKind, freq_levels_mhz,
+                throughput_gflops, idle_power_mw: float,
+                active_power_slope_mw_per_mhz: float):
+        if not isinstance(cluster_id, str):
             raise PlatformError(
-                f"cluster_id must be a string, not {self.cluster_id!r}")
+                f"cluster_id must be a string, not {cluster_id!r}")
         # the id heads trace columns written as UTF-8; a lone surrogate,
         # which JSON can spell, would fail only after the whole run
         try:
-            self.cluster_id.encode()
+            cluster_id.encode()
         except UnicodeEncodeError:
             raise PlatformError(
-                f"cluster_id must be UTF-8 text, not {self.cluster_id!r}") from None
-        if not self.freq_levels_mhz:
-            raise PlatformError(f"{self.cluster_id}: empty frequency table")
-        if len(self.freq_levels_mhz) != len(self.throughput_gflops):
+                f"cluster_id must be UTF-8 text, not {cluster_id!r}") from None
+        levels = tuple(_number(f, f"{cluster_id}: freq_levels_mhz entry",
+                               _whole_mhz) for f in freq_levels_mhz)
+        throughput = tuple(_number(t, f"{cluster_id}: throughput_gflops entry")
+                           for t in throughput_gflops)
+        idle = _number(idle_power_mw, f"{cluster_id}: idle_power_mw")
+        slope = _number(active_power_slope_mw_per_mhz,
+                        f"{cluster_id}: active_power_slope_mw_per_mhz")
+        if not levels:
+            raise PlatformError(f"{cluster_id}: empty frequency table")
+        if len(levels) != len(throughput):
             raise PlatformError(
-                f"{self.cluster_id}: {len(self.freq_levels_mhz)} frequency levels "
-                f"but {len(self.throughput_gflops)} throughput entries"
+                f"{cluster_id}: {len(levels)} frequency levels "
+                f"but {len(throughput)} throughput entries"
             )
-        if not all(math.isfinite(f) and f > 0 for f in self.freq_levels_mhz):
+        if not all(math.isfinite(f) and f > 0 for f in levels):
             raise PlatformError(
-                f"{self.cluster_id}: frequency levels must be finite and positive MHz")
-        if any(b <= a for a, b in zip(self.freq_levels_mhz, self.freq_levels_mhz[1:])):
-            raise PlatformError(f"{self.cluster_id}: frequency levels must be strictly ascending")
-        if any(b <= a for a, b in zip(self.throughput_gflops, self.throughput_gflops[1:])):
-            raise PlatformError(f"{self.cluster_id}: throughput must be strictly increasing")
-        if self.kind is ClusterKind.DLA and len(self.freq_levels_mhz) != 1:
-            raise PlatformError(f"{self.cluster_id}: DLA clusters have exactly one frequency level")
-        if not all(math.isfinite(v) and v >= 0
-                   for v in (self.idle_power_mw, self.active_power_slope_mw_per_mhz)):
+                f"{cluster_id}: frequency levels must be finite and positive MHz")
+        if any(b <= a for a, b in zip(levels, levels[1:])):
+            raise PlatformError(f"{cluster_id}: frequency levels must be strictly ascending")
+        if any(b <= a for a, b in zip(throughput, throughput[1:])):
+            raise PlatformError(f"{cluster_id}: throughput must be strictly increasing")
+        if kind is ClusterKind.DLA and len(levels) != 1:
+            raise PlatformError(f"{cluster_id}: DLA clusters have exactly one frequency level")
+        if not all(math.isfinite(v) and v >= 0 for v in (idle, slope)):
             raise PlatformError(
-                f"{self.cluster_id}: power coefficients must be finite and non-negative")
-        if not all(math.isfinite(t) and t > 0 for t in self.throughput_gflops):
+                f"{cluster_id}: power coefficients must be finite and non-negative")
+        if not all(math.isfinite(t) and t > 0 for t in throughput):
             raise PlatformError(
-                f"{self.cluster_id}: throughput entries must be finite and positive")
+                f"{cluster_id}: throughput entries must be finite and positive")
+        return super().__new__(cls, cluster_id, kind, levels, throughput,
+                               idle, slope)
 
     @property
     def num_levels(self) -> int:
@@ -81,26 +105,28 @@ class ClusterSpec:
         return len(self.freq_levels_mhz) - 1
 
 
-@dataclass(frozen=True)
-class PlatformSpec:
-    name: str
-    tdp_mw: float
-    base_power_mw: float
-    clusters: tuple[ClusterSpec, ...]
+class PlatformSpec(namedtuple("PlatformSpec",
+                              ("name", "tdp_mw", "base_power_mw", "clusters"))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise PlatformError(f"platform name must be a string, not {self.name!r}")
-        if not self.clusters:
-            raise PlatformError(f"{self.name}: platform has no clusters")
-        if not (math.isfinite(self.tdp_mw) and self.tdp_mw > 0):
-            raise PlatformError(f"tdp_mw must be finite and positive, got {self.tdp_mw}")
-        if not (math.isfinite(self.base_power_mw) and self.base_power_mw >= 0):
+    def __new__(cls, name: str, tdp_mw: float, base_power_mw: float,
+                clusters):
+        if not isinstance(name, str):
+            raise PlatformError(f"platform name must be a string, not {name!r}")
+        clusters = tuple(clusters)
+        if not clusters:
+            raise PlatformError(f"{name}: platform has no clusters")
+        tdp_mw = _number(tdp_mw, "tdp_mw")
+        if not (math.isfinite(tdp_mw) and tdp_mw > 0):
+            raise PlatformError(f"tdp_mw must be finite and positive, got {tdp_mw}")
+        base_power_mw = _number(base_power_mw, "base_power_mw")
+        if not (math.isfinite(base_power_mw) and base_power_mw >= 0):
             raise PlatformError(
-                f"base_power_mw must be finite and non-negative, got {self.base_power_mw}")
-        ids = [c.cluster_id for c in self.clusters]
+                f"base_power_mw must be finite and non-negative, got {base_power_mw}")
+        ids = [c.cluster_id for c in clusters]
         if len(set(ids)) != len(ids):
             raise PlatformError("duplicate cluster_id")
+        return super().__new__(cls, name, tdp_mw, base_power_mw, clusters)
 
     def cluster(self, cluster_id: str) -> ClusterSpec:
         for c in self.clusters:
@@ -109,8 +135,7 @@ class PlatformSpec:
         raise PlatformError(f"unknown cluster {cluster_id!r}")
 
 
-@dataclass(frozen=True)
-class ClusterState:
+class ClusterState(NamedTuple):
     """Runtime state of one cluster: current DVFS level and occupant."""
 
     spec: ClusterSpec
@@ -160,10 +185,10 @@ def _cluster_from_dict(d: dict) -> ClusterSpec:
         return ClusterSpec(
             cluster_id=d["cluster_id"],
             kind=ClusterKind(d["kind"]),
-            freq_levels_mhz=tuple(int(f) for f in d["freq_levels_mhz"]),
-            throughput_gflops=tuple(float(t) for t in d["throughput_gflops"]),
-            idle_power_mw=float(d["idle_power_mw"]),
-            active_power_slope_mw_per_mhz=float(d["active_power_slope_mw_per_mhz"]),
+            freq_levels_mhz=d["freq_levels_mhz"],
+            throughput_gflops=d["throughput_gflops"],
+            idle_power_mw=d["idle_power_mw"],
+            active_power_slope_mw_per_mhz=d["active_power_slope_mw_per_mhz"],
         )
     except KeyError as e:
         raise PlatformError(f"cluster entry missing field {e.args[0]!r}") from None
@@ -181,8 +206,8 @@ def load_platform(text: str) -> PlatformSpec:
     try:
         return PlatformSpec(
             name=doc.get("name", "unnamed"),
-            tdp_mw=float(doc["tdp_mw"]),
-            base_power_mw=float(doc["base_power_mw"]),
+            tdp_mw=doc["tdp_mw"],
+            base_power_mw=doc["base_power_mw"],
             clusters=tuple(_cluster_from_dict(c) for c in doc["clusters"]),
         )
     except KeyError as e:

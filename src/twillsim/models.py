@@ -17,8 +17,9 @@ each distinct layer once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
 # Fraction of FLOPs that must be DLA-feasible before a model is
 # considered a DLA candidate at all.
@@ -31,39 +32,41 @@ class ModelError(ValueError):
     """Raised for malformed descriptors or compatibility matrices."""
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    op_type: str
-    precision: str
-    flops: int
-    in_shape: tuple[int, ...]
-    out_shape: tuple[int, ...]
-    kernel: tuple[int, int] | None = None
-    stride: tuple[int, int] | None = None
-    padding: tuple[int, int] | None = None
+class LayerSpec(namedtuple("LayerSpec", (
+        "op_type", "precision", "flops", "in_shape", "out_shape", "kernel",
+        "stride", "padding"))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.flops < 0:
-            raise ModelError(f"{self.op_type}: negative flops")
-        has_geom = self.kernel is not None
-        if has_geom != (self.op_type in PARAM_OPS):
+    # parameters spelled out: passing *args/**kwargs on to the base
+    # doubles the cost of a layer, and a descriptor builds one per
+    # distinct entry
+    def __new__(cls, op_type: str, precision: str, flops: int,
+                in_shape: tuple[int, ...], out_shape: tuple[int, ...],
+                kernel: tuple[int, int] | None = None,
+                stride: tuple[int, int] | None = None,
+                padding: tuple[int, int] | None = None):
+        if flops < 0:
+            raise ModelError(f"{op_type}: negative flops")
+        has_geom = kernel is not None
+        if has_geom != (op_type in PARAM_OPS):
             raise ModelError(
-                f"{self.op_type}: kernel/stride/padding present iff op is one of {PARAM_OPS}"
+                f"{op_type}: kernel/stride/padding present iff op is one of {PARAM_OPS}"
             )
-        if has_geom and (self.stride is None or self.padding is None):
-            raise ModelError(f"{self.op_type}: incomplete conv geometry")
+        if has_geom and (stride is None or padding is None):
+            raise ModelError(f"{op_type}: incomplete conv geometry")
+        return super().__new__(cls, op_type, precision, flops, in_shape,
+                               out_shape, kernel, stride, padding)
 
 
-@dataclass(frozen=True)
-class AppProfile:
+class AppProfile(namedtuple("AppProfile",
+                            ("name", "layers", "reference_workload"),
+                            defaults=(1,))):
     """A parsed model: its layers and the workload unit their FLOPs cover.
 
     Priority, workload size and arrival belong to each request.
     """
 
-    name: str
-    layers: tuple[LayerSpec, ...]
-    reference_workload: int = 1
+    # no __slots__: the instance dict holds the cached total_flops
 
     @cached_property
     def total_flops(self) -> int:
@@ -74,25 +77,25 @@ class AppProfile:
         return self.total_flops / 1e9 * workload_size / self.reference_workload
 
 
-@dataclass(frozen=True)
-class CompatibilityMatrix:
-    name: str
-    supported_precisions: frozenset[str]
-    unsupported_ops: frozenset[str]
-    param_checked_ops: frozenset[str]
-    kernel_range: tuple[int, int]
-    stride_range: tuple[int, int]
-    padding_range: tuple[int, int]
-    max_batch: int
-    max_spatial_dim: int
+class CompatibilityMatrix(namedtuple("CompatibilityMatrix", (
+        "name", "supported_precisions", "unsupported_ops", "param_checked_ops",
+        "kernel_range", "stride_range", "padding_range", "max_batch",
+        "max_spatial_dim"))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.unsupported_ops & self.param_checked_ops:
+    def __new__(cls, name: str, supported_precisions: frozenset[str],
+                unsupported_ops: frozenset[str],
+                param_checked_ops: frozenset[str], kernel_range: tuple[int, int],
+                stride_range: tuple[int, int], padding_range: tuple[int, int],
+                max_batch: int, max_spatial_dim: int):
+        if unsupported_ops & param_checked_ops:
             raise ModelError("an op cannot be both unsupported and param-checked")
+        return super().__new__(cls, name, supported_precisions, unsupported_ops,
+                               param_checked_ops, kernel_range, stride_range,
+                               padding_range, max_batch, max_spatial_dim)
 
 
-@dataclass(frozen=True)
-class SignatureMap:
+class SignatureMap(NamedTuple):
     """Per-model scheduling signature derived from the layer analysis."""
 
     dla_flops_fraction: float

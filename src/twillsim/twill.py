@@ -19,7 +19,7 @@ falling back to the platform's configured slope otherwise.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import (
     ControllerEvent,
@@ -36,11 +36,11 @@ from .hardware import ClusterKind
 _RATE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class QueueEntry:
+class QueueEntry(NamedTuple):
     task_key: str
     priority: int
     enqueued_ms: float
+    kinds: tuple[str, ...]  # the task's preferred cluster kinds
 
 
 def _thaw_order(entry: QueueEntry) -> tuple:
@@ -48,31 +48,41 @@ def _thaw_order(entry: QueueEntry) -> tuple:
 
 
 class FreezeQueue:
-    """Frozen and deferred tasks, thawed by priority then seniority."""
+    """Frozen and deferred tasks, thawed by priority then seniority.
+
+    A task's preferred kinds never change, so the queue keeps one lane,
+    sorted by _thaw_order, per distinct kinds tuple.  The first entry in
+    thaw order that can use a kind is then the first of the heads of
+    the lanes holding that kind: a freed cluster looks at a few heads,
+    not at every queued task that cannot use it.
+    """
 
     def __init__(self):
         self._entries: dict[str, QueueEntry] = {}
-        self._ordered: list[QueueEntry] = []  # kept sorted by _thaw_order
+        self._lanes: dict[tuple[str, ...], list[QueueEntry]] = {}
 
     def __len__(self):
         return len(self._entries)
 
-    def add(self, task_key: str, priority: int, now: float):
+    def add(self, task_key: str, priority: int, now: float,
+            kinds: tuple[str, ...]):
         if task_key in self._entries:
             raise ValueError(f"{task_key} is already queued")
-        entry = self._entries[task_key] = QueueEntry(task_key, priority, now)
-        bisect.insort(self._ordered, entry, key=_thaw_order)
+        entry = self._entries[task_key] = QueueEntry(task_key, priority, now,
+                                                     kinds)
+        bisect.insort(self._lanes.setdefault(kinds, []), entry, key=_thaw_order)
 
     def remove(self, task_key: str):
         entry = self._entries.pop(task_key)
-        del self._ordered[bisect.bisect_left(self._ordered, _thaw_order(entry),
-                                             key=_thaw_order)]
+        lane = self._lanes[entry.kinds]
+        del lane[bisect.bisect_left(lane, _thaw_order(entry), key=_thaw_order)]
+        if not lane:
+            del self._lanes[entry.kinds]
 
-    def best(self, predicate) -> QueueEntry | None:
-        for entry in self._ordered:
-            if predicate(entry):
-                return entry
-        return None
+    def best(self, kind: str) -> QueueEntry | None:
+        """The first queued entry, in thaw order, that prefers `kind`."""
+        return min((lane[0] for kinds, lane in self._lanes.items()
+                    if kind in kinds), key=_thaw_order, default=None)
 
 
 class TwillPolicy(Policy):
@@ -116,8 +126,7 @@ class TwillPolicy(Policy):
             cid = worklist.pop(0)
             if planned[cid] is not None:
                 continue
-            entry = self.queue.best(
-                lambda e: kinds[cid] in view.tasks[e.task_key].preferred_kinds)
+            entry = self.queue.best(kinds[cid])
             if entry is not None:
                 self.queue.remove(entry.task_key)
                 decisions.append(Decision(DecisionKind.UNFREEZE,
@@ -212,7 +221,8 @@ class TwillPolicy(Policy):
         if freezable:
             _, _, cid, occ_key = min(freezable)
             occ = view.tasks[occ_key]
-            self.queue.add(occ_key, occ.priority, view.now)
+            self.queue.add(occ_key, occ.priority, view.now,
+                           occ.preferred_kinds)
             planned[cid] = rid
             touched.update((occ_key, rid))
             return [
@@ -223,7 +233,7 @@ class TwillPolicy(Policy):
 
         # defer admission: park in the thaw queue, to be placed on the
         # next compatible CLUSTER_FREED
-        self.queue.add(rid, task.priority, view.now)
+        self.queue.add(rid, task.priority, view.now, prefs)
         touched.add(rid)
         return [Decision(DecisionKind.FREEZE, request_id=rid,
                          cluster_id=None)]

@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 # PlatformSpec fields a scenario may override
@@ -25,76 +25,75 @@ class WorkloadError(ValueError):
     """Raised for malformed or inconsistent scenario files."""
 
 
-@dataclass(frozen=True)
-class InferenceRequest:
-    request_id: str
-    model: str
-    priority: int
-    arrival_ms: float
-    workload_size: int
-    depends_on: tuple[str, ...] = ()
+class InferenceRequest(namedtuple("InferenceRequest", (
+        "request_id", "model", "priority", "arrival_ms", "workload_size",
+        "depends_on"))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.request_id, str):
+    def __new__(cls, request_id: str, model: str, priority: int,
+                arrival_ms: float, workload_size: int,
+                depends_on: tuple[str, ...] = ()):
+        if not isinstance(request_id, str):
             raise WorkloadError(
-                f"request_id must be a string, not {self.request_id!r}")
+                f"request_id must be a string, not {request_id!r}")
         # the id is written into the trace files as UTF-8; a lone
         # surrogate, which JSON can spell, would fail only then
         try:
-            self.request_id.encode()
+            request_id.encode()
         except UnicodeEncodeError:
             raise WorkloadError(
-                f"request_id must be UTF-8 text, not {self.request_id!r}") from None
-        if not isinstance(self.model, str):
+                f"request_id must be UTF-8 text, not {request_id!r}") from None
+        if not isinstance(model, str):
             raise WorkloadError(
-                f"{self.request_id}: model must be a string, not {self.model!r}")
-        for name in ("priority", "workload_size"):
-            value = getattr(self, name)
+                f"{request_id}: model must be a string, not {model!r}")
+        for name, value in (("priority", priority),
+                            ("workload_size", workload_size)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise WorkloadError(
-                    f"{self.request_id}: {name} must be an integer, not {value!r}")
-        arrival = self.arrival_ms
-        if isinstance(arrival, bool) or not isinstance(arrival, numbers.Real):
+                    f"{request_id}: {name} must be an integer, not {value!r}")
+        if isinstance(arrival_ms, bool) or not isinstance(arrival_ms, numbers.Real):
             raise WorkloadError(
-                f"{self.request_id}: arrival_ms must be a number, not {arrival!r}")
+                f"{request_id}: arrival_ms must be a number, not {arrival_ms!r}")
         # an int arrival would be written as "0", not "0.000000", in the trace
-        object.__setattr__(self, "arrival_ms", float(arrival))
-        if self.priority < 1:
-            raise WorkloadError(f"{self.request_id}: priority must be >= 1")
-        if not math.isfinite(self.arrival_ms):
-            raise WorkloadError(f"{self.request_id}: arrival time must be finite")
-        if self.arrival_ms < 0:
-            raise WorkloadError(f"{self.request_id}: negative arrival time")
-        if self.workload_size <= 0:
-            raise WorkloadError(f"{self.request_id}: workload_size must be positive")
+        arrival = float(arrival_ms)
+        if priority < 1:
+            raise WorkloadError(f"{request_id}: priority must be >= 1")
+        if not math.isfinite(arrival):
+            raise WorkloadError(f"{request_id}: arrival time must be finite")
+        if arrival < 0:
+            raise WorkloadError(f"{request_id}: negative arrival time")
+        if workload_size <= 0:
+            raise WorkloadError(f"{request_id}: workload_size must be positive")
         # a string would be read as its characters, one id per character
-        deps = self.depends_on
+        deps = depends_on
         if not isinstance(deps, str):
             try:
                 deps = tuple(deps)
             except TypeError as e:
                 raise WorkloadError(
-                    f"{self.request_id}: depends_on must be a list of request "
-                    f"ids, not {self.depends_on!r} ({e})") from None
+                    f"{request_id}: depends_on must be a list of request "
+                    f"ids, not {depends_on!r} ({e})") from None
         if isinstance(deps, str) or not all(isinstance(d, str) for d in deps):
-            raise WorkloadError(f"{self.request_id}: depends_on must be a list "
-                                f"of request ids, not {self.depends_on!r}")
-        object.__setattr__(self, "depends_on", deps)
+            raise WorkloadError(f"{request_id}: depends_on must be a list "
+                                f"of request ids, not {depends_on!r}")
+        return super().__new__(cls, request_id, model, priority, arrival,
+                               workload_size, deps)
 
 
-@dataclass(frozen=True)
-class WorkloadScenario:
-    name: str
-    requests: tuple[InferenceRequest, ...]
-    platform_overrides: dict = field(default_factory=dict, compare=False)
+class WorkloadScenario(namedtuple("WorkloadScenario",
+                                  ("name", "requests", "platform_overrides"))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.name, str):
+    def __new__(cls, name: str, requests: tuple[InferenceRequest, ...],
+                platform_overrides=()):
+        if not isinstance(name, str):
             raise WorkloadError(
-                f"scenario name must be a string, not {self.name!r}")
+                f"scenario name must be a string, not {name!r}")
+        # converted once, here, for every way a scenario is made; the
+        # default () is read as no overrides
         try:
-            overrides = {k: float(v)
-                         for k, v in dict(self.platform_overrides).items()}
+            overrides = {k: _override(k, v)
+                         for k, v in dict(platform_overrides).items()}
         except (TypeError, ValueError) as e:
             raise WorkloadError(
                 f"scenario field 'platform_overrides' is malformed: {e}") from None
@@ -103,13 +102,20 @@ class WorkloadScenario:
             raise WorkloadError(
                 f"unknown platform overrides {unknown}; expected any of "
                 f"{', '.join(PLATFORM_OVERRIDE_KEYS)}")
-        # converted once, here, for every way a scenario is made
-        object.__setattr__(self, "platform_overrides", overrides)
-        ids = [r.request_id for r in self.requests]
+        requests = tuple(requests)
+        ids = [r.request_id for r in requests]
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise WorkloadError(f"duplicate request ids: {dup}")
-        _check_dag(self.requests)
+        _check_dag(requests)
+        return super().__new__(cls, name, requests, overrides)
+
+
+def _override(key, value) -> float:
+    # Python counts True as 1: a JSON true would become a 1 mW budget
+    if isinstance(value, bool):
+        raise TypeError(f"{key!r} must be a number, not {value!r}")
+    return float(value)
 
 
 def _check_dag(requests: tuple[InferenceRequest, ...]) -> None:

@@ -352,3 +352,60 @@ def test_non_object_platform_and_mix_files_exit_one(text, tmp_path, capsys):
     _assert_input_error(["run", "--mix", "mix1", "--platform", str(bad)],
                         capsys, "JSON object")
     _assert_input_error(["run", "--mix", str(bad)], capsys, "JSON object")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d.update(tdp_mw=True), "tdp_mw must be a number, not True"),
+    (lambda d: d.update(base_power_mw=False),
+     "base_power_mw must be a number, not False"),
+    (lambda d: d["clusters"][0].update(idle_power_mw=True),
+     "gpu0: idle_power_mw must be a number, not True"),
+    (lambda d: d["clusters"][0].update(active_power_slope_mw_per_mhz=True),
+     "gpu0: active_power_slope_mw_per_mhz must be a number, not True"),
+    (lambda d: d["clusters"][1].update(freq_levels_mhz=[True]),
+     "dla0: freq_levels_mhz entry must be a number, not True"),
+    (lambda d: d["clusters"][1].update(throughput_gflops=[True]),
+     "dla0: throughput_gflops entry must be a number, not True"),
+], ids=["tdp_mw", "base_power_mw", "idle_power_mw",
+        "active_power_slope_mw_per_mhz", "freq_levels_mhz",
+        "throughput_gflops"])
+def test_bool_board_field_exits_one(edit, message, tmp_path, capsys):
+    # a JSON true used to be read as 1: "tdp_mw": true ran to exit 0
+    # under a 1 mW budget
+    doc = json.loads(presets.platform_text())
+    edit(doc)
+    board = tmp_path / "board.json"
+    board.write_text(json.dumps(doc))
+    _assert_input_error(["run", "--mix", "mix1", "--platform", str(board)],
+                        capsys, message)
+
+
+@pytest.mark.parametrize("key", ["tdp_mw", "base_power_mw"])
+def test_bool_platform_override_exits_one(key, tmp_path, capsys):
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps({"requests": [_ENTRY],
+                               "platform_overrides": {key: True}}))
+    _assert_input_error(["run", "--mix", str(mix)], capsys,
+                        f"'{key}' must be a number, not True")
+
+
+@pytest.mark.parametrize("command,out,bad", [
+    (["run", "--mix", "mix1"], "afile", "afile"),
+    (["compare", "--mixes", "mix1"], "afile", "afile"),
+    (["run", "--mix", "mix1"], "afile/sub", "afile"),
+    (["run", "--mix", "mix1"], "dangling", "dangling"),
+], ids=["run", "compare", "run_below_a_file", "run_dangling_symlink"])
+def test_out_that_is_no_directory_exits_one_before_any_run(
+        command, out, bad, tmp_path, capsys, monkeypatch):
+    # each used to simulate in full, then end in a raw FileExistsError or
+    # NotADirectoryError
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(cli, "build_simulation", no_run)
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+    _assert_input_error(command + ["--out", str(tmp_path / out)], capsys,
+                        f"{tmp_path / bad} is not a directory")
+    assert afile.read_text() == "kept"
+    assert not (tmp_path / "nowhere").exists()

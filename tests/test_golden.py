@@ -5,11 +5,15 @@ benchmark pins in bench/digests.json."""
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from twillsim import POLICIES, simulate, write_trace
+import twillsim
+from twillsim import POLICIES, presets, simulate, write_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = json.loads((ROOT / "bench" / "digests.json").read_text())["zoo"]["outputs"]
@@ -40,3 +44,30 @@ def test_rewriting_over_longer_files_matches_the_pinned_digests(mix, policy,
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in TRACE_FILES}
     assert got == {name: PINNED[f"{mix}/{policy}"][name] for name in TRACE_FILES}
+
+
+SEEDED_CHILD = """\
+import sys
+from twillsim import POLICIES, simulate
+for mix in sys.argv[2:]:
+    for policy in sorted(POLICIES):
+        simulate(mix, policy, out_dir=f"{sys.argv[1]}/{mix}/{policy}")
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_digests_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
+    # str hashes, and so set and dict-of-str orders that follow them,
+    # change with PYTHONHASHSEED; no trace byte may
+    env = {k: v for k, v in os.environ.items() if k != presets.CONFIG_ENV_VAR}
+    env.update(PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=str(Path(twillsim.__file__).resolve().parents[1]))
+    mixes = ["mix3", "mix5"]
+    subprocess.run([sys.executable, "-c", SEEDED_CHILD, str(tmp_path), *mixes],
+                   env=env, check=True, timeout=120)
+    for mix, policy in itertools.product(mixes, sorted(POLICIES)):
+        out = tmp_path / mix / policy
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in TRACE_FILES}
+        assert got == {name: PINNED[f"{mix}/{policy}"][name]
+                       for name in TRACE_FILES}, (mix, policy)

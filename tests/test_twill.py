@@ -5,13 +5,14 @@ whose schedules can be worked out by hand; the governor tests drive
 dvfs_update directly with fabricated power samples.
 """
 
-import dataclasses
+import random
 
 import pytest
 
 from twillsim import (
     Decision,
     DecisionKind,
+    FreezeQueue,
     Simulation,
     TwillPolicy,
     build_simulation,
@@ -151,6 +152,53 @@ def test_equal_priority_never_preempts_and_thaws_fifo():
     assert trace.makespan_ms == pytest.approx(465.0)
 
 
+class ScannedQueue:
+    """The thaw queue as one list in thaw order, scanned front to back
+    for the first entry that prefers the freed kind."""
+
+    def __init__(self):
+        self.entries = []
+
+    def add(self, task_key, priority, now, kinds):
+        self.entries.append((-priority, now, task_key, kinds))
+        self.entries.sort(key=lambda e: e[:3])
+
+    def remove(self, task_key):
+        self.entries = [e for e in self.entries if e[2] != task_key]
+
+    def best(self, kind):
+        return next((e for e in self.entries if kind in e[3]), None)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_thaw_pick_matches_a_scan_in_thaw_order(seed):
+    rng = random.Random(seed)
+    lanes = [("GPU",), ("DLA", "GPU"), ("DLA",)]
+    queue, scanned = FreezeQueue(), ScannedQueue()
+    queued: list[str] = []
+    now = 0.0
+    for step in range(600):
+        now += rng.choice((0.0, 0.0, 2.5))  # equal times tie on the key
+        if queued and rng.random() < 0.4:
+            key = queued.pop(rng.randrange(len(queued)))
+            queue.remove(key)
+            scanned.remove(key)
+        else:
+            key = f"t{rng.randrange(10_000)}-{step}"
+            args = (key, rng.randint(1, 3), now, rng.choice(lanes))
+            queue.add(*args)
+            scanned.add(*args)
+            queued.append(key)
+        assert len(queue) == len(scanned.entries)
+        for kind in ("GPU", "DLA"):
+            got, want = queue.best(kind), scanned.best(kind)
+            if want is None:
+                assert got is None
+            else:
+                assert (-got.priority, got.enqueued_ms, got.task_key,
+                        got.kinds) == want
+
+
 # -- golden traces on the production platform ---------------------------------
 
 
@@ -213,9 +261,9 @@ def gpu_view(level=0, busy=True, dla_busy=False):
     states = initial_states(ORIN)
     states["gpu0"] = set_frequency(states["gpu0"], level)
     if busy:
-        states["gpu0"] = dataclasses.replace(states["gpu0"], occupant="t1")
+        states["gpu0"] = states["gpu0"]._replace(occupant="t1")
     if dla_busy:
-        states["dla0"] = dataclasses.replace(states["dla0"], occupant="t2")
+        states["dla0"] = states["dla0"]._replace(occupant="t2")
     return ControllerView(now=0.0, platform=ORIN, states=states, tasks={},
                           dla_fallback_penalty=8.0)
 
