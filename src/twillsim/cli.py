@@ -20,11 +20,12 @@ import csv
 import io
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import build_simulation, presets
 from .baselines import POLICIES
-from .engine import EngineError, Trace, _write_files, write_trace
+from .engine import EngineError, Trace, _TRACE_FILES, _write_files, write_trace
 from .hardware import PlatformError
 from .models import ModelError
 from .workload import (PLATFORM_OVERRIDE_KEYS, WorkloadError, WorkloadScenario,
@@ -123,9 +124,10 @@ def _platform_text(path: str | None) -> str:
     return presets.read_file(p)
 
 
-def _check_out(out: str | None) -> None:
-    """Refuse an --out that cannot be made a directory, before any run:
-    the files are written only after the whole run."""
+def _check_out(out: str | None, names: Iterable[str]) -> None:
+    """Refuse, before any run, an --out that cannot be made a directory
+    or that holds one of the files `names` as no regular file: the files
+    are written only after the whole run."""
     if not out:
         return
     path = Path(out)
@@ -133,7 +135,10 @@ def _check_out(out: str | None) -> None:
         if os.path.lexists(p):  # a dangling symlink is no directory either
             if not p.is_dir():
                 raise CliError(f"--out {out}: {p} is not a directory")
-            return
+            break
+    for file in (path / name for name in names):
+        if file.exists() and not file.is_file():
+            raise CliError(f"--out {out}: {file} is not a regular file")
 
 
 def _simulate(mix: str, policy: str, args) -> Trace:
@@ -166,7 +171,7 @@ def _print_run(trace: Trace):
 
 
 def cmd_run(args) -> int:
-    _check_out(args.out)
+    _check_out(args.out, _TRACE_FILES)
     trace = _simulate(args.mix, args.policy, args)
     _print_run(trace)
     if args.out:
@@ -175,6 +180,7 @@ def cmd_run(args) -> int:
     return 0
 
 
+_COMPARISON_FILE = "comparison.csv"
 _COMPARE_FIELDS = ["mix", "policy", "makespan_ms", "total_waiting_ms",
                    "violation_fraction", "energy_mj",
                    "twill_makespan_improvement_pct"]
@@ -186,7 +192,7 @@ def cmd_compare(args) -> int:
     unknown = sorted(set(args.policies) - set(POLICIES))
     if unknown:
         raise CliError(f"unknown policies: {', '.join(unknown)}")
-    _check_out(args.out)
+    _check_out(args.out, [_COMPARISON_FILE])
 
     rows = []
     for mix in args.mixes:
@@ -221,8 +227,8 @@ def cmd_compare(args) -> int:
         w = csv.DictWriter(buf, fieldnames=_COMPARE_FIELDS, lineterminator="\n")
         w.writeheader()
         w.writerows(rows)
-        _write_files(args.out, {"comparison.csv": buf.getvalue()})
-        print(f"comparison.csv written to {args.out}")
+        _write_files(args.out, {_COMPARISON_FILE: buf.getvalue()})
+        print(f"{_COMPARISON_FILE} written to {args.out}")
     return 0
 
 
@@ -238,7 +244,7 @@ def main(argv=None) -> int:
             return cmd_run(args)
         return cmd_compare(args)
     except (CliError, WorkloadError, ModelError, PlatformError,
-            presets.PresetError, FileNotFoundError) as e:
+            presets.PresetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except EngineError as e:

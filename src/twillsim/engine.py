@@ -47,7 +47,7 @@ from .models import (
     parse_model,
     segment_fractions,
 )
-from .workload import InferenceRequest, WorkloadScenario
+from .workload import InferenceRequest, WorkloadError, WorkloadScenario
 
 CTRL_OVERHEAD_MS = 15.0
 MIGRATION_OVERHEAD_MS = 30.0
@@ -69,10 +69,6 @@ class DecisionKind(Enum):
     FREEZE = "FREEZE"
     UNFREEZE = "UNFREEZE"
     SET_FREQ = "SET_FREQ"
-
-
-# an Enum's .value is a descriptor lookup; the decision log reads it per row
-_KIND_NAMES = {kind: kind.value for kind in DecisionKind}
 
 
 class EventKind(Enum):
@@ -109,6 +105,18 @@ class TaskState(Enum):
     RUNNING = "running"
     FROZEN = "frozen"
     DONE = "done"
+
+
+# The per-cycle code reads Enum members as these module globals: under
+# CPython 3.11 the EnumType metaclass defines __getattr__, which puts
+# every Kind.MEMBER lookup on a slow path, several times a global read.
+_MAP, _MIGRATE = DecisionKind.MAP, DecisionKind.MIGRATE
+_FREEZE, _UNFREEZE = DecisionKind.FREEZE, DecisionKind.UNFREEZE
+_SET_FREQ = DecisionKind.SET_FREQ
+_ARRIVAL, _FREED = EventKind.ARRIVAL, EventKind.CLUSTER_FREED
+_PENDING, _RUNNING = TaskState.PENDING, TaskState.RUNNING
+_FROZEN, _DONE = TaskState.FROZEN, TaskState.DONE
+_GPU = ClusterKind.GPU
 
 
 class TaskView(NamedTuple):
@@ -231,10 +239,9 @@ class ControllerView(NamedTuple):
 def effective_rate(state: ClusterState, dla_fraction: float, native: bool,
                    penalty: float) -> float:
     """GFLOP/s the cluster delivers for a task at the current level."""
-    thr = state.throughput
-    if state.spec.kind is ClusterKind.GPU:
-        return thr
-    if native:
+    spec = state.spec
+    thr = spec.throughput_gflops[state.current_level]  # state.throughput
+    if native or spec.kind is _GPU:
         return thr
     # whole model on the DLA: infeasible layers fall back with a penalty
     return thr / (dla_fraction + (1.0 - dla_fraction) * penalty)
@@ -311,29 +318,35 @@ class Trace:
 
     @property
     def makespan_ms(self) -> float:
-        done = [r.completed_ms for r in self.requests if r.completed_ms is not None]
-        return max(done) if done else 0.0
+        return max((r.completed_ms for r in self.requests
+                    if r.completed_ms is not None), default=0.0)
 
-    def _power_spans(self):
-        """(duration_ms, power_mw) pieces clipped to [0, makespan]."""
-        end = self.makespan_ms
-        for rec, nxt in zip(self.power, self.power[1:] + [None]):
-            t1 = nxt.time_ms if nxt is not None else end
-            lo, hi = rec.time_ms, min(t1, end)
-            if hi > lo:
-                yield hi - lo, rec.power_mw
+    def _power_totals(self, end: float, eps: float) -> tuple[float, float]:
+        """Energy in mJ, and ms drawing more than tdp_mw + eps, of the
+        power record clipped to [0, end]."""
+        energy = over = 0  # an int 0 when no span counts, as sum() gave
+        limit = self.tdp_mw + eps
+        power = self.power
+        for i, rec in enumerate(power, 1):
+            hi = min(power[i].time_ms, end) if i < len(power) else end
+            if hi > rec.time_ms:
+                dt = hi - rec.time_ms
+                energy += dt * rec.power_mw
+                if rec.power_mw > limit:
+                    over += dt
+        return energy / 1000.0, over
 
     @property
     def energy_mj(self) -> float:
-        return sum(dt * p for dt, p in self._power_spans()) / 1000.0
+        return self._power_totals(self.makespan_ms, 1e-9)[0]
 
     def time_over_budget_ms(self, eps: float = 1e-9) -> float:
-        return sum(dt for dt, p in self._power_spans() if p > self.tdp_mw + eps)
+        return self._power_totals(self.makespan_ms, eps)[1]
 
     @property
     def violation_fraction(self) -> float:
         span = self.makespan_ms
-        return self.time_over_budget_ms() / span if span > 0 else 0.0
+        return self._power_totals(span, 1e-9)[1] / span if span > 0 else 0.0
 
     def waiting_by_priority(self) -> dict[int, dict[str, float]]:
         out: dict[int, dict[str, float]] = {}
@@ -354,15 +367,17 @@ class Trace:
         kinds: dict[str, int] = {}
         for d in self.decisions:
             kinds[d.kind] = kinds.get(d.kind, 0) + 1
+        span = self.makespan_ms
+        energy, over = self._power_totals(span, 1e-9)
         return {
             "scenario": self.scenario,
             "policy": self.policy,
             "platform": self.platform,
             "tdp_mw": self.tdp_mw,
-            "makespan_ms": _r6(self.makespan_ms),
-            "energy_mj": _r6(self.energy_mj),
-            "time_over_budget_ms": _r6(self.time_over_budget_ms()),
-            "violation_fraction": _r6(self.violation_fraction),
+            "makespan_ms": _r6(span),
+            "energy_mj": _r6(energy),
+            "time_over_budget_ms": _r6(over),
+            "violation_fraction": _r6(over / span if span > 0 else 0.0),
             "total_waiting_ms": _r6(sum(waits)) if waits else 0.0,
             "avg_waiting_ms": _r6(sum(waits) / len(waits)) if waits else 0.0,
             "max_waiting_ms": _r6(max(waits)) if waits else 0.0,
@@ -433,21 +448,19 @@ class _Task:
 
     @property
     def state(self) -> TaskState:
-        if self.completed:
-            return TaskState.DONE
-        if self.frozen:
-            return TaskState.FROZEN
-        if self.cluster_id is not None:
-            return TaskState.RUNNING
-        return TaskState.PENDING
+        return (_DONE if self.completed else _FROZEN if self.frozen
+                else _PENDING if self.cluster_id is None else _RUNNING)
 
     def view(self) -> TaskView:
-        # tuple.__new__ skips the Python-level TaskView.__new__; the
-        # engine builds a view per changed task per cycle
+        # tuple.__new__ skips the Python-level TaskView.__new__, and the
+        # state property is inlined; the engine builds a view per changed
+        # task per cycle
         request, signature = self.request, self.signature
+        state = (_DONE if self.completed else _FROZEN if self.frozen
+                 else _PENDING if self.cluster_id is None else _RUNNING)
         return tuple.__new__(TaskView, (
             self.key, request.request_id, self.part, self.profile.name,
-            request.priority, self.state, self.cluster_id, self.started,
+            request.priority, state, self.cluster_id, self.started,
             self.work, self.done, request.arrival_ms,
             signature.preferred_clusters, signature.dla_flops_fraction,
             self.native))
@@ -484,6 +497,8 @@ class Simulation:
         if not 0.0 <= affinity_threshold <= 1.0:
             raise PlatformError(
                 f"affinity_threshold must lie in [0, 1], got {affinity_threshold}")
+        if not max_time_ms > 0:  # a NaN would never cut a runaway off
+            raise PlatformError(f"max_time_ms must be positive, got {max_time_ms}")
         self.platform = _apply_overrides(platform, scenario.platform_overrides)
         self.scenario = scenario
         self.policy = policy
@@ -508,6 +523,18 @@ class Simulation:
                     descriptors[r.model])
                 self._signatures[r.model] = layer_affinity(
                     profile, matrix, threshold=affinity_threshold)
+        # No request ends before its arrival plus its work at the top rate
+        # of every cluster at once (a split request runs on several): past
+        # the horizon, the input is at fault, not a policy.
+        top_rate = sum(c.throughput_gflops[-1]
+                       for c in self.platform.clusters) / 1000.0  # GFLOP/ms
+        finish, rid = max(((r.arrival_ms + self._profiles[r.model].work_gflops(
+            r.workload_size) / top_rate, r.request_id)
+            for r in scenario.requests), default=(0.0, None))
+        if finish > max_time_ms:
+            raise WorkloadError(
+                f"{rid}: cannot finish before {finish:.1f} ms, past the "
+                f"simulation's {max_time_ms} ms horizon")
 
         self._heap: list[tuple] = []
         self._seq = 0
@@ -523,6 +550,7 @@ class Simulation:
         # the newest snapshot handed out, which logs each change to _views
         self._snapshot = TaskSnapshot(self._views, self._order)
         self._power_mw: float | None = None  # None: states changed since
+        self._utils: dict[str, float] = {}  # what _power_mw was drawn at
         self._dependents: dict[str, list[str]] = {}  # producer -> requests
         self._pending_producers: dict[str, int] = {}
         for r in scenario.requests:
@@ -570,21 +598,21 @@ class Simulation:
         # computed once per change of cluster state (_occupy, _vacate,
         # _apply_set_freq), not per sample
         if self._power_mw is None:
+            self._utils = self._utilization()
             self._power_mw = power_draw(self.platform, self.states,
-                                        self._utilization())
+                                        self._utils)
         return self._power_mw
 
     def _record_power(self, now: float):
         p = self._power()
-        if self.trace.power and self.trace.power[-1].power_mw == p:
+        power = self.trace.power
+        if power and power[-1].power_mw == p:
             return
-        utils = self._utilization()
-        self.trace.power.append(PowerRecord(
-            time_ms=now,
-            power_mw=p,
-            freqs_mhz=tuple(self.states[c].freq_mhz for c in self.trace.cluster_ids),
-            utils=tuple(utils[c] for c in self.trace.cluster_ids),
-        ))
+        # states, like _utils, keep the platform's cluster order, which
+        # is trace.cluster_ids
+        power.append(tuple.__new__(PowerRecord, (
+            now, p, tuple(st.freq_mhz for st in self.states.values()),
+            tuple(self._utils.values()))))
 
     # -- task mechanics ----------------------------------------------------
 
@@ -595,10 +623,11 @@ class Simulation:
                               task.native, self.dla_fallback_penalty) / 1000.0
 
     def _sync(self, task: _Task, now: float):
-        if task.cluster_id is not None and not task.frozen and now > task.last_sync:
-            task.done += self._rate(task) * (now - task.last_sync)
-            self._stale.add(task.key)
-        task.last_sync = max(task.last_sync, now)
+        if now > task.last_sync:
+            if task.cluster_id is not None and not task.frozen:
+                task.done += self._rate(task) * (now - task.last_sync)
+                self._stale.add(task.key)
+            task.last_sync = now
 
     def _sync_all(self, now: float):
         # only a task on a cluster makes progress; a pending or frozen
@@ -657,15 +686,9 @@ class Simulation:
         request = self._requests[request_id]
         profile = self._profiles[request.model]
         total = profile.work_gflops(request.workload_size)
-        task = _Task(
-            key=key,
-            request=request,
-            part=part,
-            profile=profile,
-            signature=self._signatures[request.model],
-            work=total if work is None else work,
-            native=native,
-        )
+        task = _Task(key, request, part, profile,
+                     self._signatures[request.model],
+                     total if work is None else work, native)
         mapped = sum(t.work for t in parts)
         if mapped + task.work > total + _WORK_EPS:
             raise EngineError(
@@ -706,12 +729,12 @@ class Simulation:
             task.cluster_id = None
 
     def _apply_decision(self, d: Decision, now: float, acted: set[str]):
-        if d.kind is DecisionKind.SET_FREQ:
+        if d.kind is _SET_FREQ:
             raise EngineError("SET_FREQ is only valid from dvfs_update()")
         key = _task_key(d.request_id, d.part)
         task = self.tasks.get(key)
         if task is None:
-            if d.kind is not DecisionKind.MAP:
+            if d.kind is not _MAP:
                 raise EngineError(f"decision names unknown task {key!r}")
             if d.request_id not in self._parts:
                 raise EngineError(
@@ -721,7 +744,7 @@ class Simulation:
         if key in acted:
             raise EngineError(f"{key}: two decisions in one cycle")
 
-        if d.kind is DecisionKind.MAP:
+        if d.kind is _MAP:
             if task.started or task.frozen or task.cluster_id is not None:
                 raise EngineError(f"{task.key}: MAP on a task that already ran")
             self._require_free(d.cluster_id)
@@ -733,8 +756,8 @@ class Simulation:
                 task.first_map_ms = now
             self._reschedule(task, now)
 
-        elif d.kind is DecisionKind.MIGRATE:
-            if task.state is not TaskState.RUNNING:
+        elif d.kind is _MIGRATE:
+            if task.state is not _RUNNING:
                 raise EngineError(f"{task.key}: MIGRATE on a task that is not running")
             if d.cluster_id == task.cluster_id:
                 raise EngineError(f"{task.key}: MIGRATE onto its own cluster")
@@ -747,7 +770,7 @@ class Simulation:
             task.last_sync = task.resume_at
             self._reschedule(task, now)
 
-        elif d.kind is DecisionKind.FREEZE:
+        elif d.kind is _FREEZE:
             if task.frozen or task.completed:
                 raise EngineError(f"{task.key}: FREEZE on a {task.state.value} task")
             if task.started:
@@ -761,7 +784,7 @@ class Simulation:
             task.frozen = True
             task.epoch += 1
 
-        elif d.kind is DecisionKind.UNFREEZE:
+        elif d.kind is _UNFREEZE:
             if not task.frozen:
                 raise EngineError(f"{task.key}: UNFREEZE on a task that is not frozen")
             self._require_free(d.cluster_id)
@@ -792,7 +815,7 @@ class Simulation:
         self._log_decision(d, now)
 
     def _apply_set_freq(self, d: Decision, now: float):
-        if d.kind is not DecisionKind.SET_FREQ:
+        if d.kind is not _SET_FREQ:
             raise EngineError("dvfs_update() may only emit SET_FREQ decisions")
         if d.cluster_id is None or d.level is None:
             raise EngineError("SET_FREQ needs cluster_id and level")
@@ -812,11 +835,12 @@ class Simulation:
 
     def _log_decision(self, d: Decision, now: float):
         freq = None
-        if d.kind is DecisionKind.SET_FREQ:
+        if d.kind is _SET_FREQ:
             freq = self.states[d.cluster_id].freq_mhz
-        self.trace.decisions.append(DecisionRecord(
-            now, _KIND_NAMES[d.kind], d.request_id, d.part, d.cluster_id,
-            d.level, freq))
+        self.trace.decisions.append(tuple.__new__(DecisionRecord, (
+            # _value_ is .value without the property call
+            now, d.kind._value_, d.request_id, d.part, d.cluster_id,
+            d.level, freq)))
 
     # -- completion handling -------------------------------------------------
 
@@ -858,15 +882,16 @@ class Simulation:
         self._schedule_initial_arrivals()
         self._record_power(0.0)
 
-        while self._heap:
-            now, rank = self._heap[0][0], self._heap[0][1]
+        heap = self._heap
+        while heap:
+            now, rank = heap[0][0], heap[0][1]
             if now > self.max_time_ms:
                 raise EngineError(
                     f"simulation ran past {self.max_time_ms} ms; "
                     "likely a stuck policy")
             batch = []
-            while self._heap and self._heap[0][0] == now and self._heap[0][1] == rank:
-                batch.append(heapq.heappop(self._heap))
+            while heap and heap[0][0] == now and heap[0][1] == rank:
+                batch.append(heapq.heappop(heap))
             if not batch:
                 # a time that never equals itself (NaN) would spin forever
                 raise EngineError(f"event loop made no progress at t={now}")
@@ -885,13 +910,13 @@ class Simulation:
                         self._completed_requests.add(rid)
                         self._release_dependents(rid, now)
                     if freed is not None:
-                        events.append(ControllerEvent(
-                            EventKind.CLUSTER_FREED, cluster_id=freed))
+                        events.append(tuple.__new__(ControllerEvent, (
+                            _FREED, None, freed)))
                 elif kind == "arrival":
                     (request_id,) = payload
                     self._spawn_task(request_id, None, None, False)
-                    events.append(ControllerEvent(
-                        EventKind.ARRIVAL, request_id=request_id))
+                    events.append(tuple.__new__(ControllerEvent, (
+                        _ARRIVAL, request_id, None)))
 
             if not events:
                 continue
@@ -950,17 +975,12 @@ class Simulation:
             completed = max((t.completed_ms for t in parts), default=None) \
                 if all(t.completed for t in parts) and parts else None
             arrival = r.arrival_ms
-            self.trace.requests.append(RequestRecord(
-                request_id=r.request_id,
-                model=r.model,
-                priority=r.priority,
-                arrival_ms=arrival,
-                first_map_ms=first_map,
-                completed_ms=completed,
-                waiting_ms=None if first_map is None else first_map - arrival,
-                latency_ms=None if completed is None else completed - arrival,
-                work_gflops=self._profiles[r.model].work_gflops(r.workload_size),
-            ))
+            self.trace.requests.append(tuple.__new__(RequestRecord, (
+                r.request_id, r.model, r.priority, arrival, first_map,
+                completed,
+                None if first_map is None else first_map - arrival,
+                None if completed is None else completed - arrival,
+                self._profiles[r.model].work_gflops(r.workload_size))))
 
     # -- invariant helpers (used by tests) -----------------------------------
 
@@ -986,22 +1006,41 @@ def _apply_overrides(platform: PlatformSpec, overrides: dict) -> PlatformSpec:
 # ---------------------------------------------------------------------------
 # trace serialization
 
+# A float cell is written with six decimals.  csv.writer already writes
+# None as "" and an int or str as str(v), so a column the engine fills
+# with one known type is formatted without testing each cell.
+
 def _table(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    # csv.writer already writes None as "" and an int or str as str(v)
-    w.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row]
-                for row in rows)
+    w.writerows(rows)
     return buf.getvalue()
 
 
+def _cell(v):
+    return f"{v:.6f}" if isinstance(v, float) else v
+
+
 def decisions_csv(trace: Trace) -> str:
-    return _table(DecisionRecord._fields, trace.decisions)
+    # time_ms is the engine's float clock and kind a DecisionKind name;
+    # request_id, part, cluster_id and level are a policy's values
+    return _table(DecisionRecord._fields, [
+        (f"{t:.6f}", kind, _cell(rid), _cell(part), _cell(cid), _cell(level),
+         _cell(freq))
+        for t, kind, rid, part, cid, level, freq in trace.decisions])
+
+
+def _f6(v: float | None) -> str:
+    return "" if v is None else f"{v:.6f}"
 
 
 def requests_csv(trace: Trace) -> str:
-    return _table(RequestRecord._fields, trace.requests)
+    return _table(RequestRecord._fields, [
+        (rid, model, prio, f"{arrival:.6f}", _f6(first_map), _f6(completed),
+         _f6(waiting), _f6(latency), f"{work:.6f}")
+        for rid, model, prio, arrival, first_map, completed, waiting,
+        latency, work in trace.requests])
 
 
 def power_csv(trace: Trace) -> str:
@@ -1013,7 +1052,7 @@ def power_csv(trace: Trace) -> str:
         row = [p.time_ms, p.power_mw]
         for f, u in zip(p.freqs_mhz, p.utils):
             row += [f, u]
-        rows.append(row)
+        rows.append([_cell(v) for v in row])
     return _table(header, rows)
 
 
@@ -1042,14 +1081,19 @@ def summary_json(trace: Trace) -> str:
     return text + "\n"
 
 
+# the files write_trace writes, by name
+_TRACE_FILES = {
+    "decisions.csv": decisions_csv,
+    "requests.csv": requests_csv,
+    "power.csv": power_csv,
+    "summary.json": summary_json,
+}
+
+
 def write_trace(trace: Trace, out_dir) -> None:
     """Write decisions.csv, requests.csv, power.csv and summary.json."""
-    _write_files(out_dir, {
-        "decisions.csv": decisions_csv(trace),
-        "requests.csv": requests_csv(trace),
-        "power.csv": power_csv(trace),
-        "summary.json": summary_json(trace),
-    })
+    _write_files(out_dir, {name: serialise(trace)
+                           for name, serialise in _TRACE_FILES.items()})
 
 
 def _write_files(out_dir, texts: dict[str, str]) -> None:

@@ -21,15 +21,22 @@ from __future__ import annotations
 import bisect
 from typing import NamedTuple
 
+# the engine's Enum members as module globals (see engine.py)
 from .engine import (
+    _ARRIVAL,
+    _FREED,
+    _FREEZE,
+    _MAP,
+    _MIGRATE,
+    _RUNNING,
+    _SET_FREQ,
+    _UNFREEZE,
     ControllerEvent,
     ControllerView,
     Decision,
-    DecisionKind,
-    EventKind,
     Policy,
-    TaskState,
     TaskView,
+    effective_rate,
 )
 from .hardware import ClusterKind
 
@@ -54,12 +61,14 @@ class FreezeQueue:
     sorted by _thaw_order, per distinct kinds tuple.  The first entry in
     thaw order that can use a kind is then the first of the heads of
     the lanes holding that kind: a freed cluster looks at a few heads,
-    not at every queued task that cannot use it.
+    not at every queued task that cannot use it.  A lane holds
+    (_thaw_order, entry) pairs, so its order is computed once per entry;
+    the task key in the order is unique, so no two pairs tie on it.
     """
 
     def __init__(self):
-        self._entries: dict[str, QueueEntry] = {}
-        self._lanes: dict[tuple[str, ...], list[QueueEntry]] = {}
+        self._entries: dict[str, tuple[tuple, QueueEntry]] = {}
+        self._lanes: dict[tuple[str, ...], list[tuple[tuple, QueueEntry]]] = {}
 
     def __len__(self):
         return len(self._entries)
@@ -68,21 +77,22 @@ class FreezeQueue:
             kinds: tuple[str, ...]):
         if task_key in self._entries:
             raise ValueError(f"{task_key} is already queued")
-        entry = self._entries[task_key] = QueueEntry(task_key, priority, now,
-                                                     kinds)
-        bisect.insort(self._lanes.setdefault(kinds, []), entry, key=_thaw_order)
+        entry = QueueEntry(task_key, priority, now, kinds)
+        pair = self._entries[task_key] = (_thaw_order(entry), entry)
+        bisect.insort(self._lanes.setdefault(kinds, []), pair)
 
     def remove(self, task_key: str):
-        entry = self._entries.pop(task_key)
-        lane = self._lanes[entry.kinds]
-        del lane[bisect.bisect_left(lane, _thaw_order(entry), key=_thaw_order)]
+        pair = self._entries.pop(task_key)
+        lane = self._lanes[pair[1].kinds]
+        del lane[bisect.bisect_left(lane, pair)]
         if not lane:
-            del self._lanes[entry.kinds]
+            del self._lanes[pair[1].kinds]
 
     def best(self, kind: str) -> QueueEntry | None:
         """The first queued entry, in thaw order, that prefers `kind`."""
-        return min((lane[0] for kinds, lane in self._lanes.items()
-                    if kind in kinds), key=_thaw_order, default=None)
+        head = min((lane[0] for kinds, lane in self._lanes.items()
+                    if kind in kinds), default=None)
+        return None if head is None else head[1]
 
 
 class TwillPolicy(Policy):
@@ -115,10 +125,8 @@ class TwillPolicy(Policy):
         self._layout(view.platform)
         kinds = self._kinds
 
-        freed = [e.cluster_id for e in events
-                 if e.kind is EventKind.CLUSTER_FREED]
-        arrivals = [e.request_id for e in events
-                    if e.kind is EventKind.ARRIVAL]
+        freed = [e.cluster_id for e in events if e.kind is _FREED]
+        arrivals = [e.request_id for e in events if e.kind is _ARRIVAL]
 
         # freed clusters, cascading through any migration vacancies
         worklist = list(freed)
@@ -129,17 +137,13 @@ class TwillPolicy(Policy):
             entry = self.queue.best(kinds[cid])
             if entry is not None:
                 self.queue.remove(entry.task_key)
-                decisions.append(Decision(DecisionKind.UNFREEZE,
-                                          request_id=entry.task_key,
-                                          cluster_id=cid))
+                decisions.append(Decision(_UNFREEZE, entry.task_key, cid))
                 planned[cid] = entry.task_key
                 touched.add(entry.task_key)
                 continue
             mover = self._best_migration(view, cid, planned, touched)
             if mover is not None:
-                decisions.append(Decision(DecisionKind.MIGRATE,
-                                          request_id=mover.key,
-                                          cluster_id=cid))
+                decisions.append(Decision(_MIGRATE, mover.key, cid))
                 planned[cid] = mover.key
                 planned[mover.cluster_id] = None
                 touched.add(mover.key)
@@ -156,14 +160,18 @@ class TwillPolicy(Policy):
         """The running task with the largest strict speedup on `cid`."""
         best = None
         best_key = None
+        states, penalty = view.states, view.dla_fallback_penalty
         for occ_cid, key in planned.items():
             if key is None or key in touched:
                 continue
             task = view.tasks[key]
-            if task.state is not TaskState.RUNNING or task.cluster_id != occ_cid:
+            if task.state is not _RUNNING or task.cluster_id != occ_cid:
                 continue
-            r_cur = view.exec_rate(task.key, task.cluster_id)
-            r_new = view.exec_rate(task.key, cid)
+            # view.exec_rate, without looking the task up again
+            r_cur = effective_rate(states[occ_cid], task.dla_fraction,
+                                   task.native, penalty)
+            r_new = effective_rate(states[cid], task.dla_fraction,
+                                   task.native, penalty)
             if r_new <= r_cur * (1.0 + _RATE_EPS):
                 continue
             order = (-(r_new / r_cur), -task.priority, task.arrival_ms, task.key)
@@ -176,76 +184,78 @@ class TwillPolicy(Policy):
                        kinds: dict[str, str]) -> list[Decision]:
         task = view.tasks[rid]
         prefs = task.preferred_kinds
+        states, penalty = view.states, view.dla_fallback_penalty
+        # the newcomer's view.exec_rate on each preferred cluster, once
+        rates = {c: effective_rate(states[c], task.dla_fraction, task.native,
+                                   penalty)
+                 for c in planned if kinds[c] in prefs}
 
         # fastest free preferred cluster
-        free_pref = [c for c, occ in planned.items()
-                     if occ is None and kinds[c] in prefs]
+        free_pref = [(-rate, prefs.index(kinds[c]), c)
+                     for c, rate in rates.items() if planned[c] is None]
         if free_pref:
-            target = min(free_pref, key=lambda c: (
-                -view.exec_rate(rid, c), prefs.index(kinds[c]), c))
+            target = min(free_pref)[2]
             planned[target] = rid
             touched.add(rid)
-            return [Decision(DecisionKind.MAP, request_id=rid,
-                             cluster_id=target)]
+            return [Decision(_MAP, rid, target)]
+
+        # every preferred cluster is taken: their running occupants that
+        # this cycle has not moved, on the fastest cluster first
+        occupants = []
+        for neg_rate, cid in sorted((-rate, c) for c, rate in rates.items()):
+            occ = view.tasks[planned[cid]]
+            if occ.state is _RUNNING and occ.key not in touched:
+                occupants.append((neg_rate, cid, occ))
 
         # displace an occupant that has somewhere of its own to go
-        occupied_pref = sorted(
-            (c for c in planned if kinds[c] in prefs),
-            key=lambda c: (-view.exec_rate(rid, c), c))
-        for cid in occupied_pref:
-            occ = view.tasks[planned[cid]]
-            if occ.state is not TaskState.RUNNING or occ.key in touched:
-                continue
-            room = [c for c, o in planned.items()
-                    if o is None and kinds[c] in occ.preferred_kinds]
+        free = [c for c, o in planned.items() if o is None]
+        for _, cid, occ in occupants if free else ():
+            room = [(-effective_rate(states[c], occ.dla_fraction, occ.native,
+                                     penalty), c)
+                    for c in free if kinds[c] in occ.preferred_kinds]
             if not room:
                 continue
-            target = min(room, key=lambda c: (-view.exec_rate(occ.key, c), c))
+            target = min(room)[1]
             planned[target] = occ.key
             planned[cid] = rid
             touched.update((occ.key, rid))
             return [
-                Decision(DecisionKind.MIGRATE, request_id=occ.key,
-                         cluster_id=target),
-                Decision(DecisionKind.MAP, request_id=rid, cluster_id=cid),
+                Decision(_MIGRATE, occ.key, target),
+                Decision(_MAP, rid, cid),
             ]
 
         # freeze a strictly lower-priority occupant
-        freezable = []
-        for cid in occupied_pref:
-            occ = view.tasks[planned[cid]]
-            if occ.state is TaskState.RUNNING and occ.key not in touched \
-                    and occ.priority < task.priority:
-                freezable.append((occ.priority, -view.exec_rate(rid, cid),
-                                  cid, occ.key))
+        freezable = [(occ.priority, neg_rate, cid, occ)
+                     for neg_rate, cid, occ in occupants
+                     if occ.priority < task.priority]
         if freezable:
-            _, _, cid, occ_key = min(freezable)
-            occ = view.tasks[occ_key]
-            self.queue.add(occ_key, occ.priority, view.now,
+            # (priority, rate, cluster) is unique: the view is never compared
+            _, _, cid, occ = min(freezable)
+            self.queue.add(occ.key, occ.priority, view.now,
                            occ.preferred_kinds)
             planned[cid] = rid
-            touched.update((occ_key, rid))
+            touched.update((occ.key, rid))
             return [
-                Decision(DecisionKind.FREEZE, request_id=occ_key,
-                         cluster_id=None),
-                Decision(DecisionKind.MAP, request_id=rid, cluster_id=cid),
+                Decision(_FREEZE, occ.key),
+                Decision(_MAP, rid, cid),
             ]
 
         # defer admission: park in the thaw queue, to be placed on the
         # next compatible CLUSTER_FREED
         self.queue.add(rid, task.priority, view.now, prefs)
         touched.add(rid)
-        return [Decision(DecisionKind.FREEZE, request_id=rid,
-                         cluster_id=None)]
+        return [Decision(_FREEZE, rid)]
 
     # -- frequency governor --------------------------------------------------
 
     def dvfs_update(self, view: ControllerView, p_before_mw: float,
                     p_after_mw: float, handled_events: int) -> list[Decision]:
         decisions = []
-        fingerprint = tuple(sorted(
-            c for c, st in view.states.items() if st.occupant is not None))
         self._layout(view.platform)
+        # in the board's order, which is fixed: two fingerprints are equal
+        # exactly when the same clusters are busy
+        fingerprint = tuple([c for c in self._kinds
+                             if view.states[c].occupant is not None])
         for cid in self._gpu_ids:
             state = view.states[cid]
             spec = state.spec
@@ -255,12 +265,13 @@ class TwillPolicy(Policy):
                 self._samples.pop(cid, None)
                 continue
 
+            freq = state.freq_mhz
             slope = spec.active_power_slope_mw_per_mhz
             last = self._samples.get(cid)
             if last is not None:
                 last_f, last_p, last_fp = last
-                if last_f != state.freq_mhz and last_fp == fingerprint:
-                    est = (p_after_mw - last_p) / (state.freq_mhz - last_f)
+                if last_f != freq and last_fp == fingerprint:
+                    est = (p_after_mw - last_p) / (freq - last_f)
                     if est > 0:
                         slope = est
 
@@ -273,16 +284,17 @@ class TwillPolicy(Policy):
                 # the apparent headroom until the next sample confirms it
                 effective = p_after_mw + headroom / 2.0
 
+            # the highest level whose predicted draw fits
             chosen = 0
-            for level in range(spec.num_levels - 1, -1, -1):
-                predicted = p_after_mw + slope * (
-                    spec.freq_levels_mhz[level] - state.freq_mhz)
-                if predicted <= effective + 1e-9:
+            limit = effective + 1e-9
+            levels = spec.freq_levels_mhz
+            for level in range(len(levels) - 1, -1, -1):
+                if p_after_mw + slope * (levels[level] - freq) <= limit:
                     chosen = level
                     break
 
-            self._samples[cid] = (state.freq_mhz, p_after_mw, fingerprint)
+            self._samples[cid] = (freq, p_after_mw, fingerprint)
             if chosen != state.current_level:
-                decisions.append(Decision(DecisionKind.SET_FREQ,
-                                          cluster_id=cid, level=chosen))
+                decisions.append(Decision(_SET_FREQ, cluster_id=cid,
+                                          level=chosen))
         return decisions

@@ -51,7 +51,9 @@ class InferenceRequest(namedtuple("InferenceRequest", (
             if isinstance(value, bool) or not isinstance(value, int):
                 raise WorkloadError(
                     f"{request_id}: {name} must be an integer, not {value!r}")
-        if isinstance(arrival_ms, bool) or not isinstance(arrival_ms, numbers.Real):
+        # float and int first: they are Real, and the ABC check is slow
+        if isinstance(arrival_ms, bool) or not isinstance(
+                arrival_ms, (float, int, numbers.Real)):
             raise WorkloadError(
                 f"{request_id}: arrival_ms must be a number, not {arrival_ms!r}")
         # an int arrival would be written as "0", not "0.000000", in the trace
@@ -73,11 +75,13 @@ class InferenceRequest(namedtuple("InferenceRequest", (
                 raise WorkloadError(
                     f"{request_id}: depends_on must be a list of request "
                     f"ids, not {depends_on!r} ({e})") from None
-        if isinstance(deps, str) or not all(isinstance(d, str) for d in deps):
+        if isinstance(deps, str) or (
+                deps and not all(isinstance(d, str) for d in deps)):
             raise WorkloadError(f"{request_id}: depends_on must be a list "
                                 f"of request ids, not {depends_on!r}")
-        return super().__new__(cls, request_id, model, priority, arrival,
-                               workload_size, deps)
+        # not super().__new__: that is one more Python call per request
+        return tuple.__new__(cls, (request_id, model, priority, arrival,
+                                   workload_size, deps))
 
 
 class WorkloadScenario(namedtuple("WorkloadScenario",
@@ -120,7 +124,8 @@ def _override(key, value) -> float:
 
 def _check_dag(requests: tuple[InferenceRequest, ...]) -> None:
     ids = {r.request_id for r in requests}
-    graph = {}
+    waiting: dict[str, int] = {}  # request id -> producers not yet ordered
+    consumers: dict[str, list[str]] = {}
     for r in requests:
         for dep in r.depends_on:
             if dep not in ids:
@@ -128,11 +133,25 @@ def _check_dag(requests: tuple[InferenceRequest, ...]) -> None:
                     f"{r.request_id}: depends on unknown request {dep!r}")
             if dep == r.request_id:
                 raise WorkloadError(f"{r.request_id}: depends on itself")
-        graph[r.request_id] = set(r.depends_on)
-    try:
-        tuple(graphlib.TopologicalSorter(graph).static_order())
-    except graphlib.CycleError as e:
-        raise WorkloadError(f"dependency cycle: {e.args[1]}") from None
+        if r.depends_on:
+            producers = set(r.depends_on)
+            waiting[r.request_id] = len(producers)
+            for dep in producers:
+                consumers.setdefault(dep, []).append(r.request_id)
+    # Kahn's algorithm: order every request whose producers are ordered
+    ordered = [r.request_id for r in requests if r.request_id not in waiting]
+    for rid in ordered:  # grows as it goes
+        for consumer in consumers.get(rid, ()):
+            waiting[consumer] -= 1
+            if not waiting[consumer]:
+                ordered.append(consumer)
+    if len(ordered) < len(requests):
+        # graphlib's pure-Python sorter only to name the cycle it finds
+        graph = {r.request_id: set(r.depends_on) for r in requests}
+        try:
+            tuple(graphlib.TopologicalSorter(graph).static_order())
+        except graphlib.CycleError as e:
+            raise WorkloadError(f"dependency cycle: {e.args[1]}") from None
 
 
 def load_mix(text: str, known_models=None) -> WorkloadScenario:
@@ -160,13 +179,9 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
             n = counters.get(model, 0)
             counters[model] = n + 1
             requests.append(InferenceRequest(
-                request_id=entry.get("id", f"{model}-{n}"),
-                model=model,
-                priority=entry["priority"],
-                arrival_ms=entry["arrival_ms"],
-                workload_size=entry["workload_size"],
-                depends_on=entry.get("depends_on", ()),
-            ))
+                entry["id"] if "id" in entry else f"{model}-{n}", model,
+                entry["priority"], entry["arrival_ms"],
+                entry["workload_size"], entry.get("depends_on", ())))
         if known_models is not None:
             unknown = sorted({r.model for r in requests} - set(known_models))
             if unknown:

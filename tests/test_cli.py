@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from twillsim import Decision, DecisionKind, EventKind, TwillPolicy, cli, presets
+from twillsim import (Decision, DecisionKind, EventKind, Simulation,
+                      TwillPolicy, cli, presets)
 from twillsim.cli import main
 
 
@@ -409,3 +410,46 @@ def test_out_that_is_no_directory_exits_one_before_any_run(
                         f"{tmp_path / bad} is not a directory")
     assert afile.read_text() == "kept"
     assert not (tmp_path / "nowhere").exists()
+
+
+@pytest.mark.parametrize("command,name", [
+    (["run", "--mix", "mix1"], "decisions.csv"),
+    (["run", "--mix", "mix1"], "summary.json"),
+    (["compare", "--mixes", "mix1"], "comparison.csv"),
+], ids=["run", "run_last_file", "compare"])
+def test_trace_file_that_is_no_regular_file_exits_one_before_any_run(
+        command, name, tmp_path, capsys, monkeypatch):
+    # each used to simulate in full, then end in a raw IsADirectoryError
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(cli, "build_simulation", no_run)
+    (tmp_path / "od" / name).mkdir(parents=True)
+    _assert_input_error(command + ["--out", str(tmp_path / "od")], capsys,
+                        f"{tmp_path / 'od' / name} is not a regular file")
+
+
+@pytest.mark.parametrize("command,name", [
+    (["run", "--mix", "mix1"], "power.csv"),
+    (["compare", "--mixes", "mix1", "--policies", "twill", "gpu_queue"],
+     "comparison.csv"),
+], ids=["run", "compare"])
+def test_failed_final_write_exits_one(command, name, tmp_path, capsys):
+    # a symlink to itself passes the check before the run but cannot be
+    # opened; the OSError used to end the run in a raw traceback
+    (tmp_path / name).symlink_to(tmp_path / name)
+    _assert_input_error(command + ["--out", str(tmp_path)], capsys,
+                        f"Too many levels of symbolic links: "
+                        f"'{tmp_path / name}'")
+
+
+def test_request_past_the_horizon_exits_one(tmp_path, capsys, monkeypatch):
+    # used to simulate up to the 1e7 ms cut-off, then exit 2 as an
+    # internal error ("likely a stuck policy")
+    def no_run(self):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(Simulation, "run", no_run)
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps({"requests": [
+        {**_ENTRY, "workload_size": 1_000_000_000}]}))
+    _assert_input_error(["run", "--mix", str(mix)], capsys,
+                        "vgg-19-0: cannot finish before ")

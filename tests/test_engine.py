@@ -16,6 +16,7 @@ from twillsim import (
     DecisionKind,
     EngineError,
     EventKind,
+    PlatformError,
     Policy,
     Simulation,
     TaskState,
@@ -397,6 +398,30 @@ def test_runaway_simulation_is_cut_off():
     with pytest.raises(EngineError, match="stuck|past"):
         run_toy(scenario(request("a", "toy-matmul", size=1)),
                 map_on_arrival(plan), max_time_ms=100.0)
+
+
+def test_request_that_cannot_finish_by_the_horizon_is_bad_input():
+    # toy-matmul is 350 GFLOP and the whole board at its top levels runs
+    # 3.5 GFLOP/ms, so no policy can end b before 5 + 100 ms; a runaway
+    # that only the clock would catch used to be an EngineError
+    scn = scenario(request("a", "toy-conv"),
+                   request("b", "toy-matmul", arrival_ms=5.0))
+    with pytest.raises(WorkloadError, match=r"^b: cannot finish before "
+                       r"105\.0 ms, past the simulation's 100\.0 ms horizon$"):
+        Simulation(tiny_platform(), scn, ScriptedPolicy(), TOY_DESCRIPTORS,
+                   MATRIX, max_time_ms=100.0)
+    # ending exactly at the horizon is possible, so it is no input error
+    Simulation(tiny_platform(), scn, ScriptedPolicy(), TOY_DESCRIPTORS,
+               MATRIX, max_time_ms=105.0)
+
+
+@pytest.mark.parametrize("max_time_ms", [0.0, -1.0, float("nan")])
+def test_horizon_must_be_positive(max_time_ms):
+    # -1 used to be blamed on the first request, and NaN never cut off
+    with pytest.raises(PlatformError, match="max_time_ms must be positive"):
+        Simulation(tiny_platform(), scenario(request("a", "toy-conv")),
+                   ScriptedPolicy(), TOY_DESCRIPTORS, MATRIX,
+                   max_time_ms=max_time_ms)
 
 
 def test_a_cycle_that_pops_nothing_is_an_error():

@@ -1,11 +1,13 @@
 """The fixed reference for "same behaviour": the trace files of the 20
-packaged runs (five mixes under four policies) hash to the digests the
+packaged runs (five mixes under four policies), and of the benchmark's
+steady and burst scenarios under twill, hash to the digests the
 benchmark pins in bench/digests.json."""
 
 import hashlib
 import itertools
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +15,12 @@ from pathlib import Path
 import pytest
 
 import twillsim
-from twillsim import POLICIES, presets, simulate, write_trace
+from twillsim import (POLICIES, build_simulation, load_mix, presets, simulate,
+                      write_trace)
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED = json.loads((ROOT / "bench" / "digests.json").read_text())["zoo"]["outputs"]
+DIGESTS = json.loads((ROOT / "bench" / "digests.json").read_text())
+PINNED = DIGESTS["zoo"]["outputs"]
 MIXES = ["mix1", "mix2", "mix3", "mix4", "mix5"]
 TRACE_FILES = ["decisions.csv", "requests.csv", "power.csv", "summary.json"]
 
@@ -71,3 +75,18 @@ def test_digests_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
                for name in TRACE_FILES}
         assert got == {name: PINNED[f"{mix}/{policy}"][name]
                        for name in TRACE_FILES}, (mix, policy)
+
+
+@pytest.mark.parametrize("workload", ["steady", "burst"])
+def test_bench_scenarios_match_the_pinned_digests(workload, tmp_path):
+    # 400 requests with a long view of DONE tasks, and 300 with a deep
+    # freeze queue and dependency releases: paths no packaged mix reaches.
+    # run_path reads the generator without writing bytecode into bench/.
+    generate = runpy.run_path(str(ROOT / "bench" / "scenarios.py"))[workload]
+    pinned = DIGESTS[workload]
+    scenario = load_mix(generate(pinned["seed"]),
+                        known_models=presets.available_models())
+    write_trace(build_simulation(scenario, "twill").run(), tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in TRACE_FILES}
+    assert got == pinned["outputs"][f"{workload}/twill"]

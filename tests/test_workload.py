@@ -1,5 +1,6 @@
 """Scenario parsing, dependency handling, and the random generator."""
 
+import graphlib
 import json
 import re
 
@@ -139,6 +140,30 @@ def test_api_scenario_rejects_a_dependency_cycle():
             InferenceRequest("a", "vgg-19", 1, 0.0, 1, depends_on=("b",)),
             InferenceRequest("b", "vgg-19", 1, 0.0, 1, depends_on=("a",)),
         ))
+
+
+def _chain(n, closed=False):
+    """r{i} depends on r{i-1}, listed last to first; closed, r0 also
+    depends on r{n-1}."""
+    return tuple(InferenceRequest(f"r{i}", "vgg-19", 1, 0.0, 1,
+                                  depends_on=(f"r{(i - 1) % n}",)
+                                  if i or closed else ())
+                 for i in reversed(range(n)))
+
+
+def test_long_dependency_chain_is_accepted():
+    requests = _chain(20_000)
+    assert WorkloadScenario("chain", requests).requests == requests
+
+
+def test_long_dependency_cycle_is_named_as_graphlib_names_it():
+    requests = _chain(20_000, closed=True)
+    graph = {r.request_id: set(r.depends_on) for r in requests}
+    with pytest.raises(graphlib.CycleError) as cycle:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    with pytest.raises(WorkloadError) as err:
+        WorkloadScenario("ring", requests)
+    assert str(err.value) == f"dependency cycle: {cycle.value.args[1]}"
 
 
 @pytest.mark.parametrize("field,value", [
