@@ -8,11 +8,15 @@ none of them track the power budget.
 
 from __future__ import annotations
 
+# the engine's Enum members as module globals (see engine.py)
 from .engine import (
-    ControllerView,
+    _ARRIVAL,
+    _DLA,
+    _FREED,
+    _GPU,
+    _MAP,
+    _SET_FREQ,
     Decision,
-    DecisionKind,
-    EventKind,
     Policy,
 )
 from .hardware import ClusterKind
@@ -22,21 +26,34 @@ from .twill import TwillPolicy
 MIN_OFFLOAD_FRACTION = 0.05
 
 
-def _clusters_of_kind(view: ControllerView, kind: ClusterKind) -> list[str]:
-    return sorted(c.cluster_id for c in view.platform.clusters if c.kind is kind)
+class _BoardPolicy(Policy):
+    """A policy that keeps the board's sorted GPU and DLA ids."""
+
+    _board = None
+
+    def _layout(self, platform) -> None:
+        """Derive the sorted GPU and DLA ids once per board, not on every
+        call."""
+        if platform is not self._board:
+            self._board = platform
+            self._gpu_ids = sorted(c.cluster_id for c in platform.clusters
+                                   if c.kind is _GPU)
+            self._dla_ids = sorted(c.cluster_id for c in platform.clusters
+                                   if c.kind is _DLA)
 
 
-class _RaceToIdle(Policy):
+class _RaceToIdle(_BoardPolicy):
     """Governor that pins every busy GPU at its top frequency, without
     consulting the power budget."""
 
     def dvfs_update(self, view, p_before_mw, p_after_mw, handled_events):
         decisions = []
-        for gpu in _clusters_of_kind(view, ClusterKind.GPU):
+        self._layout(view.platform)
+        for gpu in self._gpu_ids:
             state = view.states[gpu]
             top = state.spec.max_level
             if state.occupant is not None and state.current_level != top:
-                decisions.append(Decision(DecisionKind.SET_FREQ,
+                decisions.append(Decision(_SET_FREQ,
                                           cluster_id=gpu, level=top))
         return decisions
 
@@ -55,15 +72,16 @@ class GpuQueuePolicy(_RaceToIdle):
 
     def decide(self, view, events):
         for e in events:
-            if e.kind is EventKind.ARRIVAL:
+            if e.kind is _ARRIVAL:
                 self._fifo.append(e.request_id)
         decisions = []
         planned = {cid: st.occupant for cid, st in view.states.items()}
-        for gpu in _clusters_of_kind(view, ClusterKind.GPU):
+        self._layout(view.platform)
+        for gpu in self._gpu_ids:
             if self._fifo and planned[gpu] is None:
                 rid = self._fifo.pop(0)
                 planned[gpu] = rid
-                decisions.append(Decision(DecisionKind.MAP, request_id=rid,
+                decisions.append(Decision(_MAP, request_id=rid,
                                           cluster_id=gpu))
         return decisions
 
@@ -90,14 +108,14 @@ class StaticDvfsPolicy(_RaceToIdle):
     def decide(self, view, events):
         decisions = []
         planned = {cid: st.occupant for cid, st in view.states.items()}
+        self._layout(view.platform)
 
         def place(rid: str, cid: str):
             planned[cid] = rid
-            decisions.append(Decision(DecisionKind.MAP, request_id=rid,
-                                      cluster_id=cid))
+            decisions.append(Decision(_MAP, request_id=rid, cluster_id=cid))
 
         for e in events:
-            if e.kind is EventKind.CLUSTER_FREED:
+            if e.kind is _FREED:
                 kind = view.cluster_kind(e.cluster_id)
                 for rid in self._fifo:
                     if planned[e.cluster_id] is None and self._suits(view, rid, kind):
@@ -106,20 +124,18 @@ class StaticDvfsPolicy(_RaceToIdle):
                         break
             else:
                 rid = e.request_id
-                gpus = [c for c in _clusters_of_kind(view, ClusterKind.GPU)
-                        if planned[c] is None]
-                dlas = [c for c in _clusters_of_kind(view, ClusterKind.DLA)
-                        if planned[c] is None]
+                gpus = [c for c in self._gpu_ids if planned[c] is None]
+                dlas = [c for c in self._dla_ids if planned[c] is None]
                 if gpus:
                     place(rid, gpus[0])
-                elif dlas and self._suits(view, rid, ClusterKind.DLA):
+                elif dlas and self._suits(view, rid, _DLA):
                     place(rid, dlas[0])
                 else:
                     self._fifo.append(rid)
         return decisions
 
 
-class StaticSubgraphPolicy(Policy):
+class StaticSubgraphPolicy(_BoardPolicy):
     """Split each model once, at arrival, along its compatibility cuts.
 
     The supported subgraphs (as one consolidated slice of the work) go
@@ -137,16 +153,17 @@ class StaticSubgraphPolicy(Policy):
     def decide(self, view, events):
         decisions = []
         planned = {cid: st.occupant for cid, st in view.states.items()}
+        self._layout(view.platform)
 
         def place(rid, part, work, native, cid):
             planned[cid] = rid if part is None else f"{rid}#{part}"
             decisions.append(Decision(
-                DecisionKind.MAP, request_id=rid, cluster_id=cid,
+                _MAP, request_id=rid, cluster_id=cid,
                 part=part, work_gflops=work, native=native))
 
         for e in events:
-            if e.kind is EventKind.CLUSTER_FREED:
-                if view.cluster_kind(e.cluster_id) is not ClusterKind.GPU:
+            if e.kind is _FREED:
+                if view.cluster_kind(e.cluster_id) is not _GPU:
                     continue
                 if self._gpu_fifo and planned[e.cluster_id] is None:
                     rid, part, work = self._gpu_fifo.pop(0)
@@ -155,10 +172,8 @@ class StaticSubgraphPolicy(Policy):
 
             rid = e.request_id
             task = view.tasks[rid]
-            dlas = [c for c in _clusters_of_kind(view, ClusterKind.DLA)
-                    if planned[c] is None]
-            gpus = [c for c in _clusters_of_kind(view, ClusterKind.GPU)
-                    if planned[c] is None]
+            dlas = [c for c in self._dla_ids if planned[c] is None]
+            gpus = [c for c in self._gpu_ids if planned[c] is None]
             frac = task.dla_fraction
             split = frac >= MIN_OFFLOAD_FRACTION and dlas
             if split:

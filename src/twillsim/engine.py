@@ -116,7 +116,7 @@ _SET_FREQ = DecisionKind.SET_FREQ
 _ARRIVAL, _FREED = EventKind.ARRIVAL, EventKind.CLUSTER_FREED
 _PENDING, _RUNNING = TaskState.PENDING, TaskState.RUNNING
 _FROZEN, _DONE = TaskState.FROZEN, TaskState.DONE
-_GPU = ClusterKind.GPU
+_GPU, _DLA = ClusterKind.GPU, ClusterKind.DLA
 
 
 class TaskView(NamedTuple):

@@ -9,9 +9,13 @@ GPU-only by the schedulers, because unsupported layers fall back at a
 heavy penalty when the whole model is pinned to the DLA.
 
 Descriptors repeat layers (a transformer block is the same table row
-after row), so `parse_model` builds one `LayerSpec` per distinct entry
-and shares it among the identical ones, and `layer_affinity` classifies
-each distinct layer once.
+after row), so `parse_model` shares one `LayerSpec` among entries that
+are equal as dicts, and `layer_affinity` classifies each distinct layer
+once.  Entries are grouped by `(op_type, flops)` and each group
+remembers its first `_GROUP_CAP` distinct entries; a later entry equal
+to one of those shares its layer, any other entry is decoded on its
+own.  An entry that carries a key the decoder does not read therefore
+shares only with an identical entry.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import cached_property
+from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
 # Fraction of FLOPs that must be DLA-feasible before a model is
@@ -26,6 +32,11 @@ from typing import NamedTuple
 AFFINITY_THRESHOLD = 0.9
 
 PARAM_OPS = ("Conv", "FullyConnected")
+
+# distinct entries each (op_type, flops) group of a descriptor remembers:
+# enough for every packaged model, and a cap keeps a descriptor of many
+# distinct layers of equal FLOPs linear to parse
+_GROUP_CAP = 8
 
 
 class ModelError(ValueError):
@@ -45,6 +56,9 @@ class LayerSpec(namedtuple("LayerSpec", (
                 kernel: tuple[int, int] | None = None,
                 stride: tuple[int, int] | None = None,
                 padding: tuple[int, int] | None = None):
+        if not isinstance(op_type, str) or not isinstance(precision, str):
+            raise ModelError("op_type and precision must be strings, not "
+                             f"{op_type!r} and {precision!r}")
         if flops < 0:
             raise ModelError(f"{op_type}: negative flops")
         has_geom = kernel is not None
@@ -54,8 +68,11 @@ class LayerSpec(namedtuple("LayerSpec", (
             )
         if has_geom and (stride is None or padding is None):
             raise ModelError(f"{op_type}: incomplete conv geometry")
-        return super().__new__(cls, op_type, precision, flops, in_shape,
-                               out_shape, kernel, stride, padding)
+        return tuple.__new__(cls, (op_type, precision, flops, in_shape,
+                                   out_shape, kernel, stride, padding))
+
+
+_flops = itemgetter(2)  # LayerSpec.flops, read in C
 
 
 class AppProfile(namedtuple("AppProfile",
@@ -70,7 +87,7 @@ class AppProfile(namedtuple("AppProfile",
 
     @cached_property
     def total_flops(self) -> int:
-        return sum(l.flops for l in self.layers)
+        return sum(map(_flops, self.layers))
 
     def work_gflops(self, workload_size: int) -> float:
         """Work of a request of that size, scaled from the reference unit."""
@@ -132,68 +149,69 @@ def load_matrix(text: str) -> CompatibilityMatrix:
         raise ModelError(f"compatibility matrix missing field {e.args[0]!r}") from None
     except ModelError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ModelError(f"compatibility matrix has a malformed field: {e}") from None
 
 
 def _layer_from_dict(d: dict) -> LayerSpec:
     try:
         return LayerSpec(
-            op_type=d["op_type"],
-            precision=d["precision"],
-            flops=int(d["flops"]),
-            in_shape=tuple(int(x) for x in d["in_shape"]),
-            out_shape=tuple(int(x) for x in d["out_shape"]),
-            kernel=_pair(d["kernel"]) if "kernel" in d else None,
-            stride=_pair(d["stride"]) if "stride" in d else None,
-            padding=_pair(d["padding"]) if "padding" in d else None,
+            d["op_type"],
+            d["precision"],
+            int(d["flops"]),
+            tuple(map(int, d["in_shape"])),
+            tuple(map(int, d["out_shape"])),
+            _pair(d["kernel"]) if "kernel" in d else None,
+            _pair(d["stride"]) if "stride" in d else None,
+            _pair(d["padding"]) if "padding" in d else None,
         )
     except KeyError as e:
         raise ModelError(f"layer entry missing field {e.args[0]!r}") from None
     except ModelError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ModelError(f"layer entry has a malformed field: {e}") from None
 
 
-# Marks a field absent from a layer entry; an explicit null is not absent.
-_ABSENT = object()
-
-
 def _layers_from_list(entries) -> tuple[LayerSpec, ...]:
-    """Decode layer entries, one LayerSpec per distinct entry.
+    """Decode layer entries, sharing one LayerSpec among equal entries.
 
-    An entry is keyed on exactly the raw values `_layer_from_dict`
-    reads (each shape as the tuple it iterates), so entries with equal
-    keys decode to equal layers and only the first is decoded.  An
-    entry that is not a dict or holds unhashable values is decoded on
-    its own, which raises the error it always raised.
+    Entries are grouped by `(op_type, flops)`.  An entry equal as a dict
+    to one its group remembers shares that entry's layer (`list.index`
+    compares in C, and equal dicts decode to equal layers; an explicit
+    null is not an absent key).  A group remembers its first
+    `_GROUP_CAP` distinct entries; later ones are decoded each time.  An
+    entry whose group key cannot be formed (not a dict, a missing field,
+    an unhashable value) is decoded on its own, which raises the error
+    it always raised.
     """
-    seen: dict[tuple, LayerSpec] = {}
+    # per group: the remembered entries plus one scratch slot at the end,
+    # and their layers; an entry goes in the scratch slot, so index()
+    # finds it there when no remembered entry equals it, in one C scan
+    # and without raising
+    groups: dict[tuple, tuple[list, list[LayerSpec]]] = {}
     layers = []
     for d in entries:
         try:
-            get = d.get
-            key = (get("op_type", _ABSENT), get("precision", _ABSENT),
-                   get("flops", _ABSENT),
-                   _seq_key(get("in_shape", _ABSENT)),
-                   _seq_key(get("out_shape", _ABSENT)),
-                   _seq_key(get("kernel", _ABSENT)),
-                   _seq_key(get("stride", _ABSENT)),
-                   _seq_key(get("padding", _ABSENT)))
-            layer = seen.get(key)
-        except (AttributeError, TypeError):
-            key = layer = None
-        if layer is None:
+            key = (d["op_type"], d["flops"])
+            group = groups.get(key)
+        except (KeyError, TypeError):
+            layers.append(_layer_from_dict(d))
+            continue
+        if group is None:
+            group = groups[key] = ([None], [])
+        seen, decoded = group
+        seen[-1] = d
+        i = seen.index(d)
+        if i < len(decoded):
+            layer = decoded[i]
+        else:
             layer = _layer_from_dict(d)
-            if key is not None:
-                seen[key] = layer
+            if i < _GROUP_CAP:
+                seen.append(d)  # remembered at i; the scratch slot moves on
+                decoded.append(layer)
         layers.append(layer)
     return tuple(layers)
-
-
-def _seq_key(v):
-    return v if v is _ABSENT else tuple(v)
 
 
 def parse_model(descriptor_text: str) -> AppProfile:
@@ -216,52 +234,67 @@ def parse_model(descriptor_text: str) -> AppProfile:
         raise ModelError(f"model descriptor missing field {e.args[0]!r}") from None
     except ModelError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ModelError(f"model descriptor has a malformed field: {e}") from None
     if not profile.layers:
         raise ModelError(f"{profile.name}: descriptor has no layers")
     if profile.reference_workload <= 0:
         raise ModelError(f"{profile.name}: reference_workload must be positive")
     declared = doc.get("total_flops")
-    if declared is not None and int(declared) != profile.total_flops:
-        raise ModelError(
-            f"{profile.name}: declared total_flops {declared} != layer sum {profile.total_flops}"
-        )
+    if declared is not None:
+        try:
+            matches = int(declared) == profile.total_flops
+        except (TypeError, ValueError, OverflowError):
+            raise ModelError(
+                f"{profile.name}: total_flops must be an integer, not {declared!r}"
+            ) from None
+        if not matches:
+            raise ModelError(
+                f"{profile.name}: declared total_flops {declared} != layer sum {profile.total_flops}"
+            )
     return profile
 
 
 def _in_range(pair: tuple[int, int], bounds: tuple[int, int]) -> bool:
     lo, hi = bounds
-    return all(lo <= v <= hi for v in pair)
+    for v in pair:  # a loop, not all() over a generator: half the cost
+        if not lo <= v <= hi:
+            return False
+    return True
 
 
 def dla_compatible(layer: LayerSpec, matrix: CompatibilityMatrix) -> bool:
     """True when the layer can execute natively on the DLA."""
     if layer.precision not in matrix.supported_precisions:
         return False
-    if layer.op_type in matrix.unsupported_ops:
+    op_type = layer.op_type
+    if op_type in matrix.unsupported_ops:
         return False
-    if layer.op_type in matrix.param_checked_ops:
-        if not _in_range(layer.kernel, matrix.kernel_range):
+    if op_type in matrix.param_checked_ops:
+        if not (_in_range(layer.kernel, matrix.kernel_range)
+                and _in_range(layer.stride, matrix.stride_range)
+                and _in_range(layer.padding, matrix.padding_range)):
             return False
-        if not _in_range(layer.stride, matrix.stride_range):
+        in_shape = layer.in_shape
+        if in_shape and in_shape[0] > matrix.max_batch:
             return False
-        if not _in_range(layer.padding, matrix.padding_range):
-            return False
-        if layer.in_shape and layer.in_shape[0] > matrix.max_batch:
-            return False
-        spatial = tuple(layer.in_shape[2:]) + tuple(layer.out_shape[2:])
-        if any(s > matrix.max_spatial_dim for s in spatial):
-            return False
+        limit = matrix.max_spatial_dim
+        for s in tuple(in_shape[2:]) + tuple(layer.out_shape[2:]):
+            if s > limit:
+                return False
     return True
 
 
 def layer_affinity(profile: AppProfile, matrix: CompatibilityMatrix,
                    threshold: float = AFFINITY_THRESHOLD) -> SignatureMap:
     """Classify every layer and derive the model's scheduling signature."""
-    verdicts: dict[int, bool] = {}  # by id: the profile keeps each layer alive
+    layers = profile.layers
+    # one dict probe per layer, by id (the profile keeps each layer
+    # alive); building the distinct set in C first costs a second probe
+    # per layer and measures slower
+    verdicts: dict[int, bool] = {}
     feasible = []
-    for l in profile.layers:
+    for l in layers:
         ok = verdicts.get(id(l))
         if ok is None:
             ok = verdicts[id(l)] = dla_compatible(l, matrix)
@@ -269,7 +302,7 @@ def layer_affinity(profile: AppProfile, matrix: CompatibilityMatrix,
     feasible = tuple(feasible)
     total = profile.total_flops
     if total > 0:
-        dla_flops = sum(l.flops for l, ok in zip(profile.layers, feasible) if ok)
+        dla_flops = sum(map(_flops, compress(layers, feasible)))
         fraction = dla_flops / total
     else:
         fraction = 0.0

@@ -253,6 +253,10 @@ def test_wrong_typed_platform_field_exits_one(tmp_path, capsys):
     ("models/efficientnet-b4.json", ["layers", 0, "flops"], "lots"),
     ("models/efficientnet-b4.json", ["layers", 0, "kernel"], [3, 3, 3]),
     ("models/efficientnet-b4.json", ["reference_workload"], "one"),
+    # an infinity used to end the run in a raw OverflowError
+    ("dla_matrix.json", ["max_batch"], float("inf")),
+    ("models/efficientnet-b4.json", ["layers", 0, "flops"], float("inf")),
+    ("models/efficientnet-b4.json", ["reference_workload"], float("inf")),
 ])
 def test_wrong_typed_descriptor_field_exits_one(relative, path, value, tmp_path,
                                                 capsys, monkeypatch):
@@ -267,6 +271,31 @@ def test_wrong_typed_descriptor_field_exits_one(relative, path, value, tmp_path,
     (tmp_path / relative).write_text(json.dumps(doc))
     monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
     _assert_input_error(["run", "--mix", "mix1"], capsys, "malformed")
+
+
+@pytest.mark.parametrize("path,value,message", [
+    # each used to end the run in a raw ValueError or TypeError traceback
+    (["total_flops"], "abc", "vgg-19: total_flops must be an integer, not 'abc'"),
+    (["total_flops"], [1], "vgg-19: total_flops must be an integer, not [1]"),
+    (["total_flops"], float("nan"), "vgg-19: total_flops must be an integer, not nan"),
+    (["layers", 1, "op_type"], ["Relu"], "op_type and precision must be strings"),
+    (["layers", 1, "precision"], ["FP16"], "op_type and precision must be strings"),
+], ids=["str_total", "list_total", "nan_total", "list_op_type", "list_precision"])
+def test_bad_descriptor_value_exits_one(path, value, message, tmp_path, capsys,
+                                        monkeypatch):
+    doc = json.loads(presets.model_text("vgg-19"))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    if path[0] == "layers":
+        del doc["total_flops"]  # so only the bad field is reported
+    (tmp_path / "models").mkdir()
+    (tmp_path / "models" / "vgg-19.json").write_text(json.dumps(doc))
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps({"requests": [_ENTRY]}))
+    monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
+    _assert_input_error(["run", "--mix", str(mix)], capsys, message)
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -139,6 +140,11 @@ def _without(entry, field):
     {**_first_entry("Conv"), "kernel": [3, 3, 3]},
     {**_first_entry("Conv"), "stride": None},
     {**_first_entry("Conv"), "flops": -1},
+    {**_first_entry("Conv"), "flops": float("inf")},
+    {**_first_entry("Relu"), "op_type": ["Relu"]},
+    {**_first_entry("Relu"), "precision": ["FP16"]},
+    {**_first_entry("Relu"), "op_type": 5},
+    {**_first_entry("Relu"), "precision": None},
 ])
 def test_malformed_entry_after_an_identical_valid_one(bad):
     """Interning never lets a bad entry borrow a valid twin's layer, and
@@ -150,6 +156,80 @@ def test_malformed_entry_after_an_identical_valid_one(bad):
     with pytest.raises(ModelError) as parsed:
         parse_model(_vgg_with_layers(twin, bad))
     assert str(parsed.value) == str(alone.value)
+
+
+def _descriptor(entries):
+    return json.dumps({"name": "probe", "layers": entries})
+
+
+def _variant(rng, entry):
+    """An entry as a descriptor may spell it: equal as a dict to the
+    packaged one (keys permuted, FLOPs as a float), or not (an extra key
+    the decoder does not read)."""
+    roll = rng.random()
+    if roll < 0.25:
+        return dict(rng.sample(list(entry.items()), len(entry)))
+    if roll < 0.4:
+        return {**entry, "flops": float(entry["flops"])}
+    if roll < 0.6:
+        return {**entry, "name": rng.choice(("a", "b"))}
+    return dict(entry)
+
+
+def test_layers_are_shared_exactly_among_equal_entries():
+    rng = random.Random(20261018)
+    # at most two packaged entries per (op_type, flops) group, so no group
+    # holds more distinct entries (3 spellings each) than it remembers
+    by_group = {}
+    for name in presets.available_models():
+        for entry in json.loads(presets.model_text(name))["layers"]:
+            kept = by_group.setdefault((entry["op_type"], entry["flops"]), [])
+            if entry not in kept and len(kept) < 2:
+                kept.append(entry)
+    packaged = [e for kept in by_group.values() for e in kept]
+    for _ in range(60):
+        pool = rng.sample(packaged, 12)
+        entries = [_variant(rng, rng.choice(pool)) for _ in range(40)]
+        if rng.random() < 0.3:
+            # an explicit null where a valid twin has the field absent
+            twin = rng.choice([e for e in entries if "kernel" not in e] or pool)
+            field = "kernel" if "kernel" not in twin else "stride"
+            entries.insert(rng.randrange(len(entries) + 1), {**twin, field: None})
+        decoded = []
+        for entry in entries:
+            try:
+                decoded.append(_layer_from_dict(entry))
+            except ModelError as alone:
+                with pytest.raises(ModelError) as parsed:
+                    parse_model(_descriptor(entries))
+                assert str(parsed.value) == str(alone)
+                break
+        else:
+            layers = parse_model(_descriptor(entries)).layers
+            assert layers == tuple(decoded)
+            for a, la in zip(entries, layers):
+                for b, lb in zip(entries, layers):
+                    assert (la is lb) == (a == b)
+
+
+def test_a_full_group_decodes_later_entries_again():
+    entries = [{"op_type": "Reshape", "precision": "FP16", "flops": 0,
+                "in_shape": [1, i], "out_shape": [i, 1]} for i in range(1000)]
+    layers = parse_model(_descriptor(
+        entries + [dict(entries[0]), dict(entries[500])])).layers
+    assert layers[1000] is layers[0]
+    assert layers[1001] == layers[500]
+    assert layers[1001] is not layers[500]
+
+
+@pytest.mark.parametrize("declared", ["abc", [1], float("nan"), float("inf"),
+                                      {"flops": 1}])
+def test_non_integer_total_flops_is_a_model_error(declared):
+    doc = json.loads(presets.model_text("vgg-19"))
+    doc["total_flops"] = declared
+    with pytest.raises(ModelError,
+                       match="vgg-19: total_flops must be an integer, not"):
+        parse_model(json.dumps(doc))
 
 
 def test_reference_workload_must_be_positive():
