@@ -139,6 +139,7 @@ class TaskView(NamedTuple):
 
 
 _ABSENT = object()  # logged for a key the snapshot did not have
+_NO_ITEM = object()  # no item taken yet from what a policy returned
 
 
 class TaskSnapshot(Mapping):
@@ -414,13 +415,20 @@ def _r6(x):
 
 class _Task:
     """The engine's mutable record of one task: a whole request, or one
-    part of it."""
+    part of it.
+
+    `rate` is the task's GFLOP/ms on its cluster: state, like the
+    engine's per-cluster utilization, kept by `_occupy`, `_vacate` and
+    `_apply_set_freq`, the only writers of the cluster states (the
+    fallback penalty is fixed for a Simulation).  A task off any
+    cluster does not read it.
+    """
 
     __slots__ = ("key", "request", "part", "profile", "signature", "work",
                  "native", "done", "rolled_back", "cluster_id", "frozen",
                  "frozen_on", "started", "completed", "resume_at",
                  "last_sync", "epoch", "first_map_ms", "completed_ms",
-                 "completion_residual")
+                 "completion_residual", "rate")
 
     def __init__(self, key: str, request: InferenceRequest, part: str | None,
                  profile: AppProfile, signature: SignatureMap, work: float,
@@ -445,6 +453,7 @@ class _Task:
         self.first_map_ms: float | None = None
         self.completed_ms: float | None = None
         self.completion_residual = 0.0
+        self.rate = 0.0
 
     @property
     def state(self) -> TaskState:
@@ -464,10 +473,6 @@ class _Task:
             self.work, self.done, request.arrival_ms,
             signature.preferred_clusters, signature.dla_flops_fraction,
             self.native))
-
-
-def _task_key(request_id: str, part: str | None) -> str:
-    return request_id if part is None else f"{request_id}#{part}"
 
 
 _RANK_COMPLETION = 0
@@ -550,7 +555,10 @@ class Simulation:
         # the newest snapshot handed out, which logs each change to _views
         self._snapshot = TaskSnapshot(self._views, self._order)
         self._power_mw: float | None = None  # None: states changed since
-        self._utils: dict[str, float] = {}  # what _power_mw was drawn at
+        # each cluster's utilization, in board order: an occupied cluster
+        # draws active power even during actuation holds, and a frozen
+        # task has vacated its cluster entirely; _occupy and _vacate keep it
+        self._utils = dict.fromkeys(self.states, 0.0)
         self._dependents: dict[str, list[str]] = {}  # producer -> requests
         self._pending_producers: dict[str, int] = {}
         for r in scenario.requests:
@@ -588,17 +596,10 @@ class Simulation:
 
     # -- power -------------------------------------------------------------
 
-    def _utilization(self) -> dict[str, float]:
-        # an occupied cluster draws active power even during actuation
-        # holds; frozen tasks have vacated their cluster entirely
-        return {cid: 0.0 if st.occupant is None else 1.0
-                for cid, st in self.states.items()}
-
     def _power(self) -> float:
         # computed once per change of cluster state (_occupy, _vacate,
         # _apply_set_freq), not per sample
         if self._power_mw is None:
-            self._utils = self._utilization()
             self._power_mw = power_draw(self.platform, self.states,
                                         self._utils)
         return self._power_mw
@@ -611,30 +612,32 @@ class Simulation:
         # states, like _utils, keep the platform's cluster order, which
         # is trace.cluster_ids
         power.append(tuple.__new__(PowerRecord, (
-            now, p, tuple(st.freq_mhz for st in self.states.values()),
+            now, p, tuple([st.spec.freq_levels_mhz[st.current_level]
+                           for st in self.states.values()]),
             tuple(self._utils.values()))))
 
     # -- task mechanics ----------------------------------------------------
 
-    def _rate(self, task: _Task) -> float:
-        """GFLOP/ms on the task's current cluster."""
-        state = self.states[task.cluster_id]
-        return effective_rate(state, task.signature.dla_flops_fraction,
-                              task.native, self.dla_fallback_penalty) / 1000.0
-
     def _sync(self, task: _Task, now: float):
         if now > task.last_sync:
             if task.cluster_id is not None and not task.frozen:
-                task.done += self._rate(task) * (now - task.last_sync)
+                task.done += task.rate * (now - task.last_sync)
                 self._stale.add(task.key)
             task.last_sync = now
 
     def _sync_all(self, now: float):
-        # only a task on a cluster makes progress; a pending or frozen
-        # task gets a fresh last_sync when it is next mapped or thawed
+        # _sync of each occupant, inline: only a task on a cluster makes
+        # progress; a pending or frozen task gets a fresh last_sync when
+        # it is next mapped or thawed
+        tasks, stale = self.tasks, self._stale
         for st in self.states.values():
-            if st.occupant is not None:
-                self._sync(self.tasks[st.occupant], now)
+            key = st.occupant
+            if key is not None:
+                task = tasks[key]
+                if now > task.last_sync:
+                    task.done += task.rate * (now - task.last_sync)
+                    stale.add(key)
+                    task.last_sync = now
 
     def _reschedule(self, task: _Task, now: float):
         task.epoch += 1
@@ -642,7 +645,7 @@ class Simulation:
             return
         start = max(now, task.resume_at)
         remaining = max(0.0, task.work - task.done)
-        t_done = start + remaining / self._rate(task)
+        t_done = start + remaining / task.rate
         self._push(t_done, _RANK_COMPLETION, "completion", task.key, task.epoch)
 
     def _rollback_to_boundary(self, task: _Task):
@@ -660,9 +663,8 @@ class Simulation:
         task.rolled_back += task.done - new_done
         task.done = new_done
 
-    def _spawn_task(self, request_id: str, part: str | None,
+    def _spawn_task(self, key: str, request_id: str, part: str | None,
                     work: float | None, native: bool) -> _Task:
-        key = _task_key(request_id, part)
         if key in self.tasks:
             raise EngineError(f"task {key!r} already exists")
         if work is not None and not (math.isfinite(work) and work >= 0):
@@ -689,7 +691,7 @@ class Simulation:
         task = _Task(key, request, part, profile,
                      self._signatures[request.model],
                      total if work is None else work, native)
-        mapped = sum(t.work for t in parts)
+        mapped = sum(t.work for t in parts) if parts else 0.0
         if mapped + task.work > total + _WORK_EPS:
             raise EngineError(
                 f"{key}: parts exceed the request's total work "
@@ -713,38 +715,51 @@ class Simulation:
             raise EngineError(f"cluster {cluster_id} is occupied by {state.occupant}")
         return cluster_id
 
+    # _occupy, _vacate and _apply_set_freq are the only writers of
+    # self.states; each keeps _utils, the occupant's rate and _power_mw
+    # (cleared, drawn when next read) in step with it.  A ClusterState
+    # is built through tuple.__new__, past its Python-level constructor.
+
     def _occupy(self, task: _Task, cluster_id: str):
         state = self.states[cluster_id]
-        self.states[cluster_id] = ClusterState(state.spec, state.current_level,
-                                               task.key)
+        self.states[cluster_id] = tuple.__new__(ClusterState, (
+            state.spec, state.current_level, task.key))
+        self._utils[cluster_id] = 1.0
         self._power_mw = None
         task.cluster_id = cluster_id
+        task.rate = effective_rate(state, task.signature.dla_flops_fraction,
+                                   task.native,
+                                   self.dla_fallback_penalty) / 1000.0
 
     def _vacate(self, task: _Task):
-        if task.cluster_id is not None:
-            state = self.states[task.cluster_id]
-            self.states[task.cluster_id] = ClusterState(
-                state.spec, state.current_level, None)
+        cluster_id = task.cluster_id
+        if cluster_id is not None:
+            state = self.states[cluster_id]
+            self.states[cluster_id] = tuple.__new__(ClusterState, (
+                state.spec, state.current_level, None))
+            self._utils[cluster_id] = 0.0
             self._power_mw = None
             task.cluster_id = None
 
     def _apply_decision(self, d: Decision, now: float, acted: set[str]):
-        if d.kind is _SET_FREQ:
+        kind = d.kind
+        if kind is _SET_FREQ:
             raise EngineError("SET_FREQ is only valid from dvfs_update()")
-        key = _task_key(d.request_id, d.part)
+        part = d.part  # a part's task key is "<request id>#<part>"
+        key = d.request_id if part is None else f"{d.request_id}#{part}"
         task = self.tasks.get(key)
         if task is None:
-            if d.kind is not _MAP:
+            if kind is not _MAP:
                 raise EngineError(f"decision names unknown task {key!r}")
             if d.request_id not in self._parts:
                 raise EngineError(
                     f"{key}: MAP for request {d.request_id!r}, which has not arrived")
-            task = self._spawn_task(d.request_id, d.part, d.work_gflops,
+            task = self._spawn_task(key, d.request_id, part, d.work_gflops,
                                     d.native)
         if key in acted:
             raise EngineError(f"{key}: two decisions in one cycle")
 
-        if d.kind is _MAP:
+        if kind is _MAP:
             if task.started or task.frozen or task.cluster_id is not None:
                 raise EngineError(f"{task.key}: MAP on a task that already ran")
             self._require_free(d.cluster_id)
@@ -756,7 +771,7 @@ class Simulation:
                 task.first_map_ms = now
             self._reschedule(task, now)
 
-        elif d.kind is _MIGRATE:
+        elif kind is _MIGRATE:
             if task.state is not _RUNNING:
                 raise EngineError(f"{task.key}: MIGRATE on a task that is not running")
             if d.cluster_id == task.cluster_id:
@@ -770,7 +785,7 @@ class Simulation:
             task.last_sync = task.resume_at
             self._reschedule(task, now)
 
-        elif d.kind is _FREEZE:
+        elif kind is _FREEZE:
             if task.frozen or task.completed:
                 raise EngineError(f"{task.key}: FREEZE on a {task.state.value} task")
             if task.started:
@@ -784,7 +799,7 @@ class Simulation:
             task.frozen = True
             task.epoch += 1
 
-        elif d.kind is _UNFREEZE:
+        elif kind is _UNFREEZE:
             if not task.frozen:
                 raise EngineError(f"{task.key}: UNFREEZE on a task that is not frozen")
             self._require_free(d.cluster_id)
@@ -808,7 +823,7 @@ class Simulation:
             self._reschedule(task, now)
 
         else:  # pragma: no cover - enum is exhaustive
-            raise EngineError(f"unknown decision kind {d.kind}")
+            raise EngineError(f"unknown decision kind {kind}")
 
         acted.add(task.key)
         self._stale.add(task.key)
@@ -817,19 +832,31 @@ class Simulation:
     def _apply_set_freq(self, d: Decision, now: float):
         if d.kind is not _SET_FREQ:
             raise EngineError("dvfs_update() may only emit SET_FREQ decisions")
-        if d.cluster_id is None or d.level is None:
+        cluster_id, level = d.cluster_id, d.level
+        if cluster_id is None or level is None:
             raise EngineError("SET_FREQ needs cluster_id and level")
-        state = self.states.get(d.cluster_id)
+        state = self.states.get(cluster_id)
         if state is None:
-            raise EngineError(f"unknown cluster {d.cluster_id!r}")
-        if d.level == state.current_level:
+            raise EngineError(f"unknown cluster {cluster_id!r}")
+        # before the no-change return, so that True on a cluster at level
+        # 1 is refused too; set_frequency would take a bool as 0 or 1
+        top = state.spec.max_level
+        if (not isinstance(level, int) or isinstance(level, bool)
+                or not 0 <= level <= top):
+            raise EngineError(
+                f"{self.policy.name}: SET_FREQ on {cluster_id} to level "
+                f"{level!r}, which is not an integer in [0, {top}]")
+        if level == state.current_level:
             return
         occupant = self.tasks.get(state.occupant) if state.occupant else None
         if occupant is not None:
             self._sync(occupant, now)
-        self.states[d.cluster_id] = set_frequency(state, d.level)
+        state = self.states[cluster_id] = set_frequency(state, level)
         self._power_mw = None
         if occupant is not None:
+            occupant.rate = effective_rate(
+                state, occupant.signature.dla_flops_fraction, occupant.native,
+                self.dla_fallback_penalty) / 1000.0
             self._reschedule(occupant, now)
         self._log_decision(d, now)
 
@@ -867,6 +894,8 @@ class Simulation:
 
     def _request_complete(self, request_id: str) -> bool:
         parts = self._parts[request_id]
+        if len(parts) == 1 and parts[0].part is None:
+            return parts[0].completed  # the whole request, all its work
         if not all(t.completed for t in parts):
             return False
         r = self._requests[request_id]
@@ -914,7 +943,8 @@ class Simulation:
                             _FREED, None, freed)))
                 elif kind == "arrival":
                     (request_id,) = payload
-                    self._spawn_task(request_id, None, None, False)
+                    self._spawn_task(request_id, request_id, None, None,
+                                     False)
                     events.append(tuple.__new__(ControllerEvent, (
                         _ARRIVAL, request_id, None)))
 
@@ -924,25 +954,64 @@ class Simulation:
             p_before = self._power()
             decisions = self.policy.decide(self._view(now), events)
             acted: set[str] = set()
-            for d in decisions:
-                self._apply_decision(d, now, acted)
+            d = _NO_ITEM
+            try:
+                for d in decisions:
+                    self._apply_decision(d, now, acted)
+            except (TypeError, AttributeError):
+                self._refuse_malformed("decide", decisions, d)
+                raise
             p_after = self._power()
-            freq_decisions = self.policy.dvfs_update(
+            decisions = self.policy.dvfs_update(
                 self._view(now), p_before, p_after, len(events))
-            for d in freq_decisions:
-                self._apply_set_freq(d, now)
+            d = _NO_ITEM
+            try:
+                for d in decisions:
+                    self._apply_set_freq(d, now)
+            except (TypeError, AttributeError):
+                self._refuse_malformed("dvfs_update", decisions, d)
+                raise
             self._record_power(now)
 
         self._check_drained()
         self._finalize_trace()
         return self.trace
 
+    def _refuse_malformed(self, caller: str, returned, d):
+        """Raise EngineError naming what is malformed in what the policy's
+        `caller` returned, once applying decision `d` of it raised
+        TypeError or AttributeError: an unhashable id, a non-numeric
+        size, an item that is not a Decision.  The checks run only
+        then, off the common path; when none fails, the error is not a
+        malformed value's, and the caller re-raises it."""
+        where = f"{self.policy.name}: {caller}() returned"
+        try:
+            iter(returned)
+        except TypeError:
+            raise EngineError(
+                f"{where} {returned!r}, not a list of decisions") from None
+        if d is _NO_ITEM:  # raised by a generator the policy returned
+            return
+        if not isinstance(d, Decision):
+            raise EngineError(f"{where} {d!r}, which is not a Decision")
+        for field in ("request_id", "cluster_id", "part"):
+            value = getattr(d, field)
+            if value is not None and not isinstance(value, str):
+                raise EngineError(
+                    f"{where} a decision with {field} {value!r}, not a string")
+        work = d.work_gflops
+        if work is not None and not isinstance(work, (int, float)):
+            raise EngineError(
+                f"{where} a decision with work_gflops {work!r}, not a number")
+
     def _view(self, now: float) -> ControllerView:
-        log = self._snapshot._log
-        for key in self._stale:
-            log(key)
-            self._views[key] = self.tasks[key].view()
-        self._stale.clear()
+        stale = self._stale
+        if stale:
+            log, views, tasks = self._snapshot._log, self._views, self.tasks
+            for key in stale:
+                log(key)
+                views[key] = tasks[key].view()
+            stale.clear()
         snapshot = TaskSnapshot(self._views, self._order)
         self._snapshot._newer = snapshot
         self._snapshot = snapshot
@@ -970,10 +1039,15 @@ class Simulation:
     def _finalize_trace(self):
         for r in self.scenario.requests:
             parts = self._parts.get(r.request_id, [])
-            first_map = min((t.first_map_ms for t in parts
-                             if t.first_map_ms is not None), default=None)
-            completed = max((t.completed_ms for t in parts), default=None) \
-                if all(t.completed for t in parts) and parts else None
+            if len(parts) == 1:
+                task = parts[0]
+                first_map, completed = task.first_map_ms, task.completed_ms
+            else:
+                first_map = min((t.first_map_ms for t in parts
+                                 if t.first_map_ms is not None), default=None)
+                completed = max((t.completed_ms for t in parts),
+                                default=None) \
+                    if all(t.completed for t in parts) and parts else None
             arrival = r.arrival_ms
             self.trace.requests.append(tuple.__new__(RequestRecord, (
                 r.request_id, r.model, r.priority, arrival, first_map,

@@ -159,7 +159,8 @@ def set_frequency(state: ClusterState, level: int) -> ClusterState:
         raise PlatformError(
             f"{state.spec.cluster_id}: level {level} outside table [0, {state.spec.max_level}]"
         )
-    return ClusterState(state.spec, level, state.occupant)
+    # positionally, past the Python-level NamedTuple constructor
+    return tuple.__new__(ClusterState, (state.spec, level, state.occupant))
 
 
 def power_draw(platform: PlatformSpec, states: dict[str, ClusterState],
@@ -176,7 +177,9 @@ def power_draw(platform: PlatformSpec, states: dict[str, ClusterState],
         if not 0.0 <= util <= 1.0:
             raise PlatformError(f"{spec.cluster_id}: utilization {util} outside [0, 1]")
         total += spec.idle_power_mw
-        total += util * spec.active_power_slope_mw_per_mhz * state.freq_mhz
+        # state.freq_mhz, without the property call
+        total += (util * spec.active_power_slope_mw_per_mhz
+                  * state.spec.freq_levels_mhz[state.current_level])
     return total
 
 

@@ -120,7 +120,20 @@ class SignatureMap(NamedTuple):
     layer_feasible: tuple[bool, ...]
 
 
-def _pair(v) -> tuple[int, int]:
+# JSON arrays decode to lists.  A string or an object would pass through
+# map() or unpacking too, read by its characters or its keys, so an array
+# field that is not a list is refused first; the caller reports the
+# TypeError as a malformed field.
+
+def _ints(v, field: str) -> tuple[int, ...]:
+    if not isinstance(v, list):
+        raise TypeError(f"{field} must be an array, not {v!r}")
+    return tuple(map(int, v))
+
+
+def _pair(v, field: str) -> tuple[int, int]:
+    if not isinstance(v, list):
+        raise TypeError(f"{field} must be an array, not {v!r}")
     a, b = v
     return int(a), int(b)
 
@@ -139,9 +152,9 @@ def load_matrix(text: str) -> CompatibilityMatrix:
             supported_precisions=frozenset(doc["supported_precisions"]),
             unsupported_ops=frozenset(doc["unsupported_ops"]),
             param_checked_ops=frozenset(doc["param_checked_ops"]),
-            kernel_range=_pair(doc["kernel_range"]),
-            stride_range=_pair(doc["stride_range"]),
-            padding_range=_pair(doc["padding_range"]),
+            kernel_range=_pair(doc["kernel_range"], "kernel_range"),
+            stride_range=_pair(doc["stride_range"], "stride_range"),
+            padding_range=_pair(doc["padding_range"], "padding_range"),
             max_batch=int(doc["max_batch"]),
             max_spatial_dim=int(doc["max_spatial_dim"]),
         )
@@ -159,11 +172,11 @@ def _layer_from_dict(d: dict) -> LayerSpec:
             d["op_type"],
             d["precision"],
             int(d["flops"]),
-            tuple(map(int, d["in_shape"])),
-            tuple(map(int, d["out_shape"])),
-            _pair(d["kernel"]) if "kernel" in d else None,
-            _pair(d["stride"]) if "stride" in d else None,
-            _pair(d["padding"]) if "padding" in d else None,
+            _ints(d["in_shape"], "in_shape"),
+            _ints(d["out_shape"], "out_shape"),
+            _pair(d["kernel"], "kernel") if "kernel" in d else None,
+            _pair(d["stride"], "stride") if "stride" in d else None,
+            _pair(d["padding"], "padding") if "padding" in d else None,
         )
     except KeyError as e:
         raise ModelError(f"layer entry missing field {e.args[0]!r}") from None
@@ -230,6 +243,9 @@ def parse_model(descriptor_text: str) -> AppProfile:
             layers=layers,
             reference_workload=int(doc.get("reference_workload", 1)),
         )
+        if not isinstance(profile.name, str):  # it is each TaskView.model
+            raise ModelError(
+                f"model name must be a string, not {profile.name!r}")
     except KeyError as e:
         raise ModelError(f"model descriptor missing field {e.args[0]!r}") from None
     except ModelError:

@@ -42,6 +42,12 @@ from .hardware import ClusterKind
 
 _RATE_EPS = 1e-9
 
+# A Decision is built positionally through tuple.__new__, with all seven
+# fields (kind, request_id, cluster_id, level, part, work_gflops,
+# native): that skips the Python-level NamedTuple constructor, and this
+# policy builds one or two per arrival.
+_new = tuple.__new__
+
 
 class QueueEntry(NamedTuple):
     task_key: str
@@ -107,13 +113,12 @@ class TwillPolicy(Policy):
         self._gpu_ids: list[str] = []
 
     def _layout(self, platform) -> None:
-        """Derive the cluster kinds by id and the sorted GPU ids once per
-        board, not on every call."""
-        if platform is not self._board:
-            self._board = platform
-            self._kinds = {c.cluster_id: c.kind.name for c in platform.clusters}
-            self._gpu_ids = sorted(c.cluster_id for c in platform.clusters
-                                   if c.kind is ClusterKind.GPU)
+        """Derive the cluster kinds by id and the sorted GPU ids; called
+        once per board, when `view.platform` is not the last one seen."""
+        self._board = platform
+        self._kinds = {c.cluster_id: c.kind.name for c in platform.clusters}
+        self._gpu_ids = sorted(c.cluster_id for c in platform.clusters
+                               if c.kind is ClusterKind.GPU)
 
     # -- mapping -----------------------------------------------------------
 
@@ -122,11 +127,16 @@ class TwillPolicy(Policy):
         decisions: list[Decision] = []
         planned = {cid: st.occupant for cid, st in view.states.items()}
         touched: set[str] = set()
-        self._layout(view.platform)
+        if view.platform is not self._board:
+            self._layout(view.platform)
         kinds = self._kinds
 
-        freed = [e.cluster_id for e in events if e.kind is _FREED]
-        arrivals = [e.request_id for e in events if e.kind is _ARRIVAL]
+        freed, arrivals = [], []
+        for e in events:
+            if e.kind is _FREED:
+                freed.append(e.cluster_id)
+            elif e.kind is _ARRIVAL:
+                arrivals.append(e.request_id)
 
         # freed clusters, cascading through any migration vacancies
         worklist = list(freed)
@@ -137,13 +147,15 @@ class TwillPolicy(Policy):
             entry = self.queue.best(kinds[cid])
             if entry is not None:
                 self.queue.remove(entry.task_key)
-                decisions.append(Decision(_UNFREEZE, entry.task_key, cid))
+                decisions.append(_new(Decision, (
+                    _UNFREEZE, entry.task_key, cid, None, None, None, False)))
                 planned[cid] = entry.task_key
                 touched.add(entry.task_key)
                 continue
             mover = self._best_migration(view, cid, planned, touched)
             if mover is not None:
-                decisions.append(Decision(_MIGRATE, mover.key, cid))
+                decisions.append(_new(Decision, (
+                    _MIGRATE, mover.key, cid, None, None, None, False)))
                 planned[cid] = mover.key
                 planned[mover.cluster_id] = None
                 touched.add(mover.key)
@@ -197,7 +209,7 @@ class TwillPolicy(Policy):
             target = min(free_pref)[2]
             planned[target] = rid
             touched.add(rid)
-            return [Decision(_MAP, rid, target)]
+            return [_new(Decision, (_MAP, rid, target, None, None, None, False))]
 
         # every preferred cluster is taken: their running occupants that
         # this cycle has not moved, on the fastest cluster first
@@ -220,8 +232,9 @@ class TwillPolicy(Policy):
             planned[cid] = rid
             touched.update((occ.key, rid))
             return [
-                Decision(_MIGRATE, occ.key, target),
-                Decision(_MAP, rid, cid),
+                _new(Decision, (_MIGRATE, occ.key, target, None, None, None,
+                                False)),
+                _new(Decision, (_MAP, rid, cid, None, None, None, False)),
             ]
 
         # freeze a strictly lower-priority occupant
@@ -236,22 +249,24 @@ class TwillPolicy(Policy):
             planned[cid] = rid
             touched.update((occ.key, rid))
             return [
-                Decision(_FREEZE, occ.key),
-                Decision(_MAP, rid, cid),
+                _new(Decision, (_FREEZE, occ.key, None, None, None, None,
+                                False)),
+                _new(Decision, (_MAP, rid, cid, None, None, None, False)),
             ]
 
         # defer admission: park in the thaw queue, to be placed on the
         # next compatible CLUSTER_FREED
         self.queue.add(rid, task.priority, view.now, prefs)
         touched.add(rid)
-        return [Decision(_FREEZE, rid)]
+        return [_new(Decision, (_FREEZE, rid, None, None, None, None, False))]
 
     # -- frequency governor --------------------------------------------------
 
     def dvfs_update(self, view: ControllerView, p_before_mw: float,
                     p_after_mw: float, handled_events: int) -> list[Decision]:
         decisions = []
-        self._layout(view.platform)
+        if view.platform is not self._board:
+            self._layout(view.platform)
         # in the board's order, which is fixed: two fingerprints are equal
         # exactly when the same clusters are busy
         fingerprint = tuple([c for c in self._kinds
@@ -295,6 +310,6 @@ class TwillPolicy(Policy):
 
             self._samples[cid] = (freq, p_after_mw, fingerprint)
             if chosen != state.current_level:
-                decisions.append(Decision(_SET_FREQ, cluster_id=cid,
-                                          level=chosen))
+                decisions.append(_new(Decision, (
+                    _SET_FREQ, None, cid, chosen, None, None, False)))
         return decisions

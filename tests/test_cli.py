@@ -280,7 +280,16 @@ def test_wrong_typed_descriptor_field_exits_one(relative, path, value, tmp_path,
     (["total_flops"], float("nan"), "vgg-19: total_flops must be an integer, not nan"),
     (["layers", 1, "op_type"], ["Relu"], "op_type and precision must be strings"),
     (["layers", 1, "precision"], ["FP16"], "op_type and precision must be strings"),
-], ids=["str_total", "list_total", "nan_total", "list_op_type", "list_precision"])
+    # each used to be read by its characters or keys, or to run
+    (["layers", 1, "in_shape"], "1234", "in_shape must be an array, not '1234'"),
+    (["layers", 1, "out_shape"], {"1": 0}, "out_shape must be an array"),
+    (["layers", 0, "kernel"], "33", "kernel must be an array, not '33'"),
+    (["name"], 5, "model name must be a string, not 5"),
+    (["name"], None, "model name must be a string, not None"),
+    (["name"], ["x"], "model name must be a string, not ['x']"),
+], ids=["str_total", "list_total", "nan_total", "list_op_type", "list_precision",
+        "str_in_shape", "object_out_shape", "str_kernel", "int_name",
+        "null_name", "list_name"])
 def test_bad_descriptor_value_exits_one(path, value, message, tmp_path, capsys,
                                         monkeypatch):
     doc = json.loads(presets.model_text("vgg-19"))

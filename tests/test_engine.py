@@ -10,6 +10,7 @@ import signal
 
 import pytest
 
+import twillsim
 from twillsim import (
     POLICIES,
     Decision,
@@ -22,11 +23,13 @@ from twillsim import (
     TaskState,
     WorkloadError,
     build_simulation,
+    effective_rate,
     layer_affinity,
     load_matrix,
     load_platform,
     make_policy,
     parse_model,
+    power_draw,
     presets,
     random_mix,
     write_trace,
@@ -320,6 +323,17 @@ VIOLATIONS = [
      {"a": [MAP("a", "gpu0")], "b": [MAP("a", "dla0")]}, "already ran"),
     ("part_without_work",
      {"a": [MAP("a", "gpu0", part="x")]}, "work_gflops"),
+    # each used to end in a raw TypeError or AttributeError
+    ("list_cluster_id", {"a": [MAP("a", ["gpu0"])]},
+     r"scripted: decide\(\) returned a decision with cluster_id \['gpu0'\]"),
+    ("list_request_id", {"a": [MAP(["a"], "gpu0")]},
+     r"scripted: .* with request_id \['a'\], not a string"),
+    ("str_work", {"a": [MAP("a", "gpu0", part="x", work_gflops="1")]},
+     r"scripted: .* with work_gflops '1', not a number"),
+    ("returns_none", lambda view, events: None,
+     r"scripted: decide\(\) returned None, not a list of decisions"),
+    ("item_not_a_decision", {"a": ["MAP"]},
+     r"scripted: decide\(\) returned 'MAP', which is not a Decision"),
 ]
 
 
@@ -327,8 +341,54 @@ VIOLATIONS = [
                          [v[1:] for v in VIOLATIONS],
                          ids=[v[0] for v in VIOLATIONS])
 def test_decision_protocol_violations(plan, match):
+    decide = plan if callable(plan) else map_on_arrival(plan)
     with pytest.raises(EngineError, match=match):
-        run_toy(two_arrivals(), map_on_arrival(plan))
+        run_toy(two_arrivals(), decide)
+
+
+def test_an_error_inside_a_policy_generator_is_not_blamed_on_a_decision():
+    def decide(view, events):
+        raise TypeError("policy bug")
+        yield
+    with pytest.raises(TypeError, match="policy bug"):
+        run_toy(two_arrivals(), decide)
+
+
+def SET_FREQ(level, cid="gpu0"):
+    return Decision(kind=DecisionKind.SET_FREQ, cluster_id=cid, level=level)
+
+
+# what dvfs_update returns at each cycle of two_arrivals(), with "a" on
+# gpu0 from the first cycle to past the second
+DVFS_VIOLATIONS = [
+    ("float_level", [[SET_FREQ(1.0)]], "SET_FREQ on gpu0 to level 1.0"),
+    ("str_level", [[SET_FREQ("1")]], "SET_FREQ on gpu0 to level '1'"),
+    # True == 1, so at level 1 it used to be dropped as no change
+    ("bool_level", [[SET_FREQ(1)], [SET_FREQ(True)]],
+     "SET_FREQ on gpu0 to level True"),
+    ("negative_level", [[SET_FREQ(-1)]], r"level -1, .* in \[0, 2\]"),
+    ("level_past_the_table", [[SET_FREQ(99)]], r"level 99, .* in \[0, 2\]"),
+    ("dla_level", [[SET_FREQ(1, "dla0")]], r"dla0 to level 1, .* in \[0, 0\]"),
+    ("list_cluster_id", [[SET_FREQ(1, ["gpu0"])]],
+     r"scripted: dvfs_update\(\) returned a decision with cluster_id \['gpu0'\]"),
+    ("returns_none", [None],
+     r"scripted: dvfs_update\(\) returned None, not a list of decisions"),
+    ("item_not_a_decision", [["SET_FREQ"]],
+     r"scripted: dvfs_update\(\) returned 'SET_FREQ', which is not a Decision"),
+]
+
+
+@pytest.mark.parametrize("returns,match",
+                         [v[1:] for v in DVFS_VIOLATIONS],
+                         ids=[v[0] for v in DVFS_VIOLATIONS])
+def test_set_freq_protocol_violations(returns, match):
+    calls = iter(returns)
+
+    def dvfs(view, p_before, p_after, handled):
+        return next(calls, [])
+    with pytest.raises(EngineError, match=match):
+        run_toy(two_arrivals(), map_on_arrival({"a": [MAP("a", "gpu0")]}),
+                dvfs)
 
 
 @pytest.mark.parametrize("scn,plan", [
@@ -534,6 +594,73 @@ def test_view_matches_a_full_rebuild_with_dependencies(policy):
                      dependency_p=0.4)
     assert sum(1 for r in scn.requests if r.depends_on) >= 10
     run_shadowed(scn, policy)
+
+
+class CheckedSimulation(Simulation):
+    """Checks, as each cycle ends, that what the engine keeps as state
+    equals a recomputation from the cluster states: each occupant's
+    rate, each cluster's utilization, and the power drawn.  `seen`
+    names the kinds of change it was checked across."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checks = 0
+        self.seen = set()
+
+    def _apply_set_freq(self, d, now):
+        state = self.states[d.cluster_id]
+        if state.occupant is not None and d.level != state.current_level:
+            self.seen.add("SET_FREQ on an occupied cluster")
+        super()._apply_set_freq(d, now)
+
+    def _record_power(self, now):
+        utils = {}
+        for cid, st in self.states.items():
+            utils[cid] = 0.0 if st.occupant is None else 1.0
+            if st.occupant is None:
+                continue
+            task = self.tasks[st.occupant]
+            assert task.cluster_id == cid
+            assert task.rate == effective_rate(
+                st, task.signature.dla_flops_fraction, task.native,
+                self.dla_fallback_penalty) / 1000.0
+            if task.native and task.part is not None:
+                self.seen.add("native part")
+        assert list(self._utils.items()) == list(utils.items())
+        assert self._power() == power_draw(self.platform, self.states, utils)
+        self.checks += 1
+        super()._record_power(now)
+
+
+def run_checked(scn, policy, monkeypatch) -> CheckedSimulation:
+    monkeypatch.setattr(twillsim, "Simulation", CheckedSimulation)
+    sim = build_simulation(scn, policy)
+    trace = sim.run()
+    assert sim.checks > 1  # the start, then every cycle
+    sim.seen.update(d.kind for d in trace.decisions)
+    return sim
+
+
+def _dependent_mix(seed):
+    return random_mix(seed, presets.available_models(), n_requests=300,
+                      dependency_p=0.3)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("scn", ["mix1", "mix2", "mix3", "mix4", "mix5",
+                                 _dependent_mix(3), _dependent_mix(11)],
+                         ids=lambda s: s if isinstance(s, str) else s.name)
+def test_kept_rates_and_power_match_a_recomputation(scn, policy, monkeypatch):
+    run_checked(scn, policy, monkeypatch)
+
+
+def test_kept_state_is_checked_across_every_kind_of_change(monkeypatch):
+    seen = set()
+    for scn, policy in [("mix3", "twill"), (_dependent_mix(3), "twill"),
+                        ("mix1", "static_subgraph")]:
+        seen |= run_checked(scn, policy, monkeypatch).seen
+    assert seen >= {"MAP", "MIGRATE", "FREEZE", "UNFREEZE", "SET_FREQ",
+                    "SET_FREQ on an occupied cluster", "native part"}
 
 
 def test_view_matches_a_full_rebuild_across_a_split():

@@ -145,6 +145,13 @@ def _without(entry, field):
     {**_first_entry("Relu"), "precision": ["FP16"]},
     {**_first_entry("Relu"), "op_type": 5},
     {**_first_entry("Relu"), "precision": None},
+    # strings and objects, once read by their characters or keys
+    {**_first_entry("Relu"), "in_shape": "1234"},
+    {**_first_entry("Relu"), "out_shape": "1"},
+    {**_first_entry("Relu"), "in_shape": {"1": 0, "64": 0}},
+    {**_first_entry("Conv"), "kernel": "33"},
+    {**_first_entry("Conv"), "stride": {"1": 0, "2": 0}},
+    {**_first_entry("Conv"), "padding": "11"},
 ])
 def test_malformed_entry_after_an_identical_valid_one(bad):
     """Interning never lets a bad entry borrow a valid twin's layer, and
@@ -156,6 +163,27 @@ def test_malformed_entry_after_an_identical_valid_one(bad):
     with pytest.raises(ModelError) as parsed:
         parse_model(_vgg_with_layers(twin, bad))
     assert str(parsed.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("in_shape", "1234"), ("out_shape", "1"), ("in_shape", {"1": 0}),
+    ("kernel", "33"), ("stride", {"1": 0, "2": 0}), ("padding", "11"),
+])
+def test_array_fields_must_be_arrays(field, value):
+    entry = {**_first_entry("Conv"), field: value}
+    with pytest.raises(ModelError) as e:
+        parse_model(_vgg_with_layers(entry))
+    assert str(e.value).endswith(
+        f"malformed field: {field} must be an array, not {value!r}")
+
+
+@pytest.mark.parametrize("value", [5, None, ["x"], {"n": "x"}])
+def test_model_name_must_be_a_string(value):
+    doc = json.loads(presets.model_text("vgg-19"))
+    doc["name"] = value
+    with pytest.raises(ModelError) as e:
+        parse_model(json.dumps(doc))
+    assert str(e.value) == f"model name must be a string, not {value!r}"
 
 
 def _descriptor(entries):
@@ -246,6 +274,16 @@ def test_top_level_must_be_an_object(text):
         parse_model(text)
     with pytest.raises(ModelError, match="JSON object"):
         load_matrix(text)
+
+
+@pytest.mark.parametrize("field", ["kernel_range", "stride_range",
+                                   "padding_range"])
+def test_matrix_ranges_must_be_arrays(field):
+    doc = json.loads(presets.matrix_text())
+    doc[field] = "15"  # once read as (1, 5)
+    with pytest.raises(ModelError) as e:
+        load_matrix(json.dumps(doc))
+    assert str(e.value).endswith(f"{field} must be an array, not '15'")
 
 
 def test_layer_geometry_invariant():
