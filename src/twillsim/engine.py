@@ -23,12 +23,12 @@ import heapq
 import io
 import itertools
 import json
-import math
 import os
 from collections.abc import Mapping
 from enum import Enum
 from typing import NamedTuple
 
+from ._fields import real
 from .hardware import (
     ClusterKind,
     ClusterState,
@@ -494,25 +494,21 @@ class Simulation:
         for name, value in (("ctrl_overhead_ms", ctrl_overhead_ms),
                             ("migration_overhead_ms", migration_overhead_ms),
                             ("freeze_overhead_ms", freeze_overhead_ms)):
-            if not (math.isfinite(value) and value >= 0):
-                raise PlatformError(f"{name} must be finite and non-negative, got {value}")
-        if not (math.isfinite(dla_fallback_penalty) and dla_fallback_penalty >= 1):
+            setattr(self, name, real(value, name, PlatformError, lo=0))
+        self.dla_fallback_penalty = real(
+            dla_fallback_penalty, "dla_fallback_penalty", PlatformError, lo=1)
+        threshold = real(affinity_threshold, "affinity_threshold",
+                         PlatformError, lo=0)
+        if threshold > 1:
             raise PlatformError(
-                f"dla_fallback_penalty must be finite and at least 1, got {dla_fallback_penalty}")
-        if not 0.0 <= affinity_threshold <= 1.0:
-            raise PlatformError(
-                f"affinity_threshold must lie in [0, 1], got {affinity_threshold}")
-        if not max_time_ms > 0:  # a NaN would never cut a runaway off
-            raise PlatformError(f"max_time_ms must be positive, got {max_time_ms}")
+                f"affinity_threshold must lie in [0, 1], not {threshold!r}")
+        # a NaN would never cut a runaway off
+        self.max_time_ms = real(max_time_ms, "max_time_ms", PlatformError,
+                                lo=0, strict=True)
         self.platform = _apply_overrides(platform, scenario.platform_overrides)
         self.scenario = scenario
         self.policy = policy
         self.matrix = matrix
-        self.ctrl_overhead_ms = ctrl_overhead_ms
-        self.migration_overhead_ms = migration_overhead_ms
-        self.freeze_overhead_ms = freeze_overhead_ms
-        self.dla_fallback_penalty = dla_fallback_penalty
-        self.max_time_ms = max_time_ms
 
         self.states = initial_states(self.platform)
         self.tasks: dict[str, _Task] = {}
@@ -527,7 +523,7 @@ class Simulation:
                 profile = self._profiles[r.model] = parse_model(
                     descriptors[r.model])
                 self._signatures[r.model] = layer_affinity(
-                    profile, matrix, threshold=affinity_threshold)
+                    profile, matrix, threshold=threshold)
         # No request ends before its arrival plus its work at the top rate
         # of every cluster at once (a split request runs on several): past
         # the horizon, the input is at fault, not a policy.
@@ -536,10 +532,10 @@ class Simulation:
         finish, rid = max(((r.arrival_ms + self._profiles[r.model].work_gflops(
             r.workload_size) / top_rate, r.request_id)
             for r in scenario.requests), default=(0.0, None))
-        if finish > max_time_ms:
+        if finish > self.max_time_ms:
             raise WorkloadError(
                 f"{rid}: cannot finish before {finish:.1f} ms, past the "
-                f"simulation's {max_time_ms} ms horizon")
+                f"simulation's {self.max_time_ms} ms horizon")
 
         self._heap: list[tuple] = []
         self._seq = 0
@@ -667,9 +663,12 @@ class Simulation:
                     work: float | None, native: bool) -> _Task:
         if key in self.tasks:
             raise EngineError(f"task {key!r} already exists")
-        if work is not None and not (math.isfinite(work) and work >= 0):
-            raise EngineError(f"{key}: work_gflops must be finite and "
-                              f"non-negative, not {work!r}")
+        if work is not None:
+            work = real(work, f"{self.policy.name}: {key}: work_gflops",
+                        EngineError, lo=0)
+        if native is not True and native is not False:
+            raise EngineError(f"{self.policy.name}: {key}: native must be a "
+                              f"bool, not {native!r}")
         parts = self._parts.setdefault(request_id, [])
         if part is not None:
             whole = self.tasks.get(request_id)
@@ -980,10 +979,10 @@ class Simulation:
     def _refuse_malformed(self, caller: str, returned, d):
         """Raise EngineError naming what is malformed in what the policy's
         `caller` returned, once applying decision `d` of it raised
-        TypeError or AttributeError: an unhashable id, a non-numeric
-        size, an item that is not a Decision.  The checks run only
-        then, off the common path; when none fails, the error is not a
-        malformed value's, and the caller re-raises it."""
+        TypeError or AttributeError: an unhashable id, an item that is
+        not a Decision.  The checks run only then, off the common path;
+        when none fails, the error is not a malformed value's, and the
+        caller re-raises it."""
         where = f"{self.policy.name}: {caller}() returned"
         try:
             iter(returned)
@@ -999,10 +998,6 @@ class Simulation:
             if value is not None and not isinstance(value, str):
                 raise EngineError(
                     f"{where} a decision with {field} {value!r}, not a string")
-        work = d.work_gflops
-        if work is not None and not isinstance(work, (int, float)):
-            raise EngineError(
-                f"{where} a decision with work_gflops {work!r}, not a number")
 
     def _view(self, now: float) -> ControllerView:
         stale = self._stale

@@ -12,10 +12,11 @@ The DLA has a single frequency level and does not participate in DVFS.
 from __future__ import annotations
 
 import json
-import math
 from collections import namedtuple
 from enum import Enum
 from typing import NamedTuple
+
+from ._fields import integers, real
 
 
 class ClusterKind(Enum):
@@ -27,20 +28,6 @@ class PlatformError(ValueError):
     """Raised for malformed or inconsistent platform configurations,
     including out-of-range engine knobs (control overheads, DLA fallback
     penalty, affinity threshold)."""
-
-
-def _number(value, name: str, convert=float):
-    """`value` through `convert`, refusing a bool first: Python counts
-    True as 1, so a JSON true would read as 1 mW or 1 MHz."""
-    if isinstance(value, bool):
-        raise PlatformError(f"{name} must be a number, not {value!r}")
-    return convert(value)
-
-
-def _whole_mhz(f):
-    """A frequency level in whole MHz, as the trace prints it; a NaN or
-    infinity is kept for the range check to refuse."""
-    return f if isinstance(f, float) and not math.isfinite(f) else int(f)
 
 
 class ClusterSpec(namedtuple("ClusterSpec", (
@@ -64,13 +51,16 @@ class ClusterSpec(namedtuple("ClusterSpec", (
         except UnicodeEncodeError:
             raise PlatformError(
                 f"cluster_id must be UTF-8 text, not {cluster_id!r}") from None
-        levels = tuple(_number(f, f"{cluster_id}: freq_levels_mhz entry",
-                               _whole_mhz) for f in freq_levels_mhz)
-        throughput = tuple(_number(t, f"{cluster_id}: throughput_gflops entry")
+        levels = integers(freq_levels_mhz, f"{cluster_id}: freq_levels_mhz",
+                          PlatformError, lo=1)
+        throughput = tuple(real(t, f"{cluster_id}: throughput_gflops entry",
+                                PlatformError, lo=0, strict=True)
                            for t in throughput_gflops)
-        idle = _number(idle_power_mw, f"{cluster_id}: idle_power_mw")
-        slope = _number(active_power_slope_mw_per_mhz,
-                        f"{cluster_id}: active_power_slope_mw_per_mhz")
+        idle = real(idle_power_mw, f"{cluster_id}: idle_power_mw",
+                    PlatformError, lo=0)
+        slope = real(active_power_slope_mw_per_mhz,
+                     f"{cluster_id}: active_power_slope_mw_per_mhz",
+                     PlatformError, lo=0)
         if not levels:
             raise PlatformError(f"{cluster_id}: empty frequency table")
         if len(levels) != len(throughput):
@@ -78,21 +68,12 @@ class ClusterSpec(namedtuple("ClusterSpec", (
                 f"{cluster_id}: {len(levels)} frequency levels "
                 f"but {len(throughput)} throughput entries"
             )
-        if not all(math.isfinite(f) and f > 0 for f in levels):
-            raise PlatformError(
-                f"{cluster_id}: frequency levels must be finite and positive MHz")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise PlatformError(f"{cluster_id}: frequency levels must be strictly ascending")
         if any(b <= a for a, b in zip(throughput, throughput[1:])):
             raise PlatformError(f"{cluster_id}: throughput must be strictly increasing")
         if kind is ClusterKind.DLA and len(levels) != 1:
             raise PlatformError(f"{cluster_id}: DLA clusters have exactly one frequency level")
-        if not all(math.isfinite(v) and v >= 0 for v in (idle, slope)):
-            raise PlatformError(
-                f"{cluster_id}: power coefficients must be finite and non-negative")
-        if not all(math.isfinite(t) and t > 0 for t in throughput):
-            raise PlatformError(
-                f"{cluster_id}: throughput entries must be finite and positive")
         return super().__new__(cls, cluster_id, kind, levels, throughput,
                                idle, slope)
 
@@ -116,13 +97,9 @@ class PlatformSpec(namedtuple("PlatformSpec",
         clusters = tuple(clusters)
         if not clusters:
             raise PlatformError(f"{name}: platform has no clusters")
-        tdp_mw = _number(tdp_mw, "tdp_mw")
-        if not (math.isfinite(tdp_mw) and tdp_mw > 0):
-            raise PlatformError(f"tdp_mw must be finite and positive, got {tdp_mw}")
-        base_power_mw = _number(base_power_mw, "base_power_mw")
-        if not (math.isfinite(base_power_mw) and base_power_mw >= 0):
-            raise PlatformError(
-                f"base_power_mw must be finite and non-negative, got {base_power_mw}")
+        tdp_mw = real(tdp_mw, "tdp_mw", PlatformError, lo=0, strict=True)
+        base_power_mw = real(base_power_mw, "base_power_mw", PlatformError,
+                             lo=0)
         ids = [c.cluster_id for c in clusters]
         if len(set(ids)) != len(ids):
             raise PlatformError("duplicate cluster_id")

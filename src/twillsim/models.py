@@ -27,6 +27,8 @@ from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
 
+from ._fields import integer, integers
+
 # Fraction of FLOPs that must be DLA-feasible before a model is
 # considered a DLA candidate at all.
 AFFINITY_THRESHOLD = 0.9
@@ -59,8 +61,7 @@ class LayerSpec(namedtuple("LayerSpec", (
         if not isinstance(op_type, str) or not isinstance(precision, str):
             raise ModelError("op_type and precision must be strings, not "
                              f"{op_type!r} and {precision!r}")
-        if flops < 0:
-            raise ModelError(f"{op_type}: negative flops")
+        flops = integer(flops, "flops", ModelError, lo=0)
         has_geom = kernel is not None
         if has_geom != (op_type in PARAM_OPS):
             raise ModelError(
@@ -120,22 +121,19 @@ class SignatureMap(NamedTuple):
     layer_feasible: tuple[bool, ...]
 
 
-# JSON arrays decode to lists.  A string or an object would pass through
-# map() or unpacking too, read by its characters or its keys, so an array
-# field that is not a list is refused first; the caller reports the
-# TypeError as a malformed field.
-
-def _ints(v, field: str) -> tuple[int, ...]:
-    if not isinstance(v, list):
-        raise TypeError(f"{field} must be an array, not {v!r}")
-    return tuple(map(int, v))
+def _names(doc: dict, field: str) -> frozenset[str]:
+    v = doc[field]
+    # a string or an object would be read by its characters or keys
+    if not isinstance(v, list) or not {str}.issuperset(map(type, v)):
+        raise ModelError(f"{field} must be an array of strings, not {v!r}")
+    return frozenset(v)
 
 
-def _pair(v, field: str) -> tuple[int, int]:
-    if not isinstance(v, list):
-        raise TypeError(f"{field} must be an array, not {v!r}")
-    a, b = v
-    return int(a), int(b)
+def _range(doc: dict, field: str) -> tuple[int, int]:
+    low, high = integers(doc[field], field, ModelError, lo=0, length=2)
+    if low > high:
+        raise ModelError(f"{field} must run from low to high, not {[low, high]}")
+    return low, high
 
 
 def load_matrix(text: str) -> CompatibilityMatrix:
@@ -149,21 +147,18 @@ def load_matrix(text: str) -> CompatibilityMatrix:
     try:
         return CompatibilityMatrix(
             name=doc.get("name", "unnamed"),
-            supported_precisions=frozenset(doc["supported_precisions"]),
-            unsupported_ops=frozenset(doc["unsupported_ops"]),
-            param_checked_ops=frozenset(doc["param_checked_ops"]),
-            kernel_range=_pair(doc["kernel_range"], "kernel_range"),
-            stride_range=_pair(doc["stride_range"], "stride_range"),
-            padding_range=_pair(doc["padding_range"], "padding_range"),
-            max_batch=int(doc["max_batch"]),
-            max_spatial_dim=int(doc["max_spatial_dim"]),
+            supported_precisions=_names(doc, "supported_precisions"),
+            unsupported_ops=_names(doc, "unsupported_ops"),
+            param_checked_ops=_names(doc, "param_checked_ops"),
+            kernel_range=_range(doc, "kernel_range"),
+            stride_range=_range(doc, "stride_range"),
+            padding_range=_range(doc, "padding_range"),
+            max_batch=integer(doc["max_batch"], "max_batch", ModelError, lo=0),
+            max_spatial_dim=integer(doc["max_spatial_dim"], "max_spatial_dim",
+                                    ModelError, lo=0),
         )
     except KeyError as e:
         raise ModelError(f"compatibility matrix missing field {e.args[0]!r}") from None
-    except ModelError:
-        raise
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ModelError(f"compatibility matrix has a malformed field: {e}") from None
 
 
 def _layer_from_dict(d: dict) -> LayerSpec:
@@ -171,29 +166,31 @@ def _layer_from_dict(d: dict) -> LayerSpec:
         return LayerSpec(
             d["op_type"],
             d["precision"],
-            int(d["flops"]),
-            _ints(d["in_shape"], "in_shape"),
-            _ints(d["out_shape"], "out_shape"),
-            _pair(d["kernel"], "kernel") if "kernel" in d else None,
-            _pair(d["stride"], "stride") if "stride" in d else None,
-            _pair(d["padding"], "padding") if "padding" in d else None,
+            d["flops"],
+            integers(d["in_shape"], "in_shape", ModelError, lo=0),
+            integers(d["out_shape"], "out_shape", ModelError, lo=0),
+            # an explicit null is no absent geometry: the reader refuses it
+            integers(d["kernel"], "kernel", ModelError, lo=1, length=2)
+            if "kernel" in d else None,
+            integers(d["stride"], "stride", ModelError, lo=1, length=2)
+            if "stride" in d else None,
+            integers(d["padding"], "padding", ModelError, lo=0, length=2)
+            if "padding" in d else None,
         )
     except KeyError as e:
         raise ModelError(f"layer entry missing field {e.args[0]!r}") from None
-    except ModelError:
-        raise
-    except (TypeError, ValueError, OverflowError) as e:
+    except TypeError as e:  # an entry that is not an object
         raise ModelError(f"layer entry has a malformed field: {e}") from None
 
 
-def _layers_from_list(entries) -> tuple[LayerSpec, ...]:
+def _layers_from_list(entries, cap: int) -> tuple[LayerSpec, ...]:
     """Decode layer entries, sharing one LayerSpec among equal entries.
 
     Entries are grouped by `(op_type, flops)`.  An entry equal as a dict
     to one its group remembers shares that entry's layer (`list.index`
     compares in C, and equal dicts decode to equal layers; an explicit
-    null is not an absent key).  A group remembers its first
-    `_GROUP_CAP` distinct entries; later ones are decoded each time.  An
+    null is not an absent key).  A group remembers its first `cap`
+    distinct entries; later ones are decoded each time.  An
     entry whose group key cannot be formed (not a dict, a missing field,
     an unhashable value) is decoded on its own, which raises the error
     it always raised.
@@ -220,7 +217,7 @@ def _layers_from_list(entries) -> tuple[LayerSpec, ...]:
             layer = decoded[i]
         else:
             layer = _layer_from_dict(d)
-            if i < _GROUP_CAP:
+            if i < cap:
                 seen.append(d)  # remembered at i; the scratch slot moves on
                 decoded.append(layer)
         layers.append(layer)
@@ -229,45 +226,39 @@ def _layers_from_list(entries) -> tuple[LayerSpec, ...]:
 
 def parse_model(descriptor_text: str) -> AppProfile:
     """Build an AppProfile from a JSON descriptor."""
+    floats = []  # float literals, noted as the decoder meets them
     try:
-        doc = json.loads(descriptor_text)
+        doc = json.loads(descriptor_text,
+                         parse_float=lambda s: floats.append(s) or float(s))
     except json.JSONDecodeError as e:
         raise ModelError(f"model descriptor is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ModelError(
             f"model descriptor must be a JSON object, not {type(doc).__name__}")
     try:
-        layers = _layers_from_list(doc["layers"])
+        name = doc["name"]
+        if not isinstance(name, str):  # it is each TaskView.model
+            raise ModelError(f"model name must be a string, not {name!r}")
+        # 1, 1.0 and true are equal values, so an entry the readers
+        # refuse could equal a valid one as a dict and share its layer: a
+        # descriptor that spells a float or a bool shares no layer
+        loose = floats or "true" in descriptor_text or "false" in descriptor_text
         profile = AppProfile(
-            name=doc["name"],
-            layers=layers,
-            reference_workload=int(doc.get("reference_workload", 1)),
-        )
-        if not isinstance(profile.name, str):  # it is each TaskView.model
-            raise ModelError(
-                f"model name must be a string, not {profile.name!r}")
+            name, _layers_from_list(doc["layers"], 0 if loose else _GROUP_CAP),
+            integer(doc.get("reference_workload", 1),
+                    f"{name}: reference_workload", ModelError, lo=1))
     except KeyError as e:
         raise ModelError(f"model descriptor missing field {e.args[0]!r}") from None
-    except ModelError:
-        raise
-    except (TypeError, ValueError, OverflowError) as e:
+    except TypeError as e:  # a layers field that is not an array
         raise ModelError(f"model descriptor has a malformed field: {e}") from None
     if not profile.layers:
-        raise ModelError(f"{profile.name}: descriptor has no layers")
-    if profile.reference_workload <= 0:
-        raise ModelError(f"{profile.name}: reference_workload must be positive")
+        raise ModelError(f"{name}: descriptor has no layers")
     declared = doc.get("total_flops")
-    if declared is not None:
-        try:
-            matches = int(declared) == profile.total_flops
-        except (TypeError, ValueError, OverflowError):
-            raise ModelError(
-                f"{profile.name}: total_flops must be an integer, not {declared!r}"
-            ) from None
-        if not matches:
-            raise ModelError(
-                f"{profile.name}: declared total_flops {declared} != layer sum {profile.total_flops}"
-            )
+    if declared is not None and integer(
+            declared, f"{name}: total_flops", ModelError,
+            lo=0) != profile.total_flops:
+        raise ModelError(f"{name}: declared total_flops {declared} "
+                         f"!= layer sum {profile.total_flops}")
     return profile
 
 

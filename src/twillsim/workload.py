@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import graphlib
 import json
-import math
-import numbers
 import random
 from collections import namedtuple
+
+from ._fields import integer, real
 
 
 # PlatformSpec fields a scenario may override
@@ -46,26 +46,13 @@ class InferenceRequest(namedtuple("InferenceRequest", (
         if not isinstance(model, str):
             raise WorkloadError(
                 f"{request_id}: model must be a string, not {model!r}")
-        for name, value in (("priority", priority),
-                            ("workload_size", workload_size)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise WorkloadError(
-                    f"{request_id}: {name} must be an integer, not {value!r}")
-        # float and int first: they are Real, and the ABC check is slow
-        if isinstance(arrival_ms, bool) or not isinstance(
-                arrival_ms, (float, int, numbers.Real)):
-            raise WorkloadError(
-                f"{request_id}: arrival_ms must be a number, not {arrival_ms!r}")
-        # an int arrival would be written as "0", not "0.000000", in the trace
-        arrival = float(arrival_ms)
-        if priority < 1:
-            raise WorkloadError(f"{request_id}: priority must be >= 1")
-        if not math.isfinite(arrival):
-            raise WorkloadError(f"{request_id}: arrival time must be finite")
-        if arrival < 0:
-            raise WorkloadError(f"{request_id}: negative arrival time")
-        if workload_size <= 0:
-            raise WorkloadError(f"{request_id}: workload_size must be positive")
+        priority = integer(priority, f"{request_id}: priority", WorkloadError,
+                           lo=1)
+        # a float, so an int arrival is written as "0.000000" in the trace
+        arrival = real(arrival_ms, f"{request_id}: arrival_ms", WorkloadError,
+                       lo=0)
+        workload_size = integer(workload_size, f"{request_id}: workload_size",
+                                WorkloadError, lo=1)
         # a string would be read as its characters, one id per character
         deps = depends_on
         if not isinstance(deps, str):
@@ -93,14 +80,15 @@ class WorkloadScenario(namedtuple("WorkloadScenario",
         if not isinstance(name, str):
             raise WorkloadError(
                 f"scenario name must be a string, not {name!r}")
-        # converted once, here, for every way a scenario is made; the
-        # default () is read as no overrides
+        # read once, here, for every way a scenario is made; the default
+        # () is read as no overrides, and the board checks its own bounds
         try:
-            overrides = {k: _override(k, v)
-                         for k, v in dict(platform_overrides).items()}
+            overrides = dict(platform_overrides)
         except (TypeError, ValueError) as e:
             raise WorkloadError(
                 f"scenario field 'platform_overrides' is malformed: {e}") from None
+        overrides = {k: real(v, f"platform_overrides: {k!r}", WorkloadError,
+                             lo=0) for k, v in overrides.items()}
         unknown = sorted(set(overrides) - set(PLATFORM_OVERRIDE_KEYS))
         if unknown:
             raise WorkloadError(
@@ -113,13 +101,6 @@ class WorkloadScenario(namedtuple("WorkloadScenario",
             raise WorkloadError(f"duplicate request ids: {dup}")
         _check_dag(requests)
         return super().__new__(cls, name, requests, overrides)
-
-
-def _override(key, value) -> float:
-    # Python counts True as 1: a JSON true would become a 1 mW budget
-    if isinstance(value, bool):
-        raise TypeError(f"{key!r} must be a number, not {value!r}")
-    return float(value)
 
 
 def _check_dag(requests: tuple[InferenceRequest, ...]) -> None:

@@ -270,7 +270,7 @@ def test_wrong_typed_descriptor_field_exits_one(relative, path, value, tmp_path,
     (tmp_path / relative).parent.mkdir(parents=True, exist_ok=True)
     (tmp_path / relative).write_text(json.dumps(doc))
     monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
-    _assert_input_error(["run", "--mix", "mix1"], capsys, "malformed")
+    _assert_input_error(["run", "--mix", "mix1"], capsys, f"{path[-1]} must be")
 
 
 @pytest.mark.parametrize("path,value,message", [
@@ -361,7 +361,7 @@ def test_non_positive_frequency_level_exits_one(level, tmp_path, capsys):
     board = tmp_path / "board.json"
     board.write_text(json.dumps(doc))
     _assert_input_error(["run", "--mix", "mix1", "--platform", str(board)],
-                        capsys, "positive MHz")
+                        capsys, "gpu0: freq_levels_mhz entries must be >= 1")
 
 
 @pytest.mark.parametrize("value", [0, -128])
@@ -402,7 +402,7 @@ def test_non_object_platform_and_mix_files_exit_one(text, tmp_path, capsys):
     (lambda d: d["clusters"][0].update(active_power_slope_mw_per_mhz=True),
      "gpu0: active_power_slope_mw_per_mhz must be a number, not True"),
     (lambda d: d["clusters"][1].update(freq_levels_mhz=[True]),
-     "dla0: freq_levels_mhz entry must be a number, not True"),
+     "dla0: freq_levels_mhz entry must be an integer, not True"),
     (lambda d: d["clusters"][1].update(throughput_gflops=[True]),
      "dla0: throughput_gflops entry must be a number, not True"),
 ], ids=["tdp_mw", "base_power_mw", "idle_power_mw",

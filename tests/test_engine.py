@@ -329,7 +329,13 @@ VIOLATIONS = [
     ("list_request_id", {"a": [MAP(["a"], "gpu0")]},
      r"scripted: .* with request_id \['a'\], not a string"),
     ("str_work", {"a": [MAP("a", "gpu0", part="x", work_gflops="1")]},
-     r"scripted: .* with work_gflops '1', not a number"),
+     r"scripted: a#x: work_gflops must be a number, not '1'"),
+    # each used to run to DONE: True as a 1-GFLOP part, "no" as native
+    ("bool_work", {"a": [MAP("a", "gpu0", part="x", work_gflops=True)]},
+     r"scripted: a#x: work_gflops must be a number, not True"),
+    ("str_native", {"a": [MAP("a", "dla0", part="na", work_gflops=1.0,
+                              native="no")]},
+     r"scripted: a#na: native must be a bool, not 'no'"),
     ("returns_none", lambda view, events: None,
      r"scripted: decide\(\) returned None, not a list of decisions"),
     ("item_not_a_decision", {"a": ["MAP"]},
@@ -478,7 +484,7 @@ def test_request_that_cannot_finish_by_the_horizon_is_bad_input():
 @pytest.mark.parametrize("max_time_ms", [0.0, -1.0, float("nan")])
 def test_horizon_must_be_positive(max_time_ms):
     # -1 used to be blamed on the first request, and NaN never cut off
-    with pytest.raises(PlatformError, match="max_time_ms must be positive"):
+    with pytest.raises(PlatformError, match="max_time_ms must be finite and > 0"):
         Simulation(tiny_platform(), scenario(request("a", "toy-conv")),
                    ScriptedPolicy(), TOY_DESCRIPTORS, MATRIX,
                    max_time_ms=max_time_ms)

@@ -146,7 +146,7 @@ def test_cluster_spec_validation():
 @pytest.mark.parametrize("levels", [(0, 400), (-500, 400), (float("nan"), 400),
                                     (300, float("inf"))])
 def test_cluster_frequency_levels_must_be_positive(levels):
-    with pytest.raises(PlatformError, match="finite and positive MHz"):
+    with pytest.raises(PlatformError, match="freq_levels_mhz"):
         ClusterSpec("g", ClusterKind.GPU, levels, (1.0, 2.0), 0.0, 1.0)
 
 
@@ -154,7 +154,7 @@ def test_cluster_frequency_levels_must_be_positive(levels):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_cluster_power_coefficients_must_be_finite(field, value):
     good = dict(idle_power_mw=100.0, active_power_slope_mw_per_mhz=1.0)
-    with pytest.raises(PlatformError, match="power coefficients"):
+    with pytest.raises(PlatformError, match=f"{field} must be finite"):
         ClusterSpec("g", ClusterKind.GPU, (300, 400), (1.0, 2.0),
                     **{**good, field: value})
 

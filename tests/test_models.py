@@ -121,7 +121,7 @@ def _first_entry(op_type):
 def test_explicit_null_geometry_is_not_an_absent_one():
     relu = _first_entry("Relu")
     for field in ("kernel", "stride", "padding"):
-        with pytest.raises(ModelError, match="malformed"):
+        with pytest.raises(ModelError, match="must be an array, not None"):
             parse_model(_vgg_with_layers(relu, {**relu, field: None}))
 
 
@@ -173,8 +173,7 @@ def test_array_fields_must_be_arrays(field, value):
     entry = {**_first_entry("Conv"), field: value}
     with pytest.raises(ModelError) as e:
         parse_model(_vgg_with_layers(entry))
-    assert str(e.value).endswith(
-        f"malformed field: {field} must be an array, not {value!r}")
+    assert str(e.value).endswith(f"{field} must be an array, not {value!r}")
 
 
 @pytest.mark.parametrize("value", [5, None, ["x"], {"n": "x"}])
@@ -192,16 +191,26 @@ def _descriptor(entries):
 
 def _variant(rng, entry):
     """An entry as a descriptor may spell it: equal as a dict to the
-    packaged one (keys permuted, FLOPs as a float), or not (an extra key
-    the decoder does not read)."""
+    packaged one (keys permuted), or not (an extra key the decoder does
+    not read)."""
     roll = rng.random()
     if roll < 0.25:
         return dict(rng.sample(list(entry.items()), len(entry)))
-    if roll < 0.4:
-        return {**entry, "flops": float(entry["flops"])}
-    if roll < 0.6:
+    if roll < 0.45:
         return {**entry, "name": rng.choice(("a", "b"))}
     return dict(entry)
+
+
+def _refused_twin(rng, twin):
+    """A twin of a valid entry that the readers refuse, most of them equal
+    to it as a dict: an explicit null where the field is absent, FLOPs
+    as a float, or a batch of 1 as a JSON true."""
+    roll = rng.random()
+    if roll < 0.3:
+        return {**twin, "kernel" if "kernel" not in twin else "stride": None}
+    if roll < 0.6:
+        return {**twin, "flops": float(twin["flops"])}
+    return {**twin, "in_shape": [True, *twin["in_shape"][1:]]}
 
 
 def test_layers_are_shared_exactly_among_equal_entries():
@@ -219,10 +228,8 @@ def test_layers_are_shared_exactly_among_equal_entries():
         pool = rng.sample(packaged, 12)
         entries = [_variant(rng, rng.choice(pool)) for _ in range(40)]
         if rng.random() < 0.3:
-            # an explicit null where a valid twin has the field absent
-            twin = rng.choice([e for e in entries if "kernel" not in e] or pool)
-            field = "kernel" if "kernel" not in twin else "stride"
-            entries.insert(rng.randrange(len(entries) + 1), {**twin, field: None})
+            entries.insert(rng.randrange(len(entries) + 1),
+                           _refused_twin(rng, rng.choice(entries)))
         decoded = []
         for entry in entries:
             try:
@@ -284,6 +291,31 @@ def test_matrix_ranges_must_be_arrays(field):
     with pytest.raises(ModelError) as e:
         load_matrix(json.dumps(doc))
     assert str(e.value).endswith(f"{field} must be an array, not '15'")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("supported_precisions", "FP16"),  # once frozenset({'F', 'P', '1', '6'})
+    ("unsupported_ops", {"MatMul": 1}),  # once read by its keys
+    ("param_checked_ops", [1, 2]),
+    ("supported_precisions", None),
+])
+def test_matrix_name_sets_must_be_arrays_of_strings(field, value):
+    doc = json.loads(presets.matrix_text())
+    doc[field] = value
+    with pytest.raises(ModelError, match=f"{field} must be an array of strings"):
+        load_matrix(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", ["kernel_range", "stride_range",
+                                   "padding_range"])
+def test_matrix_ranges_run_from_low_to_high(field):
+    doc = json.loads(presets.matrix_text())
+    doc[field] = [16, 1]
+    with pytest.raises(ModelError,
+                       match=rf"{field} must run from low to high, not \[16, 1\]"):
+        load_matrix(json.dumps(doc))
+    doc[field] = [3, 3]
+    assert getattr(load_matrix(json.dumps(doc)), field) == (3, 3)
 
 
 def test_layer_geometry_invariant():

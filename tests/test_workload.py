@@ -3,6 +3,7 @@
 import graphlib
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -115,12 +116,17 @@ def test_api_scenario_rejects_non_numeric_overrides(overrides):
 
 
 def test_api_scenario_converts_overrides_once():
-    given = {"tdp_mw": 12000, "base_power_mw": "2500.5"}
+    given = {"tdp_mw": 12000, "base_power_mw": 2500.5}
     scn = WorkloadScenario("x", A_REQUEST, platform_overrides=given)
     assert scn.platform_overrides == {"tdp_mw": 12000.0,
                                       "base_power_mw": 2500.5}
     assert all(type(v) is float for v in scn.platform_overrides.values())
-    assert given == {"tdp_mw": 12000, "base_power_mw": "2500.5"}
+    assert given == {"tdp_mw": 12000, "base_power_mw": 2500.5}
+    # a number spelled as a string is no number
+    with pytest.raises(WorkloadError, match="'base_power_mw' must be a "
+                                            "number, not '2500.5'"):
+        WorkloadScenario("x", A_REQUEST,
+                         platform_overrides={"base_power_mw": "2500.5"})
 
 
 def test_api_scenario_rejects_duplicate_ids():
@@ -172,7 +178,7 @@ def test_long_dependency_cycle_is_named_as_graphlib_names_it():
     ("arrival_ms", "0"), ("arrival_ms", None), ("arrival_ms", True),
     ("request_id", [1]), ("model", None), ("depends_on", "ab"),
     ("depends_on", ("b", 1)), ("depends_on", 5), ("depends_on", None),
-    ("request_id", "a\udc80"),
+    ("request_id", "a\udc80"), ("arrival_ms", Fraction(1, 2)),
 ])
 def test_api_request_rejects_wrong_typed_fields(field, value):
     fields = {"request_id": "a", "model": "vgg-19", "priority": 1,
