@@ -17,21 +17,7 @@ Quick start::
 from . import presets
 from .baselines import POLICIES, GpuQueuePolicy, StaticDvfsPolicy, \
     StaticSubgraphPolicy, make_policy
-from .engine import (
-    ControllerEvent,
-    ControllerView,
-    Decision,
-    DecisionKind,
-    EngineError,
-    EventKind,
-    Policy,
-    Simulation,
-    TaskState,
-    TaskView,
-    Trace,
-    effective_rate,
-    write_trace,
-)
+from .engine import EngineError, Simulation
 from .hardware import (
     ClusterKind,
     ClusterSpec,
@@ -55,6 +41,18 @@ from .models import (
     load_matrix,
     parse_model,
 )
+from .policy import (
+    ControllerEvent,
+    ControllerView,
+    Decision,
+    DecisionKind,
+    EventKind,
+    Policy,
+    TaskState,
+    TaskView,
+    effective_rate,
+)
+from .trace import Trace, write_trace
 from .twill import FreezeQueue, TwillPolicy
 from .workload import (
     InferenceRequest,

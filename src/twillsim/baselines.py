@@ -8,38 +8,20 @@ none of them track the power budget.
 
 from __future__ import annotations
 
-# the engine's Enum members as module globals (see engine.py)
-from .engine import (
+# the Enum members as module globals (see policy.py)
+from .policy import (
     _ARRIVAL,
-    _DLA,
     _FREED,
-    _GPU,
     _MAP,
     _SET_FREQ,
     Decision,
     Policy,
+    _BoardPolicy,
 )
-from .hardware import ClusterKind
 from .twill import TwillPolicy
 
 # a static splitter does not bother offloading sub-5% crumbs of a model
 MIN_OFFLOAD_FRACTION = 0.05
-
-
-class _BoardPolicy(Policy):
-    """A policy that keeps the board's sorted GPU and DLA ids."""
-
-    _board = None
-
-    def _layout(self, platform) -> None:
-        """Derive the sorted GPU and DLA ids once per board, not on every
-        call."""
-        if platform is not self._board:
-            self._board = platform
-            self._gpu_ids = sorted(c.cluster_id for c in platform.clusters
-                                   if c.kind is _GPU)
-            self._dla_ids = sorted(c.cluster_id for c in platform.clusters
-                                   if c.kind is _DLA)
 
 
 class _RaceToIdle(_BoardPolicy):
@@ -102,9 +84,6 @@ class StaticDvfsPolicy(_RaceToIdle):
     def __init__(self):
         self._fifo: list[str] = []
 
-    def _suits(self, view, rid: str, kind: ClusterKind) -> bool:
-        return kind.name in view.tasks[rid].preferred_kinds
-
     def decide(self, view, events):
         decisions = []
         planned = {cid: st.occupant for cid, st in view.states.items()}
@@ -116,9 +95,10 @@ class StaticDvfsPolicy(_RaceToIdle):
 
         for e in events:
             if e.kind is _FREED:
-                kind = view.cluster_kind(e.cluster_id)
+                kind = self._kinds[e.cluster_id]
                 for rid in self._fifo:
-                    if planned[e.cluster_id] is None and self._suits(view, rid, kind):
+                    if (planned[e.cluster_id] is None
+                            and kind in view.tasks[rid].preferred_kinds):
                         self._fifo.remove(rid)
                         place(rid, e.cluster_id)
                         break
@@ -128,7 +108,7 @@ class StaticDvfsPolicy(_RaceToIdle):
                 dlas = [c for c in self._dla_ids if planned[c] is None]
                 if gpus:
                     place(rid, gpus[0])
-                elif dlas and self._suits(view, rid, _DLA):
+                elif dlas and "DLA" in view.tasks[rid].preferred_kinds:
                     place(rid, dlas[0])
                 else:
                     self._fifo.append(rid)
@@ -163,7 +143,7 @@ class StaticSubgraphPolicy(_BoardPolicy):
 
         for e in events:
             if e.kind is _FREED:
-                if view.cluster_kind(e.cluster_id) is not _GPU:
+                if self._kinds[e.cluster_id] != "GPU":
                     continue
                 if self._gpu_fifo and planned[e.cluster_id] is None:
                     rid, part, work = self._gpu_fifo.pop(0)

@@ -25,9 +25,10 @@ from pathlib import Path
 
 from . import build_simulation, presets
 from .baselines import POLICIES
-from .engine import EngineError, Trace, _TRACE_FILES, _write_files, write_trace
+from .engine import EngineError
 from .hardware import PlatformError
 from .models import ModelError
+from .trace import _TRACE_FILES, Trace, _write_files, write_trace
 from .workload import (PLATFORM_OVERRIDE_KEYS, WorkloadError, WorkloadScenario,
                        load_mix, random_mix)
 

@@ -53,6 +53,9 @@ class ClusterSpec(namedtuple("ClusterSpec", (
                 f"cluster_id must be UTF-8 text, not {cluster_id!r}") from None
         levels = integers(freq_levels_mhz, f"{cluster_id}: freq_levels_mhz",
                           PlatformError, lo=1)
+        if not isinstance(throughput_gflops, (list, tuple)):
+            raise PlatformError(f"{cluster_id}: throughput_gflops must be an "
+                                f"array, not {throughput_gflops!r}")
         throughput = tuple(real(t, f"{cluster_id}: throughput_gflops entry",
                                 PlatformError, lo=0, strict=True)
                            for t in throughput_gflops)
@@ -178,7 +181,7 @@ def load_platform(text: str) -> PlatformSpec:
     """Parse a platform description from JSON text."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an int over 4300 digits
         raise PlatformError(f"platform config is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise PlatformError(

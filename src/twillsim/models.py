@@ -139,7 +139,7 @@ def _range(doc: dict, field: str) -> tuple[int, int]:
 def load_matrix(text: str) -> CompatibilityMatrix:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an int over 4300 digits
         raise ModelError(f"compatibility matrix is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ModelError(
@@ -230,7 +230,7 @@ def parse_model(descriptor_text: str) -> AppProfile:
     try:
         doc = json.loads(descriptor_text,
                          parse_float=lambda s: floats.append(s) or float(s))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an int over 4300 digits
         raise ModelError(f"model descriptor is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ModelError(

@@ -21,8 +21,8 @@ from __future__ import annotations
 import bisect
 from typing import NamedTuple
 
-# the engine's Enum members as module globals (see engine.py)
-from .engine import (
+# the Enum members as module globals (see policy.py)
+from .policy import (
     _ARRIVAL,
     _FREED,
     _FREEZE,
@@ -34,11 +34,10 @@ from .engine import (
     ControllerEvent,
     ControllerView,
     Decision,
-    Policy,
     TaskView,
+    _BoardPolicy,
     effective_rate,
 )
-from .hardware import ClusterKind
 
 _RATE_EPS = 1e-9
 
@@ -101,24 +100,13 @@ class FreezeQueue:
         return None if head is None else head[1]
 
 
-class TwillPolicy(Policy):
+class TwillPolicy(_BoardPolicy):
     name = "twill"
 
     def __init__(self):
         self.queue = FreezeQueue()
         # per-GPU (freq_mhz, power_mw, busy-cluster fingerprint)
         self._samples: dict[str, tuple[float, float, tuple[str, ...]]] = {}
-        self._board = None
-        self._kinds: dict[str, str] = {}
-        self._gpu_ids: list[str] = []
-
-    def _layout(self, platform) -> None:
-        """Derive the cluster kinds by id and the sorted GPU ids; called
-        once per board, when `view.platform` is not the last one seen."""
-        self._board = platform
-        self._kinds = {c.cluster_id: c.kind.name for c in platform.clusters}
-        self._gpu_ids = sorted(c.cluster_id for c in platform.clusters
-                               if c.kind is ClusterKind.GPU)
 
     # -- mapping -----------------------------------------------------------
 
@@ -127,8 +115,7 @@ class TwillPolicy(Policy):
         decisions: list[Decision] = []
         planned = {cid: st.occupant for cid, st in view.states.items()}
         touched: set[str] = set()
-        if view.platform is not self._board:
-            self._layout(view.platform)
+        self._layout(view.platform)
         kinds = self._kinds
 
         freed, arrivals = [], []
@@ -265,8 +252,7 @@ class TwillPolicy(Policy):
     def dvfs_update(self, view: ControllerView, p_before_mw: float,
                     p_after_mw: float, handled_events: int) -> list[Decision]:
         decisions = []
-        if view.platform is not self._board:
-            self._layout(view.platform)
+        self._layout(view.platform)
         # in the board's order, which is fixed: two fingerprints are equal
         # exactly when the same clusters are busy
         fingerprint = tuple([c for c in self._kinds

@@ -144,7 +144,7 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an int over 4300 digits
         raise WorkloadError(f"scenario is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise WorkloadError(f"scenario must be a JSON object, not {type(doc).__name__}")

@@ -28,7 +28,7 @@ from twillsim import (
     presets,
     random_mix,
 )
-from twillsim.engine import decisions_csv, summary_json
+from twillsim.trace import decisions_csv, summary_json
 from toys import (TOY_DESCRIPTORS, decisions_at, power_samples, request,
                   scenario, tiny_platform)
 

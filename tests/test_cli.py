@@ -317,7 +317,13 @@ def test_bad_descriptor_value_exits_one(path, value, message, tmp_path, capsys,
     (lambda d: d.update(name={"a": 1}), "platform name must be a string"),
     # used to exit 2 as an internal error
     (lambda d: d.update(clusters=[]), "platform has no clusters"),
-], ids=["int_cluster_id", "surrogate_cluster_id", "object_name", "no_clusters"])
+    # each used to be read by its characters or keys
+    (lambda d: d["clusters"][0].update(throughput_gflops="abc"),
+     "gpu0: throughput_gflops must be an array, not 'abc'"),
+    (lambda d: d["clusters"][0].update(throughput_gflops={"1": 2}),
+     "gpu0: throughput_gflops must be an array, not {'1': 2}"),
+], ids=["int_cluster_id", "surrogate_cluster_id", "object_name", "no_clusters",
+        "str_throughput", "object_throughput"])
 def test_bad_platform_identity_exits_one(edit, message, tmp_path, capsys):
     doc = json.loads(presets.platform_text())
     edit(doc)

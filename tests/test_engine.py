@@ -34,7 +34,7 @@ from twillsim import (
     random_mix,
     write_trace,
 )
-from twillsim.engine import (
+from twillsim.trace import (
     DecisionRecord,
     PowerRecord,
     RequestRecord,

@@ -4,6 +4,7 @@ bad value is the boundary's typed error at the API, and `error: …` with
 exit 1 at the command line."""
 
 import json
+import sys
 
 import pytest
 
@@ -146,6 +147,41 @@ def test_bad_mix_number(path, value, tmp_path, capsys):
     mix = tmp_path / "mix.json"
     mix.write_text(text)
     _assert_exits_one(["run", "--mix", str(mix)], capsys, path, value)
+
+
+# an integer literal past CPython's 4,300-digit limit on int-string
+# conversion; json.dumps cannot write it, so it is spliced into the text
+OVERLONG = "1" + "0" * 5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on int-string conversion")
+@pytest.mark.parametrize("file", ["board.json", "dla_matrix.json",
+                                  "models/vgg-19.json", "mix.json"])
+def test_overlong_integer_is_invalid_json(file, tmp_path, capsys, monkeypatch):
+    # each used to end in a raw ValueError from json.loads
+    target = tmp_path / file
+    text, path, load, error, argv = {
+        "board.json": (presets.platform_text(), ["tdp_mw"], load_platform,
+                       PlatformError, ["--mix", "mix1", "--platform", str(target)]),
+        "dla_matrix.json": (presets.matrix_text(), ["max_batch"], load_matrix,
+                            ModelError, ["--mix", "mix1"]),
+        "models/vgg-19.json": (presets.model_text("vgg-19"), ["total_flops"],
+                               parse_model, ModelError, ["--mix", "mix2"]),
+        "mix.json": (MIX, ["requests", 0, "priority"], load_mix,
+                     WorkloadError, ["--mix", str(target)]),
+    }[file]
+    text = _edited(text, path, "OVERLONG").replace('"OVERLONG"', OVERLONG)
+    with pytest.raises(error, match="is not valid JSON"):
+        load(text)
+    target.parent.mkdir(exist_ok=True)
+    target.write_text(text)
+    monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
+    assert main(["run", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "is not valid JSON" in err
+    assert "Traceback" not in err
 
 
 KNOBS = ["ctrl_overhead_ms", "migration_overhead_ms", "freeze_overhead_ms",

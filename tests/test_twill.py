@@ -21,8 +21,8 @@ from twillsim import (
     load_platform,
     presets,
 )
-from twillsim.engine import ControllerView
 from twillsim.hardware import set_frequency
+from twillsim.policy import ControllerView
 from toys import (TOY_DESCRIPTORS, decisions_at, request, scenario,
                   tiny_platform)
 
