@@ -193,6 +193,11 @@ def cmd_compare(args) -> int:
     unknown = sorted(set(args.policies) - set(POLICIES))
     if unknown:
         raise CliError(f"unknown policies: {', '.join(unknown)}")
+    # a repeat would be simulated again and get rows of its own
+    for flag, names in (("--mixes", args.mixes), ("--policies", args.policies)):
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise CliError(f"{flag} names {', '.join(repeated)} more than once")
     _check_out(args.out, [_COMPARISON_FILE])
 
     rows = []

@@ -272,12 +272,19 @@ class Simulation:
                     profile, matrix, threshold=threshold)
         # No request ends before its arrival plus its work at the top rate
         # of every cluster at once (a split request runs on several): past
-        # the horizon, the input is at fault, not a policy.
+        # the horizon, the input is at fault, not a policy.  Each request's
+        # total work is kept, by request id.
         top_rate = sum(c.throughput_gflops[-1]
                        for c in self.platform.clusters) / 1000.0  # GFLOP/ms
-        finish, rid = max(((r.arrival_ms + self._profiles[r.model].work_gflops(
-            r.workload_size) / top_rate, r.request_id)
-            for r in scenario.requests), default=(0.0, None))
+        self._work: dict[str, float] = {}
+        finish, rid = 0.0, None
+        for r in scenario.requests:
+            work = self._work[r.request_id] = self._profiles[
+                r.model].work_gflops(r.workload_size)
+            end = r.arrival_ms + work / top_rate
+            if (rid is None or end > finish
+                    or end == finish and r.request_id > rid):
+                finish, rid = end, r.request_id
         if finish > self.max_time_ms:
             raise WorkloadError(
                 f"{rid}: cannot finish before {finish:.1f} ms, past the "
@@ -431,9 +438,8 @@ class Simulation:
             if work is None:
                 raise EngineError(f"{key}: part decisions must carry work_gflops")
         request = self._requests[request_id]
-        profile = self._profiles[request.model]
-        total = profile.work_gflops(request.workload_size)
-        task = _Task(key, request, part, profile,
+        total = self._work[request_id]
+        task = _Task(key, request, part, self._profiles[request.model],
                      self._signatures[request.model],
                      total if work is None else work, native)
         mapped = sum(t.work for t in parts) if parts else 0.0
@@ -643,8 +649,7 @@ class Simulation:
             return parts[0].completed  # the whole request, all its work
         if not all(t.completed for t in parts):
             return False
-        r = self._requests[request_id]
-        total = self._profiles[r.model].work_gflops(r.workload_size)
+        total = self._work[request_id]
         return sum(t.work for t in parts) >= total - _WORK_EPS * max(1.0, total)
 
     # -- main loop -----------------------------------------------------------
@@ -795,7 +800,7 @@ class Simulation:
                 completed,
                 None if first_map is None else first_map - arrival,
                 None if completed is None else completed - arrival,
-                self._profiles[r.model].work_gflops(r.workload_size))))
+                self._work[r.request_id])))
 
     # -- invariant helpers (used by tests) -----------------------------------
 

@@ -4,10 +4,9 @@ written from them.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
 # a decision or request record's field order is its CSV column order
@@ -102,6 +101,23 @@ class Trace:
         return out
 
     def summary(self) -> dict:
+        return {**self._totals(), "requests": [
+            {
+                "request_id": r.request_id,
+                "model": r.model,
+                "priority": r.priority,
+                "arrival_ms": _r6(r.arrival_ms),
+                "first_map_ms": _r6(r.first_map_ms),
+                "completed_ms": _r6(r.completed_ms),
+                "waiting_ms": _r6(r.waiting_ms),
+                "latency_ms": _r6(r.latency_ms),
+                "work_gflops": _r6(r.work_gflops),
+            }
+            for r in self.requests
+        ]}
+
+    def _totals(self) -> dict:
+        """summary() without its per-request entries."""
         waits = [r.waiting_ms for r in self.requests if r.waiting_ms is not None]
         lats = [r.latency_ms for r in self.requests if r.latency_ms is not None]
         kinds: dict[str, int] = {}
@@ -127,20 +143,6 @@ class Trace:
                 str(p): {k: _r6(v) for k, v in stats.items()}
                 for p, stats in self.waiting_by_priority().items()
             },
-            "requests": [
-                {
-                    "request_id": r.request_id,
-                    "model": r.model,
-                    "priority": r.priority,
-                    "arrival_ms": _r6(r.arrival_ms),
-                    "first_map_ms": _r6(r.first_map_ms),
-                    "completed_ms": _r6(r.completed_ms),
-                    "waiting_ms": _r6(r.waiting_ms),
-                    "latency_ms": _r6(r.latency_ms),
-                    "work_gflops": _r6(r.work_gflops),
-                }
-                for r in self.requests
-            ],
         }
 
 
@@ -150,95 +152,143 @@ def _r6(x):
 
 # ---------------------------------------------------------------------------
 # serialization
-
-# A float cell is written with six decimals.  csv.writer already writes
-# None as "" and an int or str as str(v), so a column the engine fills
-# with one known type is formatted without testing each cell.
-
-def _table(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+#
+# A CSV file is a header line, then one line per record, its columns in
+# the record's field order.  A float cell has six decimals, None is an
+# empty cell and any other value is str(value); a cell holding , " \r or
+# \n is quoted, with each " doubled.  summary.json is
+# json.dumps(trace.summary(), indent=2, sort_keys=True) and a newline.
 
 
-def _cell(v):
-    return f"{v:.6f}" if isinstance(v, float) else v
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    text = f"{v:.6f}" if isinstance(v, float) else str(v)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv(header, rows: list[str]) -> str:
+    return ",".join(map(_csv_cell, header)) + "\n" + "".join(rows)
 
 
 def decisions_csv(trace: Trace) -> str:
-    # time_ms is the engine's float clock and kind a DecisionKind name;
-    # request_id, part, cluster_id and level are a policy's values
-    return _table(DecisionRecord._fields, [
-        (f"{t:.6f}", kind, _cell(rid), _cell(part), _cell(cid), _cell(level),
-         _cell(freq))
+    c = _csv_cell
+    # time_ms is the engine's float clock; the other cells are a
+    # policy's values, or the engine's copy of them
+    return _csv(DecisionRecord._fields, [
+        f"{t:.6f},{c(kind)},{c(rid)},{c(part)},{c(cid)},{c(level)},"
+        f"{c(freq)}\n"
         for t, kind, rid, part, cid, level, freq in trace.decisions])
 
 
-def _f6(v: float | None) -> str:
-    return "" if v is None else f"{v:.6f}"
+def _six_decimals(requests) -> list[tuple[str, ...]]:
+    """The six float fields of each request record, arrival_ms to
+    work_gflops, as six-decimal text ("" for None); requests.csv and
+    summary.json both read them."""
+    return [(f"{arrival:.6f}",
+             "" if first_map is None else f"{first_map:.6f}",
+             "" if completed is None else f"{completed:.6f}",
+             "" if waiting is None else f"{waiting:.6f}",
+             "" if latency is None else f"{latency:.6f}",
+             f"{work:.6f}")
+            for _, _, _, arrival, first_map, completed, waiting, latency,
+            work in requests]
+
+
+def _requests_csv(trace: Trace, texts) -> str:
+    c = _csv_cell
+    return _csv(RequestRecord._fields, [
+        f"{c(rid)},{c(model)},{c(prio)},{a},{f},{cm},{w},{lat},{g}\n"
+        for (rid, model, prio, _, _, _, _, _, _), (a, f, cm, w, lat, g)
+        in zip(trace.requests, texts)])
 
 
 def requests_csv(trace: Trace) -> str:
-    return _table(RequestRecord._fields, [
-        (rid, model, prio, f"{arrival:.6f}", _f6(first_map), _f6(completed),
-         _f6(waiting), _f6(latency), f"{work:.6f}")
-        for rid, model, prio, arrival, first_map, completed, waiting,
-        latency, work in trace.requests])
+    return _requests_csv(trace, _six_decimals(trace.requests))
 
 
 def power_csv(trace: Trace) -> str:
+    c = _csv_cell
     header = ["time_ms", "power_mw"]
     for cid in trace.cluster_ids:
         header += [f"{cid}_freq_mhz", f"{cid}_util"]
-    rows = []
-    for p in trace.power:
-        row = [p.time_ms, p.power_mw]
-        for f, u in zip(p.freqs_mhz, p.utils):
-            row += [f, u]
-        rows.append([_cell(v) for v in row])
-    return _table(header, rows)
+    return _csv(header, [
+        f"{t:.6f},{c(p)}"
+        + "".join([f",{c(f)},{c(u)}" for f, u in zip(freqs, utils)])
+        + "\n"
+        for t, p, freqs, utils in trace.power])
 
 
-# An indented dump runs json's pure-Python encoder.  The request entries
-# hold only scalars, so the C encoder renders them in the same bytes
-# when its item separator carries the newline and the entry indent; the
-# list's own breaks are then put in where one entry ends and the next
-# begins.  That is the only place "},\n      {" can occur: an encoded
-# string holds no raw newline.
-_encode_entries = json.JSONEncoder(
-    sort_keys=True, separators=(",\n      ", ": ")).encode
+def _scalar(v) -> str:
+    """v as json.dumps writes it."""
+    if v.__class__ is str:
+        return _json_string(v)
+    if v.__class__ is int:
+        return int.__repr__(v)
+    return json.dumps(v)
+
+
+def _number(x, text: str) -> str:
+    """_scalar(_r6(x)), given x's six-decimal text.
+
+    For a float of size 0 or in [1e-4, 1e9), that is the text with its
+    trailing zeros cut: it has at most 15 significant digits, so it is
+    the shortest text that reads back as round(x, 6), and repr writes
+    such a float with no exponent.
+    """
+    if x.__class__ is float and (1e-4 <= x < 1e9 or -1e9 < x <= -1e-4
+                                 or x == 0.0):
+        text = text.rstrip("0")
+        return text + "0" if text[-1] == "." else text
+    return _scalar(_r6(x))
+
+
+def _summary_json(trace: Trace, texts) -> str:
+    # the totals through json.dumps, with the request entries, one
+    # f-string each, in place of the empty list; a string's line breaks
+    # are escaped, so the top-level "requests" line is the only one
+    doc = json.dumps({**trace._totals(), "requests": []}, indent=2,
+                     sort_keys=True)
+    if not trace.requests:
+        return doc + "\n"
+    n, s = _number, _scalar
+    entries = ",\n    ".join([
+        f'{{\n      "arrival_ms": {n(arrival, a)},'
+        f'\n      "completed_ms": {n(completed, c)},'
+        f'\n      "first_map_ms": {n(first_map, f)},'
+        f'\n      "latency_ms": {n(latency, lat)},'
+        f'\n      "model": {s(model)},'
+        f'\n      "priority": {s(prio)},'
+        f'\n      "request_id": {s(rid)},'
+        f'\n      "waiting_ms": {n(waiting, w)},'
+        f'\n      "work_gflops": {n(work, g)}\n    }}'
+        for (rid, model, prio, arrival, first_map, completed, waiting,
+             latency, work), (a, f, c, w, lat, g)
+        in zip(trace.requests, texts)])
+    return doc.replace('\n  "requests": []',
+                       f'\n  "requests": [\n    {entries}\n  ]', 1) + "\n"
 
 
 def summary_json(trace: Trace) -> str:
     """json.dumps(trace.summary(), indent=2, sort_keys=True) + "\\n"."""
-    doc = trace.summary()
-    entries, doc["requests"] = doc["requests"], []
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if entries:
-        body = _encode_entries(entries)[2:-2].replace(
-            "},\n      {", "\n    },\n    {\n      ")
-        # only a top-level key sits two spaces in from a line start
-        text = text.replace(
-            '\n  "requests": []',
-            '\n  "requests": [\n    {\n      ' + body + "\n    }\n  ]", 1)
-    return text + "\n"
+    return _summary_json(trace, _six_decimals(trace.requests))
 
 
-# the files write_trace writes, by name
-_TRACE_FILES = {
-    "decisions.csv": decisions_csv,
-    "requests.csv": requests_csv,
-    "power.csv": power_csv,
-    "summary.json": summary_json,
-}
+# the files write_trace writes
+_TRACE_FILES = ("decisions.csv", "requests.csv", "power.csv", "summary.json")
 
 
 def write_trace(trace: Trace, out_dir) -> None:
     """Write decisions.csv, requests.csv, power.csv and summary.json."""
-    _write_files(out_dir, {name: serialise(trace)
-                           for name, serialise in _TRACE_FILES.items()})
+    texts = _six_decimals(trace.requests)
+    _write_files(out_dir, {
+        "decisions.csv": decisions_csv(trace),
+        "requests.csv": _requests_csv(trace, texts),
+        "power.csv": power_csv(trace),
+        "summary.json": _summary_json(trace, texts),
+    })
 
 
 def _write_files(out_dir, texts: dict[str, str]) -> None:

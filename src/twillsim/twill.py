@@ -55,20 +55,17 @@ class QueueEntry(NamedTuple):
     kinds: tuple[str, ...]  # the task's preferred cluster kinds
 
 
-def _thaw_order(entry: QueueEntry) -> tuple:
-    return (-entry.priority, entry.enqueued_ms, entry.task_key)
-
-
 class FreezeQueue:
     """Frozen and deferred tasks, thawed by priority then seniority.
 
     A task's preferred kinds never change, so the queue keeps one lane,
-    sorted by _thaw_order, per distinct kinds tuple.  The first entry in
+    sorted in thaw order, per distinct kinds tuple.  The first entry in
     thaw order that can use a kind is then the first of the heads of
     the lanes holding that kind: a freed cluster looks at a few heads,
     not at every queued task that cannot use it.  A lane holds
-    (_thaw_order, entry) pairs, so its order is computed once per entry;
-    the task key in the order is unique, so no two pairs tie on it.
+    ((-priority, enqueued_ms, task_key), entry) pairs, so its order is
+    computed once per entry; the task key in the order is unique, so no
+    two pairs tie on it.
     """
 
     def __init__(self):
@@ -80,11 +77,16 @@ class FreezeQueue:
 
     def add(self, task_key: str, priority: int, now: float,
             kinds: tuple[str, ...]):
-        if task_key in self._entries:
+        entries = self._entries
+        if task_key in entries:
             raise ValueError(f"{task_key} is already queued")
-        entry = QueueEntry(task_key, priority, now, kinds)
-        pair = self._entries[task_key] = (_thaw_order(entry), entry)
-        bisect.insort(self._lanes.setdefault(kinds, []), pair)
+        pair = entries[task_key] = ((-priority, now, task_key), _new(
+            QueueEntry, (task_key, priority, now, kinds)))
+        lane = self._lanes.get(kinds)
+        if lane is None:
+            self._lanes[kinds] = [pair]
+        else:
+            bisect.insort(lane, pair)
 
     def remove(self, task_key: str):
         pair = self._entries.pop(task_key)
@@ -95,8 +97,10 @@ class FreezeQueue:
 
     def best(self, kind: str) -> QueueEntry | None:
         """The first queued entry, in thaw order, that prefers `kind`."""
-        head = min((lane[0] for kinds, lane in self._lanes.items()
-                    if kind in kinds), default=None)
+        head = None
+        for kinds, lane in self._lanes.items():
+            if kind in kinds and (head is None or lane[0] < head):
+                head = lane[0]
         return None if head is None else head[1]
 
 
@@ -117,6 +121,7 @@ class TwillPolicy(_BoardPolicy):
         touched: set[str] = set()
         self._layout(view.platform)
         kinds = self._kinds
+        queue = self.queue
 
         freed, arrivals = [], []
         for e in events:
@@ -131,9 +136,9 @@ class TwillPolicy(_BoardPolicy):
             cid = worklist.pop(0)
             if planned[cid] is not None:
                 continue
-            entry = self.queue.best(kinds[cid])
+            entry = queue.best(kinds[cid])
             if entry is not None:
-                self.queue.remove(entry.task_key)
+                queue.remove(entry.task_key)
                 decisions.append(_new(Decision, (
                     _UNFREEZE, entry.task_key, cid, None, None, None, False)))
                 planned[cid] = entry.task_key
@@ -182,18 +187,28 @@ class TwillPolicy(_BoardPolicy):
                        planned: dict, touched: set[str],
                        kinds: dict[str, str]) -> list[Decision]:
         task = view.tasks[rid]
-        prefs = task.preferred_kinds
+        prefs, dla, native = task.preferred_kinds, task.dla_fraction, task.native
         states, penalty = view.states, view.dla_fallback_penalty
-        # the newcomer's view.exec_rate on each preferred cluster, once
-        rates = {c: effective_rate(states[c], task.dla_fraction, task.native,
-                                   penalty)
-                 for c in planned if kinds[c] in prefs}
+        # in one pass over the clusters: the free ones, the fastest free
+        # preferred one as (-rate, rank of its kind, id), and each taken
+        # preferred one as (-rate, id); a rate is the newcomer's
+        # view.exec_rate there
+        free, taken, best = [], [], None
+        for c, occupant in planned.items():
+            kind = kinds[c]
+            if occupant is None:
+                free.append(c)
+                if kind in prefs:
+                    order = (-effective_rate(states[c], dla, native, penalty),
+                             prefs.index(kind), c)
+                    if best is None or order < best:
+                        best = order
+            elif kind in prefs:
+                taken.append((-effective_rate(states[c], dla, native, penalty),
+                              c))
 
-        # fastest free preferred cluster
-        free_pref = [(-rate, prefs.index(kinds[c]), c)
-                     for c, rate in rates.items() if planned[c] is None]
-        if free_pref:
-            target = min(free_pref)[2]
+        if best is not None:
+            target = best[2]
             planned[target] = rid
             touched.add(rid)
             return [_new(Decision, (_MAP, rid, target, None, None, None, False))]
@@ -201,13 +216,12 @@ class TwillPolicy(_BoardPolicy):
         # every preferred cluster is taken: their running occupants that
         # this cycle has not moved, on the fastest cluster first
         occupants = []
-        for neg_rate, cid in sorted((-rate, c) for c, rate in rates.items()):
+        for neg_rate, cid in sorted(taken):
             occ = view.tasks[planned[cid]]
             if occ.state is _RUNNING and occ.key not in touched:
                 occupants.append((neg_rate, cid, occ))
 
         # displace an occupant that has somewhere of its own to go
-        free = [c for c, o in planned.items() if o is None]
         for _, cid, occ in occupants if free else ():
             room = [(-effective_rate(states[c], occ.dla_fraction, occ.native,
                                      penalty), c)
@@ -253,22 +267,36 @@ class TwillPolicy(_BoardPolicy):
                     p_after_mw: float, handled_events: int) -> list[Decision]:
         decisions = []
         self._layout(view.platform)
-        # in the board's order, which is fixed: two fingerprints are equal
-        # exactly when the same clusters are busy
-        fingerprint = tuple([c for c in self._kinds
-                             if view.states[c].occupant is not None])
+        states, samples = view.states, self._samples
+        budget = view.platform.tdp_mw
+        headroom = budget - p_after_mw
+        if handled_events <= 1 or headroom <= 0:
+            effective = budget
+        else:
+            # several placements changed at once: only spend half the
+            # apparent headroom until the next sample confirms it
+            effective = p_after_mw + headroom / 2.0
+        limit = effective + 1e-9
+        fingerprint = None
         for cid in self._gpu_ids:
-            state = view.states[cid]
-            spec = state.spec
+            state = states[cid]
             if state.occupant is None:
                 # nothing running: leave the clock alone, and drop the
                 # sample so an idle-period reading never feeds the slope
-                self._samples.pop(cid, None)
+                samples.pop(cid, None)
                 continue
+            if fingerprint is None:
+                # the busy clusters in the view's order, which is the
+                # board's: two fingerprints are equal exactly when the
+                # same clusters are busy
+                fingerprint = tuple([c for c, st in states.items()
+                                     if st.occupant is not None])
 
-            freq = state.freq_mhz
+            spec = state.spec
+            levels = spec.freq_levels_mhz
+            freq = levels[state.current_level]  # state.freq_mhz
             slope = spec.active_power_slope_mw_per_mhz
-            last = self._samples.get(cid)
+            last = samples.get(cid)
             if last is not None:
                 last_f, last_p, last_fp = last
                 if last_f != freq and last_fp == fingerprint:
@@ -276,25 +304,14 @@ class TwillPolicy(_BoardPolicy):
                     if est > 0:
                         slope = est
 
-            budget = view.platform.tdp_mw
-            headroom = budget - p_after_mw
-            if handled_events <= 1 or headroom <= 0:
-                effective = budget
-            else:
-                # several placements changed at once: only spend half
-                # the apparent headroom until the next sample confirms it
-                effective = p_after_mw + headroom / 2.0
-
             # the highest level whose predicted draw fits
             chosen = 0
-            limit = effective + 1e-9
-            levels = spec.freq_levels_mhz
             for level in range(len(levels) - 1, -1, -1):
                 if p_after_mw + slope * (levels[level] - freq) <= limit:
                     chosen = level
                     break
 
-            self._samples[cid] = (freq, p_after_mw, fingerprint)
+            samples[cid] = (freq, p_after_mw, fingerprint)
             if chosen != state.current_level:
                 decisions.append(_new(Decision, (
                     _SET_FREQ, None, cid, chosen, None, None, False)))

@@ -16,6 +16,7 @@ import pytest
 import conftest
 from twillsim import (
     InferenceRequest,
+    Policy,
     Simulation,
     TaskState,
     TwillPolicy,
@@ -24,6 +25,7 @@ from twillsim import (
     layer_affinity,
     load_matrix,
     load_platform,
+    make_policy,
     parse_model,
     presets,
     random_mix,
@@ -309,11 +311,13 @@ def test_c7_tiny_instance_bound():
 # -- C8: randomized property suite ------------------------------------------------
 
 
-class AuditedTwill(TwillPolicy):
-    """Checks the occupancy invariants on every controller view."""
+class Audited(Policy):
+    """Delegates to a policy after checking the occupancy invariants on
+    every controller view."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, inner: Policy):
+        self.inner = inner
+        self.name = inner.name
         self.faults: list[str] = []
 
     def _audit(self, view):
@@ -331,12 +335,12 @@ class AuditedTwill(TwillPolicy):
 
     def decide(self, view, events):
         self._audit(view)
-        return super().decide(view, events)
+        return self.inner.decide(view, events)
 
     def dvfs_update(self, view, p_before_mw, p_after_mw, handled_events):
         self._audit(view)
-        return super().dvfs_update(view, p_before_mw, p_after_mw,
-                                   handled_events)
+        return self.inner.dvfs_update(view, p_before_mw, p_after_mw,
+                                      handled_events)
 
 
 def preferred_kinds_by_model():
@@ -384,7 +388,7 @@ def test_c8_randomized_properties():
 
         for seed in range(1000):
             scn = random_mix(seed, model_names, n_requests=6)
-            policy = AuditedTwill()
+            policy = Audited(TwillPolicy())
             sim = Simulation(platform, scn, policy, TOY_DESCRIPTORS, MATRIX)
             trace = sim.run()
 
@@ -397,9 +401,26 @@ def test_c8_randomized_properties():
             if seed % 50 == 0:
                 again = Simulation(platform, random_mix(seed, model_names,
                                                         n_requests=6),
-                                   AuditedTwill(), TOY_DESCRIPTORS, MATRIX).run()
+                                   Audited(TwillPolicy()), TOY_DESCRIPTORS,
+                                   MATRIX).run()
                 assert decisions_csv(again) == decisions_csv(trace), seed
                 assert summary_json(again) == summary_json(trace), seed
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_every_policy_keeps_the_invariants_on_the_production_board(policy):
+    # C8's occupancy, conservation and completion checks, for each
+    # policy on the packaged board, with dependent requests
+    for seed in (3, 11, 29):
+        scn = random_mix(seed, presets.available_models(), n_requests=150,
+                         dependency_p=0.3)
+        audited = Audited(make_policy(policy))
+        sim = build_simulation(scn, audited)
+        trace = sim.run()
+        assert audited.faults == [], (seed, audited.faults[:3])
+        assert sim.conservation_error() <= 1e-6, seed
+        assert all(r.completed_ms is not None for r in trace.requests), seed
+        check_preemption_legality(trace, scn)
 
 
 # -- C9: control overhead accounting ----------------------------------------------

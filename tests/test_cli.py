@@ -123,6 +123,22 @@ def test_compare_rejects_unknown_policies(capsys):
     assert "round_robin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mixes, policies, named", [
+    (["mix1", "mix1"], ["twill", "gpu_queue", "twill"], "--mixes names mix1"),
+    (["mix1", "mix2"], ["twill", "gpu_queue", "twill"],
+     "--policies names twill"),
+], ids=["mix", "policy"])
+def test_compare_refuses_a_repeated_mix_or_policy(mixes, policies, named,
+                                                 tmp_path, capsys):
+    # a repeat would be simulated again and written as rows of its own
+    assert main(["compare", "--mixes", *mixes, "--policies", *policies,
+                 "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert f"error: {named} more than once" in err
+    assert out == ""
+    assert not (tmp_path / "comparison.csv").exists()
+
+
 def test_compare_reports_improvement_and_writes_csv(tmp_path, capsys):
     assert main(["compare", "--mixes", "mix1",
                  "--policies", "twill", "gpu_queue",

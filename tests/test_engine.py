@@ -6,6 +6,7 @@ import errno
 import io
 import json
 import os
+import random
 import signal
 
 import pytest
@@ -39,6 +40,7 @@ from twillsim.trace import (
     PowerRecord,
     RequestRecord,
     Trace,
+    _number,
     decisions_csv,
     power_csv,
     requests_csv,
@@ -783,47 +785,107 @@ def test_trace_tables_round_to_fixed_columns():
     assert doc["requests"][0]["request_id"] == "a"
 
 
-def _trace(request_ids, scenario_name="toy", done=True):
-    trace = Trace(scenario=scenario_name, policy="p", platform="b",
-                  tdp_mw=1000.0, cluster_ids=("gpu0", "dla0"))
+def _trace(request_ids, scenario_name="toy", done=True, label=None,
+           nulls=False):
+    """A hand-built trace, one request per id.  A `label` stands in for
+    each other name in it: the policy, platform, model, cluster ids and
+    part labels.  With `nulls`, every cell that may be None is None."""
+    policy, platform, model, cluster_ids = (
+        ("p", "b", "toy-conv", ("gpu0", "dla0")) if label is None
+        else (label, label, label, (label, f"x{label}")))
+    trace = Trace(scenario=scenario_name, policy=policy, platform=platform,
+                  tdp_mw=1000.0, cluster_ids=cluster_ids)
     for k, rid in enumerate(request_ids):
-        end = 10.0 * k + 1 / 3 if done else None
+        end = 10.0 * k + 1 / 3 if done and not nulls else None
+        first_map = None if nulls or k % 2 else 0.1 * k
         trace.requests.append(RequestRecord(
-            request_id=rid, model="toy-conv", priority=k % 3 + 1,
-            arrival_ms=0.1 * k, first_map_ms=None if k % 2 else 0.1 * k,
-            completed_ms=end, waiting_ms=None if k % 2 else 0.0,
+            request_id=rid, model=model, priority=k % 3 + 1,
+            arrival_ms=0.1 * k, first_map_ms=first_map,
+            completed_ms=end, waiting_ms=None if first_map is None else 0.0,
             latency_ms=None if end is None else end - 0.1 * k,
             work_gflops=300.0 + k))
         trace.decisions.append(DecisionRecord(
-            time_ms=0.1 * k, kind="MAP", request_id=rid,
-            part=None if k % 2 else rid, cluster_id="dla0", level=None,
+            time_ms=0.1 * k, kind="MAP", request_id=None if nulls else rid,
+            part=None if nulls or k % 2 else label if label is not None
+            else rid,
+            cluster_id=None if nulls else cluster_ids[1], level=None,
             freq_mhz=None))
+        # freq_mhz is an int from the board, or a float
         trace.decisions.append(DecisionRecord(
             time_ms=0.1 * k, kind="SET_FREQ", request_id=None, part=None,
-            cluster_id="gpu0", level=k, freq_mhz=300.0 + k / 3))
+            cluster_id=None if nulls else cluster_ids[0],
+            level=None if nulls else k,
+            freq_mhz=None if nulls else 300 + k if k % 2 else 300.0 + k / 3))
         trace.power.append(PowerRecord(
             time_ms=0.1 * k, power_mw=500.0 + k / 7,
-            freqs_mhz=(300.0 + k / 3, 1400.0), utils=(float(k % 2), 1.0)))
+            freqs_mhz=(300.0 + k / 3, 1400), utils=(float(k % 2), 1.0)))
     return trace
 
 
-AWKWARD_IDS = ['say "hi"', "a,b", "back\\slash", "two\nlines", "naïve-π-😀",
-               "}, {", '\n  "requests": []', ""]
+AWKWARD_IDS = ['say "hi"', "a,b", "back\\slash", "two\nlines", "c\rd",
+               " lead", "naïve-π-😀", "}, {", '\n  "requests": []', ""]
+# names that need CSV quoting or JSON escapes, or look as if they might
+AWKWARD_NAMES = {"comma": "a,b", "quote": 'say "hi"', "cr": "c\rd",
+                 "lf": "two\nlines", "leading-space": " lead",
+                 "non-ascii": "naïve-π-😀", "empty": ""}
+# the request floats where the six-decimal text of summary.json's numbers
+# is cut short or given up for repr(round(x, 6))
+EDGE_NUMBERS = [0.0, -0.0, 5e-05, 9.9999995e-05, -2.5e-07, 1e-4, 1e9 - 1e-7,
+                1e9, 1e9 + 1e-7, 1e16, 123456789.1234565, -0.1]
+
+
+def _edge_trace():
+    trace = _trace([])
+    for k, x in enumerate(EDGE_NUMBERS):
+        trace.requests.append(RequestRecord(f"r{k}", "m", 1, x, x, x, x, x, x))
+    return trace
+
+
+def _unhashable_trace():
+    # the engine logs a policy's part and level as given, a list too
+    trace = _trace(["a"])
+    trace.decisions.append(DecisionRecord(0.0, "MAP", "a", ["p", "q"],
+                                          "gpu0", [2], None))
+    return trace
+
+
+SERIALISER_CASES = {
+    "awkward-ids": _trace(AWKWARD_IDS),
+    "unfinished": _trace(AWKWARD_IDS, done=False),
+    "nulls": _trace(AWKWARD_IDS, nulls=True),
+    **{f"awkward-names-{case}": _trace(["a", "b"], scenario_name=name,
+                                       label=name)
+       for case, name in AWKWARD_NAMES.items()},
+    "empty": _trace([]),
+    "edge-numbers": _edge_trace(),
+    "unhashable": _unhashable_trace(),
+}
 
 
 @pytest.mark.parametrize("trace", [
-    _trace(AWKWARD_IDS),
-    _trace(AWKWARD_IDS, done=False),
+    *SERIALISER_CASES.values(),
     _trace(["a", "b"], scenario_name='x "requests": [] y'),
     _trace(["a"], scenario_name='\n  "requests": []\n'),
-    _trace([]),
     _trace([], scenario_name='"requests": '),
     build_simulation("mix2", policy="static_subgraph").run(),
-], ids=["awkward-ids", "unfinished", "scenario-quote", "scenario-newline",
-        "empty", "empty-scenario-quote", "mix2"])
+], ids=[*SERIALISER_CASES, "scenario-quote", "scenario-newline",
+        "empty-scenario-quote", "mix2"])
 def test_summary_json_matches_an_indented_dump(trace):
     expected = json.dumps(trace.summary(), indent=2, sort_keys=True) + "\n"
     assert summary_json(trace) == expected
+
+
+def test_summary_numbers_are_round_then_repr():
+    rng = random.Random(20240517)
+    values = list(EDGE_NUMBERS)
+    for _ in range(100_000):
+        if rng.random() < 0.8:
+            x = 10 ** rng.uniform(-8, 12)  # every size from 1e-8 to 1e12
+        else:  # on or next to a tie between two six-decimal neighbours
+            x = rng.randrange(10 ** 13) / 10 ** rng.randrange(5, 9)
+        values.append(-x if rng.random() < 0.5 else x)
+    wrong = [x for x in values if _number(x, f"{x:.6f}") != repr(round(x, 6))]
+    assert wrong == []
 
 
 DECISION_COLUMNS = ["time_ms", "kind", "request_id", "part", "cluster_id",
@@ -833,26 +895,36 @@ REQUEST_COLUMNS = ["request_id", "model", "priority", "arrival_ms",
                    "work_gflops"]
 
 
-def _reference_csv(header, rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(["" if v is None else f"{v:.6f}" if isinstance(v, float)
-                    else str(v) for v in row])
-    return buf.getvalue()
+def _reference_text(v) -> str:
+    # None is an empty cell, a float has six decimals, and anything else
+    # is str(v)
+    return "" if v is None else f"{v:.6f}" if isinstance(v, float) else str(v)
 
 
-@pytest.mark.parametrize("trace", [
-    _trace(AWKWARD_IDS),
-    _trace(AWKWARD_IDS, done=False),
-    _trace([]),
-], ids=["awkward-ids", "unfinished", "empty"])
+def _check_csv(text, header, rows):
+    """text is the header, then one line per row, each cell quoted when
+    it holds , " \r or \n, with each " doubled; and csv reads it back."""
+    lines = []
+    for row in [header, *rows]:
+        cells = []
+        for v in row:
+            cell = _reference_text(v)
+            if any(c in cell for c in ',"\r\n'):
+                cell = '"' + cell.replace('"', '""') + '"'
+            cells.append(cell)
+        lines.append(",".join(cells) + "\n")
+    assert text == "".join(lines)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        [_reference_text(v) for v in row] for row in [header, *rows]]
+
+
+@pytest.mark.parametrize("trace", SERIALISER_CASES.values(),
+                         ids=SERIALISER_CASES)
 def test_csv_writers_match_a_per_field_reference(trace):
-    assert decisions_csv(trace) == _reference_csv(DECISION_COLUMNS, [
+    _check_csv(decisions_csv(trace), DECISION_COLUMNS, [
         [getattr(d, name) for name in DECISION_COLUMNS]
         for d in trace.decisions])
-    assert requests_csv(trace) == _reference_csv(REQUEST_COLUMNS, [
+    _check_csv(requests_csv(trace), REQUEST_COLUMNS, [
         [getattr(r, name) for name in REQUEST_COLUMNS]
         for r in trace.requests])
     header, rows = ["time_ms", "power_mw"], []
@@ -863,7 +935,7 @@ def test_csv_writers_match_a_per_field_reference(trace):
         for i in range(len(trace.cluster_ids)):
             row += [p.freqs_mhz[i], p.utils[i]]
         rows.append(row)
-    assert power_csv(trace) == _reference_csv(header, rows)
+    _check_csv(power_csv(trace), header, rows)
 
 
 def test_repeat_runs_serialize_identically(tmp_path):

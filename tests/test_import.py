@@ -16,20 +16,24 @@ PACKAGE = Path(twillsim.__file__).resolve().parent
 SRC = str(PACKAGE.parent)
 
 CHILD = """\
-import sys
+import importlib, sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
-import twillsim, twillsim.cli
+for name in sys.argv[2:]:
+    importlib.import_module(name)
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def _added_by_import() -> set[str]:
-    done = subprocess.run([sys.executable, "-I", "-c", CHILD, SRC],
+def _added_by_import(*modules: str) -> set[str]:
+    """The modules a fresh interpreter loads to import `modules`, by
+    default the package and its command line."""
+    modules = modules or ("twillsim", "twillsim.cli")
+    done = subprocess.run([sys.executable, "-I", "-c", CHILD, SRC, *modules],
                           capture_output=True, text=True, check=True,
                           timeout=60)
     added = set(done.stdout.split())
-    assert "twillsim.cli" in added
+    assert set(modules) <= added
     return added
 
 
@@ -43,6 +47,13 @@ def test_import_loads_no_numbers():
     # the field readers take int and float, not the numbers ABCs, whose
     # import once cost about 0.8 ms
     assert "numbers" not in _added_by_import()
+
+
+def test_only_the_cli_loads_csv():
+    # the trace writers format their own lines; comparison.csv, which
+    # only the command line writes, goes through csv
+    assert "csv" not in _added_by_import("twillsim")
+    assert "csv" in _added_by_import()
 
 
 def _imports(module: str) -> tuple[set[str], set[str]]:
