@@ -13,11 +13,12 @@ _INT = frozenset((int,))
 
 def real(value, name: str, error: type[Exception], *, lo: float,
          strict: bool = False) -> float:
-    """`value` as a float, at least `lo` (above it when `strict`)."""
+    """`value` as a float, at least `lo` (above it when `strict`); -0.0
+    is read as 0.0, so that no trace writes a "-0.000000" time."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"{name} must be a number, not {value!r}")
     try:
-        x = float(value)
+        x = float(value) + 0.0  # -0.0 + 0.0 is 0.0; any other x is kept
     except OverflowError:  # an int past any float
         x = inf
     if not (isfinite(x) and (x > lo if strict else x >= lo)):

@@ -168,6 +168,12 @@ class _Task:
     `_apply_set_freq`, the only writers of the cluster states (the
     fallback penalty is fixed for a Simulation).  A task off any
     cluster does not read it.
+
+    A task is on a cluster (`cluster_id` set) exactly when it is
+    RUNNING: freezing and completing vacate it, and only MAP, MIGRATE
+    and UNFREEZE place it.  So a started task that is neither frozen
+    nor done is on a cluster, and a completion that is still current
+    finds its task there.
     """
 
     __slots__ = ("key", "request", "part", "profile", "signature", "work",
@@ -290,8 +296,10 @@ class Simulation:
                 f"{rid}: cannot finish before {finish:.1f} ms, past the "
                 f"simulation's {self.max_time_ms} ms horizon")
 
+        # events as (time_ms, rank, seq, task key, epoch); the rank
+        # tells a completion from an arrival, whose epoch is 0
         self._heap: list[tuple] = []
-        self._seq = 0
+        self._seq = itertools.count()
         self._ran = False
         self._completed_requests: set[str] = set()
         # indexes that keep each event's cost independent of how many
@@ -325,14 +333,14 @@ class Simulation:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, time_ms: float, rank: int, kind: str, *payload):
-        heapq.heappush(self._heap, (time_ms, rank, self._seq, kind, payload))
-        self._seq += 1
+    def _push_arrival(self, time_ms: float, request_id: str):
+        heapq.heappush(self._heap, (time_ms, _RANK_ARRIVAL, next(self._seq),
+                                    request_id, 0))
 
     def _schedule_initial_arrivals(self):
         for r in self.scenario.requests:
             if not r.depends_on:
-                self._push(r.arrival_ms, _RANK_ARRIVAL, "arrival", r.request_id)
+                self._push_arrival(r.arrival_ms, r.request_id)
 
     def _release_dependents(self, producer: str, now: float):
         """Schedule, in scenario order, the dependents of a request that
@@ -341,7 +349,7 @@ class Simulation:
             self._pending_producers[rid] -= 1
             if self._pending_producers[rid] == 0:
                 arrival_ms = self._requests[rid].arrival_ms
-                self._push(max(now, arrival_ms), _RANK_ARRIVAL, "arrival", rid)
+                self._push_arrival(max(now, arrival_ms), rid)
 
     # -- power -------------------------------------------------------------
 
@@ -389,13 +397,13 @@ class Simulation:
                     task.last_sync = now
 
     def _reschedule(self, task: _Task, now: float):
-        task.epoch += 1
-        if task.completed or task.frozen or task.cluster_id is None:
-            return
-        start = max(now, task.resume_at)
-        remaining = max(0.0, task.work - task.done)
-        t_done = start + remaining / task.rate
-        self._push(t_done, _RANK_COMPLETION, "completion", task.key, task.epoch)
+        """Push the completion of `task`, which is on a cluster, at its
+        current rate; the new epoch supersedes any earlier completion."""
+        epoch = task.epoch = task.epoch + 1
+        t_done = (max(now, task.resume_at)
+                  + max(0.0, task.work - task.done) / task.rate)
+        heapq.heappush(self._heap, (t_done, _RANK_COMPLETION, next(self._seq),
+                                    task.key, epoch))
 
     def _rollback_to_boundary(self, task: _Task):
         """Drop progress to the last completed segment boundary."""
@@ -414,15 +422,15 @@ class Simulation:
 
     def _spawn_task(self, key: str, request_id: str, part: str | None,
                     work: float | None, native: bool) -> _Task:
-        if key in self.tasks:
-            raise EngineError(f"task {key!r} already exists")
+        """The task a policy's MAP creates for a request that has
+        arrived: one of its parts, or the whole request again."""
         if work is not None:
             work = real(work, f"{self.policy.name}: {key}: work_gflops",
                         EngineError, lo=0)
         if native is not True and native is not False:
             raise EngineError(f"{self.policy.name}: {key}: native must be a "
                               f"bool, not {native!r}")
-        parts = self._parts.setdefault(request_id, [])
+        parts = self._parts[request_id]
         if part is not None:
             whole = self.tasks.get(request_id)
             if whole is not None:
@@ -437,42 +445,47 @@ class Simulation:
                 parts.remove(whole)
             if work is None:
                 raise EngineError(f"{key}: part decisions must carry work_gflops")
-        request = self._requests[request_id]
         total = self._work[request_id]
-        task = _Task(key, request, part, self._profiles[request.model],
-                     self._signatures[request.model],
-                     total if work is None else work, native)
+        if work is None:
+            work = total
         mapped = sum(t.work for t in parts) if parts else 0.0
-        if mapped + task.work > total + _WORK_EPS:
+        if mapped + work > total + _WORK_EPS:
             raise EngineError(
                 f"{key}: parts exceed the request's total work "
-                f"({mapped + task.work:.6f} > {total:.6f} GFLOPs)")
+                f"({mapped + work:.6f} > {total:.6f} GFLOPs)")
+        return self._add_task(key, request_id, part, work, native)
+
+    def _add_task(self, key: str, request_id: str, part: str | None,
+                  work: float, native: bool) -> _Task:
+        """Create task `key` of a request, with checked fields."""
+        if key in self.tasks:  # a request id can be another's part key
+            raise EngineError(f"task {key!r} already exists")
+        request = self._requests[request_id]
+        task = _Task(key, request, part, self._profiles[request.model],
+                     self._signatures[request.model], work, native)
         self.tasks[key] = task
         self._snapshot._log(key)
         self._order[key] = next(self._created)
         self._views[key] = task.view()
-        parts.append(task)
+        self._parts.setdefault(request_id, []).append(task)
         return task
 
     # -- decision application ----------------------------------------------
-
-    def _require_free(self, cluster_id: str | None) -> str:
-        if cluster_id is None:
-            raise EngineError("mapping decision without a target cluster")
-        state = self.states.get(cluster_id)
-        if state is None:
-            raise EngineError(f"unknown cluster {cluster_id!r}")
-        if state.occupant is not None:
-            raise EngineError(f"cluster {cluster_id} is occupied by {state.occupant}")
-        return cluster_id
 
     # _occupy, _vacate and _apply_set_freq are the only writers of
     # self.states; each keeps _utils, the occupant's rate and _power_mw
     # (cleared, drawn when next read) in step with it.  A ClusterState
     # is built through tuple.__new__, past its Python-level constructor.
 
-    def _occupy(self, task: _Task, cluster_id: str):
-        state = self.states[cluster_id]
+    def _occupy(self, task: _Task, cluster_id: str | None):
+        """Place `task` on `cluster_id`, which must be a free cluster."""
+        state = self.states.get(cluster_id)
+        if state is None:
+            if cluster_id is None:
+                raise EngineError("mapping decision without a target cluster")
+            raise EngineError(f"unknown cluster {cluster_id!r}")
+        if state.occupant is not None:
+            raise EngineError(f"cluster {cluster_id} is occupied by {state.occupant}")
         self.states[cluster_id] = tuple.__new__(ClusterState, (
             state.spec, state.current_level, task.key))
         self._utils[cluster_id] = 1.0
@@ -493,11 +506,22 @@ class Simulation:
             task.cluster_id = None
 
     def _apply_decision(self, d: Decision, now: float, acted: set[str]):
-        kind = d.kind
+        kind, part = d.kind, d.part
         if kind is _SET_FREQ:
             raise EngineError("SET_FREQ is only valid from dvfs_update()")
-        part = d.part  # a part's task key is "<request id>#<part>"
-        key = d.request_id if part is None else f"{d.request_id}#{part}"
+        if d.level is not None:
+            raise EngineError(
+                f"{self.policy.name}: decide() returned a decision with level "
+                f"{d.level!r}; only a SET_FREQ carries one")
+        # a part's task key is "<request id>#<part>"
+        if part is None:
+            key = d.request_id
+        elif isinstance(part, str):
+            key = f"{d.request_id}#{part}"
+        else:
+            raise EngineError(
+                f"{self.policy.name}: decide() returned a decision with part "
+                f"{part!r}, not a string")
         task = self.tasks.get(key)
         if task is None:
             if kind is not _MAP:
@@ -510,41 +534,43 @@ class Simulation:
         if key in acted:
             raise EngineError(f"{key}: two decisions in one cycle")
 
+        # the cluster the record names: the target, or the one a FREEZE
+        # vacated (None for a task that never ran), whatever the policy
+        # filled in
+        cluster_id = d.cluster_id
         if kind is _MAP:
             if task.started or task.frozen or task.cluster_id is not None:
                 raise EngineError(f"{task.key}: MAP on a task that already ran")
-            self._require_free(d.cluster_id)
-            self._occupy(task, d.cluster_id)
+            self._occupy(task, cluster_id)
             task.started = True
-            task.resume_at = now + self.ctrl_overhead_ms
-            task.last_sync = task.resume_at
+            task.resume_at = task.last_sync = now + self.ctrl_overhead_ms
             if task.first_map_ms is None:
                 task.first_map_ms = now
             self._reschedule(task, now)
 
         elif kind is _MIGRATE:
-            if task.state is not _RUNNING:
+            if task.cluster_id is None:
                 raise EngineError(f"{task.key}: MIGRATE on a task that is not running")
-            if d.cluster_id == task.cluster_id:
+            if cluster_id == task.cluster_id:
                 raise EngineError(f"{task.key}: MIGRATE onto its own cluster")
-            self._require_free(d.cluster_id)
+            # a target that is not free is refused by _occupy; the run
+            # ends there, so the task's state no longer matters
             self._sync(task, now)
             self._vacate(task)
             self._rollback_to_boundary(task)
-            self._occupy(task, d.cluster_id)
-            task.resume_at = now + self.ctrl_overhead_ms + self.migration_overhead_ms
-            task.last_sync = task.resume_at
+            self._occupy(task, cluster_id)
+            task.resume_at = task.last_sync = (
+                now + self.ctrl_overhead_ms + self.migration_overhead_ms)
             self._reschedule(task, now)
 
         elif kind is _FREEZE:
             if task.frozen or task.completed:
                 raise EngineError(f"{task.key}: FREEZE on a {task.state.value} task")
-            if task.started:
+            cluster_id = task.cluster_id
+            if cluster_id is not None:
                 self._sync(task, now)
-                task.frozen_on = task.cluster_id
                 self._vacate(task)
-                # log the vacated cluster, whatever the policy filled in
-                d = d._replace(cluster_id=task.frozen_on)
+                task.frozen_on = cluster_id
             # a never-started task may be frozen too: that is deferred
             # admission straight into the thaw queue, with no charge
             task.frozen = True
@@ -553,9 +579,8 @@ class Simulation:
         elif kind is _UNFREEZE:
             if not task.frozen:
                 raise EngineError(f"{task.key}: UNFREEZE on a task that is not frozen")
-            self._require_free(d.cluster_id)
+            self._occupy(task, cluster_id)
             task.frozen = False
-            self._occupy(task, d.cluster_id)
             if not task.started:
                 # deferred admission: charged like, and counted as, a MAP
                 task.started = True
@@ -567,7 +592,7 @@ class Simulation:
                 # ends now, on top of the control overhead
                 task.resume_at = (now + self.ctrl_overhead_ms
                                   + 2.0 * self.freeze_overhead_ms)
-                if d.cluster_id != task.frozen_on:
+                if cluster_id != task.frozen_on:
                     self._rollback_to_boundary(task)
             task.frozen_on = None
             task.last_sync = task.resume_at
@@ -576,9 +601,11 @@ class Simulation:
         else:  # pragma: no cover - enum is exhaustive
             raise EngineError(f"unknown decision kind {kind}")
 
-        acted.add(task.key)
-        self._stale.add(task.key)
-        self._log_decision(d, now)
+        acted.add(key)
+        self._stale.add(key)
+        # _value_ is .value without the property call
+        self.trace.decisions.append(tuple.__new__(DecisionRecord, (
+            now, kind._value_, d.request_id, part, cluster_id, None, None)))
 
     def _apply_set_freq(self, d: Decision, now: float):
         if d.kind is not _SET_FREQ:
@@ -609,21 +636,17 @@ class Simulation:
                 state, occupant.signature.dla_flops_fraction, occupant.native,
                 self.dla_fallback_penalty) / 1000.0
             self._reschedule(occupant, now)
-        self._log_decision(d, now)
-
-    def _log_decision(self, d: Decision, now: float):
-        freq = None
-        if d.kind is _SET_FREQ:
-            freq = self.states[d.cluster_id].freq_mhz
         self.trace.decisions.append(tuple.__new__(DecisionRecord, (
-            # _value_ is .value without the property call
-            now, d.kind._value_, d.request_id, d.part, d.cluster_id,
-            d.level, freq)))
+            now, "SET_FREQ", d.request_id, d.part, cluster_id, level,
+            state.freq_mhz)))
 
     # -- completion handling -------------------------------------------------
 
-    def _finish_task(self, task: _Task, now: float) -> str | None:
-        self._sync(task, now)
+    def _finish_task(self, task: _Task, now: float) -> str:
+        """Complete `task`, which is running; the cluster it freed."""
+        if now > task.last_sync:  # _sync, for a running task
+            task.done += task.rate * (now - task.last_sync)
+            task.last_sync = now
         # the completion event time is computed analytically; the done
         # counter is integrated incrementally across every rate change.
         # Their agreement is the work-conservation invariant.
@@ -668,35 +691,36 @@ class Simulation:
                 raise EngineError(
                     f"simulation ran past {self.max_time_ms} ms; "
                     "likely a stuck policy")
-            batch = []
-            while heap and heap[0][0] == now and heap[0][1] == rank:
-                batch.append(heapq.heappop(heap))
-            if not batch:
+            if now != now:
                 # a time that never equals itself (NaN) would spin forever
                 raise EngineError(f"event loop made no progress at t={now}")
 
+            # every event at (now, rank), in push order.  Handling one
+            # pushes only arrivals, at now or later, so a batch of
+            # completions never takes in an event it pushed.
             events: list[ControllerEvent] = []
-            for _, _, _, kind, payload in batch:
-                if kind == "completion":
-                    key, epoch = payload
+            while True:
+                _, _, _, key, epoch = heapq.heappop(heap)
+                if rank == _RANK_ARRIVAL:
+                    # the whole-request task, past _spawn_task's checks
+                    # of a policy's values
+                    self._add_task(key, key, None, self._work[key], False)
+                    events.append(tuple.__new__(ControllerEvent, (
+                        _ARRIVAL, key, None)))
+                else:
                     task = self.tasks[key]
-                    if task.epoch != epoch or task.completed:
-                        continue  # superseded by a later decision
-                    freed = self._finish_task(task, now)
-                    rid = task.request.request_id
-                    if (rid not in self._completed_requests
-                            and self._request_complete(rid)):
-                        self._completed_requests.add(rid)
-                        self._release_dependents(rid, now)
-                    if freed is not None:
+                    # else superseded by a later decision
+                    if task.epoch == epoch and not task.completed:
+                        freed = self._finish_task(task, now)
+                        rid = task.request.request_id
+                        if (rid not in self._completed_requests
+                                and self._request_complete(rid)):
+                            self._completed_requests.add(rid)
+                            self._release_dependents(rid, now)
                         events.append(tuple.__new__(ControllerEvent, (
                             _FREED, None, freed)))
-                elif kind == "arrival":
-                    (request_id,) = payload
-                    self._spawn_task(request_id, request_id, None, None,
-                                     False)
-                    events.append(tuple.__new__(ControllerEvent, (
-                        _ARRIVAL, request_id, None)))
+                if not heap or heap[0][0] != now or heap[0][1] != rank:
+                    break
 
             if not events:
                 continue

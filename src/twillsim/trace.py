@@ -176,10 +176,13 @@ def _csv(header, rows: list[str]) -> str:
 def decisions_csv(trace: Trace) -> str:
     c = _csv_cell
     # time_ms is the engine's float clock; the other cells are a
-    # policy's values, or the engine's copy of them
+    # policy's values, or the engine's copy of them.  Most of the last
+    # five are None, written as "" without the call.
     return _csv(DecisionRecord._fields, [
-        f"{t:.6f},{c(kind)},{c(rid)},{c(part)},{c(cid)},{c(level)},"
-        f"{c(freq)}\n"
+        f"{t:.6f},{c(kind)},{'' if rid is None else c(rid)},"
+        f"{'' if part is None else c(part)},{'' if cid is None else c(cid)},"
+        f"{'' if level is None else c(level)},"
+        f"{'' if freq is None else c(freq)}\n"
         for t, kind, rid, part, cid, level, freq in trace.decisions])
 
 

@@ -104,34 +104,43 @@ class FreezeQueue:
         return None if head is None else head[1]
 
 
+def _busy(states: dict) -> list[str]:
+    """The busy clusters, in the states' order, which is the board's: two
+    lists are equal exactly when the same clusters are busy."""
+    return [c for c, st in states.items() if st.occupant is not None]
+
+
 class TwillPolicy(_BoardPolicy):
     name = "twill"
 
     def __init__(self):
         self.queue = FreezeQueue()
-        # per-GPU (freq_mhz, power_mw, busy-cluster fingerprint)
-        self._samples: dict[str, tuple[float, float, tuple[str, ...]]] = {}
+        # per-GPU (freq_mhz, power_mw, the view's cluster states)
+        self._samples: dict[str, tuple[float, float, dict]] = {}
 
     # -- mapping -----------------------------------------------------------
 
     def decide(self, view: ControllerView,
                events: list[ControllerEvent]) -> list[Decision]:
         decisions: list[Decision] = []
-        planned = {cid: st.occupant for cid, st in view.states.items()}
+        # plain loops, not comprehensions: under CPython 3.11 each
+        # comprehension is a function call, and this runs every cycle
+        planned = {}
+        for cid, st in view.states.items():
+            planned[cid] = st.occupant
         touched: set[str] = set()
         self._layout(view.platform)
         kinds = self._kinds
         queue = self.queue
 
-        freed, arrivals = [], []
+        worklist, arrivals = [], []
         for e in events:
             if e.kind is _FREED:
-                freed.append(e.cluster_id)
+                worklist.append(e.cluster_id)
             elif e.kind is _ARRIVAL:
                 arrivals.append(e.request_id)
 
         # freed clusters, cascading through any migration vacancies
-        worklist = list(freed)
         while worklist:
             cid = worklist.pop(0)
             if planned[cid] is not None:
@@ -154,8 +163,7 @@ class TwillPolicy(_BoardPolicy):
                 worklist.append(mover.cluster_id)
 
         for rid in arrivals:
-            decisions.extend(
-                self._place_arrival(view, rid, planned, touched, kinds))
+            self._place_arrival(view, rid, planned, touched, kinds, decisions)
 
         return decisions
 
@@ -185,7 +193,8 @@ class TwillPolicy(_BoardPolicy):
 
     def _place_arrival(self, view: ControllerView, rid: str,
                        planned: dict, touched: set[str],
-                       kinds: dict[str, str]) -> list[Decision]:
+                       kinds: dict[str, str], decisions: list[Decision]):
+        """Append the decisions that place arrival `rid`."""
         task = view.tasks[rid]
         prefs, dla, native = task.preferred_kinds, task.dla_fraction, task.native
         states, penalty = view.states, view.dla_fallback_penalty
@@ -211,55 +220,60 @@ class TwillPolicy(_BoardPolicy):
             target = best[2]
             planned[target] = rid
             touched.add(rid)
-            return [_new(Decision, (_MAP, rid, target, None, None, None, False))]
+            decisions.append(_new(Decision, (
+                _MAP, rid, target, None, None, None, False)))
+            return
 
-        # every preferred cluster is taken: their running occupants that
-        # this cycle has not moved, on the fastest cluster first
-        occupants = []
-        for neg_rate, cid in sorted(taken):
+        # every preferred cluster is taken.  Their running occupants that
+        # this cycle has not moved, on the fastest cluster first: displace
+        # the first that has a free cluster of its own to go to, else
+        # freeze the first of the lowest priority below the newcomer's
+        if len(taken) > 1:
+            taken.sort()
+        victim = None
+        for _, cid in taken:
             occ = view.tasks[planned[cid]]
-            if occ.state is _RUNNING and occ.key not in touched:
-                occupants.append((neg_rate, cid, occ))
-
-        # displace an occupant that has somewhere of its own to go
-        for _, cid, occ in occupants if free else ():
-            room = [(-effective_rate(states[c], occ.dla_fraction, occ.native,
-                                     penalty), c)
-                    for c in free if kinds[c] in occ.preferred_kinds]
-            if not room:
+            if occ.state is not _RUNNING or occ.key in touched:
                 continue
-            target = min(room)[1]
-            planned[target] = occ.key
-            planned[cid] = rid
-            touched.update((occ.key, rid))
-            return [
-                _new(Decision, (_MIGRATE, occ.key, target, None, None, None,
-                                False)),
-                _new(Decision, (_MAP, rid, cid, None, None, None, False)),
-            ]
+            room = None
+            for c in free:
+                if kinds[c] in occ.preferred_kinds:
+                    order = (-effective_rate(states[c], occ.dla_fraction,
+                                             occ.native, penalty), c)
+                    if room is None or order < room:
+                        room = order
+            if room is not None:
+                target = room[1]
+                planned[target] = occ.key
+                planned[cid] = rid
+                touched.update((occ.key, rid))
+                decisions.append(_new(Decision, (
+                    _MIGRATE, occ.key, target, None, None, None, False)))
+                decisions.append(_new(Decision, (
+                    _MAP, rid, cid, None, None, None, False)))
+                return
+            if occ.priority < task.priority and (
+                    victim is None or occ.priority < victim[0].priority):
+                victim = (occ, cid)
 
-        # freeze a strictly lower-priority occupant
-        freezable = [(occ.priority, neg_rate, cid, occ)
-                     for neg_rate, cid, occ in occupants
-                     if occ.priority < task.priority]
-        if freezable:
-            # (priority, rate, cluster) is unique: the view is never compared
-            _, _, cid, occ = min(freezable)
+        if victim is not None:
+            occ, cid = victim
             self.queue.add(occ.key, occ.priority, view.now,
                            occ.preferred_kinds)
             planned[cid] = rid
             touched.update((occ.key, rid))
-            return [
-                _new(Decision, (_FREEZE, occ.key, None, None, None, None,
-                                False)),
-                _new(Decision, (_MAP, rid, cid, None, None, None, False)),
-            ]
+            decisions.append(_new(Decision, (
+                _FREEZE, occ.key, None, None, None, None, False)))
+            decisions.append(_new(Decision, (
+                _MAP, rid, cid, None, None, None, False)))
+            return
 
         # defer admission: park in the thaw queue, to be placed on the
         # next compatible CLUSTER_FREED
         self.queue.add(rid, task.priority, view.now, prefs)
         touched.add(rid)
-        return [_new(Decision, (_FREEZE, rid, None, None, None, None, False))]
+        decisions.append(_new(Decision, (
+            _FREEZE, rid, None, None, None, None, False)))
 
     # -- frequency governor --------------------------------------------------
 
@@ -277,7 +291,6 @@ class TwillPolicy(_BoardPolicy):
             # apparent headroom until the next sample confirms it
             effective = p_after_mw + headroom / 2.0
         limit = effective + 1e-9
-        fingerprint = None
         for cid in self._gpu_ids:
             state = states[cid]
             if state.occupant is None:
@@ -285,12 +298,6 @@ class TwillPolicy(_BoardPolicy):
                 # sample so an idle-period reading never feeds the slope
                 samples.pop(cid, None)
                 continue
-            if fingerprint is None:
-                # the busy clusters in the view's order, which is the
-                # board's: two fingerprints are equal exactly when the
-                # same clusters are busy
-                fingerprint = tuple([c for c, st in states.items()
-                                     if st.occupant is not None])
 
             spec = state.spec
             levels = spec.freq_levels_mhz
@@ -298,20 +305,21 @@ class TwillPolicy(_BoardPolicy):
             slope = spec.active_power_slope_mw_per_mhz
             last = samples.get(cid)
             if last is not None:
-                last_f, last_p, last_fp = last
-                if last_f != freq and last_fp == fingerprint:
+                last_f, last_p, last_states = last
+                if last_f != freq and _busy(last_states) == _busy(states):
                     est = (p_after_mw - last_p) / (freq - last_f)
                     if est > 0:
                         slope = est
 
-            # the highest level whose predicted draw fits
-            chosen = 0
-            for level in range(len(levels) - 1, -1, -1):
-                if p_after_mw + slope * (levels[level] - freq) <= limit:
-                    chosen = level
-                    break
+            # the highest level whose predicted draw fits, else 0
+            chosen = len(levels) - 1
+            while chosen and not (p_after_mw + slope * (levels[chosen] - freq)
+                                  <= limit):
+                chosen -= 1
 
-            samples[cid] = (freq, p_after_mw, fingerprint)
+            # a view's states never change, so the busy clusters of a
+            # sample are worked out only when the clock has moved since
+            samples[cid] = (freq, p_after_mw, states)
             if chosen != state.current_level:
                 decisions.append(_new(Decision, (
                     _SET_FREQ, None, cid, chosen, None, None, False)))

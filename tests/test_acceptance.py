@@ -407,6 +407,33 @@ def test_c8_randomized_properties():
                 assert summary_json(again) == summary_json(trace), seed
 
 
+C8_BASELINE_SEEDS = 1000
+
+
+@pytest.mark.parametrize("policy", BASELINES)
+def test_c8_randomized_properties_of_the_baselines(policy):
+    # C8's occupancy, conservation, completion and determinism checks on
+    # the same toy-board scenarios, for each baseline; the preemption
+    # and queue order checks are twill's, since no baseline freezes
+    platform = tiny_platform(tdp_mw=2200.0)
+    model_names = sorted(TOY_DESCRIPTORS)
+    for seed in range(C8_BASELINE_SEEDS):
+        audited = Audited(make_policy(policy))
+        sim = Simulation(platform, random_mix(seed, model_names, n_requests=6),
+                         audited, TOY_DESCRIPTORS, MATRIX)
+        trace = sim.run()
+        assert audited.faults == [], (seed, audited.faults[:3])
+        assert sim.conservation_error() <= 1e-6, seed
+        assert all(r.completed_ms is not None for r in trace.requests), seed
+        if seed % 50 == 0:
+            again = Simulation(platform, random_mix(seed, model_names,
+                                                    n_requests=6),
+                               Audited(make_policy(policy)), TOY_DESCRIPTORS,
+                               MATRIX).run()
+            assert decisions_csv(again) == decisions_csv(trace), seed
+            assert summary_json(again) == summary_json(trace), seed
+
+
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_every_policy_keeps_the_invariants_on_the_production_board(policy):
     # C8's occupancy, conservation and completion checks, for each

@@ -200,6 +200,27 @@ def test_freeze_thaw_same_cluster_pays_both_ends():
     assert trace.requests[0].waiting_ms == 0.0  # first map was at t=0
 
 
+def test_freezing_a_task_that_never_ran_logs_no_cluster():
+    # deferred admission: the record names the cluster the engine
+    # vacated, none here, not the one the policy filled in
+    def decide(view, events):
+        if view.now == 0.0:
+            return [MAP("a", "gpu0"),
+                    Decision(kind=DecisionKind.FREEZE, request_id="b",
+                             cluster_id="dla0")]
+        if view.tasks["b"].state is TaskState.FROZEN:
+            return [Decision(kind=DecisionKind.UNFREEZE, request_id="b",
+                             cluster_id=events[0].cluster_id)]
+        return []
+
+    _, trace = run_toy(scenario(request("a", "toy-conv"),
+                                request("b", "toy-conv")), decide)
+    (frozen,) = [d for d in trace.decisions if d.kind == "FREEZE"]
+    assert (frozen.request_id, frozen.cluster_id) == ("b", None)
+    assert "b,,,," in decisions_csv(trace)  # request, part, cluster, level
+    assert all(r.completed_ms is not None for r in trace.requests)
+
+
 def test_freeze_thaw_elsewhere_also_rolls_back():
     sim, trace = freeze_then_thaw("dla0")
 
@@ -342,6 +363,18 @@ VIOLATIONS = [
      r"scripted: decide\(\) returned None, not a list of decisions"),
     ("item_not_a_decision", {"a": ["MAP"]},
      r"scripted: decide\(\) returned 'MAP', which is not a Decision"),
+    # each used to run to DONE and write a "['p']" or "[2]" cell
+    ("list_part", {"a": [MAP("a", "gpu0", part=["p"], work_gflops=1.0)]},
+     r"scripted: decide\(\) returned a decision with part \['p'\], "
+     r"not a string"),
+    ("list_level", {"a": [MAP("a", "gpu0", level=[2])]},
+     r"scripted: decide\(\) returned a decision with level \[2\]; "
+     r"only a SET_FREQ carries one"),
+    ("map_with_level", {"a": [MAP("a", "gpu0", level=2)]},
+     r"with level 2; only a SET_FREQ carries one"),
+    ("freeze_with_level",
+     {"a": [Decision(kind=DecisionKind.FREEZE, request_id="a", level=0)]},
+     r"with level 0; only a SET_FREQ carries one"),
 ]
 
 
@@ -410,6 +443,16 @@ def test_set_freq_protocol_violations(returns, match):
 ], ids=["future_arrival", "unmet_dependency", "unknown_request"])
 def test_map_before_the_request_arrives_is_rejected(scn, plan):
     with pytest.raises(EngineError, match="has not arrived"):
+        run_toy(scn, map_on_arrival(plan))
+
+
+def test_an_arrival_that_reuses_a_part_key_is_refused():
+    # "a" is split into part "p", whose task key is "a#p": the request
+    # named "a#p" cannot have a task of its own
+    scn = scenario(request("a", "toy-conv"),
+                   request("a#p", "toy-conv", arrival_ms=100.0))
+    plan = {"a": [MAP("a", "gpu0", part="p", work_gflops=300.0)]}
+    with pytest.raises(EngineError, match=r"^task 'a#p' already exists$"):
         run_toy(scn, map_on_arrival(plan))
 
 
@@ -643,8 +686,19 @@ class CheckedSimulation(Simulation):
 def run_checked(scn, policy, monkeypatch) -> CheckedSimulation:
     monkeypatch.setattr(twillsim, "Simulation", CheckedSimulation)
     sim = build_simulation(scn, policy)
+    cycles = 0
+    decide = sim.policy.decide
+
+    def counted(view, events):
+        nonlocal cycles
+        cycles += 1
+        return decide(view, events)
+
+    monkeypatch.setattr(sim.policy, "decide", counted)
     trace = sim.run()
-    assert sim.checks > 1  # the start, then every cycle
+    # the start, then every decide cycle: a loop that skipped the hook
+    # would leave cycles unchecked
+    assert cycles > 1 and sim.checks == cycles + 1
     sim.seen.update(d.kind for d in trace.decisions)
     return sim
 

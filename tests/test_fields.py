@@ -4,6 +4,7 @@ bad value is the boundary's typed error at the API, and `error: …` with
 exit 1 at the command line."""
 
 import json
+import math
 import sys
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from twillsim import (ModelError, PlatformError, WorkloadError,
                       build_simulation, load_matrix, load_mix, load_platform,
                       parse_model, presets)
+from twillsim._fields import real
 from twillsim.cli import main
 
 NAN, INF = float("nan"), float("inf")
@@ -147,6 +149,21 @@ def test_bad_mix_number(path, value, tmp_path, capsys):
     mix = tmp_path / "mix.json"
     mix.write_text(text)
     _assert_exits_one(["run", "--mix", str(mix)], capsys, path, value)
+
+
+def test_negative_zero_is_read_as_zero(tmp_path, capsys):
+    # -0.0 >= 0 holds, so it used to pass through and write "-0.000000"
+    # time cells and "arrival_ms": -0.0
+    x = real(-0.0, "arrival_ms", WorkloadError, lo=0)
+    assert x == 0.0 and math.copysign(1.0, x) == 1.0
+    mix = tmp_path / "mix.json"
+    mix.write_text(MIX.replace('"arrival_ms": 0', '"arrival_ms": -0.0'))
+    assert main(["run", "--mix", str(mix), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    texts = [(tmp_path / "out" / name).read_text() for name in
+             ("decisions.csv", "requests.csv", "power.csv", "summary.json")]
+    assert all("-0.0" not in text for text in texts)
+    assert '"arrival_ms": 0.0' in texts[3]
 
 
 # an integer literal past CPython's 4,300-digit limit on int-string

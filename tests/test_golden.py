@@ -51,30 +51,48 @@ def test_rewriting_over_longer_files_matches_the_pinned_digests(mix, policy,
 
 
 SEEDED_CHILD = """\
-import sys
-from twillsim import POLICIES, simulate
-for mix in sys.argv[2:]:
+import runpy, sys
+from twillsim import (POLICIES, build_simulation, load_mix, presets, simulate,
+                      write_trace)
+out, scenarios, *jobs = sys.argv[1:]
+generators = runpy.run_path(scenarios)
+for job in jobs:
+    name, _, seed = job.partition(":")
+    if seed:  # a bench scenario under twill, as the bench pins it
+        scenario = load_mix(generators[name](int(seed)),
+                            known_models=presets.available_models())
+        write_trace(build_simulation(scenario, "twill").run(),
+                    f"{out}/{name}/twill")
+        continue
     for policy in sorted(POLICIES):
-        simulate(mix, policy, out_dir=f"{sys.argv[1]}/{mix}/{policy}")
+        simulate(name, policy, out_dir=f"{out}/{name}/{policy}")
 """
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 def test_digests_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
     # str hashes, and so set and dict-of-str orders that follow them,
-    # change with PYTHONHASHSEED; no trace byte may
+    # change with PYTHONHASHSEED; no trace byte may.  The engine iterates
+    # sets of task keys, which the bench scenarios' long runs exercise.
     env = {k: v for k, v in os.environ.items() if k != presets.CONFIG_ENV_VAR}
     env.update(PYTHONHASHSEED=hash_seed,
                PYTHONPATH=str(Path(twillsim.__file__).resolve().parents[1]))
     mixes = ["mix3", "mix5"]
-    subprocess.run([sys.executable, "-c", SEEDED_CHILD, str(tmp_path), *mixes],
+    workloads = ["steady", "burst"]
+    jobs = mixes + [f"{w}:{DIGESTS[w]['seed']}" for w in workloads]
+    subprocess.run([sys.executable, "-c", SEEDED_CHILD, str(tmp_path),
+                    str(ROOT / "bench" / "scenarios.py"), *jobs],
                    env=env, check=True, timeout=120)
-    for mix, policy in itertools.product(mixes, sorted(POLICIES)):
-        out = tmp_path / mix / policy
-        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in TRACE_FILES}
-        assert got == {name: PINNED[f"{mix}/{policy}"][name]
-                       for name in TRACE_FILES}, (mix, policy)
+    expected = {(mix, policy): PINNED[f"{mix}/{policy}"]
+                for mix, policy in itertools.product(mixes, sorted(POLICIES))}
+    expected.update({(w, "twill"): DIGESTS[w]["outputs"][f"{w}/twill"]
+                     for w in workloads})
+    for (name, policy), pinned in expected.items():
+        out = tmp_path / name / policy
+        got = {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+               for file in TRACE_FILES}
+        assert got == {file: pinned[file] for file in TRACE_FILES}, (name,
+                                                                    policy)
 
 
 @pytest.mark.parametrize("workload", ["steady", "burst"])
