@@ -62,7 +62,8 @@ from .policy import (
     effective_rate,
 )
 from .trace import DecisionRecord, PowerRecord, RequestRecord, Trace
-from .workload import InferenceRequest, WorkloadError, WorkloadScenario
+from .workload import (InferenceRequest, WorkloadError, WorkloadScenario,
+                       dependency_index)
 
 CTRL_OVERHEAD_MS = 15.0
 MIGRATION_OVERHEAD_MS = 30.0
@@ -265,28 +266,27 @@ class Simulation:
         self.states = initial_states(self.platform)
         self.tasks: dict[str, _Task] = {}
         self._requests = {r.request_id: r for r in scenario.requests}
-        # each descriptor is decoded and analysed once, by model name
+        # Each descriptor is decoded and analysed once, by model name.  No
+        # request ends before its arrival plus its work at the top rate of
+        # every cluster at once (a split request runs on several): past the
+        # horizon, the input is at fault, not a policy.
         self._profiles: dict[str, AppProfile] = {}
         self._signatures: dict[str, SignatureMap] = {}
-        for r in scenario.requests:
-            if r.model not in descriptors:
-                raise EngineError(f"no descriptor for model {r.model!r}")
-            if r.model not in self._profiles:
-                profile = self._profiles[r.model] = parse_model(
-                    descriptors[r.model])
-                self._signatures[r.model] = layer_affinity(
-                    profile, matrix, threshold=threshold)
-        # No request ends before its arrival plus its work at the top rate
-        # of every cluster at once (a split request runs on several): past
-        # the horizon, the input is at fault, not a policy.  Each request's
-        # total work is kept, by request id.
         top_rate = sum(c.throughput_gflops[-1]
                        for c in self.platform.clusters) / 1000.0  # GFLOP/ms
         self._work: dict[str, float] = {}
         finish, rid = 0.0, None
         for r in scenario.requests:
-            work = self._work[r.request_id] = self._profiles[
-                r.model].work_gflops(r.workload_size)
+            profile = self._profiles.get(r.model)
+            if profile is None:
+                if r.model not in descriptors:
+                    raise EngineError(f"no descriptor for model {r.model!r}")
+                profile = self._profiles[r.model] = parse_model(
+                    descriptors[r.model])
+                self._signatures[r.model] = layer_affinity(
+                    profile, matrix, threshold=threshold)
+            work = self._work[r.request_id] = profile.work_gflops(
+                r.workload_size)
             end = r.arrival_ms + work / top_rate
             if (rid is None or end > finish
                     or end == finish and r.request_id > rid):
@@ -316,13 +316,9 @@ class Simulation:
         # draws active power even during actuation holds, and a frozen
         # task has vacated its cluster entirely; _occupy and _vacate keep it
         self._utils = dict.fromkeys(self.states, 0.0)
-        self._dependents: dict[str, list[str]] = {}  # producer -> requests
-        self._pending_producers: dict[str, int] = {}
-        for r in scenario.requests:
-            producers = set(r.depends_on)
-            self._pending_producers[r.request_id] = len(producers)
-            for p in producers:
-                self._dependents.setdefault(p, []).append(r.request_id)
+        # producer -> its dependents, and dependent -> producers pending
+        self._dependents, self._pending_producers = dependency_index(
+            scenario.requests)
         self.trace = Trace(
             scenario=scenario.name,
             policy=policy.name,
@@ -610,6 +606,14 @@ class Simulation:
     def _apply_set_freq(self, d: Decision, now: float):
         if d.kind is not _SET_FREQ:
             raise EngineError("dvfs_update() may only emit SET_FREQ decisions")
+        if (d.request_id is not None or d.part is not None
+                or d.work_gflops is not None or d.native is not False):
+            field = next((f for f in ("request_id", "part", "work_gflops")
+                          if getattr(d, f) is not None), "native")
+            raise EngineError(
+                f"{self.policy.name}: dvfs_update() returned a SET_FREQ with "
+                f"{field} {getattr(d, field)!r}; it names only a cluster and "
+                f"a level")
         cluster_id, level = d.cluster_id, d.level
         if cluster_id is None or level is None:
             raise EngineError("SET_FREQ needs cluster_id and level")
@@ -637,8 +641,7 @@ class Simulation:
                 self.dla_fallback_penalty) / 1000.0
             self._reschedule(occupant, now)
         self.trace.decisions.append(tuple.__new__(DecisionRecord, (
-            now, "SET_FREQ", d.request_id, d.part, cluster_id, level,
-            state.freq_mhz)))
+            now, "SET_FREQ", None, None, cluster_id, level, state.freq_mhz)))
 
     # -- completion handling -------------------------------------------------
 

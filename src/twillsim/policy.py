@@ -95,15 +95,6 @@ class ControllerView(NamedTuple):
     tasks: Mapping[str, TaskView]
     dla_fallback_penalty: float
 
-    def exec_rate(self, task_key: str, cluster_id: str) -> float:
-        """Effective GFLOP/s for the task on that cluster at its current
-        frequency level (fallback penalty included for whole models on
-        the DLA)."""
-        task = self.tasks[task_key]
-        state = self.states[cluster_id]
-        return effective_rate(state, task.dla_fraction, task.native,
-                              self.dla_fallback_penalty)
-
 
 def effective_rate(state: ClusterState, dla_fraction: float, native: bool,
                    penalty: float) -> float:

@@ -179,7 +179,7 @@ class TwillPolicy(_BoardPolicy):
             task = view.tasks[key]
             if task.state is not _RUNNING or task.cluster_id != occ_cid:
                 continue
-            # view.exec_rate, without looking the task up again
+            # the task's effective rate here and on `cid`
             r_cur = effective_rate(states[occ_cid], task.dla_fraction,
                                    task.native, penalty)
             r_new = effective_rate(states[cid], task.dla_fraction,
@@ -201,7 +201,7 @@ class TwillPolicy(_BoardPolicy):
         # in one pass over the clusters: the free ones, the fastest free
         # preferred one as (-rate, rank of its kind, id), and each taken
         # preferred one as (-rate, id); a rate is the newcomer's
-        # view.exec_rate there
+        # effective_rate there
         free, taken, best = [], [], None
         for c, occupant in planned.items():
             kind = kinds[c]

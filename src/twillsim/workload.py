@@ -95,18 +95,31 @@ class WorkloadScenario(namedtuple("WorkloadScenario",
                 f"unknown platform overrides {unknown}; expected any of "
                 f"{', '.join(PLATFORM_OVERRIDE_KEYS)}")
         requests = tuple(requests)
-        ids = [r.request_id for r in requests]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
+        ids = {r.request_id for r in requests}
+        if len(ids) != len(requests):
+            listed = [r.request_id for r in requests]
+            dup = sorted({i for i in listed if listed.count(i) > 1})
             raise WorkloadError(f"duplicate request ids: {dup}")
-        _check_dag(requests)
+        _check_dag(requests, ids)
         return super().__new__(cls, name, requests, overrides)
 
 
-def _check_dag(requests: tuple[InferenceRequest, ...]) -> None:
-    ids = {r.request_id for r in requests}
-    waiting: dict[str, int] = {}  # request id -> producers not yet ordered
+def dependency_index(requests) -> tuple[dict[str, list[str]], dict[str, int]]:
+    """The consumers of each producer, in scenario order, and each
+    dependent request's count of distinct producers: a producer listed
+    twice counts once, and an independent request is in neither dict."""
     consumers: dict[str, list[str]] = {}
+    producers: dict[str, int] = {}
+    for r in requests:
+        if r.depends_on:
+            distinct = dict.fromkeys(r.depends_on)
+            producers[r.request_id] = len(distinct)
+            for dep in distinct:
+                consumers.setdefault(dep, []).append(r.request_id)
+    return consumers, producers
+
+
+def _check_dag(requests: tuple[InferenceRequest, ...], ids: set[str]) -> None:
     for r in requests:
         for dep in r.depends_on:
             if dep not in ids:
@@ -114,12 +127,9 @@ def _check_dag(requests: tuple[InferenceRequest, ...]) -> None:
                     f"{r.request_id}: depends on unknown request {dep!r}")
             if dep == r.request_id:
                 raise WorkloadError(f"{r.request_id}: depends on itself")
-        if r.depends_on:
-            producers = set(r.depends_on)
-            waiting[r.request_id] = len(producers)
-            for dep in producers:
-                consumers.setdefault(dep, []).append(r.request_id)
-    # Kahn's algorithm: order every request whose producers are ordered
+    # Kahn's algorithm: order every request whose producers are ordered;
+    # waiting counts each request's producers not yet ordered
+    consumers, waiting = dependency_index(requests)
     ordered = [r.request_id for r in requests if r.request_id not in waiting]
     for rid in ordered:  # grows as it goes
         for consumer in consumers.get(rid, ()):

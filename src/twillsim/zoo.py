@@ -182,58 +182,48 @@ def efficientnet_b4():
     return layers
 
 
-# ---------------------------------------------------- vision transformers
+# ------------------------------------------------------------ transformers
+
+def layer_norm(seq, dim):
+    return layer("LayerNormalization", 5 * seq * dim, [1, seq, dim], [1, seq, dim])
+
+
+def encoder_block(seq, dim, heads, mlp):
+    """One transformer encoder block, less the LayerNorm that ViT puts
+    before it and BERT after it."""
+    return [
+        *(matmul(seq, dim, dim, [1, seq, dim], [1, seq, dim])
+          for _ in range(3)),  # q, k, v projections
+        matmul(seq, dim, seq, [1, seq, dim], [1, heads, seq, seq]),
+        layer("Softmax", 3 * heads * seq * seq, [1, heads, seq, seq], [1, heads, seq, seq]),
+        matmul(seq, seq, dim, [1, heads, seq, seq], [1, seq, dim]),
+        matmul(seq, dim, dim, [1, seq, dim], [1, seq, dim]),
+        layer("Add", seq * dim, [1, seq, dim], [1, seq, dim]),
+        layer_norm(seq, dim),
+        matmul(seq, dim, mlp, [1, seq, dim], [1, seq, mlp]),
+        layer("Gelu", seq * mlp, [1, seq, mlp], [1, seq, mlp]),
+        matmul(seq, mlp, dim, [1, seq, mlp], [1, seq, dim]),
+        layer("Add", seq * dim, [1, seq, dim], [1, seq, dim]),
+    ]
+
 
 def vit(dim, depth, heads, mlp, patch=16, img=224):
     grid = img // patch
     seq = grid * grid + 1  # patch tokens + CLS
-    layers = []
-    ly, _, _ = conv(3, dim, img, img, k=patch, s=patch, p=0)
-    layers.append(ly)
-    for _ in range(depth):
-        layers.append(layer("LayerNormalization", 5 * seq * dim, [1, seq, dim], [1, seq, dim]))
-        for _ in range(3):  # q, k, v projections
-            layers.append(matmul(seq, dim, dim, [1, seq, dim], [1, seq, dim]))
-        layers.append(matmul(seq, dim, seq, [1, seq, dim], [1, heads, seq, seq]))
-        layers.append(layer("Softmax", 3 * heads * seq * seq, [1, heads, seq, seq], [1, heads, seq, seq]))
-        layers.append(matmul(seq, seq, dim, [1, heads, seq, seq], [1, seq, dim]))
-        layers.append(matmul(seq, dim, dim, [1, seq, dim], [1, seq, dim]))
-        layers.append(layer("Add", seq * dim, [1, seq, dim], [1, seq, dim]))
-        layers.append(layer("LayerNormalization", 5 * seq * dim, [1, seq, dim], [1, seq, dim]))
-        layers.append(matmul(seq, dim, mlp, [1, seq, dim], [1, seq, mlp]))
-        layers.append(layer("Gelu", seq * mlp, [1, seq, mlp], [1, seq, mlp]))
-        layers.append(matmul(seq, mlp, dim, [1, seq, mlp], [1, seq, dim]))
-        layers.append(layer("Add", seq * dim, [1, seq, dim], [1, seq, dim]))
-    layers.append(layer("LayerNormalization", 5 * seq * dim, [1, seq, dim], [1, seq, dim]))
-    layers.append(matmul(1, dim, 1000, [1, dim], [1, 1000]))
-    layers.append(layer("Softmax", 3 * 1000, [1, 1000], [1, 1000]))
-    return layers
+    layers = [conv(3, dim, img, img, k=patch, s=patch, p=0)[0]]
+    for _ in range(depth):  # pre-norm
+        layers += [layer_norm(seq, dim), *encoder_block(seq, dim, heads, mlp)]
+    return layers + [layer_norm(seq, dim),
+                     matmul(1, dim, 1000, [1, dim], [1, 1000]),
+                     layer("Softmax", 3 * 1000, [1, 1000], [1, 1000])]
 
-
-# -------------------------------------------------------- text encoders
 
 def bert(dim, depth, heads, inter, seq=128):
-    layers = [
-        layer("Gather", 0, [1, seq], [1, seq, dim]),
-        layer("LayerNormalization", 5 * seq * dim, [1, seq, dim], [1, seq, dim]),
-    ]
-    for _ in range(depth):
-        for _ in range(3):
-            layers.append(matmul(seq, dim, dim, [1, seq, dim], [1, seq, dim]))
-        layers.append(matmul(seq, dim, seq, [1, seq, dim], [1, heads, seq, seq]))
-        layers.append(layer("Softmax", 3 * heads * seq * seq, [1, heads, seq, seq], [1, heads, seq, seq]))
-        layers.append(matmul(seq, seq, dim, [1, heads, seq, seq], [1, seq, dim]))
-        layers.append(matmul(seq, dim, dim, [1, seq, dim], [1, seq, dim]))
-        layers.append(layer("Add", seq * dim, [1, seq, dim], [1, seq, dim]))
-        layers.append(layer("LayerNormalization", 5 * seq * dim, [1, seq, dim], [1, seq, dim]))
-        layers.append(matmul(seq, dim, inter, [1, seq, dim], [1, seq, inter]))
-        layers.append(layer("Gelu", seq * inter, [1, seq, inter], [1, seq, inter]))
-        layers.append(matmul(seq, inter, dim, [1, seq, inter], [1, seq, dim]))
-        layers.append(layer("Add", seq * dim, [1, seq, dim], [1, seq, dim]))
-        layers.append(layer("LayerNormalization", 5 * seq * dim, [1, seq, dim], [1, seq, dim]))
-    layers.append(matmul(1, dim, dim, [1, dim], [1, dim]))  # pooler
-    layers.append(layer("Tanh", dim, [1, dim], [1, dim]))
-    return layers
+    layers = [layer("Gather", 0, [1, seq], [1, seq, dim]), layer_norm(seq, dim)]
+    for _ in range(depth):  # post-norm
+        layers += [*encoder_block(seq, dim, heads, inter), layer_norm(seq, dim)]
+    return layers + [matmul(1, dim, dim, [1, dim], [1, dim]),  # pooler
+                     layer("Tanh", dim, [1, dim], [1, dim])]
 
 
 # --------------------------------------------------------- decoder LLMs

@@ -416,6 +416,22 @@ DVFS_VIOLATIONS = [
      r"scripted: dvfs_update\(\) returned None, not a list of decisions"),
     ("item_not_a_decision", [["SET_FREQ"]],
      r"scripted: dvfs_update\(\) returned 'SET_FREQ', which is not a Decision"),
+    # a SET_FREQ names a cluster and a level; these were logged or ignored
+    ("request_id", [[SET_FREQ(1)._replace(request_id="a")]],
+     r"^scripted: dvfs_update\(\) returned a SET_FREQ with request_id 'a'; "
+     r"it names only a cluster and a level$"),
+    ("part", [[SET_FREQ(1)._replace(part="p")]],
+     r"returned a SET_FREQ with part 'p';"),
+    ("list_part", [[SET_FREQ(1)._replace(part=["p"])]],
+     r"returned a SET_FREQ with part \['p'\];"),
+    ("work_gflops", [[SET_FREQ(1)._replace(work_gflops=5.0)]],
+     r"returned a SET_FREQ with work_gflops 5.0;"),
+    ("native", [[SET_FREQ(1)._replace(native=True)]],
+     r"returned a SET_FREQ with native True;"),
+    # refused even where the level is no change
+    ("request_id_at_the_current_level",
+     [[SET_FREQ(0)._replace(request_id="a")]],
+     r"returned a SET_FREQ with request_id 'a';"),
 ]
 
 

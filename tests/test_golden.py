@@ -1,8 +1,12 @@
 """The fixed reference for "same behaviour": the trace files of the 20
 packaged runs (five mixes under four policies), and of the benchmark's
 steady and burst scenarios under twill, hash to the digests the
-benchmark pins in bench/digests.json."""
+benchmark pins in bench/digests.json.  A wider corpus, pinned in
+tests/corpus_digests.json, puts every policy under load: steady and
+burst under the three baselines, and six 300-request scenarios with
+dependencies under all four policies."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -108,3 +112,39 @@ def test_bench_scenarios_match_the_pinned_digests(workload, tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in TRACE_FILES}
     assert got == pinned["outputs"][f"{workload}/twill"]
+
+
+CORPUS = json.loads((ROOT / "tests" / "corpus_digests.json").read_text())
+CORPUS_SEEDS = range(6)
+
+
+@functools.cache
+def _corpus_text(name: str) -> str:
+    """The scenario JSON of corpus run group `name`, from the benchmark's
+    generator, so that no change to the package can move the reference."""
+    generators = runpy.run_path(str(ROOT / "bench" / "scenarios.py"))
+    workload, _, seed = name.rpartition("-")
+    if workload == "corpus":
+        return generators["generate"]("corpus", int(seed), 300, 500.0, 0.15)
+    return generators[workload](int(seed))
+
+
+def test_every_corpus_run_is_pinned():
+    baselines = sorted(set(POLICIES) - {"twill"})
+    expected = [f"{w}-0/{p}" for w in ("steady", "burst") for p in baselines]
+    expected += [f"corpus-{seed}/{p}"
+                 for seed in CORPUS_SEEDS for p in sorted(POLICIES)]
+    assert sorted(CORPUS) == sorted(expected)
+
+
+@pytest.mark.parametrize("run", sorted(CORPUS))
+def test_corpus_runs_match_the_pinned_digests(run, tmp_path):
+    # a baseline under real load, and dependency releases under every
+    # policy: orders that the packaged mixes are too small to tell apart
+    name, _, policy = run.partition("/")
+    scenario = load_mix(_corpus_text(name),
+                        known_models=presets.available_models())
+    write_trace(build_simulation(scenario, policy).run(), tmp_path)
+    got = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+           for file in TRACE_FILES}
+    assert got == CORPUS[run]

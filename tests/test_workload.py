@@ -1,17 +1,22 @@
 """Scenario parsing, dependency handling, and the random generator."""
 
+import csv
 import graphlib
 import json
+import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from twillsim import presets, simulate
+from twillsim.cli import main
 from twillsim.workload import (
     InferenceRequest,
     WorkloadError,
     WorkloadScenario,
+    dependency_index,
     load_mix,
     random_mix,
 )
@@ -170,6 +175,124 @@ def test_long_dependency_cycle_is_named_as_graphlib_names_it():
     with pytest.raises(WorkloadError) as err:
         WorkloadScenario("ring", requests)
     assert str(err.value) == f"dependency cycle: {cycle.value.args[1]}"
+
+
+def test_dependency_index_lists_consumers_in_scenario_order():
+    # the engine releases a producer's dependents in this order, and
+    # releases a dependent once its count of producers reaches zero
+    requests = (
+        InferenceRequest("c", "m", 1, 0.0, 1, depends_on=("a", "b")),
+        InferenceRequest("a", "m", 1, 0.0, 1),
+        InferenceRequest("d", "m", 1, 0.0, 1, depends_on=("b", "a", "b", "a")),
+        InferenceRequest("b", "m", 1, 0.0, 1),
+        InferenceRequest("e", "m", 1, 0.0, 1, depends_on=("a", "a")),
+    )
+    consumers, producers = dependency_index(requests)
+    assert consumers == {"a": ["c", "d", "e"], "b": ["c", "d"]}
+    assert producers == {"c": 2, "d": 2, "e": 1}
+
+
+# Seeded fuzz of depends_on on mix3's requests repeated under fresh ids.
+# Each mutation edits the request entries and returns a fragment of the
+# refusal it must meet, or None for a scenario that must run to the end.
+
+def _unknown_id(rng, entries):
+    rng.choice(entries)["depends_on"] = [f"ghost{rng.randrange(100)}"]
+    return "depends on unknown request 'ghost"
+
+
+def _self_dependency(rng, entries):
+    entry = rng.choice(entries)
+    entry["depends_on"] = [entry["id"]]
+    return f"{entry['id']}: depends on itself"
+
+
+def _cycle(length):
+    def mutate(rng, entries):
+        ring = rng.sample(entries, length)
+        for entry, producer in zip(ring, ring[1:] + ring[:1]):
+            entry["depends_on"] = [producer["id"]]
+        return "dependency cycle: "
+    return mutate
+
+
+def _string(rng, entries):
+    rng.choice(entries)["depends_on"] = rng.choice(entries)["id"]
+    return "depends_on must be a list of request ids, not 'q"
+
+
+def _object(rng, entries):
+    # read as its keys, so refused as an unknown request "id"
+    rng.choice(entries)["depends_on"] = {"id": rng.choice(entries)["id"]}
+    return "depends on unknown request 'id'"
+
+
+def _non_string_id(rng, entries):
+    rng.choice(entries)["depends_on"] = [rng.randrange(len(entries))]
+    return "depends_on must be a list of request ids, not ["
+
+
+def _duplicated_producers(rng, entries):
+    i = rng.randrange(2, len(entries))
+    p, q = (entries[j]["id"] for j in rng.sample(range(i), 2))
+    entries[i]["depends_on"] = [p, q, p, p, q]
+    return None
+
+
+def _long_chain(rng, entries):
+    # each request waits on the one before it, listed in shuffled order;
+    # size 1 keeps the whole chain inside the engine's horizon
+    for i, entry in enumerate(entries):
+        entry["workload_size"] = 1
+        if i:
+            entry["depends_on"] = [entries[i - 1]["id"]]
+    rng.shuffle(entries)
+    return None
+
+
+DEPENDS_ON_FUZZ = [
+    pytest.param(mutate, n, seed, id=f"{name}-{seed}")
+    for name, mutate, n, seeds in [
+        ("unknown_id", _unknown_id, 60, (0, 1)),
+        ("self_dependency", _self_dependency, 60, (0, 1)),
+        ("2_cycle", _cycle(2), 60, (0, 1)),
+        ("50_cycle", _cycle(50), 60, (0, 1)),
+        ("string", _string, 60, (0, 1)),
+        ("object", _object, 60, (0, 1)),
+        ("non_string_id", _non_string_id, 60, (0, 1)),
+        ("duplicated_producers", _duplicated_producers, 60, (0, 1)),
+        ("20000_chain", _long_chain, 20_000, (0,)),
+    ]
+    for seed in seeds]
+
+
+@pytest.mark.parametrize("mutate,n,seed", DEPENDS_ON_FUZZ)
+def test_fuzzed_depends_on_is_refused_or_runs(mutate, n, seed, tmp_path,
+                                              capsys):
+    doc = json.loads(presets.mix_text("mix3"))
+    entries = doc["requests"] = [
+        dict(doc["requests"][i % len(doc["requests"])], id=f"q{i}")
+        for i in range(n)]
+    expected = mutate(random.Random(seed), entries)
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    try:
+        load_mix(path.read_text(), known_models=presets.available_models())
+        refusal = None
+    except WorkloadError as e:
+        refusal = str(e)
+    code = main(["run", "--mix", str(path), "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    if expected is None:
+        assert (refusal, code, err) == (None, 0, "")
+        with open(tmp_path / "out" / "requests.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == n and all(r["completed_ms"] for r in rows)
+    else:
+        assert expected in refusal
+        assert (code, err) == (1, f"error: {refusal}\n")
 
 
 @pytest.mark.parametrize("field,value", [
