@@ -63,7 +63,7 @@ from .policy import (
 )
 from .trace import DecisionRecord, PowerRecord, RequestRecord, Trace
 from .workload import (InferenceRequest, WorkloadError, WorkloadScenario,
-                       dependency_index)
+                       dependency_index, dependency_order)
 
 CTRL_OVERHEAD_MS = 15.0
 MIGRATION_OVERHEAD_MS = 30.0
@@ -87,14 +87,14 @@ class TaskSnapshot(Mapping):
     """Read-only mapping of every task at one decide cycle, DONE tasks
     included, in creation order; it never changes once taken.
 
-    Taking one costs O(tasks changed since the previous one), by
-    reverse diffs (Baker's shallow binding): the newest snapshot reads
-    the engine's live dict, and before the engine changes, adds or
-    deletes a key it logs the key's old view and creation number into
-    the newest snapshot's diff.  An older snapshot is the live dict
-    with the diffs of itself and every newer snapshot undone; it is
-    rebuilt once, on first use.  A held snapshot keeps every newer one,
-    and so their diffs, alive.
+    Taking one costs O(1), by reverse diffs (Baker's shallow binding):
+    the newest snapshot reads the engine's live dict, and before the
+    engine changes, adds or deletes a key it logs the key's old view
+    and creation number into the newest snapshot's diff, so the diff is
+    paid once per change.  An older snapshot is the live dict with the
+    diffs of itself and every newer snapshot undone; it is rebuilt
+    once, on first use.  A held snapshot keeps every newer one, and so
+    their diffs, alive.
     """
 
     __slots__ = ("_live", "_order", "_len", "_diff", "_newer", "_frozen")
@@ -215,15 +215,15 @@ class _Task:
 
     def view(self) -> TaskView:
         # tuple.__new__ skips the Python-level TaskView.__new__, and the
-        # state property is inlined; the engine builds a view per changed
-        # task per cycle
+        # state property is inlined; the engine builds a view each time
+        # a task is created, decided on or completed
         request, signature = self.request, self.signature
         state = (_DONE if self.completed else _FROZEN if self.frozen
                  else _PENDING if self.cluster_id is None else _RUNNING)
         return tuple.__new__(TaskView, (
             self.key, request.request_id, self.part, self.profile.name,
             request.priority, state, self.cluster_id, self.started,
-            self.work, self.done, request.arrival_ms,
+            self.work, request.arrival_ms,
             signature.preferred_clusters, signature.dla_flops_fraction,
             self.native))
 
@@ -268,14 +268,15 @@ class Simulation:
         self._requests = {r.request_id: r for r in scenario.requests}
         # Each descriptor is decoded and analysed once, by model name.  No
         # request ends before its arrival plus its work at the top rate of
-        # every cluster at once (a split request runs on several): past the
-        # horizon, the input is at fault, not a policy.
+        # every cluster at once (a split request runs on several), nor a
+        # dependent one before that bound of each of its producers: past
+        # the horizon, the input is at fault, not a policy.
         self._profiles: dict[str, AppProfile] = {}
         self._signatures: dict[str, SignatureMap] = {}
         top_rate = sum(c.throughput_gflops[-1]
                        for c in self.platform.clusters) / 1000.0  # GFLOP/ms
         self._work: dict[str, float] = {}
-        finish, rid = 0.0, None
+        ends: dict[str, float] = {}  # request id -> its bound
         for r in scenario.requests:
             profile = self._profiles.get(r.model)
             if profile is None:
@@ -287,11 +288,22 @@ class Simulation:
                     profile, matrix, threshold=threshold)
             work = self._work[r.request_id] = profile.work_gflops(
                 r.workload_size)
-            end = r.arrival_ms + work / top_rate
-            if (rid is None or end > finish
-                    or end == finish and r.request_id > rid):
-                finish, rid = end, r.request_id
+            ends[r.request_id] = r.arrival_ms + work / top_rate
+        # producer -> its dependents, and dependent -> producers pending
+        self._dependents, self._pending_producers = dependency_index(
+            scenario.requests)
+        if self._pending_producers:
+            # the dependent requests, which the order lists last
+            order = dependency_order(scenario.requests, self._dependents,
+                                     self._pending_producers)
+            for c in order[len(order) - len(self._pending_producers):]:
+                r = self._requests[c]
+                start = max(r.arrival_ms, *[ends[p] for p in r.depends_on])
+                ends[c] = start + self._work[c] / top_rate
+        finish = max(ends.values(), default=0.0)
         if finish > self.max_time_ms:
+            # the greatest id among the requests with the latest bound
+            rid = max(c for c, end in ends.items() if end == finish)
             raise WorkloadError(
                 f"{rid}: cannot finish before {finish:.1f} ms, past the "
                 f"simulation's {self.max_time_ms} ms horizon")
@@ -308,7 +320,6 @@ class Simulation:
         self._views: dict[str, TaskView] = {}  # in self.tasks order
         self._order: dict[str, int] = {}  # key -> creation number
         self._created = itertools.count()
-        self._stale: set[str] = set()  # tasks changed since their view
         # the newest snapshot handed out, which logs each change to _views
         self._snapshot = TaskSnapshot(self._views, self._order)
         self._power_mw: float | None = None  # None: states changed since
@@ -316,9 +327,6 @@ class Simulation:
         # draws active power even during actuation holds, and a frozen
         # task has vacated its cluster entirely; _occupy and _vacate keep it
         self._utils = dict.fromkeys(self.states, 0.0)
-        # producer -> its dependents, and dependent -> producers pending
-        self._dependents, self._pending_producers = dependency_index(
-            scenario.requests)
         self.trace = Trace(
             scenario=scenario.name,
             policy=policy.name,
@@ -375,21 +383,19 @@ class Simulation:
         if now > task.last_sync:
             if task.cluster_id is not None and not task.frozen:
                 task.done += task.rate * (now - task.last_sync)
-                self._stale.add(task.key)
             task.last_sync = now
 
     def _sync_all(self, now: float):
         # _sync of each occupant, inline: only a task on a cluster makes
         # progress; a pending or frozen task gets a fresh last_sync when
         # it is next mapped or thawed
-        tasks, stale = self.tasks, self._stale
+        tasks = self.tasks
         for st in self.states.values():
             key = st.occupant
             if key is not None:
                 task = tasks[key]
                 if now > task.last_sync:
                     task.done += task.rate * (now - task.last_sync)
-                    stale.add(key)
                     task.last_sync = now
 
     def _reschedule(self, task: _Task, now: float):
@@ -437,7 +443,6 @@ class Simulation:
                 self._snapshot._log(request_id)
                 del self._views[request_id]
                 del self._order[request_id]
-                self._stale.discard(request_id)
                 parts.remove(whole)
             if work is None:
                 raise EngineError(f"{key}: part decisions must carry work_gflops")
@@ -598,7 +603,8 @@ class Simulation:
             raise EngineError(f"unknown decision kind {kind}")
 
         acted.add(key)
-        self._stale.add(key)
+        self._snapshot._log(key)
+        self._views[key] = task.view()
         # _value_ is .value without the property call
         self.trace.decisions.append(tuple.__new__(DecisionRecord, (
             now, kind._value_, d.request_id, part, cluster_id, None, None)))
@@ -666,7 +672,6 @@ class Simulation:
         self._vacate(task)
         self._snapshot._log(task.key)
         self._views[task.key] = task.view()  # final: a DONE task never changes
-        self._stale.discard(task.key)
         return freed
 
     def _request_complete(self, request_id: str) -> bool:
@@ -778,13 +783,6 @@ class Simulation:
                     f"{where} a decision with {field} {value!r}, not a string")
 
     def _view(self, now: float) -> ControllerView:
-        stale = self._stale
-        if stale:
-            log, views, tasks = self._snapshot._log, self._views, self.tasks
-            for key in stale:
-                log(key)
-                views[key] = tasks[key].view()
-            stale.clear()
         snapshot = TaskSnapshot(self._views, self._order)
         self._snapshot._newer = snapshot
         self._snapshot = snapshot

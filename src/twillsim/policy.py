@@ -79,7 +79,6 @@ class TaskView(NamedTuple):
     cluster_id: str | None
     started: bool
     work_gflops: float
-    done_gflops: float
     arrival_ms: float
     preferred_kinds: tuple[str, ...]
     dla_fraction: float

@@ -154,16 +154,17 @@ def _r6(x):
 # serialization
 #
 # A CSV file is a header line, then one line per record, its columns in
-# the record's field order.  A float cell has six decimals, None is an
-# empty cell and any other value is str(value); a cell holding , " \r or
-# \n is quoted, with each " doubled.  summary.json is
-# json.dumps(trace.summary(), indent=2, sort_keys=True) and a newline.
+# the record's field order.  A float cell has six decimals ("%.6f", the
+# same text as format spec .6f), None is an empty cell and any other
+# value is str(value); a cell holding , " \r or \n is quoted, with each
+# " doubled.  summary.json is json.dumps(trace.summary(), indent=2,
+# sort_keys=True) and a newline.
 
 
 def _csv_cell(v) -> str:
     if v is None:
         return ""
-    text = f"{v:.6f}" if isinstance(v, float) else str(v)
+    text = "%.6f" % v if isinstance(v, float) else str(v)
     if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -173,29 +174,48 @@ def _csv(header, rows: list[str]) -> str:
     return ",".join(map(_csv_cell, header)) + "\n" + "".join(rows)
 
 
+class _StrCells(dict):
+    """One file's memo of the text of each None or str cell, made on
+    first use.  Only those key it: 1 == 1.0 == True, but their texts
+    differ."""
+
+    __slots__ = ()
+
+    def __missing__(self, v):
+        text = _csv_cell(v)
+        if v.__class__ is str:
+            self[v] = text
+        return text
+
+
 def decisions_csv(trace: Trace) -> str:
     c = _csv_cell
     # time_ms is the engine's float clock; the other cells are a
-    # policy's values, or the engine's copy of them.  Most of the last
-    # five are None, written as "" without the call.
-    return _csv(DecisionRecord._fields, [
-        f"{t:.6f},{c(kind)},{'' if rid is None else c(rid)},"
-        f"{'' if part is None else c(part)},{'' if cid is None else c(cid)},"
-        f"{'' if level is None else c(level)},"
-        f"{'' if freq is None else c(freq)}\n"
-        for t, kind, rid, part, cid, level, freq in trace.decisions])
+    # policy's values, or the engine's copy of them.  Kinds, ids and
+    # clusters recur, so those four cells go through the memo; the last
+    # two are mostly None, written as "" without the call.
+    m = _StrCells({None: ""})
+    try:
+        rows = [f"{'%.6f' % t},{m[kind]},{m[rid]},{m[part]},{m[cid]},"
+                f"{'' if level is None else c(level)},"
+                f"{'' if freq is None else c(freq)}\n"
+                for t, kind, rid, part, cid, level, freq in trace.decisions]
+    except TypeError:  # an unhashable cell, which only a hand-built trace has
+        rows = [",".join(["%.6f" % d[0], *map(c, d[1:])]) + "\n"
+                for d in trace.decisions]
+    return _csv(DecisionRecord._fields, rows)
 
 
 def _six_decimals(requests) -> list[tuple[str, ...]]:
     """The six float fields of each request record, arrival_ms to
     work_gflops, as six-decimal text ("" for None); requests.csv and
     summary.json both read them."""
-    return [(f"{arrival:.6f}",
-             "" if first_map is None else f"{first_map:.6f}",
-             "" if completed is None else f"{completed:.6f}",
-             "" if waiting is None else f"{waiting:.6f}",
-             "" if latency is None else f"{latency:.6f}",
-             f"{work:.6f}")
+    return [("%.6f" % arrival,
+             "" if first_map is None else "%.6f" % first_map,
+             "" if completed is None else "%.6f" % completed,
+             "" if waiting is None else "%.6f" % waiting,
+             "" if latency is None else "%.6f" % latency,
+             "%.6f" % work)
             for _, _, _, arrival, first_map, completed, waiting, latency,
             work in requests]
 
@@ -218,7 +238,7 @@ def power_csv(trace: Trace) -> str:
     for cid in trace.cluster_ids:
         header += [f"{cid}_freq_mhz", f"{cid}_util"]
     return _csv(header, [
-        f"{t:.6f},{c(p)}"
+        f"{'%.6f' % t},{c(p)}"
         + "".join([f",{c(f)},{c(u)}" for f, u in zip(freqs, utils)])
         + "\n"
         for t, p, freqs, utils in trace.power])

@@ -53,19 +53,13 @@ class InferenceRequest(namedtuple("InferenceRequest", (
                        lo=0)
         workload_size = integer(workload_size, f"{request_id}: workload_size",
                                 WorkloadError, lo=1)
-        # a string would be read as its characters, one id per character
-        deps = depends_on
-        if not isinstance(deps, str):
-            try:
-                deps = tuple(deps)
-            except TypeError as e:
-                raise WorkloadError(
-                    f"{request_id}: depends_on must be a list of request "
-                    f"ids, not {depends_on!r} ({e})") from None
-        if isinstance(deps, str) or (
-                deps and not all(isinstance(d, str) for d in deps)):
+        # a list or a tuple, as _fields.integers takes: a string or an
+        # object would be read as its characters or its keys
+        if not isinstance(depends_on, (list, tuple)) or (
+                depends_on and not all(isinstance(d, str) for d in depends_on)):
             raise WorkloadError(f"{request_id}: depends_on must be a list "
                                 f"of request ids, not {depends_on!r}")
+        deps = tuple(depends_on)
         # not super().__new__: that is one more Python call per request
         return tuple.__new__(cls, (request_id, model, priority, arrival,
                                    workload_size, deps))
@@ -119,6 +113,21 @@ def dependency_index(requests) -> tuple[dict[str, list[str]], dict[str, int]]:
     return consumers, producers
 
 
+def dependency_order(requests, consumers: dict[str, list[str]],
+                     producers: dict[str, int]) -> list[str]:
+    """Kahn's algorithm on dependency_index(requests): the request ids,
+    each after all of its producers, the independent ones first in
+    scenario order.  A request on a cycle, or behind one, is left out."""
+    waiting = dict(producers)  # each request's producers not yet listed
+    ordered = [r.request_id for r in requests if r.request_id not in waiting]
+    for rid in ordered:  # grows as it goes
+        for consumer in consumers.get(rid, ()):
+            waiting[consumer] -= 1
+            if not waiting[consumer]:
+                ordered.append(consumer)
+    return ordered
+
+
 def _check_dag(requests: tuple[InferenceRequest, ...], ids: set[str]) -> None:
     for r in requests:
         for dep in r.depends_on:
@@ -127,15 +136,7 @@ def _check_dag(requests: tuple[InferenceRequest, ...], ids: set[str]) -> None:
                     f"{r.request_id}: depends on unknown request {dep!r}")
             if dep == r.request_id:
                 raise WorkloadError(f"{r.request_id}: depends on itself")
-    # Kahn's algorithm: order every request whose producers are ordered;
-    # waiting counts each request's producers not yet ordered
-    consumers, waiting = dependency_index(requests)
-    ordered = [r.request_id for r in requests if r.request_id not in waiting]
-    for rid in ordered:  # grows as it goes
-        for consumer in consumers.get(rid, ()):
-            waiting[consumer] -= 1
-            if not waiting[consumer]:
-                ordered.append(consumer)
+    ordered = dependency_order(requests, *dependency_index(requests))
     if len(ordered) < len(requests):
         # graphlib's pure-Python sorter only to name the cycle it finds
         graph = {r.request_id: set(r.depends_on) for r in requests}

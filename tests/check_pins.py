@@ -1,0 +1,92 @@
+"""Re-run every pinned run and compare its trace files with the pins.
+
+The pins are bench/digests.json (the 20 packaged runs, and the steady
+and burst scenarios under twill) and tests/corpus_digests.json.  This
+script uses the standard library only and needs no pytest, so that any
+interpreter the package supports can run it from a source checkout:
+
+    python3 tests/check_pins.py
+
+It prints one line per run whose trace files differ from their pins,
+naming the run and the files, and exits 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import json
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_FILES = ("decisions.csv", "requests.csv", "power.csv", "summary.json")
+
+
+def pinned_runs() -> dict[str, tuple[str, str, dict[str, str]]]:
+    """Each pinned run by label: its scenario (a packaged mix, or a
+    generated scenario as "<generator>-<seed>"), its policy, and the
+    sha256 of each of its trace files."""
+    runs = {}
+    bench = json.loads((ROOT / "bench" / "digests.json").read_text())
+    for workload, pinned in bench.items():
+        for label, digests in pinned["outputs"].items():
+            name, _, policy = label.partition("/")
+            if workload != "zoo":  # "steady/twill" runs at the pinned seed
+                name = f"{workload}-{pinned['seed']}"
+            runs[label] = (name, policy, digests)
+    corpus = json.loads((ROOT / "tests" / "corpus_digests.json").read_text())
+    for label, digests in corpus.items():
+        name, _, policy = label.partition("/")
+        runs[label] = (name, policy, digests)
+    return runs
+
+
+@functools.cache
+def scenario_text(name: str) -> str:
+    """The scenario JSON of a generated run, "<generator>-<seed>", from
+    the benchmark's generator, so that no change to the package can
+    move the reference; "corpus-<seed>" is 300 requests in 500 ms, 15%
+    of them dependent."""
+    generators = runpy.run_path(str(ROOT / "bench" / "scenarios.py"))
+    workload, _, seed = name.rpartition("-")
+    if workload == "corpus":
+        return generators["generate"]("corpus", int(seed), 300, 500.0, 0.15)
+    return generators[workload](int(seed))
+
+
+def trace_digests(name: str, policy: str) -> dict[str, str]:
+    """Run scenario `name` under `policy`; the sha256 of each trace file
+    it writes."""
+    from twillsim import (build_simulation, load_mix, presets, simulate,
+                          write_trace)
+    with tempfile.TemporaryDirectory() as out:
+        if name in presets.available_mixes():
+            simulate(name, policy, out_dir=out)
+        else:
+            scenario = load_mix(scenario_text(name),
+                                known_models=presets.available_models())
+            write_trace(build_simulation(scenario, policy).run(), out)
+        return {file: hashlib.sha256((Path(out) / file).read_bytes())
+                .hexdigest() for file in TRACE_FILES}
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    runs = pinned_runs()
+    failed = 0
+    for label, (name, policy, pinned) in runs.items():
+        got = trace_digests(name, policy)
+        wrong = [file for file in TRACE_FILES if got[file] != pinned[file]]
+        if wrong:
+            failed += 1
+            print(f"MISMATCH {label}: {', '.join(wrong)}")
+    print(f"{len(runs) - failed} of {len(runs)} pinned runs match "
+          f"(Python {sys.version.split()[0]})")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

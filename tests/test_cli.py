@@ -225,7 +225,7 @@ _ENTRY = {"model": "vgg-19", "priority": 1, "arrival_ms": 0, "workload_size": 1}
 
 @pytest.mark.parametrize("doc,field", [
     ({"requests": [{**_ENTRY, "priority": "high"}]}, "high"),
-    ({"requests": [{**_ENTRY, "depends_on": 5}]}, "not iterable"),
+    ({"requests": [{**_ENTRY, "depends_on": 5}]}, "a list of request ids, not 5"),
     ({"requests": {"a": _ENTRY}}, "list"),
     ({"requests": [], "platform_overrides": {"tdp_mw": "lots"}}, "lots"),
     ({"requests": [], "platform_overrides": [1, 2]}, "platform_overrides"),

@@ -542,6 +542,26 @@ def test_request_that_cannot_finish_by_the_horizon_is_bad_input():
                MATRIX, max_time_ms=105.0)
 
 
+def test_a_dependent_request_cannot_finish_before_its_producers():
+    # c starts no earlier than b's bound, and b no earlier than a's: a
+    # (300 GFLOP) by 300 / 3.5 ms, b by 100 ms more, c by 100 ms more,
+    # though each alone would end inside the horizon
+    scn = scenario(request("c", "toy-matmul", deps=["b", "a"]),
+                   request("b", "toy-matmul", arrival_ms=50.0, deps=["a"]),
+                   request("a", "toy-conv"))
+    with pytest.raises(WorkloadError, match=r"^c: cannot finish before "
+                       r"285\.7 ms, past the simulation's 250\.0 ms horizon$"):
+        Simulation(tiny_platform(), scn, ScriptedPolicy(), TOY_DESCRIPTORS,
+                   MATRIX, max_time_ms=250.0)
+    # a later arrival bounds a dependent instead: b arrives after a's bound
+    late = scenario(request("a", "toy-conv"),
+                    request("b", "toy-matmul", arrival_ms=90.0, deps=["a"]))
+    with pytest.raises(WorkloadError, match=r"^b: cannot finish before "
+                       r"190\.0 ms"):
+        Simulation(tiny_platform(), late, ScriptedPolicy(), TOY_DESCRIPTORS,
+                   MATRIX, max_time_ms=150.0)
+
+
 @pytest.mark.parametrize("max_time_ms", [0.0, -1.0, float("nan")])
 def test_horizon_must_be_positive(max_time_ms):
     # -1 used to be blamed on the first request, and NaN never cut off
@@ -611,9 +631,9 @@ class ShadowPolicy(Policy):
         rebuilt = {k: t.view() for k, t in self.sim.tasks.items()}
         assert list(view.tasks) == list(rebuilt)
         assert view.tasks == rebuilt
-        for t in view.tasks.values():
+        for k, t in view.tasks.items():
             if t.state is TaskState.DONE:
-                assert t.done_gflops == t.work_gflops
+                assert self.sim.tasks[k].done == t.work_gflops
         self.held.append((view, list(view.tasks.items()), dict(view.states)))
         self.split = self.split or any(t.part for t in rebuilt.values())
 
@@ -774,6 +794,27 @@ def test_held_views_keep_a_task_that_left_and_came_back():
     shadow.check_held()
 
 
+@pytest.mark.parametrize("mix", ["mix1", "mix3"])
+def test_a_running_task_no_decision_touched_keeps_its_view(mix):
+    # a view is built when its task is created, decided on or completed,
+    # not each cycle its task makes progress
+    shadow = run_shadowed(mix, "twill")
+    decided = {}  # time -> keys a decision named at that time
+    for d in shadow.sim.trace.decisions:
+        if d.request_id is not None:
+            key = d.request_id if d.part is None else f"{d.request_id}#{d.part}"
+            decided.setdefault(d.time_ms, set()).add(key)
+    kept = 0
+    for (before, _, _), (after, items, _) in zip(shadow.held,
+                                                  shadow.held[1:]):
+        for key, task in items:
+            if (task.state is TaskState.RUNNING and key in before.tasks
+                    and key not in decided.get(after.now, ())):
+                assert task is before.tasks[key]
+                kept += 1
+    assert kept
+
+
 def test_view_tasks_are_read_only():
     view, items, _ = run_shadowed("mix1", "twill").held[-1]
     key, task = items[0]
@@ -814,11 +855,11 @@ def test_done_tasks_stay_in_the_view_with_all_work_done():
         return [MAP(e.request_id, "gpu0") for e in events
                 if e.kind is EventKind.ARRIVAL]
 
-    run_toy(scn, decide)
+    sim, _ = run_toy(scn, decide)
     done = seen["a"]
     assert done.state is TaskState.DONE
     assert done.cluster_id is None
-    assert done.done_gflops == done.work_gflops == pytest.approx(300.0)
+    assert sim.tasks["a"].done == done.work_gflops == pytest.approx(300.0)
 
 
 # -- edge cases and serialization -------------------------------------------
@@ -912,7 +953,8 @@ def _edge_trace():
 
 
 def _unhashable_trace():
-    # the engine logs a policy's part and level as given, a list too
+    # a hand-built trace may hold any cell, a list too, though the engine
+    # refuses such a part or level
     trace = _trace(["a"])
     trace.decisions.append(DecisionRecord(0.0, "MAP", "a", ["p", "q"],
                                           "gpu0", [2], None))

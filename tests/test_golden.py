@@ -4,9 +4,9 @@ steady and burst scenarios under twill, hash to the digests the
 benchmark pins in bench/digests.json.  A wider corpus, pinned in
 tests/corpus_digests.json, puts every policy under load: steady and
 burst under the three baselines, and six 300-request scenarios with
-dependencies under all four policies."""
+dependencies under all four policies.  check_pins.py re-runs them all
+with any interpreter, without pytest."""
 
-import functools
 import hashlib
 import itertools
 import json
@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import twillsim
+from check_pins import pinned_runs, scenario_text
 from twillsim import (POLICIES, build_simulation, load_mix, presets, simulate,
                       write_trace)
 
@@ -118,17 +119,6 @@ CORPUS = json.loads((ROOT / "tests" / "corpus_digests.json").read_text())
 CORPUS_SEEDS = range(6)
 
 
-@functools.cache
-def _corpus_text(name: str) -> str:
-    """The scenario JSON of corpus run group `name`, from the benchmark's
-    generator, so that no change to the package can move the reference."""
-    generators = runpy.run_path(str(ROOT / "bench" / "scenarios.py"))
-    workload, _, seed = name.rpartition("-")
-    if workload == "corpus":
-        return generators["generate"]("corpus", int(seed), 300, 500.0, 0.15)
-    return generators[workload](int(seed))
-
-
 def test_every_corpus_run_is_pinned():
     baselines = sorted(set(POLICIES) - {"twill"})
     expected = [f"{w}-0/{p}" for w in ("steady", "burst") for p in baselines]
@@ -137,12 +127,25 @@ def test_every_corpus_run_is_pinned():
     assert sorted(CORPUS) == sorted(expected)
 
 
+def test_the_pin_check_lists_every_pinned_run():
+    # listed, not run: check_pins.py is run by hand under each interpreter
+    runs = pinned_runs()
+    pinned = {**CORPUS, **{label: digests for w in DIGESTS.values()
+                           for label, digests in w["outputs"].items()}}
+    assert sorted(runs) == sorted(pinned)
+    assert all(runs[label][2] == pinned[label] for label in pinned)
+    assert len(runs) == 20 + 2 + len(CORPUS)
+    assert runs["steady/twill"][:2] == (f"steady-{DIGESTS['steady']['seed']}",
+                                        "twill")
+    assert runs["mix1/gpu_queue"][:2] == ("mix1", "gpu_queue")
+
+
 @pytest.mark.parametrize("run", sorted(CORPUS))
 def test_corpus_runs_match_the_pinned_digests(run, tmp_path):
     # a baseline under real load, and dependency releases under every
     # policy: orders that the packaged mixes are too small to tell apart
     name, _, policy = run.partition("/")
-    scenario = load_mix(_corpus_text(name),
+    scenario = load_mix(scenario_text(name),
                         known_models=presets.available_models())
     write_trace(build_simulation(scenario, policy).run(), tmp_path)
     got = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()

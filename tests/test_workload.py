@@ -194,7 +194,8 @@ def test_dependency_index_lists_consumers_in_scenario_order():
 
 # Seeded fuzz of depends_on on mix3's requests repeated under fresh ids.
 # Each mutation edits the request entries and returns a fragment of the
-# refusal it must meet, or None for a scenario that must run to the end.
+# refusal it must meet, when loaded or when its Simulation is built, or
+# None for a scenario that must run to the end.
 
 def _unknown_id(rng, entries):
     rng.choice(entries)["depends_on"] = [f"ghost{rng.randrange(100)}"]
@@ -222,9 +223,9 @@ def _string(rng, entries):
 
 
 def _object(rng, entries):
-    # read as its keys, so refused as an unknown request "id"
+    # refused as it is, not read as its keys
     rng.choice(entries)["depends_on"] = {"id": rng.choice(entries)["id"]}
-    return "depends on unknown request 'id'"
+    return "depends_on must be a list of request ids, not {'id': 'q"
 
 
 def _non_string_id(rng, entries):
@@ -250,6 +251,16 @@ def _long_chain(rng, entries):
     return None
 
 
+def _long_chain_at_packaged_sizes(rng, entries):
+    # each request's bound starts at its producer's: the chain cannot
+    # end inside the horizon, and is refused before it runs
+    for i, entry in enumerate(entries):
+        if i:
+            entry["depends_on"] = [entries[i - 1]["id"]]
+    rng.shuffle(entries)
+    return ": cannot finish before "
+
+
 DEPENDS_ON_FUZZ = [
     pytest.param(mutate, n, seed, id=f"{name}-{seed}")
     for name, mutate, n, seeds in [
@@ -262,6 +273,8 @@ DEPENDS_ON_FUZZ = [
         ("non_string_id", _non_string_id, 60, (0, 1)),
         ("duplicated_producers", _duplicated_producers, 60, (0, 1)),
         ("20000_chain", _long_chain, 20_000, (0,)),
+        ("20000_chain_packaged_sizes", _long_chain_at_packaged_sizes, 20_000,
+         (0,)),
     ]
     for seed in seeds]
 
@@ -291,6 +304,9 @@ def test_fuzzed_depends_on_is_refused_or_runs(mutate, n, seed, tmp_path,
             rows = list(csv.DictReader(f))
         assert len(rows) == n and all(r["completed_ms"] for r in rows)
     else:
+        if refusal is None:  # loaded, then refused as the run is built
+            assert err.startswith("error: ")
+            refusal = err[len("error: "):-1]
         assert expected in refusal
         assert (code, err) == (1, f"error: {refusal}\n")
 
@@ -302,6 +318,7 @@ def test_fuzzed_depends_on_is_refused_or_runs(mutate, n, seed, tmp_path,
     ("request_id", [1]), ("model", None), ("depends_on", "ab"),
     ("depends_on", ("b", 1)), ("depends_on", 5), ("depends_on", None),
     ("request_id", "a\udc80"), ("arrival_ms", Fraction(1, 2)),
+    ("depends_on", {"b": 1}),
 ])
 def test_api_request_rejects_wrong_typed_fields(field, value):
     fields = {"request_id": "a", "model": "vgg-19", "priority": 1,
