@@ -379,16 +379,12 @@ class Simulation:
 
     # -- task mechanics ----------------------------------------------------
 
-    def _sync(self, task: _Task, now: float):
-        if now > task.last_sync:
-            if task.cluster_id is not None and not task.frozen:
-                task.done += task.rate * (now - task.last_sync)
-            task.last_sync = now
-
     def _sync_all(self, now: float):
-        # _sync of each occupant, inline: only a task on a cluster makes
-        # progress; a pending or frozen task gets a fresh last_sync when
-        # it is next mapped or thawed
+        # only a task on a cluster makes progress; a pending or frozen
+        # task gets a fresh last_sync when it is next mapped or thawed.
+        # Called before each decide, it brings every occupant to `now`,
+        # and a task placed later in the cycle has last_sync >= now: no
+        # decision of the cycle finds a task behind `now`.
         tasks = self.tasks
         for st in self.states.values():
             key = st.occupant
@@ -458,7 +454,9 @@ class Simulation:
 
     def _add_task(self, key: str, request_id: str, part: str | None,
                   work: float, native: bool) -> _Task:
-        """Create task `key` of a request, with checked fields."""
+        """Create task `key` of a request, with checked fields.  The
+        caller writes its view: an arrival's at once, a spawned part's
+        once its MAP is applied, so each is built once."""
         if key in self.tasks:  # a request id can be another's part key
             raise EngineError(f"task {key!r} already exists")
         request = self._requests[request_id]
@@ -467,7 +465,6 @@ class Simulation:
         self.tasks[key] = task
         self._snapshot._log(key)
         self._order[key] = next(self._created)
-        self._views[key] = task.view()
         self._parts.setdefault(request_id, []).append(task)
         return task
 
@@ -556,7 +553,6 @@ class Simulation:
                 raise EngineError(f"{task.key}: MIGRATE onto its own cluster")
             # a target that is not free is refused by _occupy; the run
             # ends there, so the task's state no longer matters
-            self._sync(task, now)
             self._vacate(task)
             self._rollback_to_boundary(task)
             self._occupy(task, cluster_id)
@@ -569,7 +565,6 @@ class Simulation:
                 raise EngineError(f"{task.key}: FREEZE on a {task.state.value} task")
             cluster_id = task.cluster_id
             if cluster_id is not None:
-                self._sync(task, now)
                 self._vacate(task)
                 task.frozen_on = cluster_id
             # a never-started task may be frozen too: that is deferred
@@ -637,8 +632,6 @@ class Simulation:
         if level == state.current_level:
             return
         occupant = self.tasks.get(state.occupant) if state.occupant else None
-        if occupant is not None:
-            self._sync(occupant, now)
         state = self.states[cluster_id] = set_frequency(state, level)
         self._power_mw = None
         if occupant is not None:
@@ -653,7 +646,7 @@ class Simulation:
 
     def _finish_task(self, task: _Task, now: float) -> str:
         """Complete `task`, which is running; the cluster it freed."""
-        if now > task.last_sync:  # _sync, for a running task
+        if now > task.last_sync:  # as _sync_all does for each occupant
             task.done += task.rate * (now - task.last_sync)
             task.last_sync = now
         # the completion event time is computed analytically; the done
@@ -712,7 +705,8 @@ class Simulation:
                 if rank == _RANK_ARRIVAL:
                     # the whole-request task, past _spawn_task's checks
                     # of a policy's values
-                    self._add_task(key, key, None, self._work[key], False)
+                    self._views[key] = self._add_task(
+                        key, key, None, self._work[key], False).view()
                     events.append(tuple.__new__(ControllerEvent, (
                         _ARRIVAL, key, None)))
                 else:

@@ -28,7 +28,6 @@ from .policy import (
     _FREEZE,
     _MAP,
     _MIGRATE,
-    _RUNNING,
     _SET_FREQ,
     _UNFREEZE,
     ControllerEvent,
@@ -140,11 +139,11 @@ class TwillPolicy(_BoardPolicy):
             elif e.kind is _ARRIVAL:
                 arrivals.append(e.request_id)
 
-        # freed clusters, cascading through any migration vacancies
+        # freed clusters, cascading through any migration vacancies; a
+        # cluster in the worklist is free until it is popped, as only the
+        # popped one is filled
         while worklist:
             cid = worklist.pop(0)
-            if planned[cid] is not None:
-                continue
             entry = queue.best(kinds[cid])
             if entry is not None:
                 queue.remove(entry.task_key)
@@ -176,9 +175,9 @@ class TwillPolicy(_BoardPolicy):
         for occ_cid, key in planned.items():
             if key is None or key in touched:
                 continue
+            # each entry this cycle changed names a touched task, so an
+            # untouched one is the view's RUNNING occupant of occ_cid
             task = view.tasks[key]
-            if task.state is not _RUNNING or task.cluster_id != occ_cid:
-                continue
             # the task's effective rate here and on `cid`
             r_cur = effective_rate(states[occ_cid], task.dla_fraction,
                                    task.native, penalty)
@@ -224,8 +223,9 @@ class TwillPolicy(_BoardPolicy):
                 _MAP, rid, target, None, None, None, False)))
             return
 
-        # every preferred cluster is taken.  Their running occupants that
-        # this cycle has not moved, on the fastest cluster first: displace
+        # every preferred cluster is taken.  Their occupants that this
+        # cycle has not touched, which are the view's RUNNING ones (see
+        # _best_migration), on the fastest cluster first: displace
         # the first that has a free cluster of its own to go to, else
         # freeze the first of the lowest priority below the newcomer's
         if len(taken) > 1:
@@ -233,7 +233,7 @@ class TwillPolicy(_BoardPolicy):
         victim = None
         for _, cid in taken:
             occ = view.tasks[planned[cid]]
-            if occ.state is not _RUNNING or occ.key in touched:
+            if occ.key in touched:
                 continue
             room = None
             for c in free:

@@ -1,0 +1,160 @@
+"""Run the test suite under a line tracer; list each statement inside a
+function of src/twillsim that never ran.
+
+It needs pytest and the standard library only, no coverage package:
+
+    python3 tests/check_coverage.py [pytest arguments]
+
+Paths among the arguments are relative to the repository root.
+
+It prints one line per never-run statement, "<file>:<line> <function>:
+<source>", followed by the reason when the allow-list below keeps the
+statement, then the totals.  It exits 1 if a never-run statement is
+not on the allow-list, else 0.  It is no gate of the suite: the tracer
+makes each test several times slower, so a test with a time bound may
+fail under it, and the test outcomes are printed as they are.  Code run
+in a subprocess is not traced.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "twillsim"
+
+# (file, function, first source line) -> why the statement may stay
+# unrun.  A statement is named by its text, not its line number, so that
+# an edit elsewhere in the file does not make the entry stale.
+ALLOWED = {
+    ("engine.py", "TaskSnapshot.__repr__",
+     'return f"{type(self).__name__}({self._contents()!r})"'):
+        "a debugging aid: no test prints a snapshot",
+    ("engine.py", "Simulation._apply_decision",
+     'raise EngineError(f"unknown decision kind {kind}")'):
+        "DecisionKind has five members and the branches above take each",
+    ("models.py", "_layers_from_list", "continue"):
+        "every entry that takes this branch makes _layer_from_dict raise "
+        "on the line before",
+}
+
+
+def _children(node: ast.AST):
+    """The statements directly inside compound statement `node`."""
+    for field in ("body", "orelse", "finalbody"):
+        yield from getattr(node, field, ())
+    for handler in getattr(node, "handlers", ()):
+        yield from handler.body
+    for case in getattr(node, "cases", ()):
+        yield from case.body
+
+
+def _span(node: ast.stmt) -> set[int]:
+    return set(range(node.lineno, node.end_lineno + 1))
+
+
+def function_statements(path: Path) -> list[tuple[int, str, set[int]]]:
+    """Each statement inside a function of the module at `path`, as (its
+    first line, the function's qualified name, the lines that are its
+    own and not a nested statement's), in source order.  A function's
+    docstring is no statement."""
+    found = []
+
+    def visit(stmts, scope: str, in_function: bool):
+        for node in stmts:
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if is_def or isinstance(node, ast.ClassDef):
+                name = f"{scope}.{node.name}" if scope else node.name
+                if in_function:
+                    own = _span(node) - set().union(
+                        *(_span(n) for n in node.body))
+                    found.append((node.lineno, scope, own))
+                body = node.body
+                if is_def and isinstance(body[0], ast.Expr) and isinstance(
+                        body[0].value, ast.Constant) and isinstance(
+                        body[0].value.value, str):
+                    body = body[1:]  # the docstring
+                visit(body, name, in_function or is_def)
+                continue
+            if in_function:
+                own = _span(node)
+                for child in _children(node):
+                    own -= _span(child)
+                found.append((node.lineno, scope, own))
+            visit(_children(node), scope, in_function)
+
+    visit(ast.parse(path.read_text(), str(path)).body, "", False)
+    return sorted(found, key=lambda s: s[0])
+
+
+def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """Run pytest in this process under a line tracer; its exit status
+    and, for each module of the package, the lines that ran."""
+    hits = {str(p): set() for p in PACKAGE.glob("*.py")}
+
+    def trace_call(frame, event, arg):
+        lines = hits.get(frame.f_code.co_filename)
+        if lines is None:
+            return None
+        add = lines.add
+
+        def trace_line(frame, event, arg):
+            if event == "line":
+                add(frame.f_lineno)
+            return trace_line
+        return trace_line
+
+    threading.settrace(trace_call)
+    sys.settrace(trace_call)
+    try:
+        status = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    return int(status), hits
+
+
+def main(argv: list[str]) -> int:
+    os.chdir(ROOT)  # so that pytest reads its settings and test paths
+    src = str(ROOT / "src")
+    sys.path.insert(0, src)
+    # the suite's subprocesses import the same package, untraced
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
+    status, hits = traced_run(argv)
+
+    total = unrun = kept = 0
+    used = set()
+    print()
+    for path in sorted(PACKAGE.glob("*.py")):
+        ran = hits[str(path)]
+        lines = path.read_text().splitlines()
+        for lineno, scope, own in function_statements(path):
+            total += 1
+            if own & ran:
+                continue
+            unrun += 1
+            source = lines[lineno - 1].strip()
+            key = (path.name, scope, source)
+            reason = ALLOWED.get(key)
+            if reason is not None:
+                kept += 1
+                used.add(key)
+            print(f"{path.name}:{lineno} {scope}: {source}"
+                  + (f"\n    kept: {reason}" if reason else ""))
+    for key in ALLOWED.keys() - used:
+        print(f"allow-list entry that ran or is gone: {key}")
+    print(f"{unrun} of {total} statements inside src/twillsim's functions "
+          f"never ran; {kept} of them are on the allow-list "
+          f"(pytest exit status {status})")
+    return 1 if unrun > kept else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

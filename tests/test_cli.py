@@ -248,6 +248,11 @@ _ENTRY = {"model": "vgg-19", "priority": 1, "arrival_ms": 0, "workload_size": 1}
      "request_id must be UTF-8 text, not 'a\\udc80'"),
     ({"name": {"x": 1}, "requests": [_ENTRY]},
      "scenario name must be a string, not {'x': 1}"),
+    ({"name": "empty"}, "scenario missing field 'requests'"),
+    ({"requests": [{"model": "vgg-19"}]},
+     "request entry missing field 'priority'"),
+    ({"requests": [5]}, "request entry has a malformed field: 'int' object "
+                        "is not subscriptable"),
 ])
 def test_wrong_typed_scenario_field_exits_one(doc, field, tmp_path, capsys):
     mix = tmp_path / "mix.json"
@@ -303,9 +308,15 @@ def test_wrong_typed_descriptor_field_exits_one(relative, path, value, tmp_path,
     (["name"], 5, "model name must be a string, not 5"),
     (["name"], None, "model name must be a string, not None"),
     (["name"], ["x"], "model name must be a string, not ['x']"),
+    (["layers", 0], {"op_type": "Conv", "precision": "FP16", "flops": 1,
+                     "in_shape": [1, 3, 8, 8], "out_shape": [1, 3, 8, 8],
+                     "kernel": [3, 3], "padding": [1, 1]},
+     "Conv: incomplete conv geometry"),
+    (["layers"], 5, "model descriptor has a malformed field: 'int' object "
+                    "is not iterable"),
 ], ids=["str_total", "list_total", "nan_total", "list_op_type", "list_precision",
         "str_in_shape", "object_out_shape", "str_kernel", "int_name",
-        "null_name", "list_name"])
+        "null_name", "list_name", "conv_without_stride", "int_layers"])
 def test_bad_descriptor_value_exits_one(path, value, message, tmp_path, capsys,
                                         monkeypatch):
     doc = json.loads(presets.model_text("vgg-19"))
@@ -338,8 +349,31 @@ def test_bad_descriptor_value_exits_one(path, value, message, tmp_path, capsys,
      "gpu0: throughput_gflops must be an array, not 'abc'"),
     (lambda d: d["clusters"][0].update(throughput_gflops={"1": 2}),
      "gpu0: throughput_gflops must be an array, not {'1': 2}"),
+    # the table and identity checks, each reached from a board file
+    (lambda d: d["clusters"][0].update(freq_levels_mhz=[],
+                                       throughput_gflops=[]),
+     "gpu0: empty frequency table"),
+    (lambda d: d["clusters"][0]["throughput_gflops"].pop(),
+     "gpu0: 8 frequency levels but 7 throughput entries"),
+    (lambda d: d["clusters"][0]["freq_levels_mhz"].reverse(),
+     "gpu0: frequency levels must be strictly ascending"),
+    (lambda d: d["clusters"][0]["throughput_gflops"].reverse(),
+     "gpu0: throughput must be strictly increasing"),
+    (lambda d: d["clusters"][1].update(freq_levels_mhz=[800, 900],
+                                       throughput_gflops=[1000.0, 1100.0]),
+     "dla0: DLA clusters have exactly one frequency level"),
+    (lambda d: d["clusters"][1].update(cluster_id="gpu0"),
+     "duplicate cluster_id"),
+    (lambda d: d["clusters"][0].pop("idle_power_mw"),
+     "cluster entry missing field 'idle_power_mw'"),
+    (lambda d: d["clusters"][0].update(kind="TPU"),
+     "platform config has a malformed field: 'TPU' is not a valid "
+     "ClusterKind"),
 ], ids=["int_cluster_id", "surrogate_cluster_id", "object_name", "no_clusters",
-        "str_throughput", "object_throughput"])
+        "str_throughput", "object_throughput", "empty_table",
+        "misaligned_table", "unsorted_levels", "unsorted_throughput",
+        "two_level_dla", "duplicate_cluster_id", "cluster_missing_field",
+        "unknown_kind"])
 def test_bad_platform_identity_exits_one(edit, message, tmp_path, capsys):
     doc = json.loads(presets.platform_text())
     edit(doc)
@@ -395,6 +429,29 @@ def test_non_positive_reference_workload_exits_one(value, tmp_path, capsys,
     (tmp_path / "models" / "bert-base.json").write_text(json.dumps(doc))
     monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
     _assert_input_error(["run", "--mix", "mix1"], capsys, "reference_workload")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["param_checked_ops"].append("MatMul"),
+     "an op cannot be both unsupported and param-checked"),
+    (lambda d: d.pop("max_batch"),
+     "compatibility matrix missing field 'max_batch'"),
+], ids=["op_both_unsupported_and_checked", "missing_max_batch"])
+def test_bad_matrix_exits_one(edit, message, tmp_path, capsys, monkeypatch):
+    doc = json.loads(presets.matrix_text())
+    edit(doc)
+    (tmp_path / "dla_matrix.json").write_text(json.dumps(doc))
+    monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
+    _assert_input_error(["run", "--mix", "mix1"], capsys, message)
+
+
+@pytest.mark.parametrize("pair,message", [
+    ("tdp_mw", "--set expects key=value, got 'tdp_mw'"),
+    ("tdp_mw=lots", "--set tdp_mw: 'lots' is not a number"),
+], ids=["no_equals", "not_a_number"])
+def test_malformed_set_exits_one(pair, message, capsys):
+    _assert_input_error(["run", "--mix", "mix1", "--set", pair], capsys,
+                        message)
 
 
 @pytest.mark.parametrize("relative", [

@@ -375,6 +375,16 @@ VIOLATIONS = [
     ("freeze_with_level",
      {"a": [Decision(kind=DecisionKind.FREEZE, request_id="a", level=0)]},
      r"with level 0; only a SET_FREQ carries one"),
+    ("map_without_cluster", {"a": [MAP("a", None)]},
+     r"^mapping decision without a target cluster$"),
+    ("migrate_onto_its_own_cluster",
+     {"a": [MAP("a", "gpu0")],
+      "b": [Decision(kind=DecisionKind.MIGRATE, request_id="a",
+                     cluster_id="gpu0")]}, r"^a: MIGRATE onto its own cluster$"),
+    ("freeze_frozen_task",
+     {"a": [Decision(kind=DecisionKind.FREEZE, request_id="a")],
+      "b": [Decision(kind=DecisionKind.FREEZE, request_id="a")]},
+     r"^a: FREEZE on a frozen task$"),
 ]
 
 
@@ -432,6 +442,10 @@ DVFS_VIOLATIONS = [
     ("request_id_at_the_current_level",
      [[SET_FREQ(0)._replace(request_id="a")]],
      r"returned a SET_FREQ with request_id 'a';"),
+    ("no_level", [[SET_FREQ(None)]], r"^SET_FREQ needs cluster_id and level$"),
+    ("no_cluster", [[SET_FREQ(1, None)]],
+     r"^SET_FREQ needs cluster_id and level$"),
+    ("unknown_cluster", [[SET_FREQ(1, "gpu9")]], r"^unknown cluster 'gpu9'$"),
 ]
 
 
@@ -460,6 +474,81 @@ def test_set_freq_protocol_violations(returns, match):
 def test_map_before_the_request_arrives_is_rejected(scn, plan):
     with pytest.raises(EngineError, match="has not arrived"):
         run_toy(scn, map_on_arrival(plan))
+
+
+def test_an_error_inside_a_dvfs_generator_is_not_blamed_on_a_decision():
+    def dvfs(view, p_before, p_after, handled):
+        raise TypeError("governor bug")
+        yield
+    with pytest.raises(TypeError, match="governor bug"):
+        run_toy(two_arrivals(), map_on_arrival({"a": [MAP("a", "gpu0")]}),
+                dvfs)
+
+
+def test_set_freq_to_the_current_level_writes_no_row():
+    scn = scenario(request("a", "toy-conv"))
+    plan = map_on_arrival({"a": [MAP("a", "gpu0")]})
+    _, plain = run_toy(scn, plan)
+    _, same = run_toy(scn, plan, lambda view, *_: [
+        SET_FREQ(view.states["gpu0"].current_level)])
+    assert same.decisions == plain.decisions
+    assert same.power == plain.power
+
+
+def test_a_generator_decide_reads_the_cycle_start_after_each_decision():
+    # the view is the tasks as the cycle began: a task a yielded MAP
+    # placed still reads PENDING, and so does a request a yielded split
+    # replaced, whose part is not in it
+    seen = []
+
+    def decide(view, events):
+        if view.now:
+            return
+        yield MAP("a", "dla0")
+        seen.append(view.tasks["a"].state)
+        yield MAP("b", "gpu0", part="p", work_gflops=350.0)
+        seen.append((view.tasks["b"].state, "b#p" in view.tasks,
+                     list(view.tasks), len(view.tasks)))
+
+    _, trace = run_toy(scenario(request("a", "toy-conv"),
+                                request("b", "toy-matmul")), decide)
+    assert seen == [TaskState.PENDING,
+                    (TaskState.PENDING, False, ["a", "b"], 2)]
+    assert all(r.completed_ms is not None for r in trace.requests)
+
+
+def test_the_base_policy_maps_nothing_and_sets_no_clock():
+    scn = scenario(request("a", "toy-conv"))
+    with pytest.raises(EngineError,
+                       match=r"unfinished requests: a \[a:pending\]$"):
+        Simulation(tiny_platform(), scn, Policy(), TOY_DESCRIPTORS,
+                   MATRIX).run()
+
+    class DecideOnly(Policy):
+        def decide(self, view, events):
+            return [MAP(e.request_id, "gpu0") for e in events
+                    if e.kind is EventKind.ARRIVAL]
+
+    trace = Simulation(tiny_platform(), scn, DecideOnly(), TOY_DESCRIPTORS,
+                       MATRIX).run()
+    assert [(d.kind, d.request_id) for d in trace.decisions] == [("MAP", "a")]
+
+
+def test_a_completion_that_disagrees_with_the_work_done_is_an_error():
+    # only an engine fault can make the integrated progress of a task
+    # disagree with its completion time: here the test removes 10 GFLOPs
+    # of "a" between its mapping and its completion
+    def decide(view, events):
+        if view.now == 0.0:
+            return [MAP("a", "gpu0")]
+        sim.tasks["a"].done -= 10.0
+        return [MAP("b", "dla0")]
+
+    sim = Simulation(tiny_platform(), two_arrivals(), ScriptedPolicy(decide),
+                     TOY_DESCRIPTORS, MATRIX)
+    with pytest.raises(EngineError, match=r"^a: completion fired with "
+                       r"290\.000000000 of 300\.000000000 GFLOPs done$"):
+        sim.run()
 
 
 def test_an_arrival_that_reuses_a_part_key_is_refused():
@@ -813,6 +902,22 @@ def test_a_running_task_no_decision_touched_keeps_its_view(mix):
                 assert task is before.tasks[key]
                 kept += 1
     assert kept
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("mix", ["mix1", "mix3"])
+def test_a_view_is_built_once_per_arrival_decision_and_completion(
+        mix, policy, monkeypatch):
+    # a part a MAP spawns is created and decided on at once: one view
+    built = []
+    view = twillsim.engine._Task.view
+    monkeypatch.setattr(twillsim.engine._Task, "view",
+                        lambda task: built.append(task.key) or view(task))
+    sim = build_simulation(mix, policy)
+    trace = sim.run()
+    named = sum(d.request_id is not None for d in trace.decisions)
+    done = sum(task.completed for task in sim.tasks.values())
+    assert len(built) == len(sim.scenario.requests) + named + done
 
 
 def test_view_tasks_are_read_only():

@@ -201,6 +201,19 @@ def test_overlong_integer_is_invalid_json(file, tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_an_integer_past_the_float_range_is_not_finite(tmp_path, capsys):
+    # float() of a 401-digit int overflows; it is read as infinite
+    huge = 10 ** 400
+    text = _edited(presets.platform_text(), ["tdp_mw"], huge)
+    with pytest.raises(PlatformError,
+                       match=r"^tdp_mw must be finite and > 0, not 10{400}$"):
+        load_platform(text)
+    board = tmp_path / "board.json"
+    board.write_text(text)
+    _assert_exits_one(["run", "--mix", "mix1", "--platform", str(board)],
+                      capsys, ["tdp_mw"], huge)
+
+
 KNOBS = ["ctrl_overhead_ms", "migration_overhead_ms", "freeze_overhead_ms",
          "dla_fallback_penalty", "affinity_threshold", "max_time_ms"]
 

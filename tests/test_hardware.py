@@ -133,14 +133,22 @@ def test_power_rejects_bad_utilization(platform):
 
 
 def test_cluster_spec_validation():
-    with pytest.raises(PlatformError):
-        ClusterSpec("g", ClusterKind.GPU, (400.0, 300.0), (1.0, 2.0), 0.0, 1.0)
-    with pytest.raises(PlatformError):
-        ClusterSpec("g", ClusterKind.GPU, (300.0, 400.0), (2.0, 1.0), 0.0, 1.0)
-    with pytest.raises(PlatformError):
-        ClusterSpec("g", ClusterKind.GPU, (300.0,), (1.0, 2.0), 0.0, 1.0)
-    with pytest.raises(PlatformError):
-        ClusterSpec("d", ClusterKind.DLA, (300.0, 400.0), (1.0, 2.0), 0.0, 1.0)
+    # integer levels, so that each table reaches the check it is named
+    # for and not the integer reader's refusal of a float
+    with pytest.raises(PlatformError,
+                       match="^g: frequency levels must be strictly ascending$"):
+        ClusterSpec("g", ClusterKind.GPU, (400, 300), (1.0, 2.0), 0.0, 1.0)
+    with pytest.raises(PlatformError,
+                       match="^g: throughput must be strictly increasing$"):
+        ClusterSpec("g", ClusterKind.GPU, (300, 400), (2.0, 1.0), 0.0, 1.0)
+    with pytest.raises(PlatformError,
+                       match="^g: 1 frequency levels but 2 throughput entries$"):
+        ClusterSpec("g", ClusterKind.GPU, (300,), (1.0, 2.0), 0.0, 1.0)
+    with pytest.raises(PlatformError, match="^g: empty frequency table$"):
+        ClusterSpec("g", ClusterKind.GPU, (), (), 0.0, 1.0)
+    with pytest.raises(PlatformError,
+                       match="^d: DLA clusters have exactly one frequency level$"):
+        ClusterSpec("d", ClusterKind.DLA, (300, 400), (1.0, 2.0), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("levels", [(0, 400), (-500, 400), (float("nan"), 400),
@@ -170,7 +178,15 @@ def test_cluster_throughput_must_be_finite_and_positive(value):
     (lambda d: d["clusters"][0].update(cluster_id="g\udc80"), "UTF-8"),
     (lambda d: d.update(name={"a": 1}), "name must be a string"),
     (lambda d: d.update(clusters=[]), "no clusters"),
-], ids=["int_cluster_id", "surrogate_cluster_id", "object_name", "no_clusters"])
+    (lambda d: d["clusters"][1].update(cluster_id="gpu0"),
+     "^duplicate cluster_id$"),
+    (lambda d: d["clusters"][1].pop("kind"),
+     "^cluster entry missing field 'kind'$"),
+    (lambda d: d["clusters"][1].update(kind="TPU"),
+     "^platform config has a malformed field: 'TPU' is not a valid "
+     "ClusterKind$"),
+], ids=["int_cluster_id", "surrogate_cluster_id", "object_name", "no_clusters",
+        "duplicate_cluster_id", "cluster_without_kind", "unknown_kind"])
 def test_load_platform_rejects_bad_ids_names_and_empty_boards(edit, match):
     doc = json.loads(presets.platform_text())
     edit(doc)

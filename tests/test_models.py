@@ -384,6 +384,21 @@ def test_kernel_bounds_are_inclusive(matrix):
     assert not dla_compatible(conv(hi + 1), matrix)
 
 
+def test_batch_and_spatial_bounds_are_inclusive(matrix):
+    top, limit = matrix.max_batch, matrix.max_spatial_dim
+
+    def conv(batch=1, side=64, out_side=64):
+        return LayerSpec("Conv", "FP16", 100, (batch, 3, side, side),
+                         (batch, 8, out_side, out_side),
+                         kernel=(3, 3), stride=(1, 1), padding=(1, 1))
+
+    assert dla_compatible(conv(batch=top), matrix)
+    assert not dla_compatible(conv(batch=top + 1), matrix)
+    assert dla_compatible(conv(side=limit, out_side=limit), matrix)
+    assert not dla_compatible(conv(side=limit + 1), matrix)
+    assert not dla_compatible(conv(out_side=limit + 1), matrix)
+
+
 def test_matmul_never_runs_natively(matrix):
     mm = LayerSpec("MatMul", "FP16", 100, (1, 128, 768), (1, 128, 768))
     assert not dla_compatible(mm, matrix)
@@ -473,6 +488,33 @@ def test_segment_fractions_single_unit():
 def test_segment_fractions_batched():
     profile = _profile("resnet-50")
     assert segment_fractions(profile, 4) == (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+ZERO_FLOP = json.dumps({"name": "no-op", "layers": [
+    {"op_type": "Relu", "precision": "FP16", "flops": 0,
+     "in_shape": [1, 8], "out_shape": [1, 8]}] * 3})
+
+
+def test_segment_fractions_of_a_zero_flop_model():
+    assert segment_fractions(parse_model(ZERO_FLOP), 1) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("policy", sorted(twillsim.POLICIES))
+def test_a_zero_flop_model_takes_only_the_control_hold(policy, tmp_path,
+                                                       monkeypatch, matrix):
+    # no work to place, so no affinity: it prefers the GPU alone
+    assert layer_affinity(parse_model(ZERO_FLOP), matrix).preferred_clusters \
+        == ("GPU",)
+    (tmp_path / "models").mkdir()
+    (tmp_path / "models" / "no-op.json").write_text(ZERO_FLOP)
+    monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
+    scenario = twillsim.load_mix(json.dumps({"requests": [
+        {"model": "no-op", "priority": 1 + i % 3, "arrival_ms": 100 * i,
+         "workload_size": 1 + i} for i in range(3)]}),
+        known_models=presets.available_models())
+    trace = twillsim.build_simulation(scenario, policy).run()
+    assert [(r.waiting_ms, r.latency_ms, r.work_gflops)
+            for r in trace.requests] == [(0.0, 15.0, 0.0)] * 3
 
 
 # sha256 of the sorted-key JSON, total FLOPs and layer count of each

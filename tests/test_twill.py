@@ -199,6 +199,14 @@ def test_thaw_pick_matches_a_scan_in_thaw_order(seed):
                         got.kinds) == want
 
 
+def test_a_queued_task_cannot_be_queued_again():
+    queue = FreezeQueue()
+    queue.add("a", 1, 0.0, ("GPU",))
+    with pytest.raises(ValueError, match="^a is already queued$"):
+        queue.add("a", 2, 5.0, ("GPU",))
+    assert len(queue) == 1 and queue.best("GPU").priority == 1
+
+
 # -- golden traces on the production platform ---------------------------------
 
 
