@@ -57,7 +57,6 @@ from .policy import (
     ControllerView,
     Decision,
     Policy,
-    TaskState,
     TaskView,
     effective_rate,
 )
@@ -170,18 +169,22 @@ class _Task:
     fallback penalty is fixed for a Simulation).  A task off any
     cluster does not read it.
 
-    A task is on a cluster (`cluster_id` set) exactly when it is
-    RUNNING: freezing and completing vacate it, and only MAP, MIGRATE
-    and UNFREEZE place it.  So a started task that is neither frozen
-    nor done is on a cluster, and a completion that is still current
-    finds its task there.
+    `state` is written at each transition: PENDING at creation,
+    RUNNING on MAP and UNFREEZE, FROZEN on FREEZE (a PENDING task may be
+    frozen too: deferred admission), DONE when it completes.  A task is
+    on a cluster (`cluster_id` set) exactly when it is RUNNING: freezing
+    and completing vacate it, and only MAP, MIGRATE and UNFREEZE place
+    it.  So a completion that is still current finds its task there.
+
+    Two facts are derived, not stored: a task has started once it has a
+    `first_map_ms`, and a placed task resumes work at its `last_sync`,
+    which each placement sets to the end of its hold.
     """
 
     __slots__ = ("key", "request", "part", "profile", "signature", "work",
-                 "native", "done", "rolled_back", "cluster_id", "frozen",
-                 "frozen_on", "started", "completed", "resume_at",
-                 "last_sync", "epoch", "first_map_ms", "completed_ms",
-                 "completion_residual", "rate")
+                 "native", "done", "rolled_back", "cluster_id", "state",
+                 "frozen_on", "last_sync", "epoch", "first_map_ms",
+                 "completed_ms", "completion_residual", "rate")
 
     def __init__(self, key: str, request: InferenceRequest, part: str | None,
                  profile: AppProfile, signature: SignatureMap, work: float,
@@ -196,11 +199,8 @@ class _Task:
         self.done = 0.0
         self.rolled_back = 0.0
         self.cluster_id: str | None = None
-        self.frozen = False
+        self.state = _PENDING
         self.frozen_on: str | None = None
-        self.started = False
-        self.completed = False
-        self.resume_at = 0.0
         self.last_sync = 0.0
         self.epoch = 0
         self.first_map_ms: float | None = None
@@ -208,21 +208,15 @@ class _Task:
         self.completion_residual = 0.0
         self.rate = 0.0
 
-    @property
-    def state(self) -> TaskState:
-        return (_DONE if self.completed else _FROZEN if self.frozen
-                else _PENDING if self.cluster_id is None else _RUNNING)
-
     def view(self) -> TaskView:
-        # tuple.__new__ skips the Python-level TaskView.__new__, and the
-        # state property is inlined; the engine builds a view each time
-        # a task is created, decided on or completed
+        # tuple.__new__ skips the Python-level TaskView.__new__; the
+        # engine builds a view each time a task is created, decided on
+        # or completed
         request, signature = self.request, self.signature
-        state = (_DONE if self.completed else _FROZEN if self.frozen
-                 else _PENDING if self.cluster_id is None else _RUNNING)
         return tuple.__new__(TaskView, (
             self.key, request.request_id, self.part, self.profile.name,
-            request.priority, state, self.cluster_id, self.started,
+            request.priority, self.state, self.cluster_id,
+            self.first_map_ms is not None,
             self.work, request.arrival_ms,
             signature.preferred_clusters, signature.dla_flops_fraction,
             self.native))
@@ -261,7 +255,6 @@ class Simulation:
         self.platform = _apply_overrides(platform, scenario.platform_overrides)
         self.scenario = scenario
         self.policy = policy
-        self.matrix = matrix
 
         self.states = initial_states(self.platform)
         self.tasks: dict[str, _Task] = {}
@@ -396,9 +389,10 @@ class Simulation:
 
     def _reschedule(self, task: _Task, now: float):
         """Push the completion of `task`, which is on a cluster, at its
-        current rate; the new epoch supersedes any earlier completion."""
+        current rate from its last_sync (the end of a placement's hold);
+        the new epoch supersedes any earlier completion."""
         epoch = task.epoch = task.epoch + 1
-        t_done = (max(now, task.resume_at)
+        t_done = (max(now, task.last_sync)
                   + max(0.0, task.work - task.done) / task.rate)
         heapq.heappush(self._heap, (t_done, _RANK_COMPLETION, next(self._seq),
                                     task.key, epoch))
@@ -432,7 +426,7 @@ class Simulation:
         if part is not None:
             whole = self.tasks.get(request_id)
             if whole is not None:
-                if whole.started or whole.frozen:
+                if whole.state is not _PENDING:
                     raise EngineError(
                         f"{request_id}: cannot split a request that already ran")
                 del self.tasks[request_id]
@@ -537,13 +531,12 @@ class Simulation:
         # filled in
         cluster_id = d.cluster_id
         if kind is _MAP:
-            if task.started or task.frozen or task.cluster_id is not None:
+            if task.state is not _PENDING:
                 raise EngineError(f"{task.key}: MAP on a task that already ran")
             self._occupy(task, cluster_id)
-            task.started = True
-            task.resume_at = task.last_sync = now + self.ctrl_overhead_ms
-            if task.first_map_ms is None:
-                task.first_map_ms = now
+            task.state = _RUNNING
+            task.first_map_ms = now
+            task.last_sync = now + self.ctrl_overhead_ms
             self._reschedule(task, now)
 
         elif kind is _MIGRATE:
@@ -556,12 +549,12 @@ class Simulation:
             self._vacate(task)
             self._rollback_to_boundary(task)
             self._occupy(task, cluster_id)
-            task.resume_at = task.last_sync = (
-                now + self.ctrl_overhead_ms + self.migration_overhead_ms)
+            task.last_sync = (now + self.ctrl_overhead_ms
+                              + self.migration_overhead_ms)
             self._reschedule(task, now)
 
         elif kind is _FREEZE:
-            if task.frozen or task.completed:
+            if task.state is _FROZEN or task.state is _DONE:
                 raise EngineError(f"{task.key}: FREEZE on a {task.state.value} task")
             cluster_id = task.cluster_id
             if cluster_id is not None:
@@ -569,29 +562,26 @@ class Simulation:
                 task.frozen_on = cluster_id
             # a never-started task may be frozen too: that is deferred
             # admission straight into the thaw queue, with no charge
-            task.frozen = True
+            task.state = _FROZEN
             task.epoch += 1
 
         elif kind is _UNFREEZE:
-            if not task.frozen:
+            if task.state is not _FROZEN:
                 raise EngineError(f"{task.key}: UNFREEZE on a task that is not frozen")
             self._occupy(task, cluster_id)
-            task.frozen = False
-            if not task.started:
+            task.state = _RUNNING
+            if task.first_map_ms is None:
                 # deferred admission: charged like, and counted as, a MAP
-                task.started = True
-                task.resume_at = now + self.ctrl_overhead_ms
-                if task.first_map_ms is None:
-                    task.first_map_ms = now
+                task.first_map_ms = now
+                task.last_sync = now + self.ctrl_overhead_ms
             else:
                 # the freeze charge was deferred to the thaw: pay both
                 # ends now, on top of the control overhead
-                task.resume_at = (now + self.ctrl_overhead_ms
+                task.last_sync = (now + self.ctrl_overhead_ms
                                   + 2.0 * self.freeze_overhead_ms)
                 if cluster_id != task.frozen_on:
                     self._rollback_to_boundary(task)
             task.frozen_on = None
-            task.last_sync = task.resume_at
             self._reschedule(task, now)
 
         else:  # pragma: no cover - enum is exhaustive
@@ -659,7 +649,7 @@ class Simulation:
                 f"{task.key}: completion fired with {task.done:.9f} of "
                 f"{task.work:.9f} GFLOPs done")
         task.done = task.work
-        task.completed = True
+        task.state = _DONE
         task.completed_ms = now
         freed = task.cluster_id
         self._vacate(task)
@@ -670,8 +660,8 @@ class Simulation:
     def _request_complete(self, request_id: str) -> bool:
         parts = self._parts[request_id]
         if len(parts) == 1 and parts[0].part is None:
-            return parts[0].completed  # the whole request, all its work
-        if not all(t.completed for t in parts):
+            return parts[0].state is _DONE  # the whole request, all its work
+        if not all(t.state is _DONE for t in parts):
             return False
         total = self._work[request_id]
         return sum(t.work for t in parts) >= total - _WORK_EPS * max(1.0, total)
@@ -711,8 +701,9 @@ class Simulation:
                         _ARRIVAL, key, None)))
                 else:
                     task = self.tasks[key]
-                    # else superseded by a later decision
-                    if task.epoch == epoch and not task.completed:
+                    # else superseded by a later decision; a DONE task
+                    # is never rescheduled, so its last epoch has fired
+                    if task.epoch == epoch:
                         freed = self._finish_task(task, now)
                         rid = task.request.request_id
                         if (rid not in self._completed_requests
@@ -812,7 +803,7 @@ class Simulation:
                                  if t.first_map_ms is not None), default=None)
                 completed = max((t.completed_ms for t in parts),
                                 default=None) \
-                    if all(t.completed for t in parts) and parts else None
+                    if all(t.state is _DONE for t in parts) and parts else None
             arrival = r.arrival_ms
             self.trace.requests.append(tuple.__new__(RequestRecord, (
                 r.request_id, r.model, r.priority, arrival, first_map,
@@ -827,7 +818,8 @@ class Simulation:
         """Worst relative disagreement between incrementally integrated
         progress and the analytically computed completion times."""
         return max((abs(t.completion_residual) / max(1.0, t.work)
-                    for t in self.tasks.values() if t.completed), default=0.0)
+                    for t in self.tasks.values() if t.state is _DONE),
+                   default=0.0)
 
     def rolled_back_gflops(self) -> float:
         """Total work discarded by segment-boundary rollbacks."""

@@ -46,6 +46,17 @@ def conv(cin, cout, h_in, w_in, k, s, p, groups=1):
     )
 
 
+def conv_bn(layers, cin, cout, h_in, w_in, k, s, p, groups=1, act=None):
+    """Append a conv, its BatchNormalization and, if named, its
+    activation to `layers`; the conv's output height and width."""
+    ly, h_out, w_out = conv(cin, cout, h_in, w_in, k, s, p, groups)
+    layers.append(ly)
+    layers.append(elemwise("BatchNormalization", cout, h_out, w_out, per_elem=2))
+    if act is not None:
+        layers.append(elemwise(act, cout, h_out, w_out))
+    return h_out, w_out
+
+
 def fc(n_in, n_out):
     return layer("FullyConnected", 2 * n_in * n_out, [1, n_in], [1, n_out],
                  kernel=[1, 1], stride=[1, 1], padding=[0, 0])
@@ -89,10 +100,7 @@ def vgg19():
 
 def resnet(blocks):
     layers = []
-    ly, h, w = conv(3, 64, 224, 224, k=7, s=2, p=3)
-    layers.append(ly)
-    layers.append(elemwise("BatchNormalization", 64, h, w, per_elem=2))
-    layers.append(elemwise("Relu", 64, h, w))
+    h, w = conv_bn(layers, 3, 64, 224, 224, k=7, s=2, p=3, act="Relu")
     n_out = 64 * (h // 2) * (w // 2)
     layers.append(layer("MaxPool", 9 * n_out, [1, 64, h, w], [1, 64, h // 2, w // 2]))
     h = w = h // 2
@@ -101,21 +109,12 @@ def resnet(blocks):
         c_out = width * 4
         for i in range(reps):
             s = 2 if (stage > 0 and i == 0) else 1
-            ly, h2, w2 = conv(c_in, width, h, w, k=1, s=s, p=0)
-            layers.append(ly)
-            layers.append(elemwise("BatchNormalization", width, h2, w2, per_elem=2))
-            layers.append(elemwise("Relu", width, h2, w2))
-            ly, h2, w2 = conv(width, width, h2, w2, k=3, s=1, p=1)
-            layers.append(ly)
-            layers.append(elemwise("BatchNormalization", width, h2, w2, per_elem=2))
-            layers.append(elemwise("Relu", width, h2, w2))
-            ly, _, _ = conv(width, c_out, h2, w2, k=1, s=1, p=0)
-            layers.append(ly)
-            layers.append(elemwise("BatchNormalization", c_out, h2, w2, per_elem=2))
-            if i == 0:
-                ly, _, _ = conv(c_in, c_out, h, w, k=1, s=s, p=0)
-                layers.append(ly)
-                layers.append(elemwise("BatchNormalization", c_out, h2, w2, per_elem=2))
+            h2, w2 = conv_bn(layers, c_in, width, h, w, k=1, s=s, p=0,
+                             act="Relu")
+            conv_bn(layers, width, width, h2, w2, k=3, s=1, p=1, act="Relu")
+            conv_bn(layers, width, c_out, h2, w2, k=1, s=1, p=0)
+            if i == 0:  # projection shortcut
+                conv_bn(layers, c_in, c_out, h, w, k=1, s=s, p=0)
             layers.append(elemwise("Add", c_out, h2, w2))
             layers.append(elemwise("Relu", c_out, h2, w2))
             h, w, c_in = h2, w2, c_out
@@ -138,24 +137,16 @@ def efficientnet_b4():
         (6, 448, 2, 3, 1),
     ]
     layers = []
-    ly, h, w = conv(3, 48, 380, 380, k=3, s=2, p=1)
-    layers.append(ly)
-    layers.append(elemwise("BatchNormalization", 48, h, w, per_elem=2))
-    layers.append(elemwise("SiLU", 48, h, w))
+    h, w = conv_bn(layers, 3, 48, 380, 380, k=3, s=2, p=1, act="SiLU")
     c_in = 48
     for expand, c_out, reps, k, stride in stages:
         for i in range(reps):
             s = stride if i == 0 else 1
             mid = c_in * expand
             if expand != 1:
-                ly, h2, w2 = conv(c_in, mid, h, w, k=1, s=1, p=0)
-                layers.append(ly)
-                layers.append(elemwise("BatchNormalization", mid, h2, w2, per_elem=2))
-                layers.append(elemwise("SiLU", mid, h2, w2))
-            ly, h2, w2 = conv(mid, mid, h, w, k=k, s=s, p=k // 2, groups=mid)
-            layers.append(ly)
-            layers.append(elemwise("BatchNormalization", mid, h2, w2, per_elem=2))
-            layers.append(elemwise("SiLU", mid, h2, w2))
+                conv_bn(layers, c_in, mid, h, w, k=1, s=1, p=0, act="SiLU")
+            h2, w2 = conv_bn(layers, mid, mid, h, w, k=k, s=s, p=k // 2,
+                             groups=mid, act="SiLU")
             # squeeze-excite on the expanded tensor
             se = max(1, c_in // 4)
             layers.append(layer("ReduceMean", mid * h2 * w2, [1, mid, h2, w2], [1, mid, 1, 1]))
@@ -166,16 +157,11 @@ def efficientnet_b4():
             layers.append(ly_se)
             layers.append(layer("Sigmoid", mid, [1, mid, 1, 1], [1, mid, 1, 1]))
             layers.append(elemwise("Mul", mid, h2, w2))
-            ly, h2, w2 = conv(mid, c_out, h2, w2, k=1, s=1, p=0)
-            layers.append(ly)
-            layers.append(elemwise("BatchNormalization", c_out, h2, w2, per_elem=2))
+            conv_bn(layers, mid, c_out, h2, w2, k=1, s=1, p=0)
             if s == 1 and c_in == c_out:
                 layers.append(elemwise("Add", c_out, h2, w2))
             h, w, c_in = h2, w2, c_out
-    ly, h, w = conv(c_in, 1792, h, w, k=1, s=1, p=0)
-    layers.append(ly)
-    layers.append(elemwise("BatchNormalization", 1792, h, w, per_elem=2))
-    layers.append(elemwise("SiLU", 1792, h, w))
+    h, w = conv_bn(layers, c_in, 1792, h, w, k=1, s=1, p=0, act="SiLU")
     layers.append(layer("GlobalAveragePool", 1792 * h * w, [1, 1792, h, w], [1, 1792]))
     layers.append(fc(1792, 1000))
     layers.append(layer("Softmax", 3 * 1000, [1, 1000], [1, 1000]))

@@ -231,6 +231,98 @@ def test_freeze_thaw_elsewhere_also_rolls_back():
     assert trace.requests[0].completed_ms == pytest.approx(resume + 210.0 / 1.0)
 
 
+def test_a_view_follows_one_task_through_freezes_and_thaws():
+    # a is admitted frozen, thawed on the DLA, evicted, and thawed again
+    # on the GPU; each cycle's views before and after its decisions
+    # show a's state, whether it has started and where it is
+    scn = scenario(request("a", "toy-conv"), request("b", "toy-matmul"),
+                   request("c", "toy-matmul", arrival_ms=100.0))
+    seen = []
+
+    def look(when, view):
+        a = view.tasks.get("a")
+        if a is not None:
+            seen.append((view.now, when, a.state, a.started, a.cluster_id))
+
+    def decide(view, events):
+        look("before", view)
+        if view.now == 0.0:
+            return [Decision(kind=DecisionKind.FREEZE, request_id="a"),
+                    MAP("b", "gpu0")]
+        if view.now == 100.0:
+            return [Decision(kind=DecisionKind.UNFREEZE, request_id="a",
+                             cluster_id="dla0")]
+        if view.tasks["c"].state is TaskState.PENDING:
+            return [Decision(kind=DecisionKind.FREEZE, request_id="a"),
+                    MAP("c", "gpu0")]
+        if view.tasks["a"].state is TaskState.FROZEN:
+            return [Decision(kind=DecisionKind.UNFREEZE, request_id="a",
+                             cluster_id="gpu0")]
+        return []
+
+    def dvfs(view, p_before, p_after, handled):
+        look("after", view)
+        return []
+
+    sim, trace = run_toy(scn, decide, dvfs)
+
+    P, R, F, D = (TaskState.PENDING, TaskState.RUNNING, TaskState.FROZEN,
+                  TaskState.DONE)
+    b_done = 15.0 + 350.0 / 1.2
+    c_done = b_done + 15.0 + 350.0 / 1.2
+    # 191.67 GF done on the DLA, rolled back to the 0.6 boundary on the
+    # GPU: 120 GF left after the thaw hold
+    a_done = c_done + 15.0 + 2.0 * 10.0 + 120.0 / 1.2
+    assert [row[1:] for row in seen] == [
+        ("before", P, False, None), ("after", F, False, None),
+        ("before", F, False, None), ("after", R, True, "dla0"),
+        ("before", R, True, "dla0"), ("after", F, True, None),
+        ("before", F, True, None), ("after", R, True, "gpu0"),
+        ("before", D, True, None), ("after", D, True, None),
+    ]
+    assert [row[0] for row in seen] == pytest.approx(
+        [0.0, 0.0, 100.0, 100.0, b_done, b_done, c_done, c_done,
+         a_done, a_done])
+    rec = trace.requests[0]
+    assert rec.first_map_ms == 100.0  # the deferred admission's thaw
+    assert rec.completed_ms == pytest.approx(a_done)
+    assert sim.rolled_back_gflops() == pytest.approx(b_done - 115.0 - 180.0)
+
+
+def test_a_clock_change_inside_a_thaw_hold_applies_from_its_end():
+    # a is frozen at 100 ms with 102 GF done and thawed on its home GPU
+    # when b completes; c's arrival 10 ms into the 35 ms thaw hold
+    # raises the GPU clock before a has resumed
+    scn = scenario(request("a", "toy-conv"),
+                   request("b", "toy-matmul", arrival_ms=100.0),
+                   request("c", "toy-conv", arrival_ms=420.0))
+    b_done = 115.0 + 350.0 / 1.2  # 406.67
+    hold_end = b_done + 15.0 + 2.0 * 10.0  # 441.67
+    assert b_done < 420.0 < hold_end
+
+    plan = {"a": [MAP("a", "gpu0")],
+            "b": [Decision(kind=DecisionKind.FREEZE, request_id="a"),
+                  MAP("b", "gpu0")],
+            "c": [MAP("c", "dla0")]}
+
+    def decide(view, events):
+        out = map_on_arrival(plan)(view, events)
+        if view.now == pytest.approx(b_done):
+            out.append(Decision(kind=DecisionKind.UNFREEZE, request_id="a",
+                                cluster_id="gpu0"))
+        return out
+
+    def dvfs(view, p_before, p_after, handled):
+        if view.now == 420.0:
+            return [SET_FREQ(2)]
+        return []
+
+    sim, trace = run_toy(scn, decide, dvfs)
+    assert trace.requests[0].completed_ms == pytest.approx(
+        hold_end + 198.0 / 2.5)
+    assert sim.conservation_error() <= 1e-9
+
+
 def test_control_overhead_is_configurable():
     scn = scenario(request("a", "toy-conv"))
     _, trace = run_toy(scn, map_on_arrival({"a": [MAP("a", "gpu0")]}),
@@ -916,7 +1008,7 @@ def test_a_view_is_built_once_per_arrival_decision_and_completion(
     sim = build_simulation(mix, policy)
     trace = sim.run()
     named = sum(d.request_id is not None for d in trace.decisions)
-    done = sum(task.completed for task in sim.tasks.values())
+    done = sum(task.state is TaskState.DONE for task in sim.tasks.values())
     assert len(built) == len(sim.scenario.requests) + named + done
 
 
