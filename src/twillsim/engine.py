@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Mapping
+from types import MappingProxyType
 
 from ._fields import real
 from .hardware import (
@@ -78,81 +78,7 @@ class EngineError(RuntimeError):
     """A protocol violation or an unrecoverable simulation state."""
 
 
-_ABSENT = object()  # logged for a key the snapshot did not have
 _NO_ITEM = object()  # no item taken yet from what a policy returned
-
-
-class TaskSnapshot(Mapping):
-    """Read-only mapping of every task at one decide cycle, DONE tasks
-    included, in creation order; it never changes once taken.
-
-    Taking one costs O(1), by reverse diffs (Baker's shallow binding):
-    the newest snapshot reads the engine's live dict, and before the
-    engine changes, adds or deletes a key it logs the key's old view
-    and creation number into the newest snapshot's diff, so the diff is
-    paid once per change.  An older snapshot is the live dict with the
-    diffs of itself and every newer snapshot undone; it is rebuilt
-    once, on first use.  A held snapshot keeps every newer one, and so
-    their diffs, alive.
-    """
-
-    __slots__ = ("_live", "_order", "_len", "_diff", "_newer", "_frozen")
-
-    def __init__(self, live: dict[str, TaskView], order: dict[str, int]):
-        self._live = live  # the engine's views, in creation order
-        self._order = order  # the engine's key -> creation number
-        self._len = len(live)
-        self._diff: dict[str, tuple] = {}  # key -> (old view, number)
-        self._newer: TaskSnapshot | None = None
-        self._frozen: dict[str, TaskView] | None = None
-
-    def _log(self, key: str):
-        """Called before the engine changes `key` in the live dict."""
-        if key not in self._diff:
-            self._diff[key] = (self._live.get(key, _ABSENT),
-                               self._order.get(key))
-
-    def _contents(self) -> dict[str, TaskView]:
-        if self._newer is None:  # the newest, which may still change
-            return self._rebuild() if self._diff else self._live
-        if self._frozen is None:
-            self._frozen = self._rebuild()
-        return self._frozen
-
-    def _rebuild(self) -> dict[str, TaskView]:
-        old: dict[str, tuple] = {}
-        snap = self
-        while snap is not None:
-            for key, entry in snap._diff.items():
-                old.setdefault(key, entry)  # the earliest change wins
-            snap = snap._newer
-        rows = [(self._order[k], k, v) for k, v in self._live.items()
-                if k not in old]
-        rows += [(n, k, v) for k, (v, n) in old.items() if v is not _ABSENT]
-        rows.sort(key=lambda row: row[0])
-        return {k: v for _, k, v in rows}
-
-    def __getitem__(self, key: str) -> TaskView:
-        if self._newer is not None:
-            return self._contents()[key]
-        entry = self._diff.get(key)
-        if entry is None:
-            return self._live[key]
-        if entry[0] is _ABSENT:
-            raise KeyError(key)
-        return entry[0]
-
-    def __iter__(self):
-        return iter(self._contents())
-
-    def __reversed__(self):
-        return reversed(self._contents())
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._contents()!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +237,8 @@ class Simulation:
         # requests have already finished
         self._parts: dict[str, list[_Task]] = {}  # request id -> its tasks
         self._views: dict[str, TaskView] = {}  # in self.tasks order
-        self._order: dict[str, int] = {}  # key -> creation number
-        self._created = itertools.count()
-        # the newest snapshot handed out, which logs each change to _views
-        self._snapshot = TaskSnapshot(self._views, self._order)
+        # every view's tasks: live, and read-only to the policy
+        self._tasks_view = MappingProxyType(self._views)
         self._power_mw: float | None = None  # None: states changed since
         # each cluster's utilization, in board order: an occupied cluster
         # draws active power even during actuation holds, and a frozen
@@ -430,9 +354,7 @@ class Simulation:
                     raise EngineError(
                         f"{request_id}: cannot split a request that already ran")
                 del self.tasks[request_id]
-                self._snapshot._log(request_id)
                 del self._views[request_id]
-                del self._order[request_id]
                 parts.remove(whole)
             if work is None:
                 raise EngineError(f"{key}: part decisions must carry work_gflops")
@@ -457,8 +379,6 @@ class Simulation:
         task = _Task(key, request, part, self._profiles[request.model],
                      self._signatures[request.model], work, native)
         self.tasks[key] = task
-        self._snapshot._log(key)
-        self._order[key] = next(self._created)
         self._parts.setdefault(request_id, []).append(task)
         return task
 
@@ -588,7 +508,6 @@ class Simulation:
             raise EngineError(f"unknown decision kind {kind}")
 
         acted.add(key)
-        self._snapshot._log(key)
         self._views[key] = task.view()
         # _value_ is .value without the property call
         self.trace.decisions.append(tuple.__new__(DecisionRecord, (
@@ -653,7 +572,6 @@ class Simulation:
         task.completed_ms = now
         freed = task.cluster_id
         self._vacate(task)
-        self._snapshot._log(task.key)
         self._views[task.key] = task.view()  # final: a DONE task never changes
         return freed
 
@@ -723,6 +641,10 @@ class Simulation:
             acted: set[str] = set()
             d = _NO_ITEM
             try:
+                # view.tasks is live: a generator runs to its end before
+                # any of its decisions is applied
+                if type(decisions) is not list:
+                    decisions = list(decisions)
                 for d in decisions:
                     self._apply_decision(d, now, acted)
             except (TypeError, AttributeError):
@@ -768,19 +690,20 @@ class Simulation:
                     f"{where} a decision with {field} {value!r}, not a string")
 
     def _view(self, now: float) -> ControllerView:
-        snapshot = TaskSnapshot(self._views, self._order)
-        self._snapshot._newer = snapshot
-        self._snapshot = snapshot
+        # states is copied, since a policy may keep it across cycles
         return tuple.__new__(ControllerView, (
-            now, self.platform, dict(self.states), snapshot,
+            now, self.platform, dict(self.states), self._tasks_view,
             self.dla_fallback_penalty))
 
     def _check_drained(self):
+        # a complete request may still hold a frozen part: one a policy
+        # mapped once the others had done all its work, then froze
         stuck = []
         for r in self.scenario.requests:
-            if r.request_id in self._completed_requests:
-                continue
             parts = self._parts.get(r.request_id)
+            if (r.request_id in self._completed_requests
+                    and all(t.state is _DONE for t in parts)):
+                continue
             if not parts:
                 state = ("never released (waiting on "
                          f"{[d for d in r.depends_on if d not in self._completed_requests]})")
@@ -793,23 +716,19 @@ class Simulation:
                 + "; ".join(stuck))
 
     def _finalize_trace(self):
+        # after _check_drained: every part is DONE, so it was mapped
         for r in self.scenario.requests:
-            parts = self._parts.get(r.request_id, [])
+            parts = self._parts[r.request_id]
             if len(parts) == 1:
                 task = parts[0]
                 first_map, completed = task.first_map_ms, task.completed_ms
             else:
-                first_map = min((t.first_map_ms for t in parts
-                                 if t.first_map_ms is not None), default=None)
-                completed = max((t.completed_ms for t in parts),
-                                default=None) \
-                    if all(t.state is _DONE for t in parts) and parts else None
+                first_map = min(t.first_map_ms for t in parts)
+                completed = max(t.completed_ms for t in parts)
             arrival = r.arrival_ms
             self.trace.requests.append(tuple.__new__(RequestRecord, (
                 r.request_id, r.model, r.priority, arrival, first_map,
-                completed,
-                None if first_map is None else first_map - arrival,
-                None if completed is None else completed - arrival,
+                completed, first_map - arrival, completed - arrival,
                 self._work[r.request_id])))
 
     # -- invariant helpers (used by tests) -----------------------------------

@@ -86,7 +86,12 @@ class TaskView(NamedTuple):
 
 
 class ControllerView(NamedTuple):
-    """Snapshot handed to a policy at each decide cycle."""
+    """What a policy is handed at each call: the time, the board, a copy
+    of the cluster states, and `tasks`, a read-only mapping of every
+    task, DONE included, in creation order.  `tasks` does not change
+    while the call that received it runs, and may change after that
+    call returns: a policy that needs history keeps `dict(view.tasks)`,
+    or the immutable `TaskView`s themselves."""
 
     now: float
     platform: PlatformSpec

@@ -9,6 +9,9 @@ import os
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
+# power above tdp_mw by more than this counts as over budget
+_OVER_BUDGET_EPS_MW = 1e-9
+
 # a decision or request record's field order is its CSV column order
 
 
@@ -60,11 +63,11 @@ class Trace:
         return max((r.completed_ms for r in self.requests
                     if r.completed_ms is not None), default=0.0)
 
-    def _power_totals(self, end: float, eps: float) -> tuple[float, float]:
-        """Energy in mJ, and ms drawing more than tdp_mw + eps, of the
-        power record clipped to [0, end]."""
+    def _power_totals(self, end: float) -> tuple[float, float]:
+        """Energy in mJ, and ms drawing over budget, of the power record
+        clipped to [0, end]."""
         energy = over = 0  # an int 0 when no span counts, as sum() gave
-        limit = self.tdp_mw + eps
+        limit = self.tdp_mw + _OVER_BUDGET_EPS_MW
         power = self.power
         for i, rec in enumerate(power, 1):
             hi = min(power[i].time_ms, end) if i < len(power) else end
@@ -77,15 +80,15 @@ class Trace:
 
     @property
     def energy_mj(self) -> float:
-        return self._power_totals(self.makespan_ms, 1e-9)[0]
+        return self._power_totals(self.makespan_ms)[0]
 
-    def time_over_budget_ms(self, eps: float = 1e-9) -> float:
-        return self._power_totals(self.makespan_ms, eps)[1]
+    def time_over_budget_ms(self) -> float:
+        return self._power_totals(self.makespan_ms)[1]
 
     @property
     def violation_fraction(self) -> float:
         span = self.makespan_ms
-        return self._power_totals(span, 1e-9)[1] / span if span > 0 else 0.0
+        return self._power_totals(span)[1] / span if span > 0 else 0.0
 
     def waiting_by_priority(self) -> dict[int, dict[str, float]]:
         out: dict[int, dict[str, float]] = {}
@@ -124,7 +127,7 @@ class Trace:
         for d in self.decisions:
             kinds[d.kind] = kinds.get(d.kind, 0) + 1
         span = self.makespan_ms
-        energy, over = self._power_totals(span, 1e-9)
+        energy, over = self._power_totals(span)
         return {
             "scenario": self.scenario,
             "policy": self.policy,

@@ -33,9 +33,6 @@ PACKAGE = ROOT / "src" / "twillsim"
 # unrun.  A statement is named by its text, not its line number, so that
 # an edit elsewhere in the file does not make the entry stale.
 ALLOWED = {
-    ("engine.py", "TaskSnapshot.__repr__",
-     'return f"{type(self).__name__}({self._contents()!r})"'):
-        "a debugging aid: no test prints a snapshot",
     ("engine.py", "Simulation._apply_decision",
      'raise EngineError(f"unknown decision kind {kind}")'):
         "DecisionKind has five members and the branches above take each",

@@ -588,8 +588,9 @@ def test_set_freq_to_the_current_level_writes_no_row():
 
 
 def test_a_generator_decide_reads_the_cycle_start_after_each_decision():
-    # the view is the tasks as the cycle began: a task a yielded MAP
-    # placed still reads PENDING, and so does a request a yielded split
+    # a generator runs to its end before any decision is applied, so the
+    # view is the tasks as the cycle began: a task a yielded MAP placed
+    # still reads PENDING, and so does a request a yielded split
     # replaced, whose part is not in it
     seen = []
 
@@ -607,6 +608,38 @@ def test_a_generator_decide_reads_the_cycle_start_after_each_decision():
     assert seen == [TaskState.PENDING,
                     (TaskState.PENDING, False, ["a", "b"], 2)]
     assert all(r.completed_ms is not None for r in trace.requests)
+
+
+def test_a_generator_decide_that_raises_applies_none_of_its_decisions():
+    def decide(view, events):
+        yield MAP("a", "gpu0")
+        raise TypeError("policy bug")
+
+    sim = Simulation(tiny_platform(), scenario(request("a", "toy-conv")),
+                     ScriptedPolicy(decide), TOY_DESCRIPTORS, MATRIX)
+    with pytest.raises(TypeError, match="policy bug"):
+        sim.run()
+    assert sim.tasks["a"].state is TaskState.PENDING
+    assert sim.trace.decisions == []
+
+
+def test_a_part_left_frozen_after_its_request_completed_is_refused():
+    # "a#p" does all of a's work, so a is complete once it is done; the
+    # zero-work "a#q" mapped then is frozen when b arrives, never thawed
+    def decide(view, events):
+        if view.now == 0.0:
+            return [MAP("a", "gpu0", part="p", work_gflops=300.0)]
+        if "a#q" not in view.tasks:
+            return [MAP("a", "gpu0", part="q", work_gflops=0.0)]
+        if view.tasks["a#q"].state is TaskState.RUNNING:
+            return [Decision(kind=DecisionKind.FREEZE, request_id="a",
+                             part="q"), MAP("b", "dla0")]
+        return []
+
+    with pytest.raises(EngineError, match=r"unfinished requests: "
+                       r"a \[a#p:done, a#q:frozen\]$"):
+        run_toy(scenario(request("a", "toy-conv"),
+                         request("b", "toy-conv", arrival_ms=270.0)), decide)
 
 
 def test_the_base_policy_maps_nothing_and_sets_no_clock():
@@ -799,7 +832,8 @@ def test_events_share_a_cycle_only_at_exactly_equal_times(gap_ms, batches):
 class ShadowPolicy(Policy):
     """Delegates to a policy after checking, at every call, that the view
     equals one rebuilt from every task, in the same key order.  It keeps
-    every view with copies of its tasks and states, for check_held."""
+    a copy of each view's time, tasks and states in `held`: a view's
+    tasks may change once the call that received it returns."""
 
     def __init__(self, inner: Policy):
         self.inner = inner
@@ -815,22 +849,9 @@ class ShadowPolicy(Policy):
         for k, t in view.tasks.items():
             if t.state is TaskState.DONE:
                 assert self.sim.tasks[k].done == t.work_gflops
-        self.held.append((view, list(view.tasks.items()), dict(view.states)))
+        self.held.append((view.now, list(view.tasks.items()),
+                          dict(view.states)))
         self.split = self.split or any(t.part for t in rebuilt.values())
-
-    def check_held(self):
-        """Every view handed out still shows what it showed when given,
-        item by item, in the same order and by identity."""
-        assert self.held
-        for view, items, states in self.held:
-            assert len(view.tasks) == len(items)
-            assert [k for k in view.tasks] == [k for k, _ in items]
-            assert all(a is b for a, b in zip(view.tasks.values(),
-                                              (t for _, t in items)))
-            assert all(view.tasks[k] is t for k, t in items)
-            assert list(reversed(view.tasks)) == [k for k, _ in items][::-1]
-            assert view.states == states
-            assert all(view.states[c] is st for c, st in states.items())
 
     def decide(self, view, events):
         self._check(view)
@@ -846,7 +867,7 @@ def run_shadowed(mix, policy: str) -> ShadowPolicy:
     shadow = ShadowPolicy(make_policy(policy))
     shadow.sim = build_simulation(mix, shadow)
     shadow.sim.run()
-    shadow.check_held()
+    assert shadow.held
     return shadow
 
 
@@ -944,7 +965,7 @@ def test_kept_state_is_checked_across_every_kind_of_change(monkeypatch):
 
 def test_view_matches_a_full_rebuild_across_a_split():
     # the whole task spawned at arrival is replaced by its parts, which
-    # are appended after it; views held from before still list it
+    # are appended after it; copies kept from before still list it
     shadow = run_shadowed("mix1", "static_subgraph")
     assert shadow.split
     split = {k.split("#")[0] for k in shadow.sim.tasks if "#" in k}
@@ -972,7 +993,6 @@ def test_held_views_keep_a_task_that_left_and_came_back():
     assert list(shadow.sim.tasks) == ["b", "a#p", "a"]
     orders = [[k for k, _ in items] for _, items, _ in shadow.held]
     assert ["a", "b"] in orders and ["b", "a#p"] in orders
-    shadow.check_held()
 
 
 @pytest.mark.parametrize("mix", ["mix1", "mix3"])
@@ -986,12 +1006,13 @@ def test_a_running_task_no_decision_touched_keeps_its_view(mix):
             key = d.request_id if d.part is None else f"{d.request_id}#{d.part}"
             decided.setdefault(d.time_ms, set()).add(key)
     kept = 0
-    for (before, _, _), (after, items, _) in zip(shadow.held,
-                                                  shadow.held[1:]):
+    for (_, before, _), (now, items, _) in zip(shadow.held,
+                                                shadow.held[1:]):
+        before = dict(before)
         for key, task in items:
-            if (task.state is TaskState.RUNNING and key in before.tasks
-                    and key not in decided.get(after.now, ())):
-                assert task is before.tasks[key]
+            if (task.state is TaskState.RUNNING and key in before
+                    and key not in decided.get(now, ())):
+                assert task is before[key]
                 kept += 1
     assert kept
 
@@ -1013,13 +1034,21 @@ def test_a_view_is_built_once_per_arrival_decision_and_completion(
 
 
 def test_view_tasks_are_read_only():
-    view, items, _ = run_shadowed("mix1", "twill").held[-1]
-    key, task = items[0]
-    with pytest.raises(TypeError):
-        view.tasks[key] = task
-    with pytest.raises(TypeError):
-        del view.tasks[key]
-    assert view.tasks[key] is task
+    checked = []
+
+    def decide(view, events):
+        key, task = next(iter(view.tasks.items()))
+        with pytest.raises(TypeError):
+            view.tasks[key] = task
+        with pytest.raises(TypeError):
+            del view.tasks[key]
+        assert view.tasks[key] is task
+        checked.append(key)
+        return [MAP(e.request_id, "gpu0") for e in events
+                if e.kind is EventKind.ARRIVAL]
+
+    run_toy(scenario(request("a", "toy-conv")), decide)
+    assert checked == ["a", "a"]
 
 
 def test_derived_profiles_match_a_fresh_parse():
