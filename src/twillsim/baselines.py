@@ -57,12 +57,10 @@ class GpuQueuePolicy(_RaceToIdle):
             if e.kind is _ARRIVAL:
                 self._fifo.append(e.request_id)
         decisions = []
-        planned = {cid: st.occupant for cid, st in view.states.items()}
         self._layout(view.platform)
         for gpu in self._gpu_ids:
-            if self._fifo and planned[gpu] is None:
+            if self._fifo and view.states[gpu].occupant is None:
                 rid = self._fifo.pop(0)
-                planned[gpu] = rid
                 decisions.append(Decision(_MAP, request_id=rid,
                                           cluster_id=gpu))
         return decisions
@@ -136,7 +134,7 @@ class StaticSubgraphPolicy(_BoardPolicy):
         self._layout(view.platform)
 
         def place(rid, part, work, native, cid):
-            planned[cid] = rid if part is None else f"{rid}#{part}"
+            planned[cid] = rid
             decisions.append(Decision(
                 _MAP, request_id=rid, cluster_id=cid,
                 part=part, work_gflops=work, native=native))

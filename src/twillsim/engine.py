@@ -56,6 +56,7 @@ from .policy import (
     ControllerEvent,
     ControllerView,
     Decision,
+    DecisionKind,
     Policy,
     TaskView,
     effective_rate,
@@ -437,6 +438,8 @@ class Simulation:
         task = self.tasks.get(key)
         if task is None:
             if kind is not _MAP:
+                if not isinstance(kind, DecisionKind):
+                    raise self._kind_error(kind)
                 raise EngineError(f"decision names unknown task {key!r}")
             if d.request_id not in self._parts:
                 raise EngineError(
@@ -504,14 +507,19 @@ class Simulation:
             task.frozen_on = None
             self._reschedule(task, now)
 
-        else:  # pragma: no cover - enum is exhaustive
-            raise EngineError(f"unknown decision kind {kind}")
+        else:
+            raise self._kind_error(kind)
 
         acted.add(key)
         self._views[key] = task.view()
         # _value_ is .value without the property call
         self.trace.decisions.append(tuple.__new__(DecisionRecord, (
             now, kind._value_, d.request_id, part, cluster_id, None, None)))
+
+    def _kind_error(self, kind) -> EngineError:
+        return EngineError(
+            f"{self.policy.name}: decide() returned a decision with kind "
+            f"{kind!r}, not a DecisionKind")
 
     def _apply_set_freq(self, d: Decision, now: float):
         if d.kind is not _SET_FREQ:

@@ -18,8 +18,7 @@ falling back to the platform's configured slope otherwise.
 
 from __future__ import annotations
 
-import bisect
-from typing import NamedTuple
+import heapq
 
 # the Enum members as module globals (see policy.py)
 from .policy import (
@@ -47,60 +46,45 @@ _RATE_EPS = 1e-9
 _new = tuple.__new__
 
 
-class QueueEntry(NamedTuple):
-    task_key: str
-    priority: int
-    enqueued_ms: float
-    kinds: tuple[str, ...]  # the task's preferred cluster kinds
-
-
 class FreezeQueue:
     """Frozen and deferred tasks, thawed by priority then seniority.
 
-    A task's preferred kinds never change, so the queue keeps one lane,
-    sorted in thaw order, per distinct kinds tuple.  The first entry in
-    thaw order that can use a kind is then the first of the heads of
-    the lanes holding that kind: a freed cluster looks at a few heads,
-    not at every queued task that cannot use it.  A lane holds
-    ((-priority, enqueued_ms, task_key), entry) pairs, so its order is
-    computed once per entry; the task key in the order is unique, so no
-    two pairs tie on it.
+    A task's preferred kinds never change, so the queue keeps one heap of
+    (-priority, enqueued_ms, task_key) per distinct kinds tuple.  The
+    first task in thaw order that can use a kind is then the least of
+    the heads of the lanes holding that kind: a freed cluster looks at a
+    few heads, not at every queued task that cannot use it.  The task
+    key is part of each entry, so no two entries tie.  An emptied heap
+    is kept: there are only as many as distinct kinds tuples.
     """
 
     def __init__(self):
-        self._entries: dict[str, tuple[tuple, QueueEntry]] = {}
-        self._lanes: dict[tuple[str, ...], list[tuple[tuple, QueueEntry]]] = {}
+        self._keys: set[str] = set()
+        self._lanes: dict[tuple[str, ...], list[tuple[int, float, str]]] = {}
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._keys)
 
     def add(self, task_key: str, priority: int, now: float,
             kinds: tuple[str, ...]):
-        entries = self._entries
-        if task_key in entries:
+        if task_key in self._keys:
             raise ValueError(f"{task_key} is already queued")
-        pair = entries[task_key] = ((-priority, now, task_key), _new(
-            QueueEntry, (task_key, priority, now, kinds)))
-        lane = self._lanes.get(kinds)
-        if lane is None:
-            self._lanes[kinds] = [pair]
-        else:
-            bisect.insort(lane, pair)
+        self._keys.add(task_key)
+        heapq.heappush(self._lanes.setdefault(kinds, []),
+                       (-priority, now, task_key))
 
-    def remove(self, task_key: str):
-        pair = self._entries.pop(task_key)
-        lane = self._lanes[pair[1].kinds]
-        del lane[bisect.bisect_left(lane, pair)]
-        if not lane:
-            del self._lanes[pair[1].kinds]
-
-    def best(self, kind: str) -> QueueEntry | None:
-        """The first queued entry, in thaw order, that prefers `kind`."""
-        head = None
+    def take(self, kind: str) -> str | None:
+        """Dequeue and return the first task key, in thaw order, that
+        prefers `kind`, or None."""
+        best = None
         for kinds, lane in self._lanes.items():
-            if kind in kinds and (head is None or lane[0] < head):
-                head = lane[0]
-        return None if head is None else head[1]
+            if kind in kinds and lane and (best is None or lane[0] < best[0]):
+                best = lane
+        if best is None:
+            return None
+        key = heapq.heappop(best)[2]
+        self._keys.remove(key)
+        return key
 
 
 def _busy(states: dict) -> list[str]:
@@ -144,13 +128,12 @@ class TwillPolicy(_BoardPolicy):
         # popped one is filled
         while worklist:
             cid = worklist.pop(0)
-            entry = queue.best(kinds[cid])
-            if entry is not None:
-                queue.remove(entry.task_key)
+            key = queue.take(kinds[cid])
+            if key is not None:
                 decisions.append(_new(Decision, (
-                    _UNFREEZE, entry.task_key, cid, None, None, None, False)))
-                planned[cid] = entry.task_key
-                touched.add(entry.task_key)
+                    _UNFREEZE, key, cid, None, None, None, False)))
+                planned[cid] = key
+                touched.add(key)
                 continue
             mover = self._best_migration(view, cid, planned, touched)
             if mover is not None:

@@ -33,9 +33,6 @@ PACKAGE = ROOT / "src" / "twillsim"
 # unrun.  A statement is named by its text, not its line number, so that
 # an edit elsewhere in the file does not make the entry stale.
 ALLOWED = {
-    ("engine.py", "Simulation._apply_decision",
-     'raise EngineError(f"unknown decision kind {kind}")'):
-        "DecisionKind has five members and the branches above take each",
     ("models.py", "_layers_from_list", "continue"):
         "every entry that takes this branch makes _layer_from_dict raise "
         "on the line before",

@@ -477,6 +477,20 @@ VIOLATIONS = [
      {"a": [Decision(kind=DecisionKind.FREEZE, request_id="a")],
       "b": [Decision(kind=DecisionKind.FREEZE, request_id="a")]},
      r"^a: FREEZE on a frozen task$"),
+    # a kind that is not a DecisionKind used to reach an "unknown decision
+    # kind" error without the policy's name, or an "unknown task" one
+    ("str_kind",
+     {"a": [Decision(kind="MAP", request_id="a", cluster_id="gpu0")]},
+     r"^scripted: decide\(\) returned a decision with kind 'MAP', "
+     r"not a DecisionKind$"),
+    ("str_kind_new_part",
+     {"a": [Decision(kind="MAP", request_id="a", cluster_id="gpu0",
+                     part="x", work_gflops=1.0)]},
+     r"^scripted: decide\(\) returned a decision with kind 'MAP', "
+     r"not a DecisionKind$"),
+    ("no_kind", {"a": [Decision(kind=None, request_id="a")]},
+     r"^scripted: decide\(\) returned a decision with kind None, "
+     r"not a DecisionKind$"),
 ]
 
 

@@ -163,11 +163,12 @@ class ScannedQueue:
         self.entries.append((-priority, now, task_key, kinds))
         self.entries.sort(key=lambda e: e[:3])
 
-    def remove(self, task_key):
-        self.entries = [e for e in self.entries if e[2] != task_key]
-
-    def best(self, kind):
-        return next((e for e in self.entries if kind in e[3]), None)
+    def take(self, kind):
+        for i, e in enumerate(self.entries):
+            if kind in e[3]:
+                del self.entries[i]
+                return e[2]
+        return None
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -175,28 +176,28 @@ def test_thaw_pick_matches_a_scan_in_thaw_order(seed):
     rng = random.Random(seed)
     lanes = [("GPU",), ("DLA", "GPU"), ("DLA",)]
     queue, scanned = FreezeQueue(), ScannedQueue()
-    queued: list[str] = []
     now = 0.0
+    taken = 0
     for step in range(600):
         now += rng.choice((0.0, 0.0, 2.5))  # equal times tie on the key
-        if queued and rng.random() < 0.4:
-            key = queued.pop(rng.randrange(len(queued)))
-            queue.remove(key)
-            scanned.remove(key)
+        if rng.random() < 0.4:
+            kind = rng.choice(("GPU", "DLA"))
+            got = queue.take(kind)
+            assert got == scanned.take(kind)
+            taken += got is not None
         else:
-            key = f"t{rng.randrange(10_000)}-{step}"
-            args = (key, rng.randint(1, 3), now, rng.choice(lanes))
+            args = (f"t{rng.randrange(10_000)}-{step}", rng.randint(1, 3),
+                    now, rng.choice(lanes))
             queue.add(*args)
             scanned.add(*args)
-            queued.append(key)
         assert len(queue) == len(scanned.entries)
-        for kind in ("GPU", "DLA"):
-            got, want = queue.best(kind), scanned.best(kind)
-            if want is None:
-                assert got is None
-            else:
-                assert (-got.priority, got.enqueued_ms, got.task_key,
-                        got.kinds) == want
+    assert taken > 100
+    # drain: every queued key comes out once, in the scan's order
+    for kind in ("GPU", "DLA"):
+        while (got := queue.take(kind)) is not None:
+            assert got == scanned.take(kind)
+        assert scanned.take(kind) is None
+    assert len(queue) == 0
 
 
 def test_a_queued_task_cannot_be_queued_again():
@@ -204,7 +205,13 @@ def test_a_queued_task_cannot_be_queued_again():
     queue.add("a", 1, 0.0, ("GPU",))
     with pytest.raises(ValueError, match="^a is already queued$"):
         queue.add("a", 2, 5.0, ("GPU",))
-    assert len(queue) == 1 and queue.best("GPU").priority == 1
+    assert len(queue) == 1
+    assert queue.take("DLA") is None and len(queue) == 1
+    assert queue.take("GPU") == "a" and len(queue) == 0
+    assert queue.take("GPU") is None
+    # once taken, the key may be queued again
+    queue.add("a", 2, 5.0, ("GPU",))
+    assert queue.take("GPU") == "a"
 
 
 # -- golden traces on the production platform ---------------------------------
