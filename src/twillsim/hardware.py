@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from ._fields import integers, real
 
@@ -115,12 +114,13 @@ class PlatformSpec(namedtuple("PlatformSpec",
         raise PlatformError(f"unknown cluster {cluster_id!r}")
 
 
-class ClusterState(NamedTuple):
-    """Runtime state of one cluster: current DVFS level and occupant."""
+class ClusterState(namedtuple("ClusterState",
+                               ("spec", "current_level", "occupant"),
+                               defaults=(0, None))):
+    """Runtime state of one cluster: current DVFS level and occupant, the
+    request id of the mapped task if any."""
 
-    spec: ClusterSpec
-    current_level: int = 0
-    occupant: str | None = None  # request id of the mapped task, if any
+    __slots__ = ()
 
     @property
     def freq_mhz(self) -> int:
@@ -139,7 +139,7 @@ def set_frequency(state: ClusterState, level: int) -> ClusterState:
         raise PlatformError(
             f"{state.spec.cluster_id}: level {level} outside table [0, {state.spec.max_level}]"
         )
-    # positionally, past the Python-level NamedTuple constructor
+    # positionally, past the Python-level named-tuple constructor
     return tuple.__new__(ClusterState, (state.spec, level, state.occupant))
 
 

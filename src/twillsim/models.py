@@ -25,7 +25,6 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
-from typing import NamedTuple
 
 from ._fields import integer, integers
 
@@ -113,12 +112,12 @@ class CompatibilityMatrix(namedtuple("CompatibilityMatrix", (
                                padding_range, max_batch, max_spatial_dim)
 
 
-class SignatureMap(NamedTuple):
-    """Per-model scheduling signature derived from the layer analysis."""
+class SignatureMap(namedtuple("SignatureMap", (
+        "dla_flops_fraction", "preferred_clusters", "layer_feasible"))):
+    """Per-model scheduling signature derived from the layer analysis;
+    preferred_clusters holds cluster kinds in mapping-attempt order."""
 
-    dla_flops_fraction: float
-    preferred_clusters: tuple[str, ...]  # cluster kinds, mapping-attempt order
-    layer_feasible: tuple[bool, ...]
+    __slots__ = ()
 
 
 def _names(doc: dict, field: str) -> frozenset[str]:

@@ -4,9 +4,8 @@ decisions it may return.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .hardware import ClusterKind, ClusterState, PlatformSpec
 
@@ -24,13 +23,15 @@ class EventKind(Enum):
     CLUSTER_FREED = "CLUSTER_FREED"
 
 
-class ControllerEvent(NamedTuple):
-    kind: EventKind
-    request_id: str | None = None
-    cluster_id: str | None = None
+class ControllerEvent(namedtuple("ControllerEvent",
+                                  ("kind", "request_id", "cluster_id"),
+                                  defaults=(None, None))):
+    __slots__ = ()
 
 
-class Decision(NamedTuple):
+class Decision(namedtuple("Decision", (
+        "kind", "request_id", "cluster_id", "level", "part", "work_gflops",
+        "native"), defaults=(None, None, None, None, None, False))):
     """One scheduling action.
 
     part/work_gflops/native support policies that split a request into
@@ -39,13 +40,7 @@ class Decision(NamedTuple):
     runs on the DLA without any fallback penalty.
     """
 
-    kind: DecisionKind
-    request_id: str | None = None
-    cluster_id: str | None = None
-    level: int | None = None
-    part: str | None = None
-    work_gflops: float | None = None
-    native: bool = False
+    __slots__ = ()
 
 
 class TaskState(Enum):
@@ -67,25 +62,17 @@ _FROZEN, _DONE = TaskState.FROZEN, TaskState.DONE
 _GPU = ClusterKind.GPU
 
 
-class TaskView(NamedTuple):
+class TaskView(namedtuple("TaskView", (
+        "key", "request_id", "part", "model", "priority", "state",
+        "cluster_id", "started", "work_gflops", "arrival_ms",
+        "preferred_kinds", "dla_fraction", "native"))):
     """Read-only snapshot of one task, as shown to policies."""
 
-    key: str
-    request_id: str
-    part: str | None
-    model: str
-    priority: int
-    state: TaskState
-    cluster_id: str | None
-    started: bool
-    work_gflops: float
-    arrival_ms: float
-    preferred_kinds: tuple[str, ...]
-    dla_fraction: float
-    native: bool
+    __slots__ = ()
 
 
-class ControllerView(NamedTuple):
+class ControllerView(namedtuple("ControllerView", (
+        "now", "platform", "states", "tasks", "dla_fallback_penalty"))):
     """What a policy is handed at each call: the time, the board, a copy
     of the cluster states, and `tasks`, a read-only mapping of every
     task, DONE included, in creation order.  `tasks` does not change
@@ -93,11 +80,7 @@ class ControllerView(NamedTuple):
     call returns: a policy that needs history keeps `dict(view.tasks)`,
     or the immutable `TaskView`s themselves."""
 
-    now: float
-    platform: PlatformSpec
-    states: dict[str, ClusterState]
-    tasks: Mapping[str, TaskView]
-    dla_fallback_penalty: float
+    __slots__ = ()
 
 
 def effective_rate(state: ClusterState, dla_fraction: float, native: bool,

@@ -16,13 +16,12 @@ packaged copy, so a config dir only needs to carry what it changes.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 from . import zoo
 
 CONFIG_ENV_VAR = "TWILLSIM_CONFIG_DIR"
 
-_PACKAGED = Path(__file__).resolve().parent / "data"
+_PACKAGED = os.path.join(os.path.dirname(os.path.realpath(__file__)), "data")
 
 
 class PresetError(FileNotFoundError):
@@ -30,11 +29,11 @@ class PresetError(FileNotFoundError):
     not UTF-8 text."""
 
 
-def _override(relative: str) -> Path | None:
+def _override(relative: str) -> str | None:
     """The config-dir copy of a data file, if there is one."""
     override = os.environ.get(CONFIG_ENV_VAR)
-    if override and (Path(override) / relative).is_file():
-        return Path(override) / relative
+    if override and os.path.isfile(os.path.join(override, relative)):
+        return os.path.join(override, relative)
     return None
 
 
@@ -44,17 +43,20 @@ def _not_found(what: str) -> PresetError:
                        + (f" (also checked {override})" if override else ""))
 
 
-def _resolve(relative: str) -> Path:
-    path = _override(relative) or _PACKAGED / relative
-    if path.is_file():
+def _resolve(relative: str) -> str:
+    path = _override(relative) or os.path.join(_PACKAGED, relative)
+    if os.path.isfile(path):
         return path
     raise _not_found(f"data file {relative!r}")
 
 
-def read_file(path: Path) -> str:
-    """The text of a UTF-8 input file; any other bytes are a PresetError."""
+def read_file(path: str | os.PathLike) -> str:
+    """The text of the UTF-8 input file at `path`, a `str` or any
+    `os.PathLike` such as a `pathlib.Path`; any other bytes are a
+    PresetError."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as e:
         raise PresetError(f"{path}: {e}") from None
 
@@ -106,11 +108,12 @@ def mix_or_scenario_text(name: str) -> str:
 def _names_in(subdir: str) -> list[str]:
     seen = set()
     override = os.environ.get(CONFIG_ENV_VAR)
-    roots = [Path(override) / subdir] if override else []
-    roots.append(_PACKAGED / subdir)
+    roots = [os.path.join(override, subdir)] if override else []
+    roots.append(os.path.join(_PACKAGED, subdir))
     for root in roots:
-        if root.is_dir():
-            seen.update(p.stem for p in root.glob("*.json"))
+        if os.path.isdir(root):
+            seen.update(name[:-len(".json")] for name in os.listdir(root)
+                        if name.endswith(".json"))
     return sorted(seen)
 
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import NamedTuple
 
 # power above tdp_mw by more than this counts as over budget
 _OVER_BUDGET_EPS_MW = 1e-9
@@ -15,33 +15,21 @@ _OVER_BUDGET_EPS_MW = 1e-9
 # a decision or request record's field order is its CSV column order
 
 
-class DecisionRecord(NamedTuple):
-    time_ms: float
-    kind: str
-    request_id: str | None
-    part: str | None
-    cluster_id: str | None
-    level: int | None
-    freq_mhz: float | None
+class DecisionRecord(namedtuple("DecisionRecord", (
+        "time_ms", "kind", "request_id", "part", "cluster_id", "level",
+        "freq_mhz"))):
+    __slots__ = ()
 
 
-class RequestRecord(NamedTuple):
-    request_id: str
-    model: str
-    priority: int
-    arrival_ms: float
-    first_map_ms: float | None
-    completed_ms: float | None
-    waiting_ms: float | None
-    latency_ms: float | None
-    work_gflops: float
+class RequestRecord(namedtuple("RequestRecord", (
+        "request_id", "model", "priority", "arrival_ms", "first_map_ms",
+        "completed_ms", "waiting_ms", "latency_ms", "work_gflops"))):
+    __slots__ = ()
 
 
-class PowerRecord(NamedTuple):
-    time_ms: float
-    power_mw: float
-    freqs_mhz: tuple[float, ...]
-    utils: tuple[float, ...]
+class PowerRecord(namedtuple("PowerRecord",
+                             ("time_ms", "power_mw", "freqs_mhz", "utils"))):
+    __slots__ = ()
 
 
 class Trace:

@@ -41,7 +41,7 @@ _RATE_EPS = 1e-9
 
 # A Decision is built positionally through tuple.__new__, with all seven
 # fields (kind, request_id, cluster_id, level, part, work_gflops,
-# native): that skips the Python-level NamedTuple constructor, and this
+# native): that skips the Python-level named-tuple constructor, and this
 # policy builds one or two per arrival.
 _new = tuple.__new__
 

@@ -9,9 +9,7 @@ completed, never before its own arrival time.
 
 from __future__ import annotations
 
-import graphlib
 import json
-import random
 from collections import namedtuple
 
 from ._fields import integer, real
@@ -138,7 +136,9 @@ def _check_dag(requests: tuple[InferenceRequest, ...], ids: set[str]) -> None:
                 raise WorkloadError(f"{r.request_id}: depends on itself")
     ordered = dependency_order(requests, *dependency_index(requests))
     if len(ordered) < len(requests):
-        # graphlib's pure-Python sorter only to name the cycle it finds
+        # graphlib's pure-Python sorter only to name the cycle it finds,
+        # imported here so that an import of the package skips it
+        import graphlib
         graph = {r.request_id: set(r.depends_on) for r in requests}
         try:
             tuple(graphlib.TopologicalSorter(graph).static_order())
@@ -195,6 +195,7 @@ def random_mix(seed: int, model_names, n_requests: int, horizon_ms: float = 500.
                size_range: tuple[int, int] = (1, 6), max_priority: int = 3,
                dependency_p: float = 0.15) -> WorkloadScenario:
     """Generate a small reproducible scenario for property testing."""
+    import random  # only here, so that an import of the package skips it
     rng = random.Random(seed)
     names = sorted(model_names)
     requests = []
