@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from types import MappingProxyType
 
 from ._fields import real
@@ -195,6 +196,16 @@ class Simulation:
         self._signatures: dict[str, SignatureMap] = {}
         top_rate = sum(c.throughput_gflops[-1]
                        for c in self.platform.clusters) / 1000.0  # GFLOP/ms
+        # a task's end is a clock reading, exact to one step of the clock;
+        # a rate at which one step near the horizon holds more work than
+        # the completion check forgives ends a task short of its work
+        step = math.ulp(self.max_time_ms)
+        if top_rate * step > _WORK_EPS:
+            raise PlatformError(
+                f"{self.platform.name}: clusters too fast for the clock: "
+                f"{top_rate * 1000.0:g} GFLOPS at the top levels would do "
+                f"more than {_WORK_EPS} GFLOP in one {step:g} ms step of a "
+                f"{self.max_time_ms} ms horizon")
         self._work: dict[str, float] = {}
         ends: dict[str, float] = {}  # request id -> its bound
         for r in scenario.requests:

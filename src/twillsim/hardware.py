@@ -11,11 +11,10 @@ The DLA has a single frequency level and does not participate in DVFS.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from enum import Enum
 
-from ._fields import integers, real
+from ._fields import document, integers, reading, real, text_id
 
 
 class ClusterKind(Enum):
@@ -40,16 +39,7 @@ class ClusterSpec(namedtuple("ClusterSpec", (
     def __new__(cls, cluster_id: str, kind: ClusterKind, freq_levels_mhz,
                 throughput_gflops, idle_power_mw: float,
                 active_power_slope_mw_per_mhz: float):
-        if not isinstance(cluster_id, str):
-            raise PlatformError(
-                f"cluster_id must be a string, not {cluster_id!r}")
-        # the id heads trace columns written as UTF-8; a lone surrogate,
-        # which JSON can spell, would fail only after the whole run
-        try:
-            cluster_id.encode()
-        except UnicodeEncodeError:
-            raise PlatformError(
-                f"cluster_id must be UTF-8 text, not {cluster_id!r}") from None
+        text_id(cluster_id, "cluster_id", PlatformError)
         levels = integers(freq_levels_mhz, f"{cluster_id}: freq_levels_mhz",
                           PlatformError, lo=1)
         if not isinstance(throughput_gflops, (list, tuple)):
@@ -99,6 +89,10 @@ class PlatformSpec(namedtuple("PlatformSpec",
         clusters = tuple(clusters)
         if not clusters:
             raise PlatformError(f"{name}: platform has no clusters")
+        # every policy runs a GPU-only model there, and the FIFO baseline
+        # runs every model there
+        if not any(c.kind is ClusterKind.GPU for c in clusters):
+            raise PlatformError(f"{name}: platform has no GPU cluster")
         tdp_mw = real(tdp_mw, "tdp_mw", PlatformError, lo=0, strict=True)
         base_power_mw = real(base_power_mw, "base_power_mw", PlatformError,
                              lo=0)
@@ -164,7 +158,9 @@ def power_draw(platform: PlatformSpec, states: dict[str, ClusterState],
 
 
 def _cluster_from_dict(d: dict) -> ClusterSpec:
-    try:
+    # a malformed field is worded by load_platform's block, which names
+    # the platform config
+    with reading("cluster entry", PlatformError, malformed=False):
         return ClusterSpec(
             cluster_id=d["cluster_id"],
             kind=ClusterKind(d["kind"]),
@@ -173,32 +169,18 @@ def _cluster_from_dict(d: dict) -> ClusterSpec:
             idle_power_mw=d["idle_power_mw"],
             active_power_slope_mw_per_mhz=d["active_power_slope_mw_per_mhz"],
         )
-    except KeyError as e:
-        raise PlatformError(f"cluster entry missing field {e.args[0]!r}") from None
 
 
 def load_platform(text: str) -> PlatformSpec:
     """Parse a platform description from JSON text."""
-    try:
-        doc = json.loads(text)
-    except ValueError as e:  # a JSONDecodeError, or an int over 4300 digits
-        raise PlatformError(f"platform config is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise PlatformError(
-            f"platform config must be a JSON object, not {type(doc).__name__}")
-    try:
+    doc = document(text, "platform config", PlatformError)
+    with reading("platform config", PlatformError):
         return PlatformSpec(
             name=doc.get("name", "unnamed"),
             tdp_mw=doc["tdp_mw"],
             base_power_mw=doc["base_power_mw"],
             clusters=tuple(_cluster_from_dict(c) for c in doc["clusters"]),
         )
-    except KeyError as e:
-        raise PlatformError(f"platform config missing field {e.args[0]!r}") from None
-    except PlatformError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise PlatformError(f"platform config has a malformed field: {e}") from None
 
 
 def initial_states(platform: PlatformSpec) -> dict[str, ClusterState]:

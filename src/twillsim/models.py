@@ -20,13 +20,12 @@ shares only with an identical entry.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 
-from ._fields import integer, integers
+from ._fields import document, integer, integers, reading
 
 # Fraction of FLOPs that must be DLA-feasible before a model is
 # considered a DLA candidate at all.
@@ -136,14 +135,8 @@ def _range(doc: dict, field: str) -> tuple[int, int]:
 
 
 def load_matrix(text: str) -> CompatibilityMatrix:
-    try:
-        doc = json.loads(text)
-    except ValueError as e:  # a JSONDecodeError, or an int over 4300 digits
-        raise ModelError(f"compatibility matrix is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ModelError(
-            f"compatibility matrix must be a JSON object, not {type(doc).__name__}")
-    try:
+    doc = document(text, "compatibility matrix", ModelError)
+    with reading("compatibility matrix", ModelError):
         return CompatibilityMatrix(
             name=doc.get("name", "unnamed"),
             supported_precisions=_names(doc, "supported_precisions"),
@@ -156,12 +149,13 @@ def load_matrix(text: str) -> CompatibilityMatrix:
             max_spatial_dim=integer(doc["max_spatial_dim"], "max_spatial_dim",
                                     ModelError, lo=0),
         )
-    except KeyError as e:
-        raise ModelError(f"compatibility matrix missing field {e.args[0]!r}") from None
+
+
+_LAYER = reading("layer entry", ModelError)  # one block for every layer
 
 
 def _layer_from_dict(d: dict) -> LayerSpec:
-    try:
+    with _LAYER:
         return LayerSpec(
             d["op_type"],
             d["precision"],
@@ -176,10 +170,6 @@ def _layer_from_dict(d: dict) -> LayerSpec:
             integers(d["padding"], "padding", ModelError, lo=0, length=2)
             if "padding" in d else None,
         )
-    except KeyError as e:
-        raise ModelError(f"layer entry missing field {e.args[0]!r}") from None
-    except TypeError as e:  # an entry that is not an object
-        raise ModelError(f"layer entry has a malformed field: {e}") from None
 
 
 def _layers_from_list(entries, cap: int) -> tuple[LayerSpec, ...]:
@@ -190,7 +180,7 @@ def _layers_from_list(entries, cap: int) -> tuple[LayerSpec, ...]:
     compares in C, and equal dicts decode to equal layers; an explicit
     null is not an absent key).  A group remembers its first `cap`
     distinct entries; later ones are decoded each time.  An
-    entry whose group key cannot be formed (not a dict, a missing field,
+    entry whose group key cannot be formed (not a dict, an absent field,
     an unhashable value) is decoded on its own, which raises the error
     it always raised.
     """
@@ -205,20 +195,20 @@ def _layers_from_list(entries, cap: int) -> tuple[LayerSpec, ...]:
             key = (d["op_type"], d["flops"])
             group = groups.get(key)
         except (KeyError, TypeError):
-            layers.append(_layer_from_dict(d))
-            continue
-        if group is None:
-            group = groups[key] = ([None], [])
-        seen, decoded = group
-        seen[-1] = d
-        i = seen.index(d)
-        if i < len(decoded):
-            layer = decoded[i]
-        else:
             layer = _layer_from_dict(d)
-            if i < cap:
-                seen.append(d)  # remembered at i; the scratch slot moves on
-                decoded.append(layer)
+        else:
+            if group is None:
+                group = groups[key] = ([None], [])
+            seen, decoded = group
+            seen[-1] = d
+            i = seen.index(d)
+            if i < len(decoded):
+                layer = decoded[i]
+            else:
+                layer = _layer_from_dict(d)
+                if i < cap:
+                    seen.append(d)  # remembered at i; the scratch slot moves on
+                    decoded.append(layer)
         layers.append(layer)
     return tuple(layers)
 
@@ -226,15 +216,9 @@ def _layers_from_list(entries, cap: int) -> tuple[LayerSpec, ...]:
 def parse_model(descriptor_text: str) -> AppProfile:
     """Build an AppProfile from a JSON descriptor."""
     floats = []  # float literals, noted as the decoder meets them
-    try:
-        doc = json.loads(descriptor_text,
-                         parse_float=lambda s: floats.append(s) or float(s))
-    except ValueError as e:  # a JSONDecodeError, or an int over 4300 digits
-        raise ModelError(f"model descriptor is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ModelError(
-            f"model descriptor must be a JSON object, not {type(doc).__name__}")
-    try:
+    doc = document(descriptor_text, "model descriptor", ModelError,
+                   parse_float=lambda s: floats.append(s) or float(s))
+    with reading("model descriptor", ModelError):
         name = doc["name"]
         if not isinstance(name, str):  # it is each TaskView.model
             raise ModelError(f"model name must be a string, not {name!r}")
@@ -246,10 +230,6 @@ def parse_model(descriptor_text: str) -> AppProfile:
             name, _layers_from_list(doc["layers"], 0 if loose else _GROUP_CAP),
             integer(doc.get("reference_workload", 1),
                     f"{name}: reference_workload", ModelError, lo=1))
-    except KeyError as e:
-        raise ModelError(f"model descriptor missing field {e.args[0]!r}") from None
-    except TypeError as e:  # a layers field that is not an array
-        raise ModelError(f"model descriptor has a malformed field: {e}") from None
     if not profile.layers:
         raise ModelError(f"{name}: descriptor has no layers")
     declared = doc.get("total_flops")
@@ -258,6 +238,9 @@ def parse_model(descriptor_text: str) -> AppProfile:
             lo=0) != profile.total_flops:
         raise ModelError(f"{name}: declared total_flops {declared} "
                          f"!= layer sum {profile.total_flops}")
+    # each layer's flops converts to a float; their sum, which the work
+    # of a request is scaled from, must too
+    integer(profile.total_flops, f"{name}: layer flops sum", ModelError, lo=0)
     return profile
 
 

@@ -9,10 +9,9 @@ completed, never before its own arrival time.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
-from ._fields import integer, real
+from ._fields import document, integer, reading, real, text_id
 
 
 # PlatformSpec fields a scenario may override
@@ -31,16 +30,7 @@ class InferenceRequest(namedtuple("InferenceRequest", (
     def __new__(cls, request_id: str, model: str, priority: int,
                 arrival_ms: float, workload_size: int,
                 depends_on: tuple[str, ...] = ()):
-        if not isinstance(request_id, str):
-            raise WorkloadError(
-                f"request_id must be a string, not {request_id!r}")
-        # the id is written into the trace files as UTF-8; a lone
-        # surrogate, which JSON can spell, would fail only then
-        try:
-            request_id.encode()
-        except UnicodeEncodeError:
-            raise WorkloadError(
-                f"request_id must be UTF-8 text, not {request_id!r}") from None
+        text_id(request_id, "request_id", WorkloadError)
         if not isinstance(model, str):
             raise WorkloadError(
                 f"{request_id}: model must be a string, not {model!r}")
@@ -153,20 +143,15 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
     request naming a model outside it is an error at load time rather
     than at simulation time.
     """
-    try:
-        doc = json.loads(text)
-    except ValueError as e:  # a JSONDecodeError, or an int over 4300 digits
-        raise WorkloadError(f"scenario is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise WorkloadError(f"scenario must be a JSON object, not {type(doc).__name__}")
-    if "requests" not in doc:
-        raise WorkloadError("scenario missing field 'requests'")
-    if not isinstance(doc["requests"], list):
+    doc = document(text, "scenario", WorkloadError)
+    with reading("scenario", WorkloadError):
+        entries = doc["requests"]
+    if not isinstance(entries, list):
         raise WorkloadError("scenario field 'requests' must be a list")
     requests = []
     counters: dict[str, int] = {}
-    try:
-        for entry in doc["requests"]:
+    with reading("request entry", WorkloadError):
+        for entry in entries:
             model = entry["model"]
             n = counters.get(model, 0)
             counters[model] = n + 1
@@ -183,12 +168,6 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
             requests=tuple(requests),
             platform_overrides=doc.get("platform_overrides", {}),
         )
-    except KeyError as e:
-        raise WorkloadError(f"request entry missing field {e.args[0]!r}") from None
-    except WorkloadError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise WorkloadError(f"request entry has a malformed field: {e}") from None
 
 
 def random_mix(seed: int, model_names, n_requests: int, horizon_ms: float = 500.0,

@@ -8,12 +8,11 @@ It needs pytest and the standard library only, no coverage package:
 Paths among the arguments are relative to the repository root.
 
 It prints one line per never-run statement, "<file>:<line> <function>:
-<source>", followed by the reason when the allow-list below keeps the
-statement, then the totals.  It exits 1 if a never-run statement is
-not on the allow-list, else 0.  It is no gate of the suite: the tracer
-makes each test several times slower, so a test with a time bound may
-fail under it, and the test outcomes are printed as they are.  Code run
-in a subprocess is not traced.
+<source>", then the totals.  It exits 1 if a statement never ran, else
+0.  It is no gate of the suite: the tracer makes each test several
+times slower, so a test with a time bound may fail under it, and the
+test outcomes are printed as they are.  Code run in a subprocess is not
+traced.
 """
 
 from __future__ import annotations
@@ -28,15 +27,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "twillsim"
-
-# (file, function, first source line) -> why the statement may stay
-# unrun.  A statement is named by its text, not its line number, so that
-# an edit elsewhere in the file does not make the entry stale.
-ALLOWED = {
-    ("models.py", "_layers_from_list", "continue"):
-        "every entry that takes this branch makes _layer_from_dict raise "
-        "on the line before",
-}
 
 
 def _children(node: ast.AST):
@@ -123,8 +113,7 @@ def main(argv: list[str]) -> int:
         filter(None, (src, os.environ.get("PYTHONPATH"))))
     status, hits = traced_run(argv)
 
-    total = unrun = kept = 0
-    used = set()
+    total = unrun = 0
     print()
     for path in sorted(PACKAGE.glob("*.py")):
         ran = hits[str(path)]
@@ -134,20 +123,11 @@ def main(argv: list[str]) -> int:
             if own & ran:
                 continue
             unrun += 1
-            source = lines[lineno - 1].strip()
-            key = (path.name, scope, source)
-            reason = ALLOWED.get(key)
-            if reason is not None:
-                kept += 1
-                used.add(key)
-            print(f"{path.name}:{lineno} {scope}: {source}"
-                  + (f"\n    kept: {reason}" if reason else ""))
-    for key in ALLOWED.keys() - used:
-        print(f"allow-list entry that ran or is gone: {key}")
+            print(f"{path.name}:{lineno} {scope}: "
+                  f"{lines[lineno - 1].strip()}")
     print(f"{unrun} of {total} statements inside src/twillsim's functions "
-          f"never ran; {kept} of them are on the allow-list "
-          f"(pytest exit status {status})")
-    return 1 if unrun > kept else 0
+          f"never ran (pytest exit status {status})")
+    return 1 if unrun else 0
 
 
 if __name__ == "__main__":

@@ -799,6 +799,38 @@ def test_horizon_must_be_positive(max_time_ms):
                    max_time_ms=max_time_ms)
 
 
+@pytest.mark.parametrize("gpu_top,max_time_ms,refused", [
+    # one 2**-29 ms step of a 1e7 ms clock holds the 1e-6 GFLOP the
+    # completion check forgives at 536,870.912 GFLOPS, the dla0's 1,000
+    # of them included
+    (535_870.911, 1e7, False),
+    (535_870.913, 1e7, True),
+    # the toy board's 3,500 GFLOPS against steps of 2**-22 ms below 2**31
+    # ms and 2**-21 ms from there
+    (2500.0, 2.0 ** 31 - 1, False),
+    (2500.0, 2.0 ** 31, True),
+], ids=["rate_below", "rate_above", "horizon_below", "horizon_above"])
+def test_a_board_too_fast_for_the_clock_is_refused(gpu_top, max_time_ms,
+                                                   refused):
+    # a task's end is a clock reading; past the bound, a completion used
+    # to fire short of the task's work, an internal error
+    platform = tiny_platform(gpu0={"throughput_gflops": [1200.0, 2000.0,
+                                                         gpu_top]})
+    scn = scenario(request("a", "toy-matmul"),
+                   request("b", "toy-conv", arrival_ms=3.0, size=4))
+    for policy in sorted(POLICIES):
+        def build():
+            return Simulation(platform, scn, make_policy(policy),
+                              TOY_DESCRIPTORS, MATRIX, max_time_ms=max_time_ms)
+        if refused:
+            with pytest.raises(PlatformError, match=r"^toy-board: clusters "
+                               r"too fast for the clock: "):
+                build()
+        else:
+            trace = build().run()
+            assert all(r.completed_ms is not None for r in trace.requests)
+
+
 def test_a_cycle_that_pops_nothing_is_an_error():
     # _replace bypasses the request's own validation, to reach the
     # engine's guard

@@ -12,7 +12,7 @@ import pytest
 from twillsim import (ModelError, PlatformError, WorkloadError,
                       build_simulation, load_matrix, load_mix, load_platform,
                       parse_model, presets)
-from twillsim._fields import real
+from twillsim._fields import integer, integers, real
 from twillsim.cli import main
 
 NAN, INF = float("nan"), float("inf")
@@ -212,6 +212,36 @@ def test_an_integer_past_the_float_range_is_not_finite(tmp_path, capsys):
     board.write_text(text)
     _assert_exits_one(["run", "--mix", "mix1", "--platform", str(board)],
                       capsys, ["tdp_mw"], huge)
+
+
+# the least int that float() overflows on
+OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
+def test_the_greatest_integer_that_converts_to_a_float_is_read():
+    top = OVERFLOW - 1
+    assert float(top) < math.inf
+    assert integer(top, "n", WorkloadError, lo=0) == top
+    assert integers([1, top], "n", WorkloadError, lo=0) == (1, top)
+
+
+@pytest.mark.parametrize("entries,each", [
+    ([OVERFLOW], "entries"), ([1, 10 ** 400], "entries"),
+    ([10 ** 400, 2.0], "entry"),
+], ids=["least_past", "huge_last", "huge_then_float"])
+def test_an_integer_past_the_float_range_is_refused(entries, each):
+    # each used to pass, and escaped later as an OverflowError from the
+    # engine's float arithmetic; all ints are checked in C, together,
+    # and any other mix entry by entry
+    big = max(v for v in entries if type(v) is int)
+    with pytest.raises(OverflowError):
+        float(big)
+    with pytest.raises(WorkloadError, match=r"^n must convert to a finite "
+                       r"float, not \d+$"):
+        integer(big, "n", WorkloadError, lo=0)
+    with pytest.raises(WorkloadError, match=rf"^n {each} must convert to a "
+                       r"finite float, not "):
+        integers(entries, "n", WorkloadError, lo=0)
 
 
 KNOBS = ["ctrl_overhead_ms", "migration_overhead_ms", "freeze_overhead_ms",

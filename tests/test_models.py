@@ -60,6 +60,18 @@ def test_declared_total_must_match_layer_sum():
         parse_model(json.dumps(doc))
 
 
+def test_a_layer_sum_past_the_float_range_is_refused():
+    # each layer converts to a float, but the sum that scales a request's
+    # work does not; it used to end in an OverflowError
+    doc = json.loads(presets.model_text("vgg-19"))
+    del doc["total_flops"]
+    for layer in doc["layers"][:2]:
+        layer["flops"] = 2 ** 1023
+    with pytest.raises(ModelError, match=r"^vgg-19: layer flops sum must "
+                       r"convert to a finite float, not \d+$"):
+        parse_model(json.dumps(doc))
+
+
 def test_parse_model_defaults_from_descriptor():
     profile = _profile("bert-base")
     assert profile.reference_workload == 128
