@@ -206,8 +206,31 @@ class Simulation:
                 f"{top_rate * 1000.0:g} GFLOPS at the top levels would do "
                 f"more than {_WORK_EPS} GFLOP in one {step:g} ms step of a "
                 f"{self.max_time_ms} ms horizon")
+        # a cluster that would do no more than that by the horizon, left
+        # at its lowest level, never completes a task there; a rate that
+        # underflows to 0 would divide by zero
+        for c in self.platform.clusters:
+            low = c.throughput_gflops[0]
+            if low / 1000.0 * self.max_time_ms <= _WORK_EPS:
+                raise PlatformError(
+                    f"{self.platform.name}: cluster {c.cluster_id} too slow "
+                    f"for the horizon: {low:g} GFLOPS at its lowest level "
+                    f"would do no more than {_WORK_EPS} GFLOP in "
+                    f"{self.max_time_ms} ms")
+        # the energy total, power summed over time, is at most the peak
+        # over the horizon
+        peak = self.platform.peak_power_mw
+        if math.isinf(peak * self.max_time_ms):
+            raise PlatformError(
+                f"{self.platform.name}: a peak power draw of {peak:g} mW "
+                f"over the {self.max_time_ms} ms horizon overflows the "
+                f"energy total")
         self._work: dict[str, float] = {}
         ends: dict[str, float] = {}  # request id -> its bound
+        # events as (time_ms, rank, seq, task key, epoch); the rank
+        # tells a completion from an arrival, whose epoch is 0
+        self._heap: list[tuple] = []
+        self._seq = itertools.count()
         for r in scenario.requests:
             profile = self._profiles.get(r.model)
             if profile is None:
@@ -220,6 +243,8 @@ class Simulation:
             work = self._work[r.request_id] = profile.work_gflops(
                 r.workload_size)
             ends[r.request_id] = r.arrival_ms + work / top_rate
+            if not r.depends_on:  # a dependent's is pushed on release
+                self._push_arrival(r.arrival_ms, r.request_id)
         # producer -> its dependents, and dependent -> producers pending
         self._dependents, self._pending_producers = dependency_index(
             scenario.requests)
@@ -239,10 +264,6 @@ class Simulation:
                 f"{rid}: cannot finish before {finish:.1f} ms, past the "
                 f"simulation's {self.max_time_ms} ms horizon")
 
-        # events as (time_ms, rank, seq, task key, epoch); the rank
-        # tells a completion from an arrival, whose epoch is 0
-        self._heap: list[tuple] = []
-        self._seq = itertools.count()
         self._ran = False
         self._completed_requests: set[str] = set()
         # indexes that keep each event's cost independent of how many
@@ -269,11 +290,6 @@ class Simulation:
     def _push_arrival(self, time_ms: float, request_id: str):
         heapq.heappush(self._heap, (time_ms, _RANK_ARRIVAL, next(self._seq),
                                     request_id, 0))
-
-    def _schedule_initial_arrivals(self):
-        for r in self.scenario.requests:
-            if not r.depends_on:
-                self._push_arrival(r.arrival_ms, r.request_id)
 
     def _release_dependents(self, producer: str, now: float):
         """Schedule, in scenario order, the dependents of a request that
@@ -609,7 +625,6 @@ class Simulation:
         if self._ran:
             raise EngineError("a Simulation can only run once; build a new one")
         self._ran = True
-        self._schedule_initial_arrivals()
         self._record_power(0.0)
 
         heap = self._heap
@@ -681,7 +696,6 @@ class Simulation:
                 raise
             self._record_power(now)
 
-        self._check_drained()
         self._finalize_trace()
         return self.trace
 
@@ -714,30 +728,26 @@ class Simulation:
             now, self.platform, dict(self.states), self._tasks_view,
             self.dla_fallback_penalty))
 
-    def _check_drained(self):
-        # a complete request may still hold a frozen part: one a policy
-        # mapped once the others had done all its work, then froze
-        stuck = []
-        for r in self.scenario.requests:
-            parts = self._parts.get(r.request_id)
-            if (r.request_id in self._completed_requests
-                    and all(t.state is _DONE for t in parts)):
-                continue
-            if not parts:
-                state = ("never released (waiting on "
-                         f"{[d for d in r.depends_on if d not in self._completed_requests]})")
-            else:
-                state = ", ".join(f"{t.key}:{t.state.value}" for t in parts)
-            stuck.append(f"{r.request_id} [{state}]")
-        if stuck:
-            raise EngineError(
-                "event queue drained with unfinished requests: "
-                + "; ".join(stuck))
-
     def _finalize_trace(self):
-        # after _check_drained: every part is DONE, so it was mapped
+        """Record each request; or, if any is unfinished, raise naming
+        each such one before any is recorded."""
+        records, stuck = [], []
         for r in self.scenario.requests:
-            parts = self._parts[r.request_id]
+            rid = r.request_id
+            parts = self._parts.get(rid)
+            # a complete request may still hold a frozen part: one a
+            # policy mapped once the others had done all its work, then
+            # froze.  A complete request's only part is DONE.
+            if rid not in self._completed_requests or (
+                    len(parts) > 1
+                    and any(t.state is not _DONE for t in parts)):
+                if not parts:
+                    state = ("never released (waiting on "
+                             f"{[d for d in r.depends_on if d not in self._completed_requests]})")
+                else:
+                    state = ", ".join(f"{t.key}:{t.state.value}" for t in parts)
+                stuck.append(f"{rid} [{state}]")
+                continue
             if len(parts) == 1:
                 task = parts[0]
                 first_map, completed = task.first_map_ms, task.completed_ms
@@ -745,10 +755,14 @@ class Simulation:
                 first_map = min(t.first_map_ms for t in parts)
                 completed = max(t.completed_ms for t in parts)
             arrival = r.arrival_ms
-            self.trace.requests.append(tuple.__new__(RequestRecord, (
-                r.request_id, r.model, r.priority, arrival, first_map,
-                completed, first_map - arrival, completed - arrival,
-                self._work[r.request_id])))
+            records.append(tuple.__new__(RequestRecord, (
+                rid, r.model, r.priority, arrival, first_map, completed,
+                first_map - arrival, completed - arrival, self._work[rid])))
+        if stuck:
+            raise EngineError(
+                "event queue drained with unfinished requests: "
+                + "; ".join(stuck))
+        self.trace.requests.extend(records)
 
     # -- invariant helpers (used by tests) -----------------------------------
 

@@ -11,6 +11,7 @@ The DLA has a single frequency level and does not participate in DVFS.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from enum import Enum
 
@@ -99,7 +100,24 @@ class PlatformSpec(namedtuple("PlatformSpec",
         ids = [c.cluster_id for c in clusters]
         if len(set(ids)) != len(ids):
             raise PlatformError("duplicate cluster_id")
-        return super().__new__(cls, name, tdp_mw, base_power_mw, clusters)
+        platform = super().__new__(cls, name, tdp_mw, base_power_mw, clusters)
+        # each term is finite, but their sum may not be; power_draw would
+        # report it as an inf in the trace
+        if math.isinf(platform.peak_power_mw):
+            raise PlatformError(
+                f"{name}: peak power draw overflows: base_power_mw plus each "
+                f"cluster's idle and active power at its top frequency is "
+                f"not finite")
+        return platform
+
+    @property
+    def peak_power_mw(self) -> float:
+        """The draw with every cluster busy at its top frequency, the
+        most power_draw reports."""
+        return self.base_power_mw + sum(
+            c.idle_power_mw
+            + c.active_power_slope_mw_per_mhz * c.freq_levels_mhz[-1]
+            for c in self.clusters)
 
     def cluster(self, cluster_id: str) -> ClusterSpec:
         for c in self.clusters:

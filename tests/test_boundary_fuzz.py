@@ -3,11 +3,13 @@
 Each case takes the packaged platform, DLA matrix, mix1 or the
 efficientnet-b4 descriptor (a model mix1 runs), changes one node of it,
 and runs mix1 on the result: the node is dropped, or set to null, a
-bool, an array, an object, NaN, an infinity, -1, 1e308 or an integer
-past the float range.  A case either runs with every request complete,
-or is refused with the boundary's typed error.  Every few cases also go
-through `twillsim run`, which must then exit 0, or 1 with the same
-`error: …` line, never a traceback or an internal error.
+bool, an array, an object, NaN, an infinity, -1, 1e308, an integer
+past the float range, or a tiny positive float: 5e-324, the least
+subnormal, or 1e-308, near the least normal.  A case either runs with
+every request complete and a finite energy total, or is refused with
+the boundary's typed error.  Every few cases also go through `twillsim
+run`, which must then exit 0, or 1 with the same `error: …` line, never
+a traceback or an internal error.
 """
 
 import json
@@ -23,7 +25,7 @@ from twillsim.cli import main
 TYPED = (PlatformError, ModelError, WorkloadError, presets.PresetError)
 DROP = object()
 VALUES = (DROP, None, True, [], {}, math.nan, math.inf, -math.inf, -1, 1e308,
-          10 ** 400)
+          10 ** 400, 5e-324, 1e-308)
 POLICY_NAMES = sorted(POLICIES)
 MODEL = "efficientnet-b4"
 # each document, as the config-dir file that replaces the packaged one
@@ -74,6 +76,7 @@ def _outcome(policy) -> str | None:
         return str(e)
     assert len(trace.requests) == len(sim.scenario.requests)
     assert all(r.completed_ms is not None for r in trace.requests)
+    assert math.isfinite(trace.energy_mj)
     return None
 
 
@@ -115,7 +118,10 @@ def _edit(file, path, value):
 
 # each of these escaped every refusal once: an int past the float range
 # ended in an OverflowError traceback, and a board faster than the
-# clock can time, or with no GPU, in an internal error (exit 2)
+# clock can time, or with no GPU, in an internal error (exit 2); a
+# cluster too slow to finish anything in a ZeroDivisionError traceback
+# or an internal error, and a board whose power sums past the float
+# range in an exit 0 with inf in power.csv or the energy total
 PINNED = [
     pytest.param(*_edit("mixes/mix1.json", ["requests", 1, "workload_size"],
                         10 ** 400),
@@ -140,6 +146,23 @@ PINNED = [
     pytest.param(*_edit("platform.json", ["clusters", 0], DROP),
                  POLICY_NAMES, "orin-nx-10w: platform has no GPU cluster",
                  id="no_gpu"),
+    pytest.param(*_edit("platform.json",
+                        ["clusters", 0, "throughput_gflops", 0], 5e-324),
+                 POLICY_NAMES, "orin-nx-10w: cluster gpu0 too slow for the "
+                 "horizon: 4.94066e-324 GFLOPS", id="gpu0_level0_5e-324"),
+    pytest.param(*_edit("platform.json",
+                        ["clusters", 1, "throughput_gflops", 0], 1e-308),
+                 POLICY_NAMES, "orin-nx-10w: cluster dla0 too slow for the "
+                 "horizon: 1e-308 GFLOPS", id="dla_1e-308"),
+    pytest.param(*_edit("platform.json",
+                        ["clusters", 0, "active_power_slope_mw_per_mhz"],
+                        1e308),
+                 POLICY_NAMES, "orin-nx-10w: peak power draw overflows",
+                 id="gpu_slope_1e308"),
+    pytest.param(*_edit("platform.json", ["base_power_mw"], 1e308),
+                 POLICY_NAMES, "orin-nx-10w: a peak power draw of 1e+308 mW "
+                 "over the 10000000.0 ms horizon overflows the energy total",
+                 id="base_power_1e308"),
 ]
 
 

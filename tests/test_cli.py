@@ -212,6 +212,18 @@ def test_bad_set_values_exit_one(knob, capsys):
     assert knob.split("=")[0] in err
 
 
+def test_a_set_value_that_overflows_the_peak_draw_exits_one(tmp_path,
+                                                           capsys):
+    # the override is checked with the board it is applied to
+    doc = json.loads(presets.platform_text())
+    doc["clusters"][0]["idle_power_mw"] = 1e308
+    board = tmp_path / "board.json"
+    board.write_text(json.dumps(doc))
+    _assert_input_error(["run", "--mix", "mix1", "--platform", str(board),
+                         "--set", "base_power_mw=1e308"], capsys,
+                        "orin-nx-10w: peak power draw overflows")
+
+
 def _assert_input_error(argv, capsys, field):
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -748,6 +748,23 @@ def test_unreleased_dependent_names_its_producers():
         run_toy(scn)
 
 
+def test_stuck_requests_are_all_named_and_none_is_recorded():
+    # b is never released, a is left pending and x completes: the run
+    # names b and a in scenario order, and records not even x
+    scn = scenario(request("b", "toy-conv", deps=["a"]),
+                   request("x", "toy-conv"), request("a", "toy-conv"))
+    sim = Simulation(tiny_platform(), scn,
+                     ScriptedPolicy(map_on_arrival({"x": [MAP("x", "gpu0")]})),
+                     TOY_DESCRIPTORS, MATRIX)
+    with pytest.raises(EngineError) as e:
+        sim.run()
+    assert str(e.value) == (
+        "event queue drained with unfinished requests: "
+        "b [never released (waiting on ['a'])]; a [a:pending]")
+    assert sim.tasks["x"].state is TaskState.DONE
+    assert sim.trace.requests == []
+
+
 def test_runaway_simulation_is_cut_off():
     plan = {"a": [MAP("a", "dla0")]}  # whole model, 8x fallback: 2415 ms
     with pytest.raises(EngineError, match="stuck|past"):
@@ -829,6 +846,56 @@ def test_a_board_too_fast_for_the_clock_is_refused(gpu_top, max_time_ms,
         else:
             trace = build().run()
             assert all(r.completed_ms is not None for r in trace.requests)
+
+
+@pytest.mark.parametrize("cluster,low,max_time_ms,refused", [
+    # the rate underflows to 0 GFLOP/ms, which divided a task's work
+    ("gpu0", 5e-324, 1e7, True),
+    # a task there ran until the clock cut the run off
+    ("dla0", 1e-308, 1e7, True),
+    # 1e-6 GFLOP in 1e7 ms is 1e-10 GFLOPS
+    ("dla0", 0.5e-10, 1e7, True),
+    ("dla0", 2e-10, 1e7, False),
+    # the gpu0's 1,200 GFLOPS at its lowest level against a 1e-9 ms
+    # horizon
+    ("gpu0", 1200.0, 1e-9, True),
+], ids=["gpu_5e-324", "dla_1e-308", "rate_below", "rate_above",
+        "horizon_below"])
+def test_a_board_too_slow_for_the_horizon_is_refused(cluster, low,
+                                                     max_time_ms, refused):
+    levels = {"gpu0": [low, 2000.0, 2500.0], "dla0": [low]}[cluster]
+    platform = tiny_platform(**{cluster: {"throughput_gflops": levels}})
+    scn = scenario(request("a", "toy-conv"))
+
+    def build():
+        # gpu_queue never places a model on the DLA, and is refused too
+        return Simulation(platform, scn, make_policy("gpu_queue"),
+                          TOY_DESCRIPTORS, MATRIX, max_time_ms=max_time_ms)
+    if refused:
+        with pytest.raises(PlatformError, match=(
+                rf"^toy-board: cluster {cluster} too slow for the "
+                rf"horizon: {low:g} GFLOPS at its lowest level would "
+                rf"do no more than 1e-06 GFLOP in {max_time_ms} ms$")):
+            build()
+    else:
+        build()
+
+
+def test_a_board_whose_energy_could_overflow_is_refused():
+    # the toy board's peak is about the gpu0's idle power: over the
+    # 1e7 ms horizon, the energy total stays finite for 1e300 mW
+    scn = scenario(request("a", "toy-conv"))
+    platform = tiny_platform(gpu0={"idle_power_mw": 1e300})
+    trace = Simulation(platform, scn, make_policy("twill"), TOY_DESCRIPTORS,
+                       MATRIX).run()
+    assert 0 < trace.summary()["energy_mj"] < float("inf")
+    # and overflows for 1e302 mW, which used to end in an Infinity
+    platform = tiny_platform(gpu0={"idle_power_mw": 1e302})
+    with pytest.raises(PlatformError, match=(
+            r"^toy-board: a peak power draw of 1e\+302 mW over the "
+            r"10000000\.0 ms horizon overflows the energy total$")):
+        Simulation(platform, scn, make_policy("twill"), TOY_DESCRIPTORS,
+                   MATRIX)
 
 
 def test_a_cycle_that_pops_nothing_is_an_error():

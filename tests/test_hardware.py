@@ -7,6 +7,7 @@ import pytest
 from twillsim import (
     ClusterKind,
     ClusterSpec,
+    ClusterState,
     PlatformError,
     initial_states,
     load_platform,
@@ -191,6 +192,33 @@ def test_load_platform_rejects_bad_ids_names_and_empty_boards(edit, match):
     doc = json.loads(presets.platform_text())
     edit(doc)
     with pytest.raises(PlatformError, match=match):
+        load_platform(json.dumps(doc))
+
+
+def test_peak_power_is_every_cluster_busy_at_its_top_level(platform):
+    states = {c.cluster_id: ClusterState(c, c.max_level)
+              for c in platform.clusters}
+    busy = dict.fromkeys(states, 1.0)
+    assert platform.peak_power_mw == power_draw(platform, states, busy)
+    assert platform.peak_power_mw == 11078.5
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["clusters"][0].update(active_power_slope_mw_per_mhz=1e308),
+    lambda d: [c.update(idle_power_mw=1e308) for c in d["clusters"]],
+    lambda d: d.update(base_power_mw=1e308,
+                       clusters=[{**d["clusters"][0],
+                                  "idle_power_mw": 1e308}]),
+], ids=["gpu_slope", "idle_on_both", "base_and_idle"])
+def test_a_board_whose_peak_draw_overflows_is_refused(edit):
+    # each field is finite, but the sum used to reach power.csv and the
+    # energy total as inf
+    doc = json.loads(presets.platform_text())
+    edit(doc)
+    with pytest.raises(PlatformError, match=(
+            r"^orin-nx-10w: peak power draw overflows: base_power_mw plus "
+            r"each cluster's idle and active power at its top frequency is "
+            r"not finite$")):
         load_platform(json.dumps(doc))
 
 
