@@ -8,8 +8,11 @@ visible at a glance.
 from twillsim import initial_states, load_platform, power_draw, presets, set_frequency
 
 
-def show_point(platform, states, util, label):
-    p = power_draw(platform, states, util)
+def show_point(platform, states, busy, label):
+    # a cluster draws active power while it holds a task
+    occupied = {cid: st._replace(occupant="task") if cid in busy else st
+                for cid, st in states.items()}
+    p = power_draw(platform, occupied)
     headroom = platform.tdp_mw - p
     print(f"  {label:<42} {p:8.1f} mW   headroom {headroom:+8.1f} mW")
 
@@ -35,14 +38,14 @@ def main():
               for cid, st in states.items()}
 
     print("power model at selected operating points:")
-    show_point(platform, states, {}, "everything idle, boot frequencies")
-    show_point(platform, pinned, {"gpu0": 1.0}, "GPU busy at top level, DLA idle")
-    show_point(platform, pinned, {"dla0": 1.0}, "DLA busy, GPU idle at top level")
-    show_point(platform, pinned, {"gpu0": 1.0, "dla0": 1.0}, "both busy, GPU at top level")
+    show_point(platform, states, (), "everything idle, boot frequencies")
+    show_point(platform, pinned, ("gpu0",), "GPU busy at top level, DLA idle")
+    show_point(platform, pinned, ("dla0",), "DLA busy, GPU idle at top level")
+    show_point(platform, pinned, ("gpu0", "dla0"), "both busy, GPU at top level")
     # the last point is the one a scheduler has to dodge: it exceeds the
     # budget, so concurrent execution forces the GPU down a few bins
     over = {cid: set_frequency(st, 6) if cid in top else st for cid, st in states.items()}
-    show_point(platform, over, {"gpu0": 1.0, "dla0": 1.0}, "both busy, GPU one bin lower")
+    show_point(platform, over, ("gpu0", "dla0"), "both busy, GPU one bin lower")
 
 
 if __name__ == "__main__":

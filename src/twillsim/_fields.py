@@ -19,7 +19,10 @@ _FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
 
 
 def document(text: str, what: str, error: type[Exception], **decode) -> dict:
-    """`text`, decoded by `json.loads(text, **decode)`, as an object."""
+    """`text`, decoded by `json.loads(text, **decode)`, as an object;
+    `text` must be a str: json.loads would also decode bytes."""
+    if not isinstance(text, str):
+        raise error(f"{what} must be JSON text, not {type(text).__name__}")
     try:
         doc = loads(text, **decode)
     except ValueError as e:  # a JSONDecodeError, or an int over 4300 digits

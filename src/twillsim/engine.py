@@ -25,6 +25,7 @@ from types import MappingProxyType
 
 from ._fields import real
 from .hardware import (
+    ClusterKind,
     ClusterState,
     PlatformError,
     PlatformSpec,
@@ -91,11 +92,10 @@ class _Task:
     """The engine's mutable record of one task: a whole request, or one
     part of it.
 
-    `rate` is the task's GFLOP/ms on its cluster: state, like the
-    engine's per-cluster utilization, kept by `_occupy`, `_vacate` and
-    `_apply_set_freq`, the only writers of the cluster states (the
-    fallback penalty is fixed for a Simulation).  A task off any
-    cluster does not read it.
+    `rate` is the task's GFLOP/ms on its cluster: state kept by
+    `_occupy`, `_vacate` and `_apply_set_freq`, the only writers of the
+    cluster states (the fallback penalty is fixed for a Simulation).  A
+    task off any cluster does not read it.
 
     `state` is written at each transition: PENDING at creation,
     RUNNING on MAP and UNFREEZE, FROZEN on FREEZE (a PENDING task may be
@@ -208,7 +208,10 @@ class Simulation:
                 f"{self.max_time_ms} ms horizon")
         # a cluster that would do no more than that by the horizon, left
         # at its lowest level, never completes a task there; a rate that
-        # underflows to 0 would divide by zero
+        # underflows to 0 would divide by zero.  On a DLA, the slowest
+        # model that prefers it (its feasible fraction at the threshold)
+        # runs at that level slowed by the fallback penalty.
+        penalty = self.dla_fallback_penalty
         for c in self.platform.clusters:
             low = c.throughput_gflops[0]
             if low / 1000.0 * self.max_time_ms <= _WORK_EPS:
@@ -216,6 +219,16 @@ class Simulation:
                     f"{self.platform.name}: cluster {c.cluster_id} too slow "
                     f"for the horizon: {low:g} GFLOPS at its lowest level "
                     f"would do no more than {_WORK_EPS} GFLOP in "
+                    f"{self.max_time_ms} ms")
+            if c.kind is not ClusterKind.DLA:
+                continue
+            slowed = low / (threshold + (1.0 - threshold) * penalty)
+            if slowed / 1000.0 * self.max_time_ms <= _WORK_EPS:
+                raise PlatformError(
+                    f"{self.platform.name}: cluster {c.cluster_id} too slow "
+                    f"for the horizon under a dla_fallback_penalty of "
+                    f"{penalty:g}: {slowed:g} GFLOPS for a model that "
+                    f"prefers it would do no more than {_WORK_EPS} GFLOP in "
                     f"{self.max_time_ms} ms")
         # the energy total, power summed over time, is at most the peak
         # over the horizon
@@ -273,10 +286,6 @@ class Simulation:
         # every view's tasks: live, and read-only to the policy
         self._tasks_view = MappingProxyType(self._views)
         self._power_mw: float | None = None  # None: states changed since
-        # each cluster's utilization, in board order: an occupied cluster
-        # draws active power even during actuation holds, and a frozen
-        # task has vacated its cluster entirely; _occupy and _vacate keep it
-        self._utils = dict.fromkeys(self.states, 0.0)
         self.trace = Trace(
             scenario=scenario.name,
             policy=policy.name,
@@ -306,8 +315,7 @@ class Simulation:
         # computed once per change of cluster state (_occupy, _vacate,
         # _apply_set_freq), not per sample
         if self._power_mw is None:
-            self._power_mw = power_draw(self.platform, self.states,
-                                        self._utils)
+            self._power_mw = power_draw(self.platform, self.states)
         return self._power_mw
 
     def _record_power(self, now: float):
@@ -315,12 +323,14 @@ class Simulation:
         power = self.trace.power
         if power and power[-1].power_mw == p:
             return
-        # states, like _utils, keep the platform's cluster order, which
-        # is trace.cluster_ids
+        # states keep the platform's cluster order, which is
+        # trace.cluster_ids; an occupied cluster is busy even during an
+        # actuation hold, and a frozen task has vacated its cluster
+        states = self.states.values()
         power.append(tuple.__new__(PowerRecord, (
             now, p, tuple([st.spec.freq_levels_mhz[st.current_level]
-                           for st in self.states.values()]),
-            tuple(self._utils.values()))))
+                           for st in states]),
+            tuple([0.0 if st.occupant is None else 1.0 for st in states]))))
 
     # -- task mechanics ----------------------------------------------------
 
@@ -413,7 +423,7 @@ class Simulation:
     # -- decision application ----------------------------------------------
 
     # _occupy, _vacate and _apply_set_freq are the only writers of
-    # self.states; each keeps _utils, the occupant's rate and _power_mw
+    # self.states; each keeps the occupant's rate and _power_mw
     # (cleared, drawn when next read) in step with it.  A ClusterState
     # is built through tuple.__new__, past its Python-level constructor.
 
@@ -428,7 +438,6 @@ class Simulation:
             raise EngineError(f"cluster {cluster_id} is occupied by {state.occupant}")
         self.states[cluster_id] = tuple.__new__(ClusterState, (
             state.spec, state.current_level, task.key))
-        self._utils[cluster_id] = 1.0
         self._power_mw = None
         task.cluster_id = cluster_id
         task.rate = effective_rate(state, task.signature.dla_flops_fraction,
@@ -441,7 +450,6 @@ class Simulation:
             state = self.states[cluster_id]
             self.states[cluster_id] = tuple.__new__(ClusterState, (
                 state.spec, state.current_level, None))
-            self._utils[cluster_id] = 0.0
             self._power_mw = None
             task.cluster_id = None
 

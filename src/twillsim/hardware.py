@@ -2,9 +2,11 @@
 
 A platform is a set of clusters (GPU and DLA) sharing one thermal design
 power budget.  Each cluster has a frequency table with a throughput value
-per level; power is an affine function of frequency and utilization:
+per level.  A cluster draws active power exactly while it holds a task:
 
-    total = base + sum(idle_c + util_c * slope_c * freq_c)
+    total = base + sum(idle_c + busy_c * slope_c * freq_c)
+
+with busy_c 1 while cluster c is occupied, else 0.
 
 The DLA has a single frequency level and does not participate in DVFS.
 """
@@ -114,10 +116,9 @@ class PlatformSpec(namedtuple("PlatformSpec",
     def peak_power_mw(self) -> float:
         """The draw with every cluster busy at its top frequency, the
         most power_draw reports."""
-        return self.base_power_mw + sum(
-            c.idle_power_mw
-            + c.active_power_slope_mw_per_mhz * c.freq_levels_mhz[-1]
-            for c in self.clusters)
+        busy = {c.cluster_id: ClusterState(c, c.max_level, "busy")
+                for c in self.clusters}
+        return power_draw(self, busy)
 
     def cluster(self, cluster_id: str) -> ClusterSpec:
         for c in self.clusters:
@@ -155,23 +156,19 @@ def set_frequency(state: ClusterState, level: int) -> ClusterState:
     return tuple.__new__(ClusterState, (state.spec, level, state.occupant))
 
 
-def power_draw(platform: PlatformSpec, states: dict[str, ClusterState],
-               utilization: dict[str, float]) -> float:
-    """Total platform power in mW for the given cluster states.
-
-    `utilization` maps cluster_id to a busy fraction in [0, 1]; clusters
-    absent from the mapping count as idle.
-    """
+def power_draw(platform: PlatformSpec,
+               states: dict[str, ClusterState]) -> float:
+    """Total platform power in mW for the given cluster states: each
+    cluster's idle power, plus its active power at its current frequency
+    while it has an occupant."""
     total = platform.base_power_mw
     for spec in platform.clusters:
         state = states[spec.cluster_id]
-        util = utilization.get(spec.cluster_id, 0.0)
-        if not 0.0 <= util <= 1.0:
-            raise PlatformError(f"{spec.cluster_id}: utilization {util} outside [0, 1]")
         total += spec.idle_power_mw
-        # state.freq_mhz, without the property call
-        total += (util * spec.active_power_slope_mw_per_mhz
-                  * state.spec.freq_levels_mhz[state.current_level])
+        if state.occupant is not None:
+            # state.freq_mhz, without the property call
+            total += (spec.active_power_slope_mw_per_mhz
+                      * state.spec.freq_levels_mhz[state.current_level])
     return total
 
 

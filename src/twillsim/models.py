@@ -99,16 +99,22 @@ class CompatibilityMatrix(namedtuple("CompatibilityMatrix", (
         "max_spatial_dim"))):
     __slots__ = ()
 
-    def __new__(cls, name: str, supported_precisions: frozenset[str],
-                unsupported_ops: frozenset[str],
-                param_checked_ops: frozenset[str], kernel_range: tuple[int, int],
-                stride_range: tuple[int, int], padding_range: tuple[int, int],
+    def __new__(cls, name: str, supported_precisions, unsupported_ops,
+                param_checked_ops, kernel_range, stride_range, padding_range,
                 max_batch: int, max_spatial_dim: int):
+        supported_precisions = _names(supported_precisions,
+                                      "supported_precisions")
+        unsupported_ops = _names(unsupported_ops, "unsupported_ops")
+        param_checked_ops = _names(param_checked_ops, "param_checked_ops")
         if unsupported_ops & param_checked_ops:
             raise ModelError("an op cannot be both unsupported and param-checked")
-        return super().__new__(cls, name, supported_precisions, unsupported_ops,
-                               param_checked_ops, kernel_range, stride_range,
-                               padding_range, max_batch, max_spatial_dim)
+        return super().__new__(
+            cls, name, supported_precisions, unsupported_ops,
+            param_checked_ops, _range(kernel_range, "kernel_range"),
+            _range(stride_range, "stride_range"),
+            _range(padding_range, "padding_range"),
+            integer(max_batch, "max_batch", ModelError, lo=0),
+            integer(max_spatial_dim, "max_spatial_dim", ModelError, lo=0))
 
 
 class SignatureMap(namedtuple("SignatureMap", (
@@ -119,16 +125,16 @@ class SignatureMap(namedtuple("SignatureMap", (
     __slots__ = ()
 
 
-def _names(doc: dict, field: str) -> frozenset[str]:
-    v = doc[field]
+def _names(value, field: str) -> frozenset[str]:
     # a string or an object would be read by its characters or keys
-    if not isinstance(v, list) or not {str}.issuperset(map(type, v)):
-        raise ModelError(f"{field} must be an array of strings, not {v!r}")
-    return frozenset(v)
+    if (not isinstance(value, (list, tuple, set, frozenset))
+            or not {str}.issuperset(map(type, value))):
+        raise ModelError(f"{field} must be an array of strings, not {value!r}")
+    return frozenset(value)
 
 
-def _range(doc: dict, field: str) -> tuple[int, int]:
-    low, high = integers(doc[field], field, ModelError, lo=0, length=2)
+def _range(value, field: str) -> tuple[int, int]:
+    low, high = integers(value, field, ModelError, lo=0, length=2)
     if low > high:
         raise ModelError(f"{field} must run from low to high, not {[low, high]}")
     return low, high
@@ -138,17 +144,8 @@ def load_matrix(text: str) -> CompatibilityMatrix:
     doc = document(text, "compatibility matrix", ModelError)
     with reading("compatibility matrix", ModelError):
         return CompatibilityMatrix(
-            name=doc.get("name", "unnamed"),
-            supported_precisions=_names(doc, "supported_precisions"),
-            unsupported_ops=_names(doc, "unsupported_ops"),
-            param_checked_ops=_names(doc, "param_checked_ops"),
-            kernel_range=_range(doc, "kernel_range"),
-            stride_range=_range(doc, "stride_range"),
-            padding_range=_range(doc, "padding_range"),
-            max_batch=integer(doc["max_batch"], "max_batch", ModelError, lo=0),
-            max_spatial_dim=integer(doc["max_spatial_dim"], "max_spatial_dim",
-                                    ModelError, lo=0),
-        )
+            doc.get("name", "unnamed"),
+            *[doc[field] for field in CompatibilityMatrix._fields[1:]])
 
 
 _LAYER = reading("layer entry", ModelError)  # one block for every layer

@@ -113,7 +113,12 @@ def test_a_mutated_document_runs_or_is_refused(file, tmp_path, monkeypatch,
 
 def _edit(file, path, value):
     """One pinned edit: `file`'s node at `path` set to `value`."""
-    return file, _mutated(json.loads(DOCUMENTS[file]()), path, value)
+    return file, _mutated(json.loads(DOCUMENTS[file]()), path, value), ()
+
+
+def _knob(setting):
+    """One pinned engine knob, `--set` on the packaged documents."""
+    return None, None, ("--set", setting)
 
 
 # each of these escaped every refusal once: an int past the float range
@@ -121,7 +126,9 @@ def _edit(file, path, value):
 # clock can time, or with no GPU, in an internal error (exit 2); a
 # cluster too slow to finish anything in a ZeroDivisionError traceback
 # or an internal error, and a board whose power sums past the float
-# range in an exit 0 with inf in power.csv or the energy total
+# range in an exit 0 with inf in power.csv or the energy total; a
+# fallback penalty that stalls the DLA in an internal error under the
+# policies that place a model there whole
 PINNED = [
     pytest.param(*_edit("mixes/mix1.json", ["requests", 1, "workload_size"],
                         10 ** 400),
@@ -163,18 +170,22 @@ PINNED = [
                  POLICY_NAMES, "orin-nx-10w: a peak power draw of 1e+308 mW "
                  "over the 10000000.0 ms horizon overflows the energy total",
                  id="base_power_1e308"),
+    pytest.param(*_knob("dla_fallback_penalty=1e308"), POLICY_NAMES,
+                 "orin-nx-10w: cluster dla0 too slow for the horizon under a "
+                 "dla_fallback_penalty of 1e+308", id="dla_penalty_1e308"),
 ]
 
 
-@pytest.mark.parametrize("file,text,policies,refusal", PINNED)
-def test_a_pinned_escape_is_refused(file, text, policies, refusal, tmp_path,
-                                    monkeypatch, capsys):
-    target = tmp_path / file
-    target.parent.mkdir(exist_ok=True)
-    target.write_text(text)
-    monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
+@pytest.mark.parametrize("file,text,args,policies,refusal", PINNED)
+def test_a_pinned_escape_is_refused(file, text, args, policies, refusal,
+                                    tmp_path, monkeypatch, capsys):
+    if file is not None:
+        target = tmp_path / file
+        target.parent.mkdir(exist_ok=True)
+        target.write_text(text)
+        monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
     for policy in policies:
-        assert main(["run", "--mix", "mix1", "--policy", policy]) == 1
+        assert main(["run", "--mix", "mix1", "--policy", policy, *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {refusal}")
         assert err.count("\n") == 1

@@ -18,6 +18,7 @@ from twillsim import (
     DecisionKind,
     EngineError,
     EventKind,
+    ModelError,
     PlatformError,
     Policy,
     Simulation,
@@ -735,6 +736,14 @@ def test_missing_descriptor_is_rejected():
                    TOY_DESCRIPTORS, MATRIX)
 
 
+def test_a_descriptor_that_is_not_text_is_refused():
+    scn = scenario(request("a", "toy-conv"))
+    with pytest.raises(ModelError,
+                       match="^model descriptor must be JSON text, not int$"):
+        Simulation(tiny_platform(), scn, ScriptedPolicy(), {"toy-conv": 5},
+                   MATRIX)
+
+
 def test_idle_policy_reports_stuck_requests():
     with pytest.raises(EngineError, match="unfinished.*a.*pending"):
         run_toy(scenario(request("a", "toy-conv")))
@@ -881,6 +890,32 @@ def test_a_board_too_slow_for_the_horizon_is_refused(cluster, low,
         build()
 
 
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_a_fallback_penalty_that_stalls_the_dla_is_refused(policy):
+    # a model that prefers the DLA, its feasible fraction at the 0.9
+    # threshold, runs there at 1,000 GFLOPS / (0.9 + 0.1 * penalty): under
+    # a penalty of 1e14, no more than 1e-6 GFLOP in the 1e7 ms horizon
+    scn = scenario(request("a", "toy-conv"))
+
+    def build(penalty, **kwargs):
+        return Simulation(tiny_platform(), scn, make_policy(policy),
+                          TOY_DESCRIPTORS, MATRIX,
+                          dla_fallback_penalty=penalty, **kwargs)
+    for penalty, slowed in ((1e14, "1e-10"), (1e308, "1e-304")):
+        with pytest.raises(PlatformError) as e:
+            build(penalty)
+        assert str(e.value) == (
+            f"toy-board: cluster dla0 too slow for the horizon under a "
+            f"dla_fallback_penalty of {penalty:g}: {slowed} GFLOPS for a "
+            f"model that prefers it would do no more than 1e-06 GFLOP in "
+            f"10000000.0 ms")
+    trace = build(1e13).run()
+    assert trace.requests[0].completed_ms is not None
+    # at a threshold of 1, only a model the DLA runs whole prefers it,
+    # and no penalty slows that model
+    build(1e308, affinity_threshold=1.0)
+
+
 def test_a_board_whose_energy_could_overflow_is_refused():
     # the toy board's peak is about the gpu0's idle power: over the
     # 1e7 ms horizon, the energy total stays finite for 1e300 mW
@@ -1001,8 +1036,8 @@ def test_view_matches_a_full_rebuild_with_dependencies(policy):
 class CheckedSimulation(Simulation):
     """Checks, as each cycle ends, that what the engine keeps as state
     equals a recomputation from the cluster states: each occupant's
-    rate, each cluster's utilization, and the power drawn.  `seen`
-    names the kinds of change it was checked across."""
+    rate and the power drawn.  `seen` names the kinds of change it was
+    checked across."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -1016,9 +1051,7 @@ class CheckedSimulation(Simulation):
         super()._apply_set_freq(d, now)
 
     def _record_power(self, now):
-        utils = {}
         for cid, st in self.states.items():
-            utils[cid] = 0.0 if st.occupant is None else 1.0
             if st.occupant is None:
                 continue
             task = self.tasks[st.occupant]
@@ -1028,8 +1061,7 @@ class CheckedSimulation(Simulation):
                 self.dla_fallback_penalty) / 1000.0
             if task.native and task.part is not None:
                 self.seen.add("native part")
-        assert list(self._utils.items()) == list(utils.items())
-        assert self._power() == power_draw(self.platform, self.states, utils)
+        assert self._power() == power_draw(self.platform, self.states)
         self.checks += 1
         super()._record_power(now)
 

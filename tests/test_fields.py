@@ -255,3 +255,21 @@ def test_bad_simulation_knob(knob, value):
         build_simulation("mix1", **{knob: value})
     assert knob in str(e.value)
     assert repr(value) in str(e.value)
+
+
+@pytest.mark.parametrize("value", [None, 5, 1.5, "bytes"])
+@pytest.mark.parametrize("load,text,what,error", [
+    (load_mix, lambda: presets.mix_text("mix1"), "scenario", WorkloadError),
+    (load_platform, presets.platform_text, "platform config", PlatformError),
+    (load_matrix, presets.matrix_text, "compatibility matrix", ModelError),
+    (parse_model, lambda: presets.model_text("vgg-19"), "model descriptor",
+     ModelError),
+], ids=["mix", "platform", "matrix", "descriptor"])
+def test_a_document_that_is_not_text_is_refused(load, text, what, error,
+                                                value):
+    # json.loads would decode bytes; a valid document as bytes is refused
+    if value == "bytes":
+        value = text().encode()
+    with pytest.raises(error, match=f"^{what} must be JSON text, not "
+                       f"{type(value).__name__}$"):
+        load(value)

@@ -71,11 +71,16 @@ def test_throughput_increases_with_level(platform):
     assert all(a < b for a, b in zip(table, table[1:]))
 
 
+def _busy(states, *cluster_ids):
+    """`states` with each named cluster occupied."""
+    return {cid: st._replace(occupant="r") if cid in cluster_ids else st
+            for cid, st in states.items()}
+
+
 def test_power_all_idle(platform):
     states = initial_states(platform)
-    util = {cid: 0.0 for cid in states}
     # base 3000 + gpu idle 500 + dla idle 300
-    assert power_draw(platform, states, util) == pytest.approx(3800.0)
+    assert power_draw(platform, states) == pytest.approx(3800.0)
 
 
 def test_power_both_busy_at_max_exceeds_budget(platform):
@@ -87,8 +92,7 @@ def test_power_both_busy_at_max_exceeds_budget(platform):
     """
     states = initial_states(platform)
     states["gpu0"] = set_frequency(states["gpu0"], 7)
-    busy = {"gpu0": 1.0, "dla0": 1.0}
-    p = power_draw(platform, states, busy)
+    p = power_draw(platform, _busy(states, "gpu0", "dla0"))
     assert p == pytest.approx(11078.5)
     assert p > platform.tdp_mw
 
@@ -97,7 +101,7 @@ def test_power_capped_level_fits_budget(platform):
     """One step down (918 MHz) keeps the same pair under the budget."""
     states = initial_states(platform)
     states["gpu0"] = set_frequency(states["gpu0"], 6)
-    p = power_draw(platform, states, {"gpu0": 1.0, "dla0": 1.0})
+    p = power_draw(platform, _busy(states, "gpu0", "dla0"))
     assert p == pytest.approx(9931.0)
     assert p <= platform.tdp_mw
 
@@ -105,32 +109,23 @@ def test_power_capped_level_fits_budget(platform):
 def test_power_gpu_alone_at_max_fits_budget(platform):
     states = initial_states(platform)
     states["gpu0"] = set_frequency(states["gpu0"], 7)
-    p = power_draw(platform, states, {"gpu0": 1.0, "dla0": 0.0})
+    p = power_draw(platform, _busy(states, "gpu0"))
     assert p == pytest.approx(9078.5)
     assert p <= platform.tdp_mw
 
 
-def test_power_monotonic_in_level_and_utilization(platform):
+def test_power_monotonic_in_level_and_occupancy(platform):
     states = initial_states(platform)
     prev = None
     for level in range(platform.cluster("gpu0").num_levels):
         states["gpu0"] = set_frequency(initial_states(platform)["gpu0"], level)
-        for util in (0.0, 0.25, 0.5, 1.0):
-            p = power_draw(platform, states, {"gpu0": util, "dla0": 0.0})
-            if prev is not None:
-                assert p >= prev[1] or level > prev[0]
-        lo = power_draw(platform, states, {"gpu0": 0.0, "dla0": 0.0})
-        hi = power_draw(platform, states, {"gpu0": 1.0, "dla0": 0.0})
-        assert hi >= lo
+        lo = power_draw(platform, states)
+        hi = power_draw(platform, _busy(states, "gpu0"))
+        # an idle cluster draws its idle power at any level
+        assert hi > lo == 3800.0
         if prev is not None:
-            assert hi > prev[1]
-        prev = (level, hi)
-
-
-def test_power_rejects_bad_utilization(platform):
-    states = initial_states(platform)
-    with pytest.raises(PlatformError):
-        power_draw(platform, states, {"gpu0": 1.5, "dla0": 0.0})
+            assert hi > prev
+        prev = hi
 
 
 def test_cluster_spec_validation():
@@ -196,10 +191,9 @@ def test_load_platform_rejects_bad_ids_names_and_empty_boards(edit, match):
 
 
 def test_peak_power_is_every_cluster_busy_at_its_top_level(platform):
-    states = {c.cluster_id: ClusterState(c, c.max_level)
+    states = {c.cluster_id: ClusterState(c, c.max_level, "r")
               for c in platform.clusters}
-    busy = dict.fromkeys(states, 1.0)
-    assert platform.peak_power_mw == power_draw(platform, states, busy)
+    assert platform.peak_power_mw == power_draw(platform, states)
     assert platform.peak_power_mw == 11078.5
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from twillsim import (
     AFFINITY_THRESHOLD,
+    CompatibilityMatrix,
     LayerSpec,
     ModelError,
     dla_compatible,
@@ -328,6 +329,44 @@ def test_matrix_ranges_run_from_low_to_high(field):
         load_matrix(json.dumps(doc))
     doc[field] = [3, 3]
     assert getattr(load_matrix(json.dumps(doc)), field) == (3, 3)
+
+
+@pytest.mark.parametrize("field,value,refusal", [
+    # once matched as substrings of "FP16"
+    ("supported_precisions", "FP16",
+     "supported_precisions must be an array of strings, not 'FP16'"),
+    ("unsupported_ops", ["Softmax", 5],
+     r"unsupported_ops must be an array of strings, not \['Softmax', 5\]"),
+    ("param_checked_ops", {"Conv", "MatMul"},
+     "an op cannot be both unsupported and param-checked"),
+    ("kernel_range", (5, 1),
+     r"kernel_range must run from low to high, not \[5, 1\]"),
+    ("stride_range", "15", "stride_range must be an array, not '15'"),
+    ("padding_range", (0, 1, 2),
+     r"padding_range must be an array of 2 integers, not \(0, 1, 2\)"),
+    ("max_batch", -3, "max_batch must be >= 0, not -3"),
+    ("max_spatial_dim", 2.0, "max_spatial_dim must be an integer, not 2.0"),
+], ids=["precisions_string", "ops_int", "ops_overlap", "kernel_reversed",
+        "stride_string", "padding_triple", "batch_negative",
+        "spatial_float"])
+def test_a_hand_built_matrix_checks_each_field(matrix, field, value,
+                                               refusal):
+    with pytest.raises(ModelError, match=f"^{refusal}$"):
+        CompatibilityMatrix(**{**matrix._asdict(), field: value})
+
+
+def test_a_hand_built_matrix_stores_what_load_matrix_stores(matrix):
+    assert CompatibilityMatrix(**matrix._asdict()) == matrix
+    # any collection of names is a frozenset, and a range a tuple
+    built = CompatibilityMatrix(**{
+        **matrix._asdict(),
+        "supported_precisions": ["INT8", "FP16"],
+        "param_checked_ops": ("Conv", "FullyConnected"),
+        "unsupported_ops": set(matrix.unsupported_ops),
+        "kernel_range": [1, 16]})
+    assert built == matrix
+    assert type(built.supported_precisions) is frozenset
+    assert type(built.kernel_range) is tuple
 
 
 def test_layer_geometry_invariant():
