@@ -8,6 +8,8 @@ none of them track the power budget.
 
 from __future__ import annotations
 
+from collections import deque
+
 # the Enum members as module globals (see policy.py)
 from .policy import (
     _ARRIVAL,
@@ -50,7 +52,7 @@ class GpuQueuePolicy(_RaceToIdle):
     name = "gpu_queue"
 
     def __init__(self):
-        self._fifo: list[str] = []
+        self._fifo: deque[str] = deque()
 
     def decide(self, view, events):
         for e in events:
@@ -60,7 +62,7 @@ class GpuQueuePolicy(_RaceToIdle):
         self._layout(view.platform)
         for gpu in self._gpu_ids:
             if self._fifo and view.states[gpu].occupant is None:
-                rid = self._fifo.pop(0)
+                rid = self._fifo.popleft()
                 decisions.append(Decision(_MAP, request_id=rid,
                                           cluster_id=gpu))
         return decisions
@@ -72,15 +74,15 @@ class StaticDvfsPolicy(_RaceToIdle):
     An arrival takes the GPU when free; a DLA-suited model (one whose
     affinity signature prefers the DLA) takes a free DLA instead;
     everything else waits in one FIFO and is placed on the first cluster
-    that frees up and suits it.  The governor clocks a busy GPU to the top level
-    without consulting the power budget, which is exactly how this
-    scheme overshoots a shared cap when both clusters are loaded.
+    that frees up and suits it.  The governor clocks a busy GPU to the
+    top level without consulting the power budget, which is exactly how
+    this scheme overshoots a shared cap when both clusters are loaded.
     """
 
     name = "static_dvfs"
 
     def __init__(self):
-        self._fifo: list[str] = []
+        self._fifo: deque[str] = deque()
 
     def decide(self, view, events):
         decisions = []
@@ -97,6 +99,8 @@ class StaticDvfsPolicy(_RaceToIdle):
                 for rid in self._fifo:
                     if (planned[e.cluster_id] is None
                             and kind in view.tasks[rid].preferred_kinds):
+                        # the loop breaks at once: a deque refuses to
+                        # iterate on after a change
                         self._fifo.remove(rid)
                         place(rid, e.cluster_id)
                         break
@@ -126,7 +130,7 @@ class StaticSubgraphPolicy(_BoardPolicy):
     name = "static_subgraph"
 
     def __init__(self):
-        self._gpu_fifo: list[tuple[str, str | None, float | None]] = []
+        self._gpu_fifo: deque[tuple[str, str | None, float | None]] = deque()
 
     def decide(self, view, events):
         decisions = []
@@ -144,7 +148,7 @@ class StaticSubgraphPolicy(_BoardPolicy):
                 if self._kinds[e.cluster_id] != "GPU":
                     continue
                 if self._gpu_fifo and planned[e.cluster_id] is None:
-                    rid, part, work = self._gpu_fifo.pop(0)
+                    rid, part, work = self._gpu_fifo.popleft()
                     place(rid, part, work, False, e.cluster_id)
                 continue
 

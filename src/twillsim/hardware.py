@@ -43,6 +43,9 @@ class ClusterSpec(namedtuple("ClusterSpec", (
                 throughput_gflops, idle_power_mw: float,
                 active_power_slope_mw_per_mhz: float):
         text_id(cluster_id, "cluster_id", PlatformError)
+        if not isinstance(kind, ClusterKind):  # "DLA" would pass as neither
+            raise PlatformError(
+                f"{cluster_id}: kind must be a ClusterKind, not {kind!r}")
         levels = integers(freq_levels_mhz, f"{cluster_id}: freq_levels_mhz",
                           PlatformError, lo=1)
         if not isinstance(throughput_gflops, (list, tuple)):

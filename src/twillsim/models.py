@@ -25,7 +25,8 @@ from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 
-from ._fields import document, integer, integers, reading
+from ._fields import (_FLOAT_OVERFLOW, _INT, document, integer, integers,
+                      reading)
 
 # Fraction of FLOPs that must be DLA-feasible before a model is
 # considered a DLA candidate at all.
@@ -46,29 +47,85 @@ class ModelError(ValueError):
 class LayerSpec(namedtuple("LayerSpec", (
         "op_type", "precision", "flops", "in_shape", "out_shape", "kernel",
         "stride", "padding"))):
+    """One layer; kernel, stride and padding are None on an op that is
+    not one of PARAM_OPS.  The constructor runs every layer check."""
+
     __slots__ = ()
 
-    # parameters spelled out: passing *args/**kwargs on to the base
-    # doubles the cost of a layer, and a descriptor builds one per
-    # distinct entry
     def __new__(cls, op_type: str, precision: str, flops: int,
                 in_shape: tuple[int, ...], out_shape: tuple[int, ...],
                 kernel: tuple[int, int] | None = None,
                 stride: tuple[int, int] | None = None,
                 padding: tuple[int, int] | None = None):
-        if not isinstance(op_type, str) or not isinstance(precision, str):
-            raise ModelError("op_type and precision must be strings, not "
-                             f"{op_type!r} and {precision!r}")
+        # None is absent geometry here; the decoder refuses a null
+        return _layer(op_type, precision, flops, in_shape, out_shape,
+                      _ABSENT if kernel is None else kernel,
+                      _ABSENT if stride is None else stride,
+                      _ABSENT if padding is None else padding)
+
+
+_ABSENT = object()  # a geometry field the layer does not have
+_ARRAYS = (list, tuple)
+_ONE = (1,)
+_new = tuple.__new__
+
+
+def _layer(op_type, precision, flops, in_shape, out_shape, kernel, stride,
+           padding) -> LayerSpec:
+    """The checked `LayerSpec` of these fields, with `_ABSENT` for an
+    absent geometry field: every layer check, for the constructor and
+    the decoder alike.
+
+    The integers come first.  When each array is a list or a tuple and
+    the geometry is all there as pairs or all absent, `flops` and every
+    array entry are checked together: plain ints, one min per lower
+    bound, one max.  Anything else is read field by field, the arrays in
+    field order and then `flops`, which accepts what the pass leaves (an
+    int subclass) or raises that field's error.  No generator, `try` or
+    argument unpacking: each costs more than the pass saves.
+    """
+    values = None
+    if type(in_shape) in _ARRAYS and type(out_shape) in _ARRAYS:
+        if kernel is stride is padding is _ABSENT:
+            ones = _ONE  # no entry that must be >= 1
+            values = [flops, *in_shape, *out_shape]
+        elif (type(kernel) in _ARRAYS and type(stride) in _ARRAYS
+                and type(padding) in _ARRAYS
+                and len(kernel) == len(stride) == len(padding) == 2):
+            ones = [*kernel, *stride]  # >= 1; every other entry >= 0
+            values = [flops, *in_shape, *out_shape, *padding, *ones]
+    if (values is not None and _INT.issuperset(map(type, values))
+            and min(values) >= 0
+            and min(ones) >= 1 and max(values) < _FLOAT_OVERFLOW):
+        in_shape, out_shape = tuple(in_shape), tuple(out_shape)
+        if kernel is _ABSENT:
+            kernel = stride = padding = None
+        else:
+            kernel, stride = tuple(kernel), tuple(stride)
+            padding = tuple(padding)
+    else:
+        in_shape = integers(in_shape, "in_shape", ModelError, lo=0)
+        out_shape = integers(out_shape, "out_shape", ModelError, lo=0)
+        kernel = (None if kernel is _ABSENT
+                  else integers(kernel, "kernel", ModelError, lo=1, length=2))
+        stride = (None if stride is _ABSENT
+                  else integers(stride, "stride", ModelError, lo=1, length=2))
+        padding = (None if padding is _ABSENT
+                   else integers(padding, "padding", ModelError, lo=0, length=2))
         flops = integer(flops, "flops", ModelError, lo=0)
-        has_geom = kernel is not None
-        if has_geom != (op_type in PARAM_OPS):
-            raise ModelError(
-                f"{op_type}: kernel/stride/padding present iff op is one of {PARAM_OPS}"
-            )
-        if has_geom and (stride is None or padding is None):
-            raise ModelError(f"{op_type}: incomplete conv geometry")
-        return tuple.__new__(cls, (op_type, precision, flops, in_shape,
-                                   out_shape, kernel, stride, padding))
+    if not isinstance(op_type, str) or not isinstance(precision, str):
+        raise ModelError("op_type and precision must be strings, not "
+                         f"{op_type!r} and {precision!r}")
+    # the kernel decides whether a layer has geometry; the rest follows it
+    if (kernel is not None) != (op_type in PARAM_OPS) or (
+            kernel is None and (stride is not None or padding is not None)):
+        raise ModelError(
+            f"{op_type}: kernel/stride/padding present iff op is one of {PARAM_OPS}"
+        )
+    if kernel is not None and (stride is None or padding is None):
+        raise ModelError(f"{op_type}: incomplete conv geometry")
+    return _new(LayerSpec, (op_type, precision, flops, in_shape, out_shape,
+                            kernel, stride, padding))
 
 
 _flops = itemgetter(2)  # LayerSpec.flops, read in C
@@ -83,6 +140,20 @@ class AppProfile(namedtuple("AppProfile",
     """
 
     # no __slots__: the instance dict holds the cached total_flops
+
+    def __new__(cls, name: str, layers, reference_workload: int = 1):
+        if not isinstance(name, str):  # it is each TaskView.model
+            raise ModelError(f"model name must be a string, not {name!r}")
+        reference_workload = integer(reference_workload,
+                                     f"{name}: reference_workload",
+                                     ModelError, lo=1)
+        # each entry is taken as a LayerSpec, as parse_model builds them:
+        # a check per layer would cost ~1% of building the packaged runs
+        if not isinstance(layers, _ARRAYS):
+            raise ModelError(f"{name}: layers must be an array, not {layers!r}")
+        if not layers:
+            raise ModelError(f"{name}: descriptor has no layers")
+        return super().__new__(cls, name, tuple(layers), reference_workload)
 
     @cached_property
     def total_flops(self) -> int:
@@ -102,6 +173,9 @@ class CompatibilityMatrix(namedtuple("CompatibilityMatrix", (
     def __new__(cls, name: str, supported_precisions, unsupported_ops,
                 param_checked_ops, kernel_range, stride_range, padding_range,
                 max_batch: int, max_spatial_dim: int):
+        if not isinstance(name, str):
+            raise ModelError(
+                f"compatibility matrix name must be a string, not {name!r}")
         supported_precisions = _names(supported_precisions,
                                       "supported_precisions")
         unsupported_ops = _names(unsupported_ops, "unsupported_ops")
@@ -148,27 +222,6 @@ def load_matrix(text: str) -> CompatibilityMatrix:
             *[doc[field] for field in CompatibilityMatrix._fields[1:]])
 
 
-_LAYER = reading("layer entry", ModelError)  # one block for every layer
-
-
-def _layer_from_dict(d: dict) -> LayerSpec:
-    with _LAYER:
-        return LayerSpec(
-            d["op_type"],
-            d["precision"],
-            d["flops"],
-            integers(d["in_shape"], "in_shape", ModelError, lo=0),
-            integers(d["out_shape"], "out_shape", ModelError, lo=0),
-            # an explicit null is no absent geometry: the reader refuses it
-            integers(d["kernel"], "kernel", ModelError, lo=1, length=2)
-            if "kernel" in d else None,
-            integers(d["stride"], "stride", ModelError, lo=1, length=2)
-            if "stride" in d else None,
-            integers(d["padding"], "padding", ModelError, lo=0, length=2)
-            if "padding" in d else None,
-        )
-
-
 def _layers_from_list(entries, cap: int) -> tuple[LayerSpec, ...]:
     """Decode layer entries, sharing one LayerSpec among equal entries.
 
@@ -176,10 +229,11 @@ def _layers_from_list(entries, cap: int) -> tuple[LayerSpec, ...]:
     to one its group remembers shares that entry's layer (`list.index`
     compares in C, and equal dicts decode to equal layers; an explicit
     null is not an absent key).  A group remembers its first `cap`
-    distinct entries; later ones are decoded each time.  An
-    entry whose group key cannot be formed (not a dict, an absent field,
-    an unhashable value) is decoded on its own, which raises the error
-    it always raised.
+    distinct entries; later ones are decoded each time.  An entry whose
+    group key cannot be formed (not a dict, an absent field, an
+    unhashable value) is decoded in a group of its own, which raises the
+    error it always raised.  Each entry decoded is checked once, by
+    `_layer`.
     """
     # per group: the remembered entries plus one scratch slot at the end,
     # and their layers; an entry goes in the scratch slot, so index()
@@ -187,26 +241,34 @@ def _layers_from_list(entries, cap: int) -> tuple[LayerSpec, ...]:
     # and without raising
     groups: dict[tuple, tuple[list, list[LayerSpec]]] = {}
     layers = []
-    for d in entries:
-        try:
-            key = (d["op_type"], d["flops"])
-            group = groups.get(key)
-        except (KeyError, TypeError):
-            layer = _layer_from_dict(d)
-        else:
-            if group is None:
-                group = groups[key] = ([None], [])
+    # outside the block: a `layers` value that cannot be iterated is a
+    # malformed field of the descriptor, not of a layer entry
+    entries = iter(entries)
+    with reading("layer entry", ModelError):
+        for d in entries:
+            try:
+                key = (d["op_type"], d["flops"])
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = ([None], [])
+            except (KeyError, TypeError):
+                group = ([None], [])
             seen, decoded = group
             seen[-1] = d
             i = seen.index(d)
             if i < len(decoded):
                 layer = decoded[i]
             else:
-                layer = _layer_from_dict(d)
+                # an explicit null is no absent geometry: it is refused
+                layer = _layer(d["op_type"], d["precision"], d["flops"],
+                               d["in_shape"], d["out_shape"],
+                               d.get("kernel", _ABSENT),
+                               d.get("stride", _ABSENT),
+                               d.get("padding", _ABSENT))
                 if i < cap:
                     seen.append(d)  # remembered at i; the scratch slot moves on
                     decoded.append(layer)
-        layers.append(layer)
+            layers.append(layer)
     return tuple(layers)
 
 
@@ -216,19 +278,15 @@ def parse_model(descriptor_text: str) -> AppProfile:
     doc = document(descriptor_text, "model descriptor", ModelError,
                    parse_float=lambda s: floats.append(s) or float(s))
     with reading("model descriptor", ModelError):
-        name = doc["name"]
-        if not isinstance(name, str):  # it is each TaskView.model
-            raise ModelError(f"model name must be a string, not {name!r}")
         # 1, 1.0 and true are equal values, so an entry the readers
         # refuse could equal a valid one as a dict and share its layer: a
         # descriptor that spells a float or a bool shares no layer
         loose = floats or "true" in descriptor_text or "false" in descriptor_text
         profile = AppProfile(
-            name, _layers_from_list(doc["layers"], 0 if loose else _GROUP_CAP),
-            integer(doc.get("reference_workload", 1),
-                    f"{name}: reference_workload", ModelError, lo=1))
-    if not profile.layers:
-        raise ModelError(f"{name}: descriptor has no layers")
+            doc["name"],
+            _layers_from_list(doc["layers"], 0 if loose else _GROUP_CAP),
+            doc.get("reference_workload", 1))
+    name = profile.name
     declared = doc.get("total_flops")
     if declared is not None and integer(
             declared, f"{name}: total_flops", ModelError,

@@ -147,6 +147,25 @@ def test_cluster_spec_validation():
         ClusterSpec("d", ClusterKind.DLA, (300, 400), (1.0, 2.0), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("kind", ["DLA", "GPU", None, 1])
+def test_a_cluster_kind_must_be_a_cluster_kind(kind):
+    # a string kind was once kept, and the cluster was then neither GPU
+    # nor DLA
+    with pytest.raises(PlatformError,
+                       match=f"^d: kind must be a ClusterKind, not {kind!r}$"):
+        ClusterSpec("d", kind, (300, 400), (1.0, 2.0), 0.0, 1.0)
+    # the loader reads a kind by its value
+    doc = json.loads(presets.platform_text())
+    doc["clusters"][1]["kind"] = kind
+    if kind in ("DLA", "GPU"):
+        assert load_platform(json.dumps(doc)).clusters[1].kind.value == kind
+    else:
+        with pytest.raises(PlatformError, match=f"^platform config has a "
+                           f"malformed field: {kind!r} is not a valid "
+                           "ClusterKind$"):
+            load_platform(json.dumps(doc))
+
+
 @pytest.mark.parametrize("levels", [(0, 400), (-500, 400), (float("nan"), 400),
                                     (300, float("inf"))])
 def test_cluster_frequency_levels_must_be_positive(levels):

@@ -8,6 +8,7 @@ import pytest
 
 from twillsim import (
     AFFINITY_THRESHOLD,
+    AppProfile,
     CompatibilityMatrix,
     LayerSpec,
     ModelError,
@@ -18,7 +19,10 @@ from twillsim import (
 )
 import twillsim
 from twillsim import presets, zoo
-from twillsim.models import _layer_from_dict, segment_fractions
+from twillsim._fields import _FLOAT_OVERFLOW, integer, integers, reading
+from twillsim.models import PARAM_OPS, _layers_from_list, segment_fractions
+import twillsim.models
+from test_boundary_fuzz import DROP, VALUES
 
 DENSE_CONV_MODELS = ["vgg-19", "resnet-50", "resnet-152"]
 
@@ -26,6 +30,11 @@ DENSE_CONV_MODELS = ["vgg-19", "resnet-50", "resnet-152"]
 @pytest.fixture()
 def matrix():
     return load_matrix(presets.matrix_text())
+
+
+def _decode(entry):
+    """`entry`, decoded on its own."""
+    return _layers_from_list([entry], 0)[0]
 
 
 def _profile(name):
@@ -111,7 +120,7 @@ def test_interned_layers_equal_a_per_entry_decode(name):
     layers = _profile(name).layers
     assert len(layers) == len(entries)
     for entry, layer in zip(entries, layers):
-        assert layer == _layer_from_dict(entry)
+        assert layer == _decode(entry)
     # identical entries share one object, distinct ones never do
     first = {}
     for entry, layer in zip(entries, layers):
@@ -170,7 +179,7 @@ def test_malformed_entry_after_an_identical_valid_one(bad):
     """Interning never lets a bad entry borrow a valid twin's layer, and
     the error is the one the entry raises when decoded on its own."""
     with pytest.raises(ModelError) as alone:
-        _layer_from_dict(bad)
+        _decode(bad)
     twin = _first_entry("Conv" if isinstance(bad, dict) and "kernel" in bad
                         else "Relu")
     with pytest.raises(ModelError) as parsed:
@@ -246,7 +255,7 @@ def test_layers_are_shared_exactly_among_equal_entries():
         decoded = []
         for entry in entries:
             try:
-                decoded.append(_layer_from_dict(entry))
+                decoded.append(_decode(entry))
             except ModelError as alone:
                 with pytest.raises(ModelError) as parsed:
                     parse_model(_descriptor(entries))
@@ -369,6 +378,38 @@ def test_a_hand_built_matrix_stores_what_load_matrix_stores(matrix):
     assert type(built.kernel_range) is tuple
 
 
+@pytest.mark.parametrize("name", [5, None, ["m"]])
+def test_a_matrix_name_must_be_a_string(matrix, name):
+    refusal = f"compatibility matrix name must be a string, not {name!r}"
+    with pytest.raises(ModelError) as built:
+        CompatibilityMatrix(**{**matrix._asdict(), "name": name})
+    doc = json.loads(presets.matrix_text())
+    doc["name"] = name
+    with pytest.raises(ModelError) as loaded:
+        load_matrix(json.dumps(doc))
+    assert str(built.value) == str(loaded.value) == refusal
+
+
+@pytest.mark.parametrize("field,value,refusal", [
+    ("name", 5, "model name must be a string, not 5"),
+    ("reference_workload", 0, "vgg-19: reference_workload must be >= 1, not 0"),
+    ("reference_workload", 2.0,
+     "vgg-19: reference_workload must be an integer, not 2.0"),
+    ("layers", [], "vgg-19: descriptor has no layers"),
+], ids=["int_name", "zero_workload", "float_workload", "no_layers"])
+def test_a_hand_built_profile_checks_each_field(field, value, refusal):
+    profile = _profile("vgg-19")
+    with pytest.raises(ModelError, match=f"^{refusal}$"):
+        AppProfile(**{**profile._asdict(), field: value})
+    # parse_model words the same fault the same way
+    doc = json.loads(presets.model_text("vgg-19"))
+    doc[field] = value
+    del doc["total_flops"]
+    with pytest.raises(ModelError, match=f"^{refusal}$"):
+        parse_model(json.dumps(doc))
+    assert AppProfile(**profile._asdict()) == profile
+
+
 def test_layer_geometry_invariant():
     # kernel/stride/padding appear exactly on Conv and FullyConnected
     with pytest.raises(ModelError):
@@ -376,6 +417,157 @@ def test_layer_geometry_invariant():
                   stride=(1, 1), padding=(0, 0))
     with pytest.raises(ModelError):
         LayerSpec("Conv", "FP16", 10, (1, 3, 8, 8), (1, 8, 8, 8))
+
+
+@pytest.mark.parametrize("op,geometry", [
+    ("Relu", {"stride": [1, 1]}), ("Relu", {"padding": [0, 0]}),
+    ("Relu", {"stride": [1, 1], "padding": [0, 0]}),
+    ("Conv", {"stride": [1, 1], "padding": [0, 0]}),
+])
+def test_the_kernel_decides_whether_a_layer_has_geometry(op, geometry):
+    # a Relu carrying a stride was once kept, stride and all
+    refusal = (f"^{op}: kernel/stride/padding present iff op is one of "
+               rf"\('Conv', 'FullyConnected'\)$")
+    entry = {**_first_entry(op), **geometry}
+    entry.pop("kernel", None)
+    with pytest.raises(ModelError, match=refusal):
+        LayerSpec(**entry)
+    with pytest.raises(ModelError, match=refusal):
+        parse_model(_descriptor([entry]))
+
+
+def test_a_hand_built_profile_holds_an_array_of_layers():
+    # a list was once kept, and the profile could not be hashed
+    for layers in (5, None, {"a": 1}, "ab"):
+        with pytest.raises(ModelError,
+                           match=f"^m: layers must be an array, not {layers!r}$"):
+            AppProfile("m", layers)
+    layers = list(_profile("vgg-19").layers)
+    profile = AppProfile("m", layers)
+    assert type(profile.layers) is tuple and profile.layers == tuple(layers)
+    hash(profile)
+
+
+def test_a_hand_built_layer_checks_its_arrays():
+    with pytest.raises(ModelError, match="^in_shape must be an array, not 'ab'$"):
+        LayerSpec("Relu", "FP16", 1, "ab", None)
+    with pytest.raises(ModelError,
+                       match=r"^kernel entries must be >= 1, not \(0, 3\)$"):
+        LayerSpec("Conv", "FP16", 1, (1, 3, 8, 8), (1, 8, 8, 8), kernel=(0, 3),
+                  stride=(1, 1), padding=(0, 0))
+    # None is absent geometry, so a layer rebuilds from its own fields
+    relu = LayerSpec("Relu", "FP16", 1, [1, 64], [1, 64], None, None, None)
+    assert LayerSpec(*relu) == relu == ("Relu", "FP16", 1, (1, 64), (1, 64),
+                                        None, None, None)
+
+
+class _Int(int):
+    def __repr__(self):
+        return f"_Int({int(self)})"
+
+
+def _read_layer(entry):
+    """`entry` as read field by field: each array by `integers`, in field
+    order, then the op, the precision, the FLOPs and the geometry; an
+    absent geometry field is an absent key."""
+    with reading("layer entry", ModelError):
+        op_type, precision, flops = (entry["op_type"], entry["precision"],
+                                     entry["flops"])
+        fields = [integers(entry["in_shape"], "in_shape", ModelError, lo=0),
+                  integers(entry["out_shape"], "out_shape", ModelError, lo=0)]
+        for field, lo in (("kernel", 1), ("stride", 1), ("padding", 0)):
+            fields.append(integers(entry[field], field, ModelError, lo=lo,
+                                   length=2) if field in entry else None)
+        if not isinstance(op_type, str) or not isinstance(precision, str):
+            raise ModelError("op_type and precision must be strings, not "
+                             f"{op_type!r} and {precision!r}")
+        flops = integer(flops, "flops", ModelError, lo=0)
+        has_geom = "kernel" in entry
+        if has_geom != (op_type in PARAM_OPS) or not (
+                has_geom or {"stride", "padding"}.isdisjoint(entry)):
+            raise ModelError(f"{op_type}: kernel/stride/padding present iff op "
+                             f"is one of {PARAM_OPS}")
+        if has_geom and not ("stride" in entry and "padding" in entry):
+            raise ModelError(f"{op_type}: incomplete conv geometry")
+        return tuple.__new__(LayerSpec, (op_type, precision, flops, *fields))
+
+
+def _outcome(build, entry):
+    """repr of the layer `build(entry)` returns (types and all), or its
+    refusal, each beside the field-by-field reading's."""
+    try:
+        expected = repr(_read_layer(entry))
+    except ModelError as e:
+        expected = f"refused: {e}"
+    try:
+        got = repr(build(entry))
+    except ModelError as e:
+        got = f"refused: {e}"
+    return got, expected
+
+
+# beyond the fuzz values: a string, the float range's edge, an int subclass
+_ODD_VALUES = ("11", 2 ** 1024, _FLOAT_OVERFLOW - 1, _Int(3))
+_ODD_ARRAYS = ((3, 3), [True, 3], [_Int(3), 2], [2 ** 1024, 1],
+               [_FLOAT_OVERFLOW], [_FLOAT_OVERFLOW - 1],
+               [_FLOAT_OVERFLOW - 1, 2], [3, 3, 3], [], [0, 0], [1, 1],
+               [3, -1])
+# a Relu whose shapes hold a single 0: an array set on it is every
+# nonzero entry of the layer, so it alone meets the sum bound, and an
+# empty in_shape leaves the layer no entry at all
+_ZEROS = {"op_type": "Relu", "precision": "FP16", "flops": 0,
+          "in_shape": [0], "out_shape": []}
+
+
+def _odd_entries():
+    """Entries with one field changed: each field set to each fuzz value,
+    or to an array holding one, or to an array that is odd in itself, on
+    a Conv, a Relu and a layer of zeros."""
+    for base in (_first_entry("Conv"), _first_entry("Relu"), _ZEROS):
+        yield base
+        for field in LayerSpec._fields:
+            values = (*VALUES, *_ODD_VALUES, *_ODD_ARRAYS,
+                      *([v, 2] for v in VALUES if v is not DROP))
+            for value in values:
+                if value is DROP:
+                    yield _without(base, field)
+                else:
+                    yield {**base, field: value}
+
+
+def test_the_one_pass_accepts_exactly_what_the_readers_accept(monkeypatch):
+    reads = []
+
+    def counted(*args, **kwargs):
+        reads.append(args[1])
+        return integers(*args, **kwargs)
+
+    monkeypatch.setattr(twillsim.models, "integers", counted)
+    one_pass, readers, cases = 0, 0, 0
+    for entry in _odd_entries():
+        # a one-entry descriptor: JSON spells a tuple as a list and an
+        # int subclass as an int
+        text = _descriptor([entry])
+        got, expected = _outcome(lambda e: parse_model(text).layers[0],
+                                 json.loads(text)["layers"][0])
+        assert got == expected, entry
+        # built by hand, where None is absent geometry and every other
+        # value is kept as given
+        if set(LayerSpec._fields[:5]) <= entry.keys():
+            present = {k: v for k, v in entry.items() if v is not None
+                       or k not in ("kernel", "stride", "padding")}
+            del reads[:]
+            got, expected = _outcome(lambda e: LayerSpec(**e), present)
+            assert got == expected, entry
+            if not got.startswith("refused"):
+                if reads:
+                    readers += 1
+                else:
+                    one_pass += 1
+        cases += 1
+    assert cases > 500
+    # the pass takes the common layer and leaves an odd one to the readers
+    assert one_pass and readers
 
 
 def test_compatibility_brute_force(matrix):
