@@ -10,10 +10,8 @@ lower-priority occupant; and as a last resort park the newcomer in the
 thaw queue until something frees up.
 
 The governor re-evaluates the GPU clock every cycle against the power
-budget, estimating the power/frequency slope from its own recent
-samples (only when the set of busy clusters is unchanged between
-samples, so the estimate is not polluted by occupancy flips) and
-falling back to the platform's configured slope otherwise.
+budget, predicting each level's draw from the platform's configured
+power/frequency slope.
 """
 
 from __future__ import annotations
@@ -87,19 +85,11 @@ class FreezeQueue:
         return key
 
 
-def _busy(states: dict) -> list[str]:
-    """The busy clusters, in the states' order, which is the board's: two
-    lists are equal exactly when the same clusters are busy."""
-    return [c for c, st in states.items() if st.occupant is not None]
-
-
 class TwillPolicy(_BoardPolicy):
     name = "twill"
 
     def __init__(self):
         self.queue = FreezeQueue()
-        # per-GPU (freq_mhz, power_mw, the view's cluster states)
-        self._samples: dict[str, tuple[float, float, dict]] = {}
 
     # -- mapping -----------------------------------------------------------
 
@@ -264,45 +254,29 @@ class TwillPolicy(_BoardPolicy):
                     p_after_mw: float, handled_events: int) -> list[Decision]:
         decisions = []
         self._layout(view.platform)
-        states, samples = view.states, self._samples
+        states = view.states
         budget = view.platform.tdp_mw
         headroom = budget - p_after_mw
         if handled_events <= 1 or headroom <= 0:
             effective = budget
         else:
             # several placements changed at once: only spend half the
-            # apparent headroom until the next sample confirms it
+            # apparent headroom until the next cycle's reading confirms it
             effective = p_after_mw + headroom / 2.0
         limit = effective + 1e-9
         for cid in self._gpu_ids:
             state = states[cid]
             if state.occupant is None:
-                # nothing running: leave the clock alone, and drop the
-                # sample so an idle-period reading never feeds the slope
-                samples.pop(cid, None)
-                continue
-
+                continue  # nothing running: leave the clock alone
             spec = state.spec
             levels = spec.freq_levels_mhz
             freq = levels[state.current_level]  # state.freq_mhz
             slope = spec.active_power_slope_mw_per_mhz
-            last = samples.get(cid)
-            if last is not None:
-                last_f, last_p, last_states = last
-                if last_f != freq and _busy(last_states) == _busy(states):
-                    est = (p_after_mw - last_p) / (freq - last_f)
-                    if est > 0:
-                        slope = est
-
             # the highest level whose predicted draw fits, else 0
             chosen = len(levels) - 1
             while chosen and not (p_after_mw + slope * (levels[chosen] - freq)
                                   <= limit):
                 chosen -= 1
-
-            # a view's states never change, so the busy clusters of a
-            # sample are worked out only when the clock has moved since
-            samples[cid] = (freq, p_after_mw, states)
             if chosen != state.current_level:
                 decisions.append(_new(Decision, (
                     _SET_FREQ, None, cid, chosen, None, None, False)))

@@ -2,7 +2,8 @@
 
 The toy-platform tests pin the full decision tape of small scenarios
 whose schedules can be worked out by hand; the governor tests drive
-dvfs_update directly with fabricated power samples.
+dvfs_update directly with fabricated power readings, and run the packaged
+mixes at a sweep of power budgets.
 """
 
 import random
@@ -18,8 +19,10 @@ from twillsim import (
     build_simulation,
     initial_states,
     load_matrix,
+    load_mix,
     load_platform,
     presets,
+    random_mix,
 )
 from twillsim.hardware import set_frequency
 from twillsim.policy import ControllerView
@@ -302,22 +305,18 @@ def test_governor_holds_when_the_next_level_would_not_fit():
     assert out == []
 
 
-def test_governor_estimates_slope_from_matching_samples():
+# 5177 mW at 306 MHz then 13000 mW at 1173 MHz: a pair power_draw cannot
+# produce, as its slope would be (13000 - 5177) / 867 ~ 9.0 mW/MHz, not
+# the configured 4.5.  The governor keeps no samples, so the first reading
+# changes nothing: the configured slope picks 408 MHz, whether or not the
+# DLA lit up in between.
+@pytest.mark.parametrize("dla_busy", [False, True],
+                         ids=["same_busy_set", "dla_lit_up"])
+def test_governor_predicts_from_the_configured_slope(dla_busy):
     pol = TwillPolicy()
     pol.dvfs_update(gpu_view(level=0), 5177.0, 5177.0, 1)
-    # same busy set, new frequency: the pair gives (13000-5177)/867
-    # ~ 9.0 mW/MHz, steeper than the configured 4.5, so the governor
-    # backs off to 816 MHz rather than the configured pick of 408
-    out = pol.dvfs_update(gpu_view(level=7), 13000.0, 13000.0, 1)
-    assert set_freqs(out) == [("gpu0", 5)]
-
-
-def test_governor_distrusts_samples_across_occupancy_changes():
-    pol = TwillPolicy()
-    pol.dvfs_update(gpu_view(level=0), 5177.0, 5177.0, 1)
-    # the DLA lit up between samples: the apparent slope is polluted,
-    # so the configured slope decides instead
-    out = pol.dvfs_update(gpu_view(level=7, dla_busy=True), 13000.0, 13000.0, 1)
+    out = pol.dvfs_update(gpu_view(level=7, dla_busy=dla_busy),
+                          13000.0, 13000.0, 1)
     assert set_freqs(out) == [("gpu0", 1)]
 
 
@@ -333,10 +332,109 @@ def test_governor_spends_half_the_headroom_after_batched_changes():
 
 
 def test_governor_leaves_an_idle_gpu_alone():
-    pol = TwillPolicy()
-    pol.dvfs_update(gpu_view(level=0), 5177.0, 5177.0, 1)
-    assert "gpu0" in pol._samples
-    out = pol.dvfs_update(gpu_view(level=0, busy=False), 3800.0, 3800.0, 1)
+    out = TwillPolicy().dvfs_update(gpu_view(level=0, busy=False),
+                                    3800.0, 3800.0, 1)
     assert out == []
-    # idle readings never feed the slope estimate
-    assert "gpu0" not in pol._samples
+
+
+def _busy(states):
+    return [c for c, st in states.items() if st.occupant is not None]
+
+
+class EstimatingTwill(TwillPolicy):
+    """TwillPolicy with its former governor, which estimated the GPU's
+    power/frequency slope from its own samples: from the last reading and
+    this one, when the clock had moved and the same clusters were busy.
+    `estimates` counts the cycles where an estimate took the configured
+    slope's place."""
+
+    def __init__(self):
+        super().__init__()
+        self._samples = {}
+        self.estimates = 0
+
+    def dvfs_update(self, view, p_before_mw, p_after_mw, handled_events):
+        decisions = []
+        self._layout(view.platform)
+        states, samples = view.states, self._samples
+        budget = view.platform.tdp_mw
+        headroom = budget - p_after_mw
+        if handled_events <= 1 or headroom <= 0:
+            effective = budget
+        else:
+            effective = p_after_mw + headroom / 2.0
+        limit = effective + 1e-9
+        for cid in self._gpu_ids:
+            state = states[cid]
+            if state.occupant is None:
+                samples.pop(cid, None)
+                continue
+            spec = state.spec
+            levels = spec.freq_levels_mhz
+            freq = levels[state.current_level]
+            slope = spec.active_power_slope_mw_per_mhz
+            last = samples.get(cid)
+            if last is not None:
+                last_f, last_p, last_states = last
+                if last_f != freq and _busy(last_states) == _busy(states):
+                    est = (p_after_mw - last_p) / (freq - last_f)
+                    if est > 0:
+                        slope = est
+                        self.estimates += 1
+            chosen = len(levels) - 1
+            while chosen and not (p_after_mw + slope * (levels[chosen] - freq)
+                                  <= limit):
+                chosen -= 1
+            samples[cid] = (freq, p_after_mw, states)
+            if chosen != state.current_level:
+                decisions.append(Decision(DecisionKind.SET_FREQ, None, cid,
+                                          chosen))
+        return decisions
+
+
+MIXES = ["mix1", "mix2", "mix3", "mix4", "mix5"]
+DESCRIPTORS = {m: presets.model_text(m) for m in presets.available_models()}
+# the draw with every cluster busy at its lowest level: below it, the
+# budget cannot hold while both engines run
+FLOOR_MW = ORIN.base_power_mw + sum(
+    c.idle_power_mw + c.active_power_slope_mw_per_mhz * c.freq_levels_mhz[0]
+    for c in ORIN.clusters)
+
+
+def run_at(scn, policy, tdp_mw):
+    if isinstance(scn, str):
+        scn = load_mix(presets.mix_text(scn),
+                       known_models=presets.available_models())
+    platform = ORIN._replace(tdp_mw=tdp_mw)
+    return Simulation(platform, scn, policy, DESCRIPTORS, MATRIX).run()
+
+
+def test_the_configured_slope_decides_as_the_estimate_did():
+    # power_draw is linear in the clock for a fixed busy set, so an
+    # estimate from two of its readings equals the configured slope, and
+    # the governor without one decides the same on every run
+    budgets = [6000.0, FLOOR_MW, 8000.0, 10000.0, 12000.0]
+    scenarios = MIXES + [random_mix(seed, presets.available_models(), 40)
+                         for seed in (1, 2)]
+    estimates = 0
+    for scn in scenarios:
+        for tdp_mw in budgets:
+            reference = EstimatingTwill()
+            want = run_at(scn, reference, tdp_mw)
+            got = run_at(scn, TwillPolicy(), tdp_mw)
+            assert got.decisions == want.decisions, (scn, tdp_mw)
+            assert got.power == want.power, (scn, tdp_mw)
+            estimates += reference.estimates
+    # the reference did estimate, so the comparison is not vacuous
+    assert estimates > 0
+
+
+@pytest.mark.parametrize("mix", MIXES)
+def test_twill_honours_every_budget_from_the_both_busy_floor(mix):
+    for tdp_mw in (FLOOR_MW, FLOOR_MW + 0.5, FLOOR_MW + 5.0, 7200.0, 7500.0,
+                   8000.0, 9000.0, 10000.0, 12000.0):
+        trace = run_at(mix, TwillPolicy(), tdp_mw)
+        assert trace.violation_fraction == 0.0, tdp_mw
+        if tdp_mw == FLOOR_MW:
+            # both engines ran at once, so the floor budget was reached
+            assert max(p.power_mw for p in trace.power) == FLOOR_MW
