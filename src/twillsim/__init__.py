@@ -17,7 +17,7 @@ Quick start::
 from . import presets
 from .baselines import POLICIES, GpuQueuePolicy, StaticDvfsPolicy, \
     StaticSubgraphPolicy, make_policy
-from .engine import EngineError, Simulation
+from .engine import EngineError, Prepared, Simulation, prepare
 from .hardware import (
     ClusterKind,
     ClusterSpec,
@@ -65,12 +65,10 @@ from .workload import (
 __version__ = "0.1.0"
 
 
-def build_simulation(mix, policy="twill", *, platform_text: str | None = None,
-                     **engine_kwargs) -> Simulation:
-    """Assemble a Simulation from packaged data.
-
-    mix may be a packaged mix/scenario name or a WorkloadScenario;
-    policy may be a policy name or a Policy instance.
+def prepare_mix(mix, *, platform_text: str | None = None,
+                **engine_kwargs) -> Prepared:
+    """Prepare a packaged mix/scenario name or a WorkloadScenario, with
+    the packaged data, for `Simulation(prepared, policy)` under any policy.
     """
     if isinstance(mix, str):
         scenario = load_mix(presets.mix_or_scenario_text(mix),
@@ -80,12 +78,19 @@ def build_simulation(mix, policy="twill", *, platform_text: str | None = None,
     platform = load_platform(platform_text if platform_text is not None
                              else presets.platform_text())
     matrix = load_matrix(presets.matrix_text())
-    if isinstance(policy, str):
-        policy = make_policy(policy)
     descriptors = {m: presets.model_text(m)
                    for m in dict.fromkeys(r.model for r in scenario.requests)}
-    return Simulation(platform, scenario, policy, descriptors, matrix,
-                      **engine_kwargs)
+    return prepare(platform, scenario, descriptors, matrix, **engine_kwargs)
+
+
+def build_simulation(mix, policy="twill", *, platform_text: str | None = None,
+                     **engine_kwargs) -> Simulation:
+    """A Simulation of prepare_mix(mix, ...) under `policy`, a policy
+    name or a Policy instance."""
+    prepared = prepare_mix(mix, platform_text=platform_text, **engine_kwargs)
+    if isinstance(policy, str):
+        policy = make_policy(policy)
+    return Simulation(prepared, policy)
 
 
 def simulate(mix, policy="twill", *, out_dir=None, **kwargs) -> Trace:

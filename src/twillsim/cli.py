@@ -20,12 +20,12 @@ import csv
 import io
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from . import build_simulation, presets
-from .baselines import POLICIES
-from .engine import EngineError
+from . import prepare_mix, presets
+from .baselines import POLICIES, make_policy
+from .engine import EngineError, Prepared, Simulation
 from .hardware import PlatformError
 from .models import ModelError
 from .trace import _TRACE_FILES, Trace, _write_files, write_trace
@@ -142,18 +142,20 @@ def _check_out(out: str | None, names: Iterable[str]) -> None:
             raise CliError(f"--out {out}: {file} is not a regular file")
 
 
-def _simulate(mix: str, policy: str, args) -> Trace:
+def _prepared(mixes: list[str], args) -> Iterator[Prepared]:
+    """Each of `mixes`, prepared as --seed, --set and --platform ask, the
+    last two parsed and read once."""
     platform_overrides, engine_kwargs = _parse_overrides(args.overrides)
-    scenario = _load_scenario(mix, args.seed)
-    if platform_overrides:
-        # a new scenario, so that its constructor checks the merged values
-        scenario = WorkloadScenario(
-            scenario.name, scenario.requests,
-            {**scenario.platform_overrides, **platform_overrides})
-    sim = build_simulation(scenario, policy,
-                           platform_text=_platform_text(args.platform),
-                           **engine_kwargs)
-    return sim.run()
+    platform_text = _platform_text(args.platform)
+    for mix in mixes:
+        scenario = _load_scenario(mix, args.seed)
+        if platform_overrides:
+            # a new scenario, so that its constructor checks the merged values
+            scenario = WorkloadScenario(
+                scenario.name, scenario.requests,
+                {**scenario.platform_overrides, **platform_overrides})
+        yield prepare_mix(scenario, platform_text=platform_text,
+                          **engine_kwargs)
 
 
 def _print_run(trace: Trace):
@@ -173,7 +175,8 @@ def _print_run(trace: Trace):
 
 def cmd_run(args) -> int:
     _check_out(args.out, _TRACE_FILES)
-    trace = _simulate(args.mix, args.policy, args)
+    prepared, = _prepared([args.mix], args)
+    trace = Simulation(prepared, make_policy(args.policy)).run()
     _print_run(trace)
     if args.out:
         write_trace(trace, args.out)
@@ -201,8 +204,9 @@ def cmd_compare(args) -> int:
     _check_out(args.out, [_COMPARISON_FILE])
 
     rows = []
-    for mix in args.mixes:
-        summaries = {p: _simulate(mix, p, args).summary()
+    # one build per mix, run under each policy
+    for mix, prepared in zip(args.mixes, _prepared(args.mixes, args)):
+        summaries = {p: Simulation(prepared, make_policy(p)).run().summary()
                      for p in args.policies}
         twill_makespan = (summaries["twill"]["makespan_ms"]
                           if "twill" in summaries else None)
@@ -213,15 +217,9 @@ def cmd_compare(args) -> int:
                 improvement = round(
                     100.0 * (s["makespan_ms"] - twill_makespan)
                     / s["makespan_ms"], 2)
-            rows.append({
-                "mix": mix,
-                "policy": p,
-                "makespan_ms": s["makespan_ms"],
-                "total_waiting_ms": s["total_waiting_ms"],
-                "violation_fraction": s["violation_fraction"],
-                "energy_mj": s["energy_mj"],
-                "twill_makespan_improvement_pct": improvement,
-            })
+            rows.append({"mix": mix, "policy": p,
+                         **{f: s[f] for f in _COMPARE_FIELDS[2:-1]},
+                         "twill_makespan_improvement_pct": improvement})
 
     widths = {f: max(len(f), *(len(str(r[f])) for r in rows)) for f in _COMPARE_FIELDS}
     print("  ".join(f"{f:<{widths[f]}}" for f in _COMPARE_FIELDS))

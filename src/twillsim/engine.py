@@ -1,5 +1,10 @@
 """Discrete-event core: the event loop and its task accounting.
 
+A run is built in two steps.  `prepare` checks the knobs, the board and
+the horizon, and decodes and analyses each model once; nothing in the
+`Prepared` it returns depends on a policy, so one build serves a run
+under each.  `Simulation(prepared, policy)` holds only run state.
+
 The simulation advances through decide cycles.  Each cycle is triggered
 by controller-visible events at one timestamp (request arrivals, or
 clusters freed by completions).  The policy returns mapping decisions
@@ -21,6 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import namedtuple
 from types import MappingProxyType
 
 from ._fields import real
@@ -154,129 +160,143 @@ _RANK_COMPLETION = 0
 _RANK_ARRIVAL = 1
 
 
+class Prepared(namedtuple("Prepared", (
+        "platform", "scenario", "ctrl_overhead_ms", "migration_overhead_ms",
+        "freeze_overhead_ms", "dla_fallback_penalty", "affinity_threshold",
+        "max_time_ms", "profiles", "signatures", "requests", "work",
+        "dependents", "pending_producers", "arrivals"))):
+    """What a run needs before its first event, whatever its policy:
+    built by `prepare`, read and never written by each Simulation of it.
+    The board has the scenario's overrides applied; `profiles` and
+    `signatures` are by model, `requests` and `work` (GFLOPs) by request
+    id; `dependents` and `pending_producers` are `dependency_index`'s;
+    `arrivals` are the independent requests' events, sorted (a heap)."""
+
+    __slots__ = ()
+
+
+def prepare(platform: PlatformSpec, scenario: WorkloadScenario,
+            descriptors: dict[str, str], matrix: CompatibilityMatrix, *,
+            ctrl_overhead_ms: float = CTRL_OVERHEAD_MS,
+            migration_overhead_ms: float = MIGRATION_OVERHEAD_MS,
+            freeze_overhead_ms: float = FREEZE_OVERHEAD_MS,
+            dla_fallback_penalty: float = DLA_FALLBACK_PENALTY,
+            affinity_threshold: float = AFFINITY_THRESHOLD,
+            max_time_ms: float = 1e7) -> Prepared:
+    """Check the knobs, the board and the horizon, and decode and analyse
+    each model of `scenario` once: a Prepared to run under any policy."""
+    overheads = [real(value, name, PlatformError, lo=0) for name, value in (
+        ("ctrl_overhead_ms", ctrl_overhead_ms),
+        ("migration_overhead_ms", migration_overhead_ms),
+        ("freeze_overhead_ms", freeze_overhead_ms))]
+    penalty = real(dla_fallback_penalty, "dla_fallback_penalty",
+                   PlatformError, lo=1)
+    threshold = real(affinity_threshold, "affinity_threshold",
+                     PlatformError, lo=0)
+    if threshold > 1:
+        raise PlatformError(
+            f"affinity_threshold must lie in [0, 1], not {threshold!r}")
+    # a NaN would never cut a runaway off
+    max_time_ms = real(max_time_ms, "max_time_ms", PlatformError, lo=0,
+                       strict=True)
+    platform = _apply_overrides(platform, scenario.platform_overrides)
+    top_rate = sum(c.throughput_gflops[-1]
+                   for c in platform.clusters) / 1000.0  # GFLOP/ms
+    # a task's end is a clock reading, exact to one step of the clock;
+    # a rate at which one step near the horizon holds more work than
+    # the completion check forgives ends a task short of its work
+    step = math.ulp(max_time_ms)
+    if top_rate * step > _WORK_EPS:
+        raise PlatformError(
+            f"{platform.name}: clusters too fast for the clock: "
+            f"{top_rate * 1000.0:g} GFLOPS at the top levels would do "
+            f"more than {_WORK_EPS} GFLOP in one {step:g} ms step of a "
+            f"{max_time_ms} ms horizon")
+    # a cluster that would do no more than that by the horizon, left
+    # at its lowest level, never completes a task there; a rate that
+    # underflows to 0 would divide by zero.  On a DLA, the slowest
+    # model that prefers it (its feasible fraction at the threshold)
+    # runs at that level slowed by the fallback penalty.
+    for c in platform.clusters:
+        low = c.throughput_gflops[0]
+        if low / 1000.0 * max_time_ms <= _WORK_EPS:
+            raise PlatformError(
+                f"{platform.name}: cluster {c.cluster_id} too slow for the "
+                f"horizon: {low:g} GFLOPS at its lowest level would do no "
+                f"more than {_WORK_EPS} GFLOP in {max_time_ms} ms")
+        if c.kind is not ClusterKind.DLA:
+            continue
+        slowed = low / (threshold + (1.0 - threshold) * penalty)
+        if slowed / 1000.0 * max_time_ms <= _WORK_EPS:
+            raise PlatformError(
+                f"{platform.name}: cluster {c.cluster_id} too slow for the "
+                f"horizon under a dla_fallback_penalty of {penalty:g}: "
+                f"{slowed:g} GFLOPS for a model that prefers it would do no "
+                f"more than {_WORK_EPS} GFLOP in {max_time_ms} ms")
+    # the energy total, power summed over time, is at most the peak
+    # over the horizon
+    peak = platform.peak_power_mw
+    if math.isinf(peak * max_time_ms):
+        raise PlatformError(
+            f"{platform.name}: a peak power draw of {peak:g} mW over the "
+            f"{max_time_ms} ms horizon overflows the energy total")
+    # Each descriptor is decoded and analysed once, by model name.  No
+    # request ends before its arrival plus its work at the top rate of
+    # every cluster at once (a split request runs on several), nor a
+    # dependent one before that bound of each of its producers: past the
+    # horizon, the input is at fault, not a policy.
+    profiles, signatures, work, ends, arrivals = {}, {}, {}, {}, []
+    for r in scenario.requests:
+        profile = profiles.get(r.model)
+        if profile is None:
+            if r.model not in descriptors:
+                raise EngineError(f"no descriptor for model {r.model!r}")
+            profile = profiles[r.model] = parse_model(descriptors[r.model])
+            signatures[r.model] = layer_affinity(profile, matrix,
+                                                 threshold=threshold)
+        w = work[r.request_id] = profile.work_gflops(r.workload_size)
+        ends[r.request_id] = r.arrival_ms + w / top_rate  # its bound
+        if not r.depends_on:
+            arrivals.append((r.arrival_ms, _RANK_ARRIVAL, len(arrivals),
+                             r.request_id, 0))
+    requests = {r.request_id: r for r in scenario.requests}
+    dependents, pending = dependency_index(scenario.requests)
+    if pending:
+        # the dependent requests, which the order lists last
+        order = dependency_order(scenario.requests, dependents, pending)
+        for c in order[len(order) - len(pending):]:
+            start = max(requests[c].arrival_ms,
+                        *[ends[p] for p in requests[c].depends_on])
+            ends[c] = start + work[c] / top_rate
+    finish = max(ends.values(), default=0.0)
+    if finish > max_time_ms:
+        # the greatest id among the requests with the latest bound
+        rid = max(c for c, end in ends.items() if end == finish)
+        raise WorkloadError(
+            f"{rid}: cannot finish before {finish:.1f} ms, past the "
+            f"simulation's {max_time_ms} ms horizon")
+    return Prepared(platform, scenario, *overheads, penalty, threshold,
+                    max_time_ms, profiles, signatures, requests, work,
+                    dependents, pending, tuple(sorted(arrivals)))
+
+
 class Simulation:
-    """One scenario run under one policy on one platform."""
+    """One run of a prepared scenario under one policy."""
 
-    def __init__(self, platform: PlatformSpec, scenario: WorkloadScenario,
-                 policy: Policy, descriptors: dict[str, str],
-                 matrix: CompatibilityMatrix, *,
-                 ctrl_overhead_ms: float = CTRL_OVERHEAD_MS,
-                 migration_overhead_ms: float = MIGRATION_OVERHEAD_MS,
-                 freeze_overhead_ms: float = FREEZE_OVERHEAD_MS,
-                 dla_fallback_penalty: float = DLA_FALLBACK_PENALTY,
-                 affinity_threshold: float = AFFINITY_THRESHOLD,
-                 max_time_ms: float = 1e7):
-        for name, value in (("ctrl_overhead_ms", ctrl_overhead_ms),
-                            ("migration_overhead_ms", migration_overhead_ms),
-                            ("freeze_overhead_ms", freeze_overhead_ms)):
-            setattr(self, name, real(value, name, PlatformError, lo=0))
-        self.dla_fallback_penalty = real(
-            dla_fallback_penalty, "dla_fallback_penalty", PlatformError, lo=1)
-        threshold = real(affinity_threshold, "affinity_threshold",
-                         PlatformError, lo=0)
-        if threshold > 1:
-            raise PlatformError(
-                f"affinity_threshold must lie in [0, 1], not {threshold!r}")
-        # a NaN would never cut a runaway off
-        self.max_time_ms = real(max_time_ms, "max_time_ms", PlatformError,
-                                lo=0, strict=True)
-        self.platform = _apply_overrides(platform, scenario.platform_overrides)
-        self.scenario = scenario
-        self.policy = policy
-
-        self.states = initial_states(self.platform)
-        self.tasks: dict[str, _Task] = {}
-        self._requests = {r.request_id: r for r in scenario.requests}
-        # Each descriptor is decoded and analysed once, by model name.  No
-        # request ends before its arrival plus its work at the top rate of
-        # every cluster at once (a split request runs on several), nor a
-        # dependent one before that bound of each of its producers: past
-        # the horizon, the input is at fault, not a policy.
-        self._profiles: dict[str, AppProfile] = {}
-        self._signatures: dict[str, SignatureMap] = {}
-        top_rate = sum(c.throughput_gflops[-1]
-                       for c in self.platform.clusters) / 1000.0  # GFLOP/ms
-        # a task's end is a clock reading, exact to one step of the clock;
-        # a rate at which one step near the horizon holds more work than
-        # the completion check forgives ends a task short of its work
-        step = math.ulp(self.max_time_ms)
-        if top_rate * step > _WORK_EPS:
-            raise PlatformError(
-                f"{self.platform.name}: clusters too fast for the clock: "
-                f"{top_rate * 1000.0:g} GFLOPS at the top levels would do "
-                f"more than {_WORK_EPS} GFLOP in one {step:g} ms step of a "
-                f"{self.max_time_ms} ms horizon")
-        # a cluster that would do no more than that by the horizon, left
-        # at its lowest level, never completes a task there; a rate that
-        # underflows to 0 would divide by zero.  On a DLA, the slowest
-        # model that prefers it (its feasible fraction at the threshold)
-        # runs at that level slowed by the fallback penalty.
-        penalty = self.dla_fallback_penalty
-        for c in self.platform.clusters:
-            low = c.throughput_gflops[0]
-            if low / 1000.0 * self.max_time_ms <= _WORK_EPS:
-                raise PlatformError(
-                    f"{self.platform.name}: cluster {c.cluster_id} too slow "
-                    f"for the horizon: {low:g} GFLOPS at its lowest level "
-                    f"would do no more than {_WORK_EPS} GFLOP in "
-                    f"{self.max_time_ms} ms")
-            if c.kind is not ClusterKind.DLA:
-                continue
-            slowed = low / (threshold + (1.0 - threshold) * penalty)
-            if slowed / 1000.0 * self.max_time_ms <= _WORK_EPS:
-                raise PlatformError(
-                    f"{self.platform.name}: cluster {c.cluster_id} too slow "
-                    f"for the horizon under a dla_fallback_penalty of "
-                    f"{penalty:g}: {slowed:g} GFLOPS for a model that "
-                    f"prefers it would do no more than {_WORK_EPS} GFLOP in "
-                    f"{self.max_time_ms} ms")
-        # the energy total, power summed over time, is at most the peak
-        # over the horizon
-        peak = self.platform.peak_power_mw
-        if math.isinf(peak * self.max_time_ms):
-            raise PlatformError(
-                f"{self.platform.name}: a peak power draw of {peak:g} mW "
-                f"over the {self.max_time_ms} ms horizon overflows the "
-                f"energy total")
-        self._work: dict[str, float] = {}
-        ends: dict[str, float] = {}  # request id -> its bound
+    def __init__(self, prepared: Prepared, policy: Policy):
+        self.prepared, self.policy = prepared, policy
+        # shared with every other run of `prepared`, and never written
+        self.platform, self.scenario = prepared.platform, prepared.scenario
+        self.dla_fallback_penalty = prepared.dla_fallback_penalty
+        self._requests, self._work = prepared.requests, prepared.work
+        # the one index a run writes: dependent -> producers pending
+        self._pending_producers = dict(prepared.pending_producers)
         # events as (time_ms, rank, seq, task key, epoch); the rank
         # tells a completion from an arrival, whose epoch is 0
-        self._heap: list[tuple] = []
-        self._seq = itertools.count()
-        for r in scenario.requests:
-            profile = self._profiles.get(r.model)
-            if profile is None:
-                if r.model not in descriptors:
-                    raise EngineError(f"no descriptor for model {r.model!r}")
-                profile = self._profiles[r.model] = parse_model(
-                    descriptors[r.model])
-                self._signatures[r.model] = layer_affinity(
-                    profile, matrix, threshold=threshold)
-            work = self._work[r.request_id] = profile.work_gflops(
-                r.workload_size)
-            ends[r.request_id] = r.arrival_ms + work / top_rate
-            if not r.depends_on:  # a dependent's is pushed on release
-                self._push_arrival(r.arrival_ms, r.request_id)
-        # producer -> its dependents, and dependent -> producers pending
-        self._dependents, self._pending_producers = dependency_index(
-            scenario.requests)
-        if self._pending_producers:
-            # the dependent requests, which the order lists last
-            order = dependency_order(scenario.requests, self._dependents,
-                                     self._pending_producers)
-            for c in order[len(order) - len(self._pending_producers):]:
-                r = self._requests[c]
-                start = max(r.arrival_ms, *[ends[p] for p in r.depends_on])
-                ends[c] = start + self._work[c] / top_rate
-        finish = max(ends.values(), default=0.0)
-        if finish > self.max_time_ms:
-            # the greatest id among the requests with the latest bound
-            rid = max(c for c, end in ends.items() if end == finish)
-            raise WorkloadError(
-                f"{rid}: cannot finish before {finish:.1f} ms, past the "
-                f"simulation's {self.max_time_ms} ms horizon")
-
+        self._heap: list[tuple] = list(prepared.arrivals)
+        self._seq = itertools.count(len(self._heap))
+        self.states = initial_states(self.platform)
+        self.tasks: dict[str, _Task] = {}
         self._ran = False
         self._completed_requests: set[str] = set()
         # indexes that keep each event's cost independent of how many
@@ -286,28 +306,22 @@ class Simulation:
         # every view's tasks: live, and read-only to the policy
         self._tasks_view = MappingProxyType(self._views)
         self._power_mw: float | None = None  # None: states changed since
-        self.trace = Trace(
-            scenario=scenario.name,
-            policy=policy.name,
-            platform=self.platform.name,
-            tdp_mw=self.platform.tdp_mw,
-            cluster_ids=tuple(c.cluster_id for c in self.platform.clusters),
-        )
+        platform = self.platform
+        self.trace = Trace(self.scenario.name, policy.name, platform.name,
+                           platform.tdp_mw,
+                           tuple(c.cluster_id for c in platform.clusters))
 
     # -- event plumbing ----------------------------------------------------
-
-    def _push_arrival(self, time_ms: float, request_id: str):
-        heapq.heappush(self._heap, (time_ms, _RANK_ARRIVAL, next(self._seq),
-                                    request_id, 0))
 
     def _release_dependents(self, producer: str, now: float):
         """Schedule, in scenario order, the dependents of a request that
         just completed whose producers are now all complete."""
-        for rid in self._dependents.get(producer, ()):
+        for rid in self.prepared.dependents.get(producer, ()):
             self._pending_producers[rid] -= 1
             if self._pending_producers[rid] == 0:
-                arrival_ms = self._requests[rid].arrival_ms
-                self._push_arrival(max(now, arrival_ms), rid)
+                heapq.heappush(self._heap, (
+                    max(now, self._requests[rid].arrival_ms), _RANK_ARRIVAL,
+                    next(self._seq), rid, 0))
 
     # -- power -------------------------------------------------------------
 
@@ -414,8 +428,9 @@ class Simulation:
         if key in self.tasks:  # a request id can be another's part key
             raise EngineError(f"task {key!r} already exists")
         request = self._requests[request_id]
-        task = _Task(key, request, part, self._profiles[request.model],
-                     self._signatures[request.model], work, native)
+        model = request.model
+        task = _Task(key, request, part, self.prepared.profiles[model],
+                     self.prepared.signatures[model], work, native)
         self.tasks[key] = task
         self._parts.setdefault(request_id, []).append(task)
         return task
@@ -487,14 +502,14 @@ class Simulation:
         # the cluster the record names: the target, or the one a FREEZE
         # vacated (None for a task that never ran), whatever the policy
         # filled in
-        cluster_id = d.cluster_id
+        cluster_id, prepared = d.cluster_id, self.prepared
         if kind is _MAP:
             if task.state is not _PENDING:
                 raise EngineError(f"{task.key}: MAP on a task that already ran")
             self._occupy(task, cluster_id)
             task.state = _RUNNING
             task.first_map_ms = now
-            task.last_sync = now + self.ctrl_overhead_ms
+            task.last_sync = now + prepared.ctrl_overhead_ms
             self._reschedule(task, now)
 
         elif kind is _MIGRATE:
@@ -507,8 +522,8 @@ class Simulation:
             self._vacate(task)
             self._rollback_to_boundary(task)
             self._occupy(task, cluster_id)
-            task.last_sync = (now + self.ctrl_overhead_ms
-                              + self.migration_overhead_ms)
+            task.last_sync = (now + prepared.ctrl_overhead_ms
+                              + prepared.migration_overhead_ms)
             self._reschedule(task, now)
 
         elif kind is _FREEZE:
@@ -531,12 +546,12 @@ class Simulation:
             if task.first_map_ms is None:
                 # deferred admission: charged like, and counted as, a MAP
                 task.first_map_ms = now
-                task.last_sync = now + self.ctrl_overhead_ms
+                task.last_sync = now + prepared.ctrl_overhead_ms
             else:
                 # the freeze charge was deferred to the thaw: pay both
                 # ends now, on top of the control overhead
-                task.last_sync = (now + self.ctrl_overhead_ms
-                                  + 2.0 * self.freeze_overhead_ms)
+                task.last_sync = (now + prepared.ctrl_overhead_ms
+                                  + 2.0 * prepared.freeze_overhead_ms)
                 if cluster_id != task.frozen_on:
                     self._rollback_to_boundary(task)
             task.frozen_on = None
@@ -635,12 +650,12 @@ class Simulation:
         self._ran = True
         self._record_power(0.0)
 
-        heap = self._heap
+        heap, max_time_ms = self._heap, self.prepared.max_time_ms
         while heap:
             now, rank = heap[0][0], heap[0][1]
-            if now > self.max_time_ms:
+            if now > max_time_ms:
                 raise EngineError(
-                    f"simulation ran past {self.max_time_ms} ms; "
+                    f"simulation ran past {max_time_ms} ms; "
                     "likely a stuck policy")
             if now != now:
                 # a time that never equals itself (NaN) would spin forever

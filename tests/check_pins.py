@@ -9,6 +9,12 @@ interpreter the package supports can run it from a source checkout:
 
 It prints one line per run whose trace files differ from their pins,
 naming the run and the files, and exits 1 if there is any, else 0.
+
+A packaged mix runs through `simulate`, as users run it.  A generated
+scenario is prepared once, and each of its pinned policies runs from
+that one build, as `twillsim compare` runs each mix: so the pins also
+show that runs sharing a build write the same bytes as runs that each
+build their own.
 """
 
 from __future__ import annotations
@@ -57,18 +63,24 @@ def scenario_text(name: str) -> str:
     return generators[workload](int(seed))
 
 
+@functools.cache
+def prepared(name: str):
+    """Generated scenario `name`, prepared once for all its runs."""
+    from twillsim import load_mix, prepare_mix, presets
+    return prepare_mix(load_mix(scenario_text(name),
+                                known_models=presets.available_models()))
+
+
 def trace_digests(name: str, policy: str) -> dict[str, str]:
     """Run scenario `name` under `policy`; the sha256 of each trace file
     it writes."""
-    from twillsim import (build_simulation, load_mix, presets, simulate,
-                          write_trace)
+    from twillsim import Simulation, make_policy, presets, simulate, write_trace
     with tempfile.TemporaryDirectory() as out:
         if name in presets.available_mixes():
             simulate(name, policy, out_dir=out)
         else:
-            scenario = load_mix(scenario_text(name),
-                                known_models=presets.available_models())
-            write_trace(build_simulation(scenario, policy).run(), out)
+            write_trace(Simulation(prepared(name), make_policy(policy)).run(),
+                        out)
         return {file: hashlib.sha256((Path(out) / file).read_bytes())
                 .hexdigest() for file in TRACE_FILES}
 

@@ -27,6 +27,7 @@ from twillsim import (
     load_platform,
     make_policy,
     parse_model,
+    prepare,
     presets,
     random_mix,
 )
@@ -299,8 +300,8 @@ def test_c7_tiny_instance_bound():
             reqs = [request(f"r{i}", model, priority=prio, arrival_ms=t,
                             size=C7_SIZE)
                     for i, (model, t, prio) in enumerate(combo)]
-            sim = Simulation(tiny_platform(), scenario(*reqs), TwillPolicy(),
-                             TOY_DESCRIPTORS, MATRIX)
+            sim = Simulation(prepare(tiny_platform(), scenario(*reqs),
+                                     TOY_DESCRIPTORS, MATRIX), TwillPolicy())
             ours = sim.run().makespan_ms
             opt = oracle_makespan([(m, t) for m, t, _ in combo], ours + 1.0)
             assert opt <= ours + 1e-6, (combo, opt, ours)
@@ -389,7 +390,8 @@ def test_c8_randomized_properties():
         for seed in range(1000):
             scn = random_mix(seed, model_names, n_requests=6)
             policy = Audited(TwillPolicy())
-            sim = Simulation(platform, scn, policy, TOY_DESCRIPTORS, MATRIX)
+            sim = Simulation(prepare(platform, scn, TOY_DESCRIPTORS, MATRIX),
+                             policy)
             trace = sim.run()
 
             assert policy.faults == [], (seed, policy.faults[:3])
@@ -399,10 +401,11 @@ def test_c8_randomized_properties():
             check_freeze_queue_order(trace, scn, prefs, platform)
 
             if seed % 50 == 0:
-                again = Simulation(platform, random_mix(seed, model_names,
-                                                        n_requests=6),
-                                   Audited(TwillPolicy()), TOY_DESCRIPTORS,
-                                   MATRIX).run()
+                again = Simulation(prepare(platform,
+                                           random_mix(seed, model_names,
+                                                      n_requests=6),
+                                           TOY_DESCRIPTORS, MATRIX),
+                                   Audited(TwillPolicy())).run()
                 assert decisions_csv(again) == decisions_csv(trace), seed
                 assert summary_json(again) == summary_json(trace), seed
 
@@ -419,17 +422,19 @@ def test_c8_randomized_properties_of_the_baselines(policy):
     model_names = sorted(TOY_DESCRIPTORS)
     for seed in range(C8_BASELINE_SEEDS):
         audited = Audited(make_policy(policy))
-        sim = Simulation(platform, random_mix(seed, model_names, n_requests=6),
-                         audited, TOY_DESCRIPTORS, MATRIX)
+        sim = Simulation(prepare(platform,
+                                 random_mix(seed, model_names, n_requests=6),
+                                 TOY_DESCRIPTORS, MATRIX), audited)
         trace = sim.run()
         assert audited.faults == [], (seed, audited.faults[:3])
         assert sim.conservation_error() <= 1e-6, seed
         assert all(r.completed_ms is not None for r in trace.requests), seed
         if seed % 50 == 0:
-            again = Simulation(platform, random_mix(seed, model_names,
-                                                    n_requests=6),
-                               Audited(make_policy(policy)), TOY_DESCRIPTORS,
-                               MATRIX).run()
+            again = Simulation(prepare(platform,
+                                       random_mix(seed, model_names,
+                                                  n_requests=6),
+                                       TOY_DESCRIPTORS, MATRIX),
+                               Audited(make_policy(policy))).run()
             assert decisions_csv(again) == decisions_csv(trace), seed
             assert summary_json(again) == summary_json(trace), seed
 
@@ -469,8 +474,8 @@ def test_c9_control_overhead_accounting():
                 ),
                 platform_overrides={"tdp_mw": 1e6},
             )
-            sim = Simulation(ORIN, scn, TwillPolicy(),
-                             {"resnet-152": text}, MATRIX, **kwargs)
+            sim = Simulation(prepare(ORIN, scn, {"resnet-152": text}, MATRIX,
+                                     **kwargs), TwillPolicy())
             trace = sim.run()
             return {r.request_id: r for r in trace.requests}
 

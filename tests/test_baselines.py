@@ -12,6 +12,7 @@ from twillsim import (
     build_simulation,
     load_matrix,
     make_policy,
+    prepare,
     presets,
 )
 from twillsim.baselines import POLICIES
@@ -21,8 +22,8 @@ MATRIX = load_matrix(presets.matrix_text())
 
 
 def run_policy(policy, *reqs):
-    sim = Simulation(tiny_platform(), scenario(*reqs), policy,
-                     TOY_DESCRIPTORS, MATRIX)
+    sim = Simulation(prepare(tiny_platform(), scenario(*reqs),
+                             TOY_DESCRIPTORS, MATRIX), policy)
     return sim, sim.run()
 
 
@@ -93,11 +94,13 @@ def test_static_dvfs_places_once_and_keeps_transformers_off_the_dla():
 @pytest.mark.parametrize("threshold,placed", [(0.9, "gpu0"), (0.5, "dla0")])
 def test_static_dvfs_reads_suitability_from_the_signature(threshold, placed):
     # toy-mixed is half supported: DLA-suited only under a threshold of 0.5
-    sim = Simulation(tiny_platform(),
-                     scenario(request("a", "toy-matmul"),
-                              request("b", "toy-mixed", arrival_ms=10.0)),
-                     StaticDvfsPolicy(), TOY_DESCRIPTORS, MATRIX,
-                     affinity_threshold=threshold)
+    sim = Simulation(prepare(tiny_platform(),
+                             scenario(request("a", "toy-matmul"),
+                                      request("b", "toy-mixed",
+                                              arrival_ms=10.0)),
+                             TOY_DESCRIPTORS, MATRIX,
+                             affinity_threshold=threshold),
+                     StaticDvfsPolicy())
     maps = {d.request_id: d.cluster_id for d in sim.run().decisions
             if d.kind == "MAP"}
     assert maps == {"a": "gpu0", "b": placed}
@@ -157,10 +160,11 @@ def test_subgraph_skips_offload_crumbs():
     assert tape(trace) == [(0.0, "MAP", "a", "gpu0")]
 
     # about 4.8% of the work is supported: under the bar, so no split
-    sim = Simulation(tiny_platform(), scenario(request("a", "toy-crumb")),
-                     StaticSubgraphPolicy(),
-                     {"toy-crumb": crumb_text()}, MATRIX)
-    assert 0.0 < sim._signatures["toy-crumb"].dla_flops_fraction < 0.05
+    sim = Simulation(prepare(tiny_platform(),
+                             scenario(request("a", "toy-crumb")),
+                             {"toy-crumb": crumb_text()}, MATRIX),
+                     StaticSubgraphPolicy())
+    assert 0.0 < sim.prepared.signatures["toy-crumb"].dla_flops_fraction < 0.05
     assert tape(sim.run()) == [(0.0, "MAP", "a", "gpu0")]
 
 

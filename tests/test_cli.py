@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import twillsim
 from twillsim import (Decision, DecisionKind, EventKind, Simulation,
-                      TwillPolicy, cli, presets)
-from twillsim.cli import main
+                      TwillPolicy, cli, load_mix, presets)
+from twillsim.cli import ALL_MIXES, main
 
 
 def test_run_prints_the_summary_line(capsys):
@@ -157,6 +158,21 @@ def test_compare_reports_improvement_and_writes_csv(tmp_path, capsys):
     assert base_row.split(",")[-1] == "16.71"
 
 
+def test_compare_parses_each_model_once_per_mix(capsys, monkeypatch):
+    # each mix is prepared once and run under all four policies from that
+    # build; a build per run would parse every model four times
+    parsed = []
+    parse = twillsim.engine.parse_model
+    monkeypatch.setattr(twillsim.engine, "parse_model",
+                        lambda text: parsed.append(text) or parse(text))
+    assert main(["compare"]) == 0
+    per_mix = [{r.model for r in load_mix(presets.mix_text(mix)).requests}
+               for mix in ALL_MIXES]
+    assert len(parsed) == sum(map(len, per_mix))
+    assert sorted(parsed) == sorted(presets.model_text(m)
+                                    for models in per_mix for m in models)
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
@@ -181,8 +197,8 @@ def test_nan_arrival_exits_one_before_any_run(tmp_path, capsys, monkeypatch):
     # a NaN arrival never equals the loop's clock; should validation let
     # it through, fail here instead of starting a run that would spin
     def no_run(*args, **kwargs):
-        raise AssertionError("a NaN arrival reached build_simulation")
-    monkeypatch.setattr(cli, "build_simulation", no_run)
+        raise AssertionError("a NaN arrival reached prepare_mix")
+    monkeypatch.setattr(cli, "prepare_mix", no_run)
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps({
         "name": "nan",
@@ -531,7 +547,7 @@ def test_out_that_is_no_directory_exits_one_before_any_run(
     # NotADirectoryError
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
-    monkeypatch.setattr(cli, "build_simulation", no_run)
+    monkeypatch.setattr(cli, "prepare_mix", no_run)
     afile = tmp_path / "afile"
     afile.write_text("kept")
     (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
@@ -551,7 +567,7 @@ def test_trace_file_that_is_no_regular_file_exits_one_before_any_run(
     # each used to simulate in full, then end in a raw IsADirectoryError
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
-    monkeypatch.setattr(cli, "build_simulation", no_run)
+    monkeypatch.setattr(cli, "prepare_mix", no_run)
     (tmp_path / "od" / name).mkdir(parents=True)
     _assert_input_error(command + ["--out", str(tmp_path / "od")], capsys,
                         f"{tmp_path / 'od' / name} is not a regular file")

@@ -32,6 +32,7 @@ from twillsim import (
     make_policy,
     parse_model,
     power_draw,
+    prepare,
     presets,
     random_mix,
     write_trace,
@@ -63,8 +64,9 @@ MATRIX = load_matrix(presets.matrix_text())
 
 
 def run_toy(scn, decide_fn=None, dvfs_fn=None, descriptors=None, **kwargs):
-    sim = Simulation(tiny_platform(), scn, ScriptedPolicy(decide_fn, dvfs_fn),
-                     descriptors or TOY_DESCRIPTORS, MATRIX, **kwargs)
+    sim = Simulation(prepare(tiny_platform(), scn,
+                             descriptors or TOY_DESCRIPTORS, MATRIX, **kwargs),
+                     ScriptedPolicy(decide_fn, dvfs_fn))
     return sim, sim.run()
 
 
@@ -630,8 +632,9 @@ def test_a_generator_decide_that_raises_applies_none_of_its_decisions():
         yield MAP("a", "gpu0")
         raise TypeError("policy bug")
 
-    sim = Simulation(tiny_platform(), scenario(request("a", "toy-conv")),
-                     ScriptedPolicy(decide), TOY_DESCRIPTORS, MATRIX)
+    sim = Simulation(prepare(tiny_platform(),
+                             scenario(request("a", "toy-conv")),
+                             TOY_DESCRIPTORS, MATRIX), ScriptedPolicy(decide))
     with pytest.raises(TypeError, match="policy bug"):
         sim.run()
     assert sim.tasks["a"].state is TaskState.PENDING
@@ -658,19 +661,18 @@ def test_a_part_left_frozen_after_its_request_completed_is_refused():
 
 
 def test_the_base_policy_maps_nothing_and_sets_no_clock():
-    scn = scenario(request("a", "toy-conv"))
+    prepared = prepare(tiny_platform(), scenario(request("a", "toy-conv")),
+                       TOY_DESCRIPTORS, MATRIX)
     with pytest.raises(EngineError,
                        match=r"unfinished requests: a \[a:pending\]$"):
-        Simulation(tiny_platform(), scn, Policy(), TOY_DESCRIPTORS,
-                   MATRIX).run()
+        Simulation(prepared, Policy()).run()
 
     class DecideOnly(Policy):
         def decide(self, view, events):
             return [MAP(e.request_id, "gpu0") for e in events
                     if e.kind is EventKind.ARRIVAL]
 
-    trace = Simulation(tiny_platform(), scn, DecideOnly(), TOY_DESCRIPTORS,
-                       MATRIX).run()
+    trace = Simulation(prepared, DecideOnly()).run()
     assert [(d.kind, d.request_id) for d in trace.decisions] == [("MAP", "a")]
 
 
@@ -684,8 +686,8 @@ def test_a_completion_that_disagrees_with_the_work_done_is_an_error():
         sim.tasks["a"].done -= 10.0
         return [MAP("b", "dla0")]
 
-    sim = Simulation(tiny_platform(), two_arrivals(), ScriptedPolicy(decide),
-                     TOY_DESCRIPTORS, MATRIX)
+    sim = Simulation(prepare(tiny_platform(), two_arrivals(),
+                             TOY_DESCRIPTORS, MATRIX), ScriptedPolicy(decide))
     with pytest.raises(EngineError, match=r"^a: completion fired with "
                        r"290\.000000000 of 300\.000000000 GFLOPs done$"):
         sim.run()
@@ -732,16 +734,14 @@ def test_unknown_platform_override_is_rejected():
 def test_missing_descriptor_is_rejected():
     scn = scenario(request("a", "mystery-model"))
     with pytest.raises(EngineError, match="mystery-model"):
-        Simulation(tiny_platform(), scn, ScriptedPolicy(),
-                   TOY_DESCRIPTORS, MATRIX)
+        prepare(tiny_platform(), scn, TOY_DESCRIPTORS, MATRIX)
 
 
 def test_a_descriptor_that_is_not_text_is_refused():
     scn = scenario(request("a", "toy-conv"))
     with pytest.raises(ModelError,
                        match="^model descriptor must be JSON text, not int$"):
-        Simulation(tiny_platform(), scn, ScriptedPolicy(), {"toy-conv": 5},
-                   MATRIX)
+        prepare(tiny_platform(), scn, {"toy-conv": 5}, MATRIX)
 
 
 def test_idle_policy_reports_stuck_requests():
@@ -762,9 +762,8 @@ def test_stuck_requests_are_all_named_and_none_is_recorded():
     # names b and a in scenario order, and records not even x
     scn = scenario(request("b", "toy-conv", deps=["a"]),
                    request("x", "toy-conv"), request("a", "toy-conv"))
-    sim = Simulation(tiny_platform(), scn,
-                     ScriptedPolicy(map_on_arrival({"x": [MAP("x", "gpu0")]})),
-                     TOY_DESCRIPTORS, MATRIX)
+    sim = Simulation(prepare(tiny_platform(), scn, TOY_DESCRIPTORS, MATRIX),
+                     ScriptedPolicy(map_on_arrival({"x": [MAP("x", "gpu0")]})))
     with pytest.raises(EngineError) as e:
         sim.run()
     assert str(e.value) == (
@@ -789,11 +788,10 @@ def test_request_that_cannot_finish_by_the_horizon_is_bad_input():
                    request("b", "toy-matmul", arrival_ms=5.0))
     with pytest.raises(WorkloadError, match=r"^b: cannot finish before "
                        r"105\.0 ms, past the simulation's 100\.0 ms horizon$"):
-        Simulation(tiny_platform(), scn, ScriptedPolicy(), TOY_DESCRIPTORS,
-                   MATRIX, max_time_ms=100.0)
+        prepare(tiny_platform(), scn, TOY_DESCRIPTORS, MATRIX,
+                max_time_ms=100.0)
     # ending exactly at the horizon is possible, so it is no input error
-    Simulation(tiny_platform(), scn, ScriptedPolicy(), TOY_DESCRIPTORS,
-               MATRIX, max_time_ms=105.0)
+    prepare(tiny_platform(), scn, TOY_DESCRIPTORS, MATRIX, max_time_ms=105.0)
 
 
 def test_a_dependent_request_cannot_finish_before_its_producers():
@@ -805,24 +803,23 @@ def test_a_dependent_request_cannot_finish_before_its_producers():
                    request("a", "toy-conv"))
     with pytest.raises(WorkloadError, match=r"^c: cannot finish before "
                        r"285\.7 ms, past the simulation's 250\.0 ms horizon$"):
-        Simulation(tiny_platform(), scn, ScriptedPolicy(), TOY_DESCRIPTORS,
-                   MATRIX, max_time_ms=250.0)
+        prepare(tiny_platform(), scn, TOY_DESCRIPTORS, MATRIX,
+                max_time_ms=250.0)
     # a later arrival bounds a dependent instead: b arrives after a's bound
     late = scenario(request("a", "toy-conv"),
                     request("b", "toy-matmul", arrival_ms=90.0, deps=["a"]))
     with pytest.raises(WorkloadError, match=r"^b: cannot finish before "
                        r"190\.0 ms"):
-        Simulation(tiny_platform(), late, ScriptedPolicy(), TOY_DESCRIPTORS,
-                   MATRIX, max_time_ms=150.0)
+        prepare(tiny_platform(), late, TOY_DESCRIPTORS, MATRIX,
+                max_time_ms=150.0)
 
 
 @pytest.mark.parametrize("max_time_ms", [0.0, -1.0, float("nan")])
 def test_horizon_must_be_positive(max_time_ms):
     # -1 used to be blamed on the first request, and NaN never cut off
     with pytest.raises(PlatformError, match="max_time_ms must be finite and > 0"):
-        Simulation(tiny_platform(), scenario(request("a", "toy-conv")),
-                   ScriptedPolicy(), TOY_DESCRIPTORS, MATRIX,
-                   max_time_ms=max_time_ms)
+        prepare(tiny_platform(), scenario(request("a", "toy-conv")),
+                TOY_DESCRIPTORS, MATRIX, max_time_ms=max_time_ms)
 
 
 @pytest.mark.parametrize("gpu_top,max_time_ms,refused", [
@@ -844,17 +841,18 @@ def test_a_board_too_fast_for_the_clock_is_refused(gpu_top, max_time_ms,
                                                          gpu_top]})
     scn = scenario(request("a", "toy-matmul"),
                    request("b", "toy-conv", arrival_ms=3.0, size=4))
+    def build():
+        return prepare(platform, scn, TOY_DESCRIPTORS, MATRIX,
+                       max_time_ms=max_time_ms)
+    if refused:
+        with pytest.raises(PlatformError, match=r"^toy-board: clusters "
+                           r"too fast for the clock: "):
+            build()
+        return
+    prepared = build()
     for policy in sorted(POLICIES):
-        def build():
-            return Simulation(platform, scn, make_policy(policy),
-                              TOY_DESCRIPTORS, MATRIX, max_time_ms=max_time_ms)
-        if refused:
-            with pytest.raises(PlatformError, match=r"^toy-board: clusters "
-                               r"too fast for the clock: "):
-                build()
-        else:
-            trace = build().run()
-            assert all(r.completed_ms is not None for r in trace.requests)
+        trace = Simulation(prepared, make_policy(policy)).run()
+        assert all(r.completed_ms is not None for r in trace.requests)
 
 
 @pytest.mark.parametrize("cluster,low,max_time_ms,refused", [
@@ -877,9 +875,9 @@ def test_a_board_too_slow_for_the_horizon_is_refused(cluster, low,
     scn = scenario(request("a", "toy-conv"))
 
     def build():
-        # gpu_queue never places a model on the DLA, and is refused too
-        return Simulation(platform, scn, make_policy("gpu_queue"),
-                          TOY_DESCRIPTORS, MATRIX, max_time_ms=max_time_ms)
+        # whatever the policy: gpu_queue never places a model on the DLA
+        return prepare(platform, scn, TOY_DESCRIPTORS, MATRIX,
+                       max_time_ms=max_time_ms)
     if refused:
         with pytest.raises(PlatformError, match=(
                 rf"^toy-board: cluster {cluster} too slow for the "
@@ -898,9 +896,9 @@ def test_a_fallback_penalty_that_stalls_the_dla_is_refused(policy):
     scn = scenario(request("a", "toy-conv"))
 
     def build(penalty, **kwargs):
-        return Simulation(tiny_platform(), scn, make_policy(policy),
-                          TOY_DESCRIPTORS, MATRIX,
-                          dla_fallback_penalty=penalty, **kwargs)
+        return Simulation(prepare(tiny_platform(), scn, TOY_DESCRIPTORS,
+                                  MATRIX, dla_fallback_penalty=penalty,
+                                  **kwargs), make_policy(policy))
     for penalty, slowed in ((1e14, "1e-10"), (1e308, "1e-304")):
         with pytest.raises(PlatformError) as e:
             build(penalty)
@@ -921,16 +919,15 @@ def test_a_board_whose_energy_could_overflow_is_refused():
     # 1e7 ms horizon, the energy total stays finite for 1e300 mW
     scn = scenario(request("a", "toy-conv"))
     platform = tiny_platform(gpu0={"idle_power_mw": 1e300})
-    trace = Simulation(platform, scn, make_policy("twill"), TOY_DESCRIPTORS,
-                       MATRIX).run()
+    trace = Simulation(prepare(platform, scn, TOY_DESCRIPTORS, MATRIX),
+                       make_policy("twill")).run()
     assert 0 < trace.summary()["energy_mj"] < float("inf")
     # and overflows for 1e302 mW, which used to end in an Infinity
     platform = tiny_platform(gpu0={"idle_power_mw": 1e302})
     with pytest.raises(PlatformError, match=(
             r"^toy-board: a peak power draw of 1e\+302 mW over the "
             r"10000000\.0 ms horizon overflows the energy total$")):
-        Simulation(platform, scn, make_policy("twill"), TOY_DESCRIPTORS,
-                   MATRIX)
+        prepare(platform, scn, TOY_DESCRIPTORS, MATRIX)
 
 
 def test_a_cycle_that_pops_nothing_is_an_error():
@@ -1039,8 +1036,8 @@ class CheckedSimulation(Simulation):
     rate and the power drawn.  `seen` names the kinds of change it was
     checked across."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, prepared, policy):
+        super().__init__(prepared, policy)
         self.checks = 0
         self.seen = set()
 
@@ -1130,9 +1127,9 @@ def test_held_views_keep_a_task_that_left_and_came_back():
 
     shadow = ShadowPolicy(ScriptedPolicy(decide))
     shadow.sim = Simulation(
-        tiny_platform(), scenario(request("a", "toy-conv"),
-                                  request("b", "toy-matmul")),
-        shadow, TOY_DESCRIPTORS, MATRIX)
+        prepare(tiny_platform(), scenario(request("a", "toy-conv"),
+                                          request("b", "toy-matmul")),
+                TOY_DESCRIPTORS, MATRIX), shadow)
     trace = shadow.sim.run()
     assert all(r.completed_ms is not None for r in trace.requests)
     assert list(shadow.sim.tasks) == ["b", "a#p", "a"]
@@ -1196,23 +1193,38 @@ def test_view_tasks_are_read_only():
     assert checked == ["a", "a"]
 
 
+def test_every_policy_runs_from_one_prepared_and_leaves_it_unchanged():
+    # the runs share the build's dicts: each run copies the pending
+    # producer counts it writes, and writes nothing else there
+    scn = random_mix(11, presets.available_models(), n_requests=40,
+                     dependency_p=0.4)
+    assert sum(1 for r in scn.requests if r.depends_on) >= 10
+    prepared = twillsim.prepare_mix(scn)
+    for policy in sorted(POLICIES):
+        shared = Simulation(prepared, make_policy(policy)).run()
+        own = build_simulation(scn, policy).run()
+        for write in (decisions_csv, requests_csv, power_csv, summary_json):
+            assert write(shared) == write(own), (policy, write.__name__)
+    assert prepared == twillsim.prepare_mix(scn)
+
+
 def test_derived_profiles_match_a_fresh_parse():
     models = presets.available_models()
     descriptors = {m: presets.model_text(m) for m in models}
     requests = [request(f"{m}/{size}/{prio}", m, priority=prio, size=size)
                 for m in models for size in (1, 3, 6) for prio in (1, 3)]
-    sim = Simulation(load_platform(presets.platform_text()),
-                     scenario(*requests), ScriptedPolicy(), descriptors,
-                     MATRIX)
-    assert set(sim._profiles) == set(sim._signatures) == set(models)
+    prepared = prepare(load_platform(presets.platform_text()),
+                       scenario(*requests), descriptors, MATRIX)
+    assert set(prepared.profiles) == set(prepared.signatures) == set(models)
     for r in requests:
         fresh = parse_model(descriptors[r.model])
-        derived = sim._profiles[r.model]
+        derived = prepared.profiles[r.model]
         assert derived == fresh
         assert derived.total_flops == fresh.total_flops
         assert (derived.work_gflops(r.workload_size)
-                == fresh.work_gflops(r.workload_size))
-        assert sim._signatures[r.model] == layer_affinity(fresh, MATRIX)
+                == fresh.work_gflops(r.workload_size)
+                == prepared.work[r.request_id])
+        assert prepared.signatures[r.model] == layer_affinity(fresh, MATRIX)
 
 
 def test_done_tasks_stay_in_the_view_with_all_work_done():

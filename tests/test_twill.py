@@ -21,6 +21,7 @@ from twillsim import (
     load_matrix,
     load_mix,
     load_platform,
+    prepare,
     presets,
     random_mix,
 )
@@ -33,8 +34,8 @@ MATRIX = load_matrix(presets.matrix_text())
 
 
 def run_twill(scn, **kwargs):
-    sim = Simulation(tiny_platform(), scn, TwillPolicy(),
-                     TOY_DESCRIPTORS, MATRIX, **kwargs)
+    sim = Simulation(prepare(tiny_platform(), scn, TOY_DESCRIPTORS, MATRIX,
+                             **kwargs), TwillPolicy())
     return sim, sim.run()
 
 
@@ -406,7 +407,8 @@ def run_at(scn, policy, tdp_mw):
         scn = load_mix(presets.mix_text(scn),
                        known_models=presets.available_models())
     platform = ORIN._replace(tdp_mw=tdp_mw)
-    return Simulation(platform, scn, policy, DESCRIPTORS, MATRIX).run()
+    return Simulation(prepare(platform, scn, DESCRIPTORS, MATRIX),
+                      policy).run()
 
 
 def test_the_configured_slope_decides_as_the_estimate_did():
