@@ -149,11 +149,9 @@ class _Task:
         request, signature = self.request, self.signature
         return tuple.__new__(TaskView, (
             self.key, request.request_id, self.part, self.profile.name,
-            request.priority, self.state, self.cluster_id,
-            self.first_map_ms is not None,
-            self.work, request.arrival_ms,
-            signature.preferred_clusters, signature.dla_flops_fraction,
-            self.native))
+            request.priority, self.state, self.cluster_id, self.work,
+            request.arrival_ms, signature.preferred_clusters,
+            signature.dla_flops_fraction, self.native))
 
 
 _RANK_COMPLETION = 0
@@ -162,9 +160,9 @@ _RANK_ARRIVAL = 1
 
 class Prepared(namedtuple("Prepared", (
         "platform", "scenario", "ctrl_overhead_ms", "migration_overhead_ms",
-        "freeze_overhead_ms", "dla_fallback_penalty", "affinity_threshold",
-        "max_time_ms", "profiles", "signatures", "requests", "work",
-        "dependents", "pending_producers", "arrivals"))):
+        "freeze_overhead_ms", "dla_fallback_penalty", "max_time_ms",
+        "profiles", "signatures", "requests", "work", "dependents",
+        "pending_producers", "arrivals"))):
     """What a run needs before its first event, whatever its policy:
     built by `prepare`, read and never written by each Simulation of it.
     The board has the scenario's overrides applied; `profiles` and
@@ -275,9 +273,9 @@ def prepare(platform: PlatformSpec, scenario: WorkloadScenario,
         raise WorkloadError(
             f"{rid}: cannot finish before {finish:.1f} ms, past the "
             f"simulation's {max_time_ms} ms horizon")
-    return Prepared(platform, scenario, *overheads, penalty, threshold,
-                    max_time_ms, profiles, signatures, requests, work,
-                    dependents, pending, tuple(sorted(arrivals)))
+    return Prepared(platform, scenario, *overheads, penalty, max_time_ms,
+                    profiles, signatures, requests, work, dependents,
+                    pending, tuple(sorted(arrivals)))
 
 
 class Simulation:

@@ -123,12 +123,6 @@ class PlatformSpec(namedtuple("PlatformSpec",
                 for c in self.clusters}
         return power_draw(self, busy)
 
-    def cluster(self, cluster_id: str) -> ClusterSpec:
-        for c in self.clusters:
-            if c.cluster_id == cluster_id:
-                return c
-        raise PlatformError(f"unknown cluster {cluster_id!r}")
-
 
 class ClusterState(namedtuple("ClusterState",
                                ("spec", "current_level", "occupant"),
@@ -141,10 +135,6 @@ class ClusterState(namedtuple("ClusterState",
     @property
     def freq_mhz(self) -> int:
         return self.spec.freq_levels_mhz[self.current_level]
-
-    @property
-    def throughput(self) -> float:
-        return self.spec.throughput_gflops[self.current_level]
 
 
 def set_frequency(state: ClusterState, level: int) -> ClusterState:

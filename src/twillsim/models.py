@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 
 from ._fields import (_FLOAT_OVERFLOW, _INT, document, integer, integers,
@@ -147,12 +147,15 @@ class AppProfile(namedtuple("AppProfile",
         reference_workload = integer(reference_workload,
                                      f"{name}: reference_workload",
                                      ModelError, lo=1)
-        # each entry is taken as a LayerSpec, as parse_model builds them:
-        # a check per layer would cost ~1% of building the packaged runs
         if not isinstance(layers, _ARRAYS):
             raise ModelError(f"{name}: layers must be an array, not {layers!r}")
         if not layers:
             raise ModelError(f"{name}: descriptor has no layers")
+        # one pass in C: a LayerSpec has checked its own fields
+        if not all(map(isinstance, layers, repeat(LayerSpec))):
+            entry = next(l for l in layers if not isinstance(l, LayerSpec))
+            raise ModelError(
+                f"{name}: layers entry {entry!r} is not a LayerSpec")
         return super().__new__(cls, name, tuple(layers), reference_workload)
 
     @cached_property

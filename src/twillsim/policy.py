@@ -64,7 +64,7 @@ _GPU = ClusterKind.GPU
 
 class TaskView(namedtuple("TaskView", (
         "key", "request_id", "part", "model", "priority", "state",
-        "cluster_id", "started", "work_gflops", "arrival_ms",
+        "cluster_id", "work_gflops", "arrival_ms",
         "preferred_kinds", "dla_fraction", "native"))):
     """Read-only snapshot of one task, as shown to policies."""
 
@@ -87,7 +87,7 @@ def effective_rate(state: ClusterState, dla_fraction: float, native: bool,
                    penalty: float) -> float:
     """GFLOP/s the cluster delivers for a task at the current level."""
     spec = state.spec
-    thr = spec.throughput_gflops[state.current_level]  # state.throughput
+    thr = spec.throughput_gflops[state.current_level]
     if native or spec.kind is _GPU:
         return thr
     # whole model on the DLA: infeasible layers fall back with a penalty

@@ -8,7 +8,9 @@ interpreter the package supports can run it from a source checkout:
     python3 tests/check_pins.py
 
 It prints one line per run whose trace files differ from their pins,
-naming the run and the files, and exits 1 if there is any, else 0.
+naming the run and the files, and one per run that raises, naming the
+run and the exception; every run is checked either way.  It exits 1 if
+any run differs or raises, else 0.
 
 A packaged mix runs through `simulate`, as users run it.  A generated
 scenario is prepared once, and each of its pinned policies runs from
@@ -90,7 +92,12 @@ def main() -> int:
     runs = pinned_runs()
     failed = 0
     for label, (name, policy, pinned) in runs.items():
-        got = trace_digests(name, policy)
+        try:
+            got = trace_digests(name, policy)
+        except Exception as e:
+            failed += 1
+            print(f"ERROR {label}: {type(e).__name__}: {e}")
+            continue
         wrong = [file for file in TRACE_FILES if got[file] != pinned[file]]
         if wrong:
             failed += 1

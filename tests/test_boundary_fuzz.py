@@ -1,15 +1,16 @@
 """A seeded fuzz of every input document.
 
-Each case takes the packaged platform, DLA matrix, mix1 or the
-efficientnet-b4 descriptor (a model mix1 runs), changes one node of it,
-and runs mix1 on the result: the node is dropped, or set to null, a
-bool, an array, an object, NaN, an infinity, -1, 1e308, an integer
-past the float range, or a tiny positive float: 5e-324, the least
-subnormal, or 1e-308, near the least normal.  A case either runs with
-every request complete and a finite energy total, or is refused with
-the boundary's typed error.  Every few cases also go through `twillsim
-run`, which must then exit 0, or 1 with the same `error: …` line, never
-a traceback or an internal error.
+Each case takes the packaged platform, DLA matrix, one of mix1–mix5 or
+the efficientnet-b4 descriptor (a model mix1 runs), changes one node of
+it, or two nodes neither of which holds the other, and runs the mix on
+the result (mix1 for a document that is not a mix): each node is
+dropped, or set to null, a bool, an array, an object, NaN, an infinity,
+-1, 1e308, an integer past the float range, or a tiny positive float:
+5e-324, the least subnormal, or 1e-308, near the least normal.  A case
+either runs with every request complete and a finite energy total, or
+is refused with the boundary's typed error.  Every few cases also go
+through `twillsim run`, which must then exit 0, or 1 with the same
+`error: …` line, never a traceback or an internal error.
 """
 
 import json
@@ -28,14 +29,18 @@ VALUES = (DROP, None, True, [], {}, math.nan, math.inf, -math.inf, -1, 1e308,
           10 ** 400, 5e-324, 1e-308)
 POLICY_NAMES = sorted(POLICIES)
 MODEL = "efficientnet-b4"
-# each document, as the config-dir file that replaces the packaged one
+# each document, as the config-dir file that replaces the packaged one,
+# and the mix that runs on it
 DOCUMENTS = {
-    "platform.json": presets.platform_text,
-    "dla_matrix.json": presets.matrix_text,
-    "mixes/mix1.json": lambda: presets.mix_text("mix1"),
-    f"models/{MODEL}.json": lambda: presets.model_text(MODEL),
+    "platform.json": (presets.platform_text, "mix1"),
+    "dla_matrix.json": (presets.matrix_text, "mix1"),
+    f"models/{MODEL}.json": (lambda: presets.model_text(MODEL), "mix1"),
+    **{f"mixes/{mix}.json": (lambda mix=mix: presets.mix_text(mix), mix)
+       for mix in presets.available_mixes()},
 }
-CASES = 100  # per document; one in CLI_EVERY also runs through the CLI
+# per document, by the number of nodes a case changes; one case in
+# CLI_EVERY also runs through the CLI
+CASES = {1: 100, 2: 30}
 CLI_EVERY = 5
 
 
@@ -52,25 +57,31 @@ def _nodes(node, path=()):
         yield from _nodes(child, path + (key,))
 
 
-def _mutated(doc, path, value) -> str:
-    if not path:
+def _mutated(text, edits) -> str:
+    """JSON `text` with each `(path, value)` of `edits` made: the node at
+    path dropped, or set to value.  No path holds another, and the last
+    path goes first, so that a dropped array entry moves no entry
+    another edit names."""
+    path, value = edits[0]
+    if not path:  # the root holds every other node
         return "" if value is DROP else json.dumps(value)
-    doc = json.loads(json.dumps(doc))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is DROP:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
+    doc = json.loads(text)
+    for path, value in sorted(edits, key=lambda edit: edit[0], reverse=True):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
     return json.dumps(doc)
 
 
-def _outcome(policy) -> str | None:
-    """None when mix1 runs with every request complete, else the typed
+def _outcome(mix, policy) -> str | None:
+    """None when `mix` runs with every request complete, else the typed
     refusal's message."""
     try:
-        sim = build_simulation("mix1", policy)
+        sim = build_simulation(mix, policy)
         trace = sim.run()
     except TYPED as e:
         return str(e)
@@ -80,8 +91,8 @@ def _outcome(policy) -> str | None:
     return None
 
 
-def _check_cli(policy, refusal, capsys):
-    code = main(["run", "--mix", "mix1", "--policy", policy])
+def _check_cli(mix, policy, refusal, capsys):
+    code = main(["run", "--mix", mix, "--policy", policy])
     err = capsys.readouterr().err
     if refusal is None:
         assert (code, err) == (0, "")
@@ -89,31 +100,52 @@ def _check_cli(policy, refusal, capsys):
         assert (code, err) == (1, f"error: {refusal}\n")
 
 
-@pytest.mark.parametrize("file", sorted(DOCUMENTS))
-def test_a_mutated_document_runs_or_is_refused(file, tmp_path, monkeypatch,
-                                               capsys):
-    doc = json.loads(DOCUMENTS[file]())
-    paths = list(_nodes(doc))
+def _fuzz(file, nodes, tmp_path, monkeypatch, capsys):
+    """CASES[nodes] seeded cases of `file`, each changing that many
+    nodes of it."""
+    load, mix = DOCUMENTS[file]
+    text = load()
+    paths = list(_nodes(json.loads(text)))
+    if nodes > 1:
+        paths = paths[1:]  # the root holds every other node
     target = tmp_path / file
     target.parent.mkdir(exist_ok=True)
     monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
-    rng = random.Random(file)
-    for i in range(CASES):
-        path, value = rng.choice(paths), rng.choice(VALUES)
+    rng = random.Random(file if nodes == 1 else f"{file}/{nodes}")
+    for i in range(CASES[nodes]):
+        edits = []
+        while len(edits) < nodes:
+            path = rng.choice(paths)
+            if not any(path[:len(p)] == p or p[:len(path)] == path
+                       for p, _ in edits):
+                edits.append((path, rng.choice(VALUES)))
         policy = rng.choice(POLICY_NAMES)
-        target.write_text(_mutated(doc, path, value))
-        case = (path, "drop" if value is DROP else value, policy)
+        target.write_text(_mutated(text, edits))
+        case = ([(p, "drop" if v is DROP else v) for p, v in edits], policy)
         try:
-            refusal = _outcome(policy)
+            refusal = _outcome(mix, policy)
             if i % CLI_EVERY == 0:
-                _check_cli(policy, refusal, capsys)
+                _check_cli(mix, policy, refusal, capsys)
         except Exception as e:  # name the case, so that it can be rerun
             raise AssertionError(f"{file} {case}: {e!r}") from e
 
 
+@pytest.mark.parametrize("file", sorted(DOCUMENTS))
+def test_a_mutated_document_runs_or_is_refused(file, tmp_path, monkeypatch,
+                                               capsys):
+    _fuzz(file, 1, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("file", sorted(DOCUMENTS))
+def test_a_document_with_two_mutated_nodes_runs_or_is_refused(
+        file, tmp_path, monkeypatch, capsys):
+    _fuzz(file, 2, tmp_path, monkeypatch, capsys)
+
+
 def _edit(file, path, value):
     """One pinned edit: `file`'s node at `path` set to `value`."""
-    return file, _mutated(json.loads(DOCUMENTS[file]()), path, value), ()
+    load, _ = DOCUMENTS[file]
+    return file, _mutated(load(), [(path, value)]), ()
 
 
 def _knob(setting):

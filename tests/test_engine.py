@@ -237,7 +237,7 @@ def test_freeze_thaw_elsewhere_also_rolls_back():
 def test_a_view_follows_one_task_through_freezes_and_thaws():
     # a is admitted frozen, thawed on the DLA, evicted, and thawed again
     # on the GPU; each cycle's views before and after its decisions
-    # show a's state, whether it has started and where it is
+    # show a's state and where it is
     scn = scenario(request("a", "toy-conv"), request("b", "toy-matmul"),
                    request("c", "toy-matmul", arrival_ms=100.0))
     seen = []
@@ -245,7 +245,7 @@ def test_a_view_follows_one_task_through_freezes_and_thaws():
     def look(when, view):
         a = view.tasks.get("a")
         if a is not None:
-            seen.append((view.now, when, a.state, a.started, a.cluster_id))
+            seen.append((view.now, when, a.state, a.cluster_id))
 
     def decide(view, events):
         look("before", view)
@@ -277,11 +277,11 @@ def test_a_view_follows_one_task_through_freezes_and_thaws():
     # GPU: 120 GF left after the thaw hold
     a_done = c_done + 15.0 + 2.0 * 10.0 + 120.0 / 1.2
     assert [row[1:] for row in seen] == [
-        ("before", P, False, None), ("after", F, False, None),
-        ("before", F, False, None), ("after", R, True, "dla0"),
-        ("before", R, True, "dla0"), ("after", F, True, None),
-        ("before", F, True, None), ("after", R, True, "gpu0"),
-        ("before", D, True, None), ("after", D, True, None),
+        ("before", P, None), ("after", F, None),
+        ("before", F, None), ("after", R, "dla0"),
+        ("before", R, "dla0"), ("after", F, None),
+        ("before", F, None), ("after", R, "gpu0"),
+        ("before", D, None), ("after", D, None),
     ]
     assert [row[0] for row in seen] == pytest.approx(
         [0.0, 0.0, 100.0, 100.0, b_done, b_done, c_done, c_done,

@@ -17,9 +17,10 @@ from pathlib import Path
 
 import pytest
 
+import check_pins
 import twillsim
 from check_pins import TRACE_FILES, pinned_runs, trace_digests
-from twillsim import POLICIES, presets, simulate, write_trace
+from twillsim import POLICIES, EngineError, presets, simulate, write_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = json.loads((ROOT / "bench" / "digests.json").read_text())
@@ -51,6 +52,35 @@ def test_the_pin_check_lists_every_pinned_run():
     assert RUNS["steady/twill"][:2] == (f"steady-{DIGESTS['steady']['seed']}",
                                         "twill")
     assert RUNS["mix1/gpu_queue"][:2] == ("mix1", "gpu_queue")
+
+
+def test_a_run_that_raises_is_reported_and_the_rest_are_checked(
+        monkeypatch, capsys):
+    # the first run that raised once ended the check in a traceback that
+    # named no run, and no later run was checked
+    digests = dict.fromkeys(TRACE_FILES, "0" * 64)
+    runs = {"a/twill": ("a", "twill", digests),
+            "b/twill": ("b", "twill", digests),
+            "c/twill": ("c", "twill", {**digests, "power.csv": "1" * 64})}
+    checked = []
+
+    def digests_of(name, policy):
+        checked.append(name)
+        if name == "a":
+            raise EngineError("event queue drained with unfinished requests")
+        return digests
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends src/
+    monkeypatch.setattr(check_pins, "pinned_runs", lambda: runs)
+    monkeypatch.setattr(check_pins, "trace_digests", digests_of)
+    assert check_pins.main() == 1
+    assert checked == ["a", "b", "c"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [
+        "ERROR a/twill: EngineError: event queue drained with unfinished "
+        "requests", "MISMATCH c/twill: power.csv"]
+    assert out[2].startswith("1 of 3 pinned runs match (Python ")
+    assert len(out) == 3
 
 
 # Every pinned run is run and hashed by check_pins.trace_digests, the

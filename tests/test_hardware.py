@@ -25,8 +25,8 @@ def platform():
 def test_load_default_platform(platform):
     assert platform.name == "orin-nx-10w"
     assert platform.tdp_mw == 10000.0
-    gpu = platform.cluster("gpu0")
-    dla = platform.cluster("dla0")
+    gpu, dla = platform.clusters
+    assert (gpu.cluster_id, dla.cluster_id) == ("gpu0", "dla0")
     assert gpu.kind is ClusterKind.GPU
     assert dla.kind is ClusterKind.DLA
     assert gpu.num_levels == 8
@@ -35,18 +35,14 @@ def test_load_default_platform(platform):
     assert dla.num_levels == 1
 
 
-def test_unknown_cluster_raises(platform):
-    with pytest.raises(PlatformError):
-        platform.cluster("npu9")
-
-
 def test_set_frequency(platform):
     states = initial_states(platform)
     gpu = states["gpu0"]
     assert gpu.current_level == 0
     fast = set_frequency(gpu, 7)
     assert fast.freq_mhz == 1173.0
-    assert fast.throughput == platform.cluster("gpu0").throughput_gflops[7]
+    assert fast.spec is gpu.spec
+    assert fast.spec.throughput_gflops[fast.current_level] == 2500.0
     # original state untouched
     assert gpu.current_level == 0
 
@@ -66,8 +62,7 @@ def test_dla_has_no_dvfs(platform):
 
 
 def test_throughput_increases_with_level(platform):
-    gpu = platform.cluster("gpu0")
-    table = gpu.throughput_gflops
+    table = platform.clusters[0].throughput_gflops
     assert all(a < b for a, b in zip(table, table[1:]))
 
 
@@ -117,7 +112,7 @@ def test_power_gpu_alone_at_max_fits_budget(platform):
 def test_power_monotonic_in_level_and_occupancy(platform):
     states = initial_states(platform)
     prev = None
-    for level in range(platform.cluster("gpu0").num_levels):
+    for level in range(platform.clusters[0].num_levels):
         states["gpu0"] = set_frequency(initial_states(platform)["gpu0"], level)
         lo = power_draw(platform, states)
         hi = power_draw(platform, _busy(states, "gpu0"))

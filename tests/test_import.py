@@ -122,8 +122,8 @@ UNCHECKED_TYPES = [
      {"request_id": None, "cluster_id": None, "level": None, "part": None,
       "work_gflops": None, "native": False}),
     (TaskView, ("key", "request_id", "part", "model", "priority", "state",
-                "cluster_id", "started", "work_gflops", "arrival_ms",
-                "preferred_kinds", "dla_fraction", "native"), {}),
+                "cluster_id", "work_gflops", "arrival_ms", "preferred_kinds",
+                "dla_fraction", "native"), {}),
     (ControllerView, ("now", "platform", "states", "tasks",
                       "dla_fallback_penalty"), {}),
     (DecisionRecord, ("time_ms", "kind", "request_id", "part", "cluster_id",

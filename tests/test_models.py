@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -446,6 +447,19 @@ def test_a_hand_built_profile_holds_an_array_of_layers():
     profile = AppProfile("m", layers)
     assert type(profile.layers) is tuple and profile.layers == tuple(layers)
     hash(profile)
+
+
+@pytest.mark.parametrize("entry", [
+    "x", None, {"op_type": "Relu"},
+    ("Relu", "FP16", 1, (1, 64), (1, 64), None, None, None)],
+    ids=["str", "none", "dict", "plain_tuple"])
+def test_a_hand_built_profile_holds_only_layer_specs(entry):
+    # ("x",) was once kept, and its total_flops raised an IndexError
+    refusal = re.escape(f"m: layers entry {entry!r} is not a LayerSpec")
+    layers = _profile("vgg-19").layers
+    for given in ((entry,), (*layers[:2], entry, *layers[2:])):
+        with pytest.raises(ModelError, match=f"^{refusal}$"):
+            AppProfile("m", given)
 
 
 def test_a_hand_built_layer_checks_its_arrays():
