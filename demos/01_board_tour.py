@@ -26,7 +26,7 @@ def main():
     for spec in platform.clusters:
         print(f"{spec.cluster_id} ({spec.kind.name}), idle {spec.idle_power_mw:.0f} mW, "
               f"active slope {spec.active_power_slope_mw_per_mhz} mW/MHz")
-        for level in range(spec.num_levels):
+        for level in range(spec.max_level + 1):
             rate = spec.throughput_gflops[level] / 1000.0
             print(f"  level {level}: {spec.freq_levels_mhz[level]:6.0f} MHz -> "
                   f"{spec.throughput_gflops[level]:7.1f} GF/s ({rate:.4f} GF/ms)")

@@ -177,12 +177,8 @@ class StaticSubgraphPolicy(_BoardPolicy):
         return decisions
 
 
-POLICIES = {
-    "twill": TwillPolicy,
-    "gpu_queue": GpuQueuePolicy,
-    "static_dvfs": StaticDvfsPolicy,
-    "static_subgraph": StaticSubgraphPolicy,
-}
+POLICIES = {p.name: p for p in (TwillPolicy, GpuQueuePolicy, StaticDvfsPolicy,
+                                StaticSubgraphPolicy)}
 
 
 def make_policy(name: str) -> Policy:

@@ -78,6 +78,7 @@ def _build_parser() -> _Parser:
     comp.add_argument("--mixes", nargs="+", default=list(ALL_MIXES),
                       help="mixes to compare (default: all five)")
     comp.add_argument("--policies", nargs="+", default=sorted(POLICIES),
+                      choices=sorted(POLICIES), metavar="POLICY",
                       help="policies to compare (default: all)")
     return parser
 
@@ -193,9 +194,6 @@ _COMPARE_FIELDS = ["mix", "policy", "makespan_ms", "total_waiting_ms",
 def cmd_compare(args) -> int:
     if len(set(args.policies)) < 2:
         raise CliError("compare requires >=2 policies")
-    unknown = sorted(set(args.policies) - set(POLICIES))
-    if unknown:
-        raise CliError(f"unknown policies: {', '.join(unknown)}")
     # a repeat would be simulated again and get rows of its own
     for flag, names in (("--mixes", args.mixes), ("--policies", args.policies)):
         repeated = sorted({n for n in names if names.count(n) > 1})

@@ -27,6 +27,7 @@ import heapq
 import itertools
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 from types import MappingProxyType
 
 from ._fields import real
@@ -43,6 +44,7 @@ from .models import (
     AFFINITY_THRESHOLD,
     AppProfile,
     CompatibilityMatrix,
+    ModelError,
     SignatureMap,
     layer_affinity,
     parse_model,
@@ -183,6 +185,14 @@ def prepare(platform: PlatformSpec, scenario: WorkloadScenario,
             max_time_ms: float = 1e7) -> Prepared:
     """Check the knobs, the board and the horizon, and decode and analyse
     each model of `scenario` once: a Prepared to run under any policy."""
+    for name, value, cls, error in (
+            ("platform", platform, PlatformSpec, PlatformError),
+            ("scenario", scenario, WorkloadScenario, WorkloadError),
+            ("descriptors", descriptors, Mapping, ModelError),
+            ("matrix", matrix, CompatibilityMatrix, ModelError)):
+        if not isinstance(value, cls):
+            raise error(f"{name} must be a {cls.__name__}, "
+                        f"not {type(value).__name__}")
     overheads = [real(value, name, PlatformError, lo=0) for name, value in (
         ("ctrl_overhead_ms", ctrl_overhead_ms),
         ("migration_overhead_ms", migration_overhead_ms),
@@ -224,7 +234,7 @@ def prepare(platform: PlatformSpec, scenario: WorkloadScenario,
                 f"more than {_WORK_EPS} GFLOP in {max_time_ms} ms")
         if c.kind is not ClusterKind.DLA:
             continue
-        slowed = low / (threshold + (1.0 - threshold) * penalty)
+        slowed = effective_rate(ClusterState(c), threshold, False, penalty)
         if slowed / 1000.0 * max_time_ms <= _WORK_EPS:
             raise PlatformError(
                 f"{platform.name}: cluster {c.cluster_id} too slow for the "
@@ -248,7 +258,7 @@ def prepare(platform: PlatformSpec, scenario: WorkloadScenario,
         profile = profiles.get(r.model)
         if profile is None:
             if r.model not in descriptors:
-                raise EngineError(f"no descriptor for model {r.model!r}")
+                raise ModelError(f"no descriptor for model {r.model!r}")
             profile = profiles[r.model] = parse_model(descriptors[r.model])
             signatures[r.model] = layer_affinity(profile, matrix,
                                                  threshold=threshold)
@@ -638,7 +648,8 @@ class Simulation:
         if not all(t.state is _DONE for t in parts):
             return False
         total = self._work[request_id]
-        return sum(t.work for t in parts) >= total - _WORK_EPS * max(1.0, total)
+        # rounding only: a part a policy still holds may be under _WORK_EPS
+        return sum(t.work for t in parts) >= total * (1.0 - 1e-12)
 
     # -- main loop -----------------------------------------------------------
 

@@ -76,10 +76,6 @@ class ClusterSpec(namedtuple("ClusterSpec", (
                                idle, slope)
 
     @property
-    def num_levels(self) -> int:
-        return len(self.freq_levels_mhz)
-
-    @property
     def max_level(self) -> int:
         return len(self.freq_levels_mhz) - 1
 
@@ -141,7 +137,7 @@ def set_frequency(state: ClusterState, level: int) -> ClusterState:
     """Return a copy of `state` pinned to the given table level."""
     if state.spec.kind is not ClusterKind.GPU:
         raise PlatformError(f"{state.spec.cluster_id}: DVFS is only supported on GPU clusters")
-    if not 0 <= level < state.spec.num_levels:
+    if not 0 <= level <= state.spec.max_level:
         raise PlatformError(
             f"{state.spec.cluster_id}: level {level} outside table [0, {state.spec.max_level}]"
         )

@@ -102,7 +102,8 @@ def mix_or_scenario_text(name: str) -> str:
         except PresetError:
             raise PresetError(
                 f"no packaged mix or scenario named {name!r} "
-                f"(available: {', '.join(available_mixes())})") from None
+                f"(mixes: {', '.join(available_mixes())}; scenarios: "
+                f"{', '.join(available_scenarios())})") from None
 
 
 def _names_in(subdir: str) -> list[str]:

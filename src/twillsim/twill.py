@@ -9,9 +9,10 @@ cluster of its own to go to; failing that, freeze a strictly
 lower-priority occupant; and as a last resort park the newcomer in the
 thaw queue until something frees up.
 
-The governor re-evaluates the GPU clock every cycle against the power
-budget, predicting each level's draw from the platform's configured
-power/frequency slope.
+The governor re-evaluates each busy GPU's clock every cycle against
+the power budget, predicting each level's draw from the platform's
+configured power/frequency slope.  On a board with several GPUs, each
+one's prediction adds the change already chosen for those before it.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ from .policy import (
 
 _RATE_EPS = 1e-9
 
-# A Decision is built positionally through tuple.__new__, with all seven
-# fields (kind, request_id, cluster_id, level, part, work_gflops,
-# native): that skips the Python-level named-tuple constructor, and this
-# policy builds one or two per arrival.
-_new = tuple.__new__
+
+def _decision(kind, key, cluster_id) -> Decision:
+    """A mapping Decision, past the Python-level named-tuple constructor:
+    this policy builds one or two per arrival."""
+    return tuple.__new__(Decision, (kind, key, cluster_id, None, None, None,
+                                    False))
 
 
 class FreezeQueue:
@@ -120,15 +122,13 @@ class TwillPolicy(_BoardPolicy):
             cid = worklist.pop(0)
             key = queue.take(kinds[cid])
             if key is not None:
-                decisions.append(_new(Decision, (
-                    _UNFREEZE, key, cid, None, None, None, False)))
+                decisions.append(_decision(_UNFREEZE, key, cid))
                 planned[cid] = key
                 touched.add(key)
                 continue
             mover = self._best_migration(view, cid, planned, touched)
             if mover is not None:
-                decisions.append(_new(Decision, (
-                    _MIGRATE, mover.key, cid, None, None, None, False)))
+                decisions.append(_decision(_MIGRATE, mover.key, cid))
                 planned[cid] = mover.key
                 planned[mover.cluster_id] = None
                 touched.add(mover.key)
@@ -192,8 +192,7 @@ class TwillPolicy(_BoardPolicy):
             target = best[2]
             planned[target] = rid
             touched.add(rid)
-            decisions.append(_new(Decision, (
-                _MAP, rid, target, None, None, None, False)))
+            decisions.append(_decision(_MAP, rid, target))
             return
 
         # every preferred cluster is taken.  Their occupants that this
@@ -220,10 +219,8 @@ class TwillPolicy(_BoardPolicy):
                 planned[target] = occ.key
                 planned[cid] = rid
                 touched.update((occ.key, rid))
-                decisions.append(_new(Decision, (
-                    _MIGRATE, occ.key, target, None, None, None, False)))
-                decisions.append(_new(Decision, (
-                    _MAP, rid, cid, None, None, None, False)))
+                decisions.append(_decision(_MIGRATE, occ.key, target))
+                decisions.append(_decision(_MAP, rid, cid))
                 return
             if occ.priority < task.priority and (
                     victim is None or occ.priority < victim[0].priority):
@@ -235,18 +232,15 @@ class TwillPolicy(_BoardPolicy):
                            occ.preferred_kinds)
             planned[cid] = rid
             touched.update((occ.key, rid))
-            decisions.append(_new(Decision, (
-                _FREEZE, occ.key, None, None, None, None, False)))
-            decisions.append(_new(Decision, (
-                _MAP, rid, cid, None, None, None, False)))
+            decisions.append(_decision(_FREEZE, occ.key, None))
+            decisions.append(_decision(_MAP, rid, cid))
             return
 
         # defer admission: park in the thaw queue, to be placed on the
         # next compatible CLUSTER_FREED
         self.queue.add(rid, task.priority, view.now, prefs)
         touched.add(rid)
-        decisions.append(_new(Decision, (
-            _FREEZE, rid, None, None, None, None, False)))
+        decisions.append(_decision(_FREEZE, rid, None))
 
     # -- frequency governor --------------------------------------------------
 
@@ -264,6 +258,7 @@ class TwillPolicy(_BoardPolicy):
             # apparent headroom until the next cycle's reading confirms it
             effective = p_after_mw + headroom / 2.0
         limit = effective + 1e-9
+        draw = p_after_mw  # predicted, with each choice made so far
         for cid in self._gpu_ids:
             state = states[cid]
             if state.occupant is None:
@@ -274,10 +269,11 @@ class TwillPolicy(_BoardPolicy):
             slope = spec.active_power_slope_mw_per_mhz
             # the highest level whose predicted draw fits, else 0
             chosen = len(levels) - 1
-            while chosen and not (p_after_mw + slope * (levels[chosen] - freq)
+            while chosen and not (draw + slope * (levels[chosen] - freq)
                                   <= limit):
                 chosen -= 1
+            draw += slope * (levels[chosen] - freq)
             if chosen != state.current_level:
-                decisions.append(_new(Decision, (
+                decisions.append(tuple.__new__(Decision, (
                     _SET_FREQ, None, cid, chosen, None, None, False)))
         return decisions

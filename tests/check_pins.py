@@ -8,9 +8,11 @@ interpreter the package supports can run it from a source checkout:
     python3 tests/check_pins.py
 
 It prints one line per run whose trace files differ from their pins,
-naming the run and the files, and one per run that raises, naming the
-run and the exception; every run is checked either way.  It exits 1 if
-any run differs or raises, else 0.
+naming the run and the files, followed by the run's current digests as
+an entry of tests/corpus_digests.json, to copy in when a change of
+behaviour is meant; and one line per run that raises, naming the run
+and the exception.  Every run is checked either way.  It exits 1 if any
+run differs or raises, else 0.
 
 A packaged mix runs through `simulate`, as users run it.  A generated
 scenario is prepared once, and each of its pinned policies runs from
@@ -102,6 +104,8 @@ def main() -> int:
         if wrong:
             failed += 1
             print(f"MISMATCH {label}: {', '.join(wrong)}")
+            # the entry's lines, without the braces around them
+            print(json.dumps({label: got}, indent=1, sort_keys=True)[2:-2])
     print(f"{len(runs) - failed} of {len(runs)} pinned runs match "
           f"(Python {sys.version.split()[0]})")
     return 1 if failed else 0

@@ -77,6 +77,15 @@ def test_unknown_mix_name_lists_the_options(capsys):
     assert "mix1" in err
 
 
+def test_unknown_mix_name_lists_the_scenarios_too(capsys):
+    # the scenarios run under --mix as well, but were left out of the list
+    assert main(["run", "--mix", "mix99"]) == 1
+    assert capsys.readouterr().err == (
+        "error: no packaged mix or scenario named 'mix99' (mixes: mix1, "
+        "mix2, mix3, mix4, mix5; scenarios: priority_freeze, "
+        "two_app_handover)\n")
+
+
 def test_unknown_set_key_exits_one(capsys):
     assert main(["run", "--mix", "mix1", "--set", "bogus=1"]) == 1
     assert "bogus" in capsys.readouterr().err
@@ -121,7 +130,13 @@ def test_compare_needs_at_least_two_policies(capsys):
 def test_compare_rejects_unknown_policies(capsys):
     assert main(["compare", "--mixes", "mix1",
                  "--policies", "twill", "round_robin"]) == 1
-    assert "round_robin" in capsys.readouterr().err
+    # refused by the same choices as run --policy; how argparse quotes
+    # the choices differs between Python versions
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: argument --policies: invalid choice: 'round_robin' (choose "
+        "from ")
+    assert all(p in err for p in twillsim.POLICIES)
 
 
 @pytest.mark.parametrize("mixes, policies, named", [

@@ -407,6 +407,34 @@ def test_dependents_release_at_completion_or_arrival():
     assert by_id["d"].waiting_ms == 0.0
 
 
+def test_no_dependent_is_released_before_its_producers_last_part():
+    # a split whose second part, held back until the first is DONE, is
+    # under the 1e-6 x work a completion may miss its work by: that part
+    # is work all the same, and b once started before it had run
+    remainder = 1e-4
+    assert remainder < 1e-6 * 300.0
+
+    def decide(view, events):
+        out = []
+        for ev in events:
+            if ev.kind is EventKind.ARRIVAL and ev.request_id == "a":
+                out.append(MAP("a", "dla0", part="na",
+                               work_gflops=300.0 - remainder, native=True))
+            elif ev.kind is EventKind.ARRIVAL:
+                out.append(MAP(ev.request_id, "dla0"))
+            elif "a#fb" not in view.tasks:
+                out.append(MAP("a", "gpu0", part="fb", work_gflops=remainder))
+        return out
+
+    scn = scenario(request("a", "toy-conv"),
+                   request("b", "toy-conv", deps=["a"]))
+    _, trace = run_toy(scn, decide)
+    by_id = {r.request_id: r for r in trace.requests}
+    # the remainder takes its control overhead on the GPU after the DLA part
+    assert by_id["a"].completed_ms == pytest.approx(15.0 + 300.0 + 15.0)
+    assert by_id["b"].first_map_ms == by_id["a"].completed_ms
+
+
 # -- protocol violations -----------------------------------------------------
 
 
@@ -733,8 +761,40 @@ def test_unknown_platform_override_is_rejected():
 
 def test_missing_descriptor_is_rejected():
     scn = scenario(request("a", "mystery-model"))
-    with pytest.raises(EngineError, match="mystery-model"):
+    with pytest.raises(ModelError,
+                       match="^no descriptor for model 'mystery-model'$"):
         prepare(tiny_platform(), scn, TOY_DESCRIPTORS, MATRIX)
+
+
+@pytest.mark.parametrize("argument, value, error, message", [
+    ("platform", None, PlatformError,
+     "platform must be a PlatformSpec, not NoneType"),
+    ("platform", {"name": "toy-board"}, PlatformError,
+     "platform must be a PlatformSpec, not dict"),
+    ("scenario", None, WorkloadError,
+     "scenario must be a WorkloadScenario, not NoneType"),
+    ("scenario", {"requests": []}, WorkloadError,
+     "scenario must be a WorkloadScenario, not dict"),
+    ("descriptors", None, ModelError,
+     "descriptors must be a Mapping, not NoneType"),
+    ("descriptors", ["toy-conv"], ModelError,
+     "descriptors must be a Mapping, not list"),
+    ("matrix", None, ModelError,
+     "matrix must be a CompatibilityMatrix, not NoneType"),
+    ("matrix", {}, ModelError, "matrix must be a CompatibilityMatrix, not dict"),
+], ids=[f"{argument}-{kind}" for argument in ("platform", "scenario",
+                                              "descriptors", "matrix")
+        for kind in ("none", "wrong_type")])
+def test_prepare_refuses_a_wrong_typed_argument(argument, value, error,
+                                                message):
+    # each once raised a raw AttributeError, or an EngineError naming a
+    # model whose descriptor was there all along
+    arguments = {"platform": tiny_platform(),
+                 "scenario": scenario(request("a", "toy-conv")),
+                 "descriptors": TOY_DESCRIPTORS, "matrix": MATRIX,
+                 argument: value}
+    with pytest.raises(error, match=f"^{message}$"):
+        prepare(**arguments)
 
 
 def test_a_descriptor_that_is_not_text_is_refused():

@@ -79,8 +79,28 @@ def test_a_run_that_raises_is_reported_and_the_rest_are_checked(
     assert out[:2] == [
         "ERROR a/twill: EngineError: event queue drained with unfinished "
         "requests", "MISMATCH c/twill: power.csv"]
-    assert out[2].startswith("1 of 3 pinned runs match (Python ")
-    assert len(out) == 3
+    # the mismatch's current digests, then the count
+    assert json.loads("{" + "".join(out[2:-1]) + "}") == {"c/twill": digests}
+    assert out[-1].startswith("1 of 3 pinned runs match (Python ")
+    assert len(out) == 3 + 2 + len(TRACE_FILES)
+
+
+def test_a_mismatched_run_prints_the_entry_to_copy_in(monkeypatch, capsys):
+    # a deliberate re-pin copies the digests the check printed, in the
+    # layout of tests/corpus_digests.json, instead of recomputing them
+    label = "corpus-0/twill"
+    runs = {label: ("corpus-0", "twill", dict.fromkeys(TRACE_FILES, "0" * 64))}
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends src/
+    monkeypatch.setattr(check_pins, "pinned_runs", lambda: runs)
+    monkeypatch.setattr(check_pins, "trace_digests",
+                        lambda name, policy: CORPUS[label])
+    assert check_pins.main() == 1
+    mismatch, *entry, count = capsys.readouterr().out.splitlines()
+    assert mismatch == f"MISMATCH {label}: {', '.join(TRACE_FILES)}"
+    assert entry[0] == f' "{label}": {{'
+    assert ("\n".join(entry) + ",\n"
+            in (ROOT / "tests" / "corpus_digests.json").read_text())
+    assert count.startswith("0 of 1 pinned runs match (Python ")
 
 
 # Every pinned run is run and hashed by check_pins.trace_digests, the

@@ -29,10 +29,10 @@ def test_load_default_platform(platform):
     assert (gpu.cluster_id, dla.cluster_id) == ("gpu0", "dla0")
     assert gpu.kind is ClusterKind.GPU
     assert dla.kind is ClusterKind.DLA
-    assert gpu.num_levels == 8
+    assert gpu.max_level == 7
     assert gpu.freq_levels_mhz[0] == 306.0
     assert gpu.freq_levels_mhz[-1] == 1173.0
-    assert dla.num_levels == 1
+    assert dla.max_level == 0
 
 
 def test_set_frequency(platform):
@@ -112,7 +112,7 @@ def test_power_gpu_alone_at_max_fits_budget(platform):
 def test_power_monotonic_in_level_and_occupancy(platform):
     states = initial_states(platform)
     prev = None
-    for level in range(platform.clusters[0].num_levels):
+    for level in range(platform.clusters[0].max_level + 1):
         states["gpu0"] = set_frequency(initial_states(platform)["gpu0"], level)
         lo = power_draw(platform, states)
         hi = power_draw(platform, _busy(states, "gpu0"))

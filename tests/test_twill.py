@@ -11,6 +11,7 @@ import random
 import pytest
 
 from twillsim import (
+    ClusterSpec,
     Decision,
     DecisionKind,
     FreezeQueue,
@@ -21,6 +22,7 @@ from twillsim import (
     load_matrix,
     load_mix,
     load_platform,
+    PlatformSpec,
     prepare,
     presets,
     random_mix,
@@ -395,18 +397,28 @@ class EstimatingTwill(TwillPolicy):
 
 MIXES = ["mix1", "mix2", "mix3", "mix4", "mix5"]
 DESCRIPTORS = {m: presets.model_text(m) for m in presets.available_models()}
-# the draw with every cluster busy at its lowest level: below it, the
-# budget cannot hold while both engines run
-FLOOR_MW = ORIN.base_power_mw + sum(
-    c.idle_power_mw + c.active_power_slope_mw_per_mhz * c.freq_levels_mhz[0]
-    for c in ORIN.clusters)
+# the packaged board with a second GPU, a copy of gpu0
+TWO_GPUS = PlatformSpec(ORIN.name, ORIN.tdp_mw, ORIN.base_power_mw, (
+    *ORIN.clusters,
+    ClusterSpec(**{**ORIN.clusters[0]._asdict(), "cluster_id": "gpu1"})))
 
 
-def run_at(scn, policy, tdp_mw):
+def floor_mw(board):
+    """The draw with every cluster busy at its lowest level: below it,
+    the budget cannot hold while every engine runs."""
+    return board.base_power_mw + sum(
+        c.idle_power_mw + c.active_power_slope_mw_per_mhz * c.freq_levels_mhz[0]
+        for c in board.clusters)
+
+
+FLOOR_MW = floor_mw(ORIN)
+
+
+def run_at(scn, policy, tdp_mw, board=ORIN):
     if isinstance(scn, str):
         scn = load_mix(presets.mix_text(scn),
                        known_models=presets.available_models())
-    platform = ORIN._replace(tdp_mw=tdp_mw)
+    platform = board._replace(tdp_mw=tdp_mw)
     return Simulation(prepare(platform, scn, DESCRIPTORS, MATRIX),
                       policy).run()
 
@@ -433,10 +445,18 @@ def test_the_configured_slope_decides_as_the_estimate_did():
 
 @pytest.mark.parametrize("mix", MIXES)
 def test_twill_honours_every_budget_from_the_both_busy_floor(mix):
-    for tdp_mw in (FLOOR_MW, FLOOR_MW + 0.5, FLOOR_MW + 5.0, 7200.0, 7500.0,
-                   8000.0, 9000.0, 10000.0, 12000.0):
-        trace = run_at(mix, TwillPolicy(), tdp_mw)
-        assert trace.violation_fraction == 0.0, tdp_mw
-        if tdp_mw == FLOOR_MW:
-            # both engines ran at once, so the floor budget was reached
-            assert max(p.power_mw for p in trace.power) == FLOOR_MW
+    # with two GPUs, the governor once raised each as if the other kept
+    # its clock: mix3 and mix5 overshot every budget from the floor to 12 W
+    assert floor_mw(TWO_GPUS) == 9054.0
+    for board in (ORIN, TWO_GPUS):
+        floor = floor_mw(board)
+        for tdp_mw in (floor, floor + 0.5, floor + 5.0,
+                       *[b for b in (7200.0, 7500.0, 8000.0, 9000.0, 10000.0,
+                                     12000.0) if b > floor]):
+            trace = run_at(mix, TwillPolicy(), tdp_mw, board)
+            assert trace.violation_fraction == 0.0, (board.clusters, tdp_mw)
+            if tdp_mw == floor and board is ORIN:
+                # both engines ran at once, so the floor budget was reached
+                assert max(p.power_mw for p in trace.power) == floor
+    # the two GPUs ran at once, so each was retuned while the other ran
+    assert any(p.utils[0] == p.utils[2] == 1.0 for p in trace.power)
