@@ -3,7 +3,8 @@ with uncapped DVFS, and a static subgraph splitter.
 
 All three share two properties that separate them from the adaptive
 scheduler: placement is decided once (no migration, no freezing), and
-none of them track the power budget.
+none of them track the power budget.  Each states only where an
+arrival goes; what it cannot place at once waits in one shared FIFO.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from collections import deque
 # the Enum members as module globals (see policy.py)
 from .policy import (
     _ARRIVAL,
-    _FREED,
     _MAP,
     _SET_FREQ,
     Decision,
@@ -24,6 +24,49 @@ from .twill import TwillPolicy
 
 # a static splitter does not bother offloading sub-5% crumbs of a model
 MIN_OFFLOAD_FRACTION = 0.05
+
+_GPU_ONLY = ("GPU",)
+
+
+class _MapOnce(_BoardPolicy):
+    """Placement decided once: a subclass's `_arrive(task, free_gpus,
+    free_dlas, place)` maps an arrival through `place(request id, cluster
+    id, part, work_gflops, native)`, or queues it in `_fifo` as (request
+    id, part, work_gflops, the cluster kinds that suit it).  A freed
+    cluster takes the first queued placement that suits its kind."""
+
+    def __init__(self):
+        self._fifo: deque[tuple] = deque()
+
+    def decide(self, view, events):
+        decisions = []
+        planned = {cid: st.occupant for cid, st in view.states.items()}
+        self._layout(view.platform)
+
+        def place(rid, cid, part=None, work=None, native=False):
+            planned[cid] = rid
+            decisions.append(Decision(_MAP, request_id=rid, cluster_id=cid,
+                                      part=part, work_gflops=work,
+                                      native=native))
+
+        for e in events:
+            if e.kind is _ARRIVAL:
+                self._arrive(view.tasks[e.request_id],
+                             [c for c in self._gpu_ids if planned[c] is None],
+                             [c for c in self._dla_ids if planned[c] is None],
+                             place)
+                continue
+            # a batch is all arrivals or all completions: nothing placed
+            # in it can have taken the freed cluster
+            kind = self._kinds[e.cluster_id]
+            for i, (rid, part, work, kinds) in enumerate(self._fifo):
+                if kind in kinds:
+                    # the loop breaks at once: a deque refuses to iterate
+                    # on after a change
+                    del self._fifo[i]
+                    place(rid, e.cluster_id, part, work)
+                    break
+        return decisions
 
 
 class _RaceToIdle(_BoardPolicy):
@@ -42,7 +85,7 @@ class _RaceToIdle(_BoardPolicy):
         return decisions
 
 
-class GpuQueuePolicy(_RaceToIdle):
+class GpuQueuePolicy(_RaceToIdle, _MapOnce):
     """Strict FIFO onto the GPU; the DLA is never used.
 
     The governor simply pins a busy GPU at its top frequency, trusting
@@ -51,24 +94,14 @@ class GpuQueuePolicy(_RaceToIdle):
 
     name = "gpu_queue"
 
-    def __init__(self):
-        self._fifo: deque[str] = deque()
-
-    def decide(self, view, events):
-        for e in events:
-            if e.kind is _ARRIVAL:
-                self._fifo.append(e.request_id)
-        decisions = []
-        self._layout(view.platform)
-        for gpu in self._gpu_ids:
-            if self._fifo and view.states[gpu].occupant is None:
-                rid = self._fifo.popleft()
-                decisions.append(Decision(_MAP, request_id=rid,
-                                          cluster_id=gpu))
-        return decisions
+    def _arrive(self, task, free_gpus, free_dlas, place):
+        if free_gpus:
+            place(task.request_id, free_gpus[0])
+        else:
+            self._fifo.append((task.request_id, None, None, _GPU_ONLY))
 
 
-class StaticDvfsPolicy(_RaceToIdle):
+class StaticDvfsPolicy(_RaceToIdle, _MapOnce):
     """Map once at arrival, then race-to-idle at the top frequency.
 
     An arrival takes the GPU when free; a DLA-suited model (one whose
@@ -81,43 +114,17 @@ class StaticDvfsPolicy(_RaceToIdle):
 
     name = "static_dvfs"
 
-    def __init__(self):
-        self._fifo: deque[str] = deque()
-
-    def decide(self, view, events):
-        decisions = []
-        planned = {cid: st.occupant for cid, st in view.states.items()}
-        self._layout(view.platform)
-
-        def place(rid: str, cid: str):
-            planned[cid] = rid
-            decisions.append(Decision(_MAP, request_id=rid, cluster_id=cid))
-
-        for e in events:
-            if e.kind is _FREED:
-                kind = self._kinds[e.cluster_id]
-                for rid in self._fifo:
-                    if (planned[e.cluster_id] is None
-                            and kind in view.tasks[rid].preferred_kinds):
-                        # the loop breaks at once: a deque refuses to
-                        # iterate on after a change
-                        self._fifo.remove(rid)
-                        place(rid, e.cluster_id)
-                        break
-            else:
-                rid = e.request_id
-                gpus = [c for c in self._gpu_ids if planned[c] is None]
-                dlas = [c for c in self._dla_ids if planned[c] is None]
-                if gpus:
-                    place(rid, gpus[0])
-                elif dlas and "DLA" in view.tasks[rid].preferred_kinds:
-                    place(rid, dlas[0])
-                else:
-                    self._fifo.append(rid)
-        return decisions
+    def _arrive(self, task, free_gpus, free_dlas, place):
+        rid, kinds = task.request_id, task.preferred_kinds
+        if free_gpus:
+            place(rid, free_gpus[0])
+        elif free_dlas and "DLA" in kinds:
+            place(rid, free_dlas[0])
+        else:
+            self._fifo.append((rid, None, None, kinds))
 
 
-class StaticSubgraphPolicy(_BoardPolicy):
+class StaticSubgraphPolicy(_MapOnce):
     """Split each model once, at arrival, along its compatibility cuts.
 
     The supported subgraphs (as one consolidated slice of the work) go
@@ -129,52 +136,19 @@ class StaticSubgraphPolicy(_BoardPolicy):
 
     name = "static_subgraph"
 
-    def __init__(self):
-        self._gpu_fifo: deque[tuple[str, str | None, float | None]] = deque()
-
-    def decide(self, view, events):
-        decisions = []
-        planned = {cid: st.occupant for cid, st in view.states.items()}
-        self._layout(view.platform)
-
-        def place(rid, part, work, native, cid):
-            planned[cid] = rid
-            decisions.append(Decision(
-                _MAP, request_id=rid, cluster_id=cid,
-                part=part, work_gflops=work, native=native))
-
-        for e in events:
-            if e.kind is _FREED:
-                if self._kinds[e.cluster_id] != "GPU":
-                    continue
-                if self._gpu_fifo and planned[e.cluster_id] is None:
-                    rid, part, work = self._gpu_fifo.popleft()
-                    place(rid, part, work, False, e.cluster_id)
-                continue
-
-            rid = e.request_id
-            task = view.tasks[rid]
-            dlas = [c for c in self._dla_ids if planned[c] is None]
-            gpus = [c for c in self._gpu_ids if planned[c] is None]
-            frac = task.dla_fraction
-            split = frac >= MIN_OFFLOAD_FRACTION and dlas
-            if split:
-                dla_work = frac * task.work_gflops
-                gpu_work = task.work_gflops - dla_work
-                place(rid, "dla", dla_work, True, dlas[0])
-                if gpu_work > 0.0:
-                    if gpus:
-                        place(rid, "gpu", gpu_work, False, gpus[0])
-                    else:
-                        self._gpu_fifo.append((rid, "gpu", gpu_work))
-            else:
-                # nothing (worth) offloading, or the DLA is taken: the
-                # whole request runs on the GPU
-                if gpus:
-                    place(rid, None, None, False, gpus[0])
-                else:
-                    self._gpu_fifo.append((rid, None, None))
-        return decisions
+    def _arrive(self, task, free_gpus, free_dlas, place):
+        rid, frac = task.request_id, task.dla_fraction
+        part = work = None  # the whole request, unless the DLA takes a slice
+        if frac >= MIN_OFFLOAD_FRACTION and free_dlas:
+            dla_work = frac * task.work_gflops
+            place(rid, free_dlas[0], "dla", dla_work, True)
+            part, work = "gpu", task.work_gflops - dla_work
+            if not work > 0.0:
+                return
+        if free_gpus:
+            place(rid, free_gpus[0], part, work)
+        else:
+            self._fifo.append((rid, part, work, _GPU_ONLY))
 
 
 POLICIES = {p.name: p for p in (TwillPolicy, GpuQueuePolicy, StaticDvfsPolicy,

@@ -38,7 +38,6 @@ from .hardware import (
     PlatformSpec,
     initial_states,
     power_draw,
-    set_frequency,
 )
 from .models import (
     AFFINITY_THRESHOLD,
@@ -292,6 +291,17 @@ class Simulation:
     """One run of a prepared scenario under one policy."""
 
     def __init__(self, prepared: Prepared, policy: Policy):
+        if not isinstance(prepared, Prepared):
+            raise ValueError(f"prepared must be a Prepared, "
+                             f"not {type(prepared).__name__}")
+        # by its parts, not isinstance: a wrapper that delegates to a
+        # Policy is a policy too
+        if not (isinstance(getattr(policy, "name", None), str)
+                and callable(getattr(policy, "decide", None))
+                and callable(getattr(policy, "dvfs_update", None))):
+            raise ValueError(f"policy must be a Policy, with a str name and "
+                             f"callable decide and dvfs_update, "
+                             f"not {type(policy).__name__}")
         self.prepared, self.policy = prepared, policy
         # shared with every other run of `prepared`, and never written
         self.platform, self.scenario = prepared.platform, prepared.scenario
@@ -596,8 +606,9 @@ class Simulation:
         state = self.states.get(cluster_id)
         if state is None:
             raise EngineError(f"unknown cluster {cluster_id!r}")
-        # before the no-change return, so that True on a cluster at level
-        # 1 is refused too; set_frequency would take a bool as 0 or 1
+        # the one check of the level: before the no-change return, so
+        # that True on a cluster at level 1 is refused too.  A DLA has
+        # only level 0, so a level that passes it changes only a GPU.
         top = state.spec.max_level
         if (not isinstance(level, int) or isinstance(level, bool)
                 or not 0 <= level <= top):
@@ -607,7 +618,8 @@ class Simulation:
         if level == state.current_level:
             return
         occupant = self.tasks.get(state.occupant) if state.occupant else None
-        state = self.states[cluster_id] = set_frequency(state, level)
+        state = self.states[cluster_id] = tuple.__new__(ClusterState, (
+            state.spec, level, state.occupant))
         self._power_mw = None
         if occupant is not None:
             occupant.rate = effective_rate(

@@ -174,6 +174,14 @@ def random_mix(seed: int, model_names, n_requests: int, horizon_ms: float = 500.
                size_range: tuple[int, int] = (1, 6), max_priority: int = 3,
                dependency_p: float = 0.15) -> WorkloadScenario:
     """Generate a small reproducible scenario for property testing."""
+    n_requests = integer(n_requests, "n_requests", WorkloadError, lo=0)
+    # a string would be read as its characters, a mapping as its keys
+    if (not isinstance(model_names, (list, tuple, set, frozenset))
+            or not all(isinstance(m, str) for m in model_names)
+            or (n_requests and not model_names)):
+        raise WorkloadError(
+            f"model_names must be a list, tuple or set of model names, "
+            f"with one at least when n_requests > 0, not {model_names!r}")
     import random  # only here, so that an import of the package skips it
     rng = random.Random(seed)
     names = sorted(model_names)

@@ -16,7 +16,8 @@ from twillsim import (
     presets,
 )
 from twillsim.baselines import POLICIES
-from toys import TOY_DESCRIPTORS, crumb_text, request, scenario, tiny_platform
+from toys import (TOY_DESCRIPTORS, crumb_text, request, scenario,
+                  tiny_platform, two_gpu_platform)
 
 MATRIX = load_matrix(presets.matrix_text())
 
@@ -173,6 +174,58 @@ def test_subgraph_on_the_production_board_only_maps():
     assert {d.kind for d in trace.decisions} == {"MAP"}
     assert all(r.completed_ms is not None for r in trace.requests)
     assert trace.violation_fraction == 0.0
+
+
+# -- two GPUs ------------------------------------------------------------------
+
+TWO_GPUS = two_gpu_platform()
+DESCRIPTORS = {m: presets.model_text(m) for m in ("vgg-19", "vit-base")}
+
+
+def run_two_gpus(policy, *models):
+    """One request of each model, r0, r1, ..., a millisecond apart, on
+    the packaged board with a second GPU; the trace and its MAPs."""
+    reqs = [request(f"r{i}", m, arrival_ms=float(i))
+            for i, m in enumerate(models)]
+    trace = Simulation(prepare(TWO_GPUS, scenario(*reqs), DESCRIPTORS,
+                               MATRIX), policy).run()
+    return trace, [(d.request_id, d.part, d.cluster_id)
+                   for d in trace.decisions if d.kind == "MAP"]
+
+
+def test_gpu_queue_maps_in_arrival_order_onto_both_gpus():
+    trace, maps = run_two_gpus(GpuQueuePolicy(), *["vit-base"] * 5)
+    assert maps == [("r0", None, "gpu0"), ("r1", None, "gpu1"),
+                    ("r2", None, "gpu0"), ("r3", None, "gpu1"),
+                    ("r4", None, "gpu0")]
+    starts = [r.first_map_ms for r in trace.requests]
+    assert starts == sorted(starts) and starts[2] > 0.0
+
+
+def test_static_dvfs_keeps_gpu_only_models_off_a_freed_dla():
+    trace, maps = run_two_gpus(StaticDvfsPolicy(), *["vit-base"] * 3,
+                               "vgg-19", *["vit-base"] * 3)
+    # the VGG finds both GPUs busy and takes the DLA; each ViT waits
+    assert maps == [("r0", None, "gpu0"), ("r1", None, "gpu1"),
+                    ("r3", None, "dla0"), ("r2", None, "gpu0"),
+                    ("r4", None, "gpu1"), ("r5", None, "gpu0"),
+                    ("r6", None, "gpu1")]
+    by_id = {r.request_id: r for r in trace.requests}
+    # the DLA freed while r5 and r6 still waited
+    assert by_id["r3"].completed_ms < by_id["r5"].first_map_ms
+
+
+def test_subgraph_splits_onto_the_dla_and_queues_the_rest_for_either_gpu():
+    trace, maps = run_two_gpus(StaticSubgraphPolicy(), "vgg-19", "vgg-19",
+                               *["vit-base"] * 4)
+    # the second VGG finds the DLA taken and runs whole on gpu1
+    assert maps == [("r0", "dla", "dla0"), ("r0", "gpu", "gpu0"),
+                    ("r1", None, "gpu1"), ("r2", None, "gpu0"),
+                    ("r3", None, "gpu1"), ("r4", None, "gpu0"),
+                    ("r5", None, "gpu1")]
+    by_id = {r.request_id: r for r in trace.requests}
+    # the DLA freed while r5 still waited
+    assert by_id["r0"].completed_ms < by_id["r5"].first_map_ms
 
 
 # -- registry ------------------------------------------------------------------

@@ -797,6 +797,34 @@ def test_prepare_refuses_a_wrong_typed_argument(argument, value, error,
         prepare(**arguments)
 
 
+class _Unnamed(Policy):
+    name = None
+
+
+@pytest.mark.parametrize("prepared, policy, message", [
+    (None, "twill", "prepared must be a Prepared, not NoneType"),
+    ("mix1", "twill", "prepared must be a Prepared, not str"),
+    (True, 5, "policy must be a Policy.*, not int"),
+    (True, None, "policy must be a Policy.*, not NoneType"),
+    (True, ["twill"], "policy must be a Policy.*, not list"),
+    (True, _Unnamed(), "policy must be a Policy.*, not _Unnamed"),
+], ids=["prepared-none", "prepared-name", "policy-int", "policy-none",
+        "policy-list", "policy-without-a-name"])
+def test_simulation_refuses_a_wrong_typed_argument(prepared, policy, message):
+    # each once raised a raw AttributeError; True stands for a good one
+    if prepared is True:
+        prepared = prepare(tiny_platform(), scenario(request("a", "toy-conv")),
+                           TOY_DESCRIPTORS, MATRIX)
+    if policy == "twill":
+        policy = make_policy(policy)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Simulation(prepared, policy)
+    if not isinstance(policy, Policy):
+        # build_simulation and simulate build through Simulation
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            twillsim.simulate("mix1", policy)
+
+
 def test_a_descriptor_that_is_not_text_is_refused():
     scn = scenario(request("a", "toy-conv"))
     with pytest.raises(ModelError,

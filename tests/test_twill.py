@@ -11,7 +11,6 @@ import random
 import pytest
 
 from twillsim import (
-    ClusterSpec,
     Decision,
     DecisionKind,
     FreezeQueue,
@@ -22,15 +21,14 @@ from twillsim import (
     load_matrix,
     load_mix,
     load_platform,
-    PlatformSpec,
     prepare,
     presets,
     random_mix,
 )
 from twillsim.hardware import set_frequency
 from twillsim.policy import ControllerView
-from toys import (TOY_DESCRIPTORS, decisions_at, request, scenario,
-                  tiny_platform)
+from toys import (TOY_DESCRIPTORS, decisions_at, floor_mw, request, scenario,
+                  tiny_platform, two_gpu_platform)
 
 MATRIX = load_matrix(presets.matrix_text())
 
@@ -397,20 +395,7 @@ class EstimatingTwill(TwillPolicy):
 
 MIXES = ["mix1", "mix2", "mix3", "mix4", "mix5"]
 DESCRIPTORS = {m: presets.model_text(m) for m in presets.available_models()}
-# the packaged board with a second GPU, a copy of gpu0
-TWO_GPUS = PlatformSpec(ORIN.name, ORIN.tdp_mw, ORIN.base_power_mw, (
-    *ORIN.clusters,
-    ClusterSpec(**{**ORIN.clusters[0]._asdict(), "cluster_id": "gpu1"})))
-
-
-def floor_mw(board):
-    """The draw with every cluster busy at its lowest level: below it,
-    the budget cannot hold while every engine runs."""
-    return board.base_power_mw + sum(
-        c.idle_power_mw + c.active_power_slope_mw_per_mhz * c.freq_levels_mhz[0]
-        for c in board.clusters)
-
-
+TWO_GPUS = two_gpu_platform()
 FLOOR_MW = floor_mw(ORIN)
 
 

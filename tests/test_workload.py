@@ -363,3 +363,25 @@ def test_random_mix_is_reproducible():
     for r in a.requests:
         for d in r.depends_on:
             assert ids[d] < ids[r.request_id]
+
+
+@pytest.mark.parametrize("model_names, n_requests, message", [
+    ("vgg-19", 2, "model_names"),         # once read as its characters
+    ({"vgg-19": 1}, 2, "model_names"),    # once read as its keys
+    ([1, 2], 2, "model_names"),
+    (None, 1, "model_names"),
+    ([], 3, "model_names"),               # once a raw IndexError
+    (["vgg-19"], -2, "n_requests"),       # once an empty scenario
+    (["vgg-19"], True, "n_requests"),     # once taken as 1
+    (["vgg-19"], 2.0, "n_requests"),
+], ids=["names-str", "names-dict", "names-int", "names-none", "names-empty",
+        "n-negative", "n-bool", "n-float"])
+def test_random_mix_refuses_bad_arguments(model_names, n_requests, message):
+    with pytest.raises(WorkloadError, match=f"^{message} must be"):
+        random_mix(1, model_names, n_requests)
+
+
+def test_random_mix_takes_any_collection_of_names():
+    assert random_mix(1, [], 0).requests == ()
+    assert (random_mix(3, {"vgg-19", "bert-base"}, 5)
+            == random_mix(3, ("bert-base", "vgg-19"), 5))

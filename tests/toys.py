@@ -4,12 +4,14 @@ engine tests.
 The production platform and model library live in twillsim.data; the
 fixtures here are deliberately small, with round-number rates, so that
 expected completion times can be worked out on paper next to the
-assertion that checks them.
+assertion that checks them.  `two_gpu_platform` is the exception: the
+packaged board with one more GPU, for the paths that choose between two
+clusters of one kind.
 """
 
 import json
 
-from twillsim import Policy, load_platform
+from twillsim import ClusterSpec, PlatformSpec, Policy, load_platform, presets
 from twillsim.workload import InferenceRequest, WorkloadScenario
 
 # gpu0: 400 MHz -> 1.2 GF/ms, 800 -> 2.0, 1000 -> 2.5; dla0: 1.0 GF/ms
@@ -46,6 +48,22 @@ def tiny_platform(tdp_mw=1_000_000.0, **cluster_overrides):
             if c["cluster_id"] == cid:
                 c.update(fields)
     return load_platform(json.dumps(doc))
+
+
+def two_gpu_platform():
+    """The packaged board with a second GPU, `gpu1`, a copy of `gpu0`."""
+    board = load_platform(presets.platform_text())
+    return PlatformSpec(board.name, board.tdp_mw, board.base_power_mw, (
+        *board.clusters,
+        ClusterSpec(**{**board.clusters[0]._asdict(), "cluster_id": "gpu1"})))
+
+
+def floor_mw(board):
+    """The draw with every cluster busy at its lowest level: below it,
+    the budget cannot hold while every engine runs."""
+    return board.base_power_mw + sum(
+        c.idle_power_mw + c.active_power_slope_mw_per_mhz * c.freq_levels_mhz[0]
+        for c in board.clusters)
 
 
 def _descriptor(name, layers):
