@@ -32,8 +32,6 @@ from .trace import _TRACE_FILES, Trace, _write_files, write_trace
 from .workload import (PLATFORM_OVERRIDE_KEYS, WorkloadError, WorkloadScenario,
                        load_mix, random_mix)
 
-ALL_MIXES = ("mix1", "mix2", "mix3", "mix4", "mix5")
-
 _ENGINE_KEYS = ("ctrl_overhead_ms", "migration_overhead_ms",
                 "freeze_overhead_ms", "dla_fallback_penalty",
                 "affinity_threshold")
@@ -75,8 +73,9 @@ def _build_parser() -> _Parser:
 
     comp = sub.add_parser("compare", parents=[common],
                           help="run several policies over several mixes")
-    comp.add_argument("--mixes", nargs="+", default=list(ALL_MIXES),
-                      help="mixes to compare (default: all five)")
+    comp.add_argument("--mixes", nargs="+",
+                      help="mixes to compare (default: every packaged mix, and "
+                           "any under TWILLSIM_CONFIG_DIR)")
     comp.add_argument("--policies", nargs="+", default=sorted(POLICIES),
                       choices=sorted(POLICIES), metavar="POLICY",
                       help="policies to compare (default: all)")
@@ -194,8 +193,9 @@ _COMPARE_FIELDS = ["mix", "policy", "makespan_ms", "total_waiting_ms",
 def cmd_compare(args) -> int:
     if len(set(args.policies)) < 2:
         raise CliError("compare requires >=2 policies")
+    mixes = presets.available_mixes() if args.mixes is None else args.mixes
     # a repeat would be simulated again and get rows of its own
-    for flag, names in (("--mixes", args.mixes), ("--policies", args.policies)):
+    for flag, names in (("--mixes", mixes), ("--policies", args.policies)):
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             raise CliError(f"{flag} names {', '.join(repeated)} more than once")
@@ -203,7 +203,7 @@ def cmd_compare(args) -> int:
 
     rows = []
     # one build per mix, run under each policy
-    for mix, prepared in zip(args.mixes, _prepared(args.mixes, args)):
+    for mix, prepared in zip(mixes, _prepared(mixes, args)):
         summaries = {p: Simulation(prepared, make_policy(p)).run().summary()
                      for p in args.policies}
         twill_makespan = (summaries["twill"]["makespan_ms"]

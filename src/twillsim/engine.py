@@ -36,6 +36,7 @@ from .hardware import (
     ClusterState,
     PlatformError,
     PlatformSpec,
+    _is_level,
     initial_states,
     power_draw,
 )
@@ -609,12 +610,11 @@ class Simulation:
         # the one check of the level: before the no-change return, so
         # that True on a cluster at level 1 is refused too.  A DLA has
         # only level 0, so a level that passes it changes only a GPU.
-        top = state.spec.max_level
-        if (not isinstance(level, int) or isinstance(level, bool)
-                or not 0 <= level <= top):
+        if not _is_level(state.spec, level):
             raise EngineError(
                 f"{self.policy.name}: SET_FREQ on {cluster_id} to level "
-                f"{level!r}, which is not an integer in [0, {top}]")
+                f"{level!r}, which is not an integer in "
+                f"[0, {state.spec.max_level}]")
         if level == state.current_level:
             return
         occupant = self.tasks.get(state.occupant) if state.occupant else None

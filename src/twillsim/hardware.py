@@ -133,13 +133,21 @@ class ClusterState(namedtuple("ClusterState",
         return self.spec.freq_levels_mhz[self.current_level]
 
 
+def _is_level(spec: ClusterSpec, level) -> bool:
+    """Whether `level` is a level of spec's frequency table: an int, not
+    a bool, in [0, max_level].  A SET_FREQ and set_frequency each refuse
+    any other."""
+    return (isinstance(level, int) and not isinstance(level, bool)
+            and 0 <= level <= spec.max_level)
+
+
 def set_frequency(state: ClusterState, level: int) -> ClusterState:
     """Return a copy of `state` pinned to the given table level."""
     if state.spec.kind is not ClusterKind.GPU:
         raise PlatformError(f"{state.spec.cluster_id}: DVFS is only supported on GPU clusters")
-    if not 0 <= level <= state.spec.max_level:
+    if not _is_level(state.spec, level):
         raise PlatformError(
-            f"{state.spec.cluster_id}: level {level} outside table [0, {state.spec.max_level}]"
+            f"{state.spec.cluster_id}: level {level!r} outside table [0, {state.spec.max_level}]"
         )
     # positionally, past the Python-level named-tuple constructor
     return tuple.__new__(ClusterState, (state.spec, level, state.occupant))

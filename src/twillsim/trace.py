@@ -78,19 +78,6 @@ class Trace:
         span = self.makespan_ms
         return self._power_totals(span)[1] / span if span > 0 else 0.0
 
-    def waiting_by_priority(self) -> dict[int, dict[str, float]]:
-        out: dict[int, dict[str, float]] = {}
-        for prio in sorted({r.priority for r in self.requests}):
-            waits = [r.waiting_ms for r in self.requests
-                     if r.priority == prio and r.waiting_ms is not None]
-            if waits:
-                out[prio] = {
-                    "avg_ms": sum(waits) / len(waits),
-                    "max_ms": max(waits),
-                    "count": len(waits),
-                }
-        return out
-
     def summary(self) -> dict:
         return {**self._totals(), "requests": [
             {
@@ -109,7 +96,12 @@ class Trace:
 
     def _totals(self) -> dict:
         """summary() without its per-request entries."""
-        waits = [r.waiting_ms for r in self.requests if r.waiting_ms is not None]
+        waits = []
+        by_priority: dict[int, list[float]] = {}
+        for r in self.requests:
+            if r.waiting_ms is not None:
+                waits.append(r.waiting_ms)
+                by_priority.setdefault(r.priority, []).append(r.waiting_ms)
         lats = [r.latency_ms for r in self.requests if r.latency_ms is not None]
         kinds: dict[str, int] = {}
         for d in self.decisions:
@@ -131,8 +123,9 @@ class Trace:
             "avg_latency_ms": _r6(sum(lats) / len(lats)) if lats else 0.0,
             "decision_counts": {k: kinds[k] for k in sorted(kinds)},
             "waiting_by_priority": {
-                str(p): {k: _r6(v) for k, v in stats.items()}
-                for p, stats in self.waiting_by_priority().items()
+                str(p): {"avg_ms": _r6(sum(w) / len(w)), "max_ms": _r6(max(w)),
+                         "count": len(w)}
+                for p, w in sorted(by_priority.items())
             },
         }
 
@@ -297,12 +290,9 @@ _TRACE_FILES = ("decisions.csv", "requests.csv", "power.csv", "summary.json")
 def write_trace(trace: Trace, out_dir) -> None:
     """Write decisions.csv, requests.csv, power.csv and summary.json."""
     texts = _six_decimals(trace.requests)
-    _write_files(out_dir, {
-        "decisions.csv": decisions_csv(trace),
-        "requests.csv": _requests_csv(trace, texts),
-        "power.csv": power_csv(trace),
-        "summary.json": _summary_json(trace, texts),
-    })
+    _write_files(out_dir, dict(zip(_TRACE_FILES, (
+        decisions_csv(trace), _requests_csv(trace, texts), power_csv(trace),
+        _summary_json(trace, texts)))))
 
 
 def _write_files(out_dir, texts: dict[str, str]) -> None:

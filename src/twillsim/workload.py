@@ -170,10 +170,19 @@ def load_mix(text: str, known_models=None) -> WorkloadScenario:
         )
 
 
-def random_mix(seed: int, model_names, n_requests: int, horizon_ms: float = 500.0,
-               size_range: tuple[int, int] = (1, 6), max_priority: int = 3,
+def random_mix(seed: int, model_names, n_requests: int,
                dependency_p: float = 0.15) -> WorkloadScenario:
-    """Generate a small reproducible scenario for property testing."""
+    """Generate a small reproducible scenario for property testing:
+    arrivals drawn in [0, 500) ms and rounded to 0.1 ms, sizes 1 to 6
+    and priorities 1 to 3, each request after the first depending on
+    an earlier one with probability dependency_p."""
+    # an int: random.Random(None) would seed from the clock
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise WorkloadError(f"seed must be an integer, not {seed!r}")
+    dependency_p = real(dependency_p, "dependency_p", WorkloadError, lo=0)
+    if dependency_p > 1:
+        raise WorkloadError(
+            f"dependency_p must lie in [0, 1], not {dependency_p!r}")
     n_requests = integer(n_requests, "n_requests", WorkloadError, lo=0)
     # a string would be read as its characters, a mapping as its keys
     if (not isinstance(model_names, (list, tuple, set, frozenset))
@@ -194,9 +203,9 @@ def random_mix(seed: int, model_names, n_requests: int, horizon_ms: float = 500.
         requests.append(InferenceRequest(
             request_id=f"r{i}-{model}",
             model=model,
-            priority=rng.randint(1, max_priority),
-            arrival_ms=round(rng.uniform(0.0, horizon_ms), 1),
-            workload_size=rng.randint(*size_range),
+            priority=rng.randint(1, 3),
+            arrival_ms=round(rng.uniform(0.0, 500.0), 1),
+            workload_size=rng.randint(1, 6),
             depends_on=deps,
         ))
     return WorkloadScenario(name=f"random-{seed}", requests=tuple(requests))

@@ -11,7 +11,7 @@ import pytest
 import twillsim
 from twillsim import (Decision, DecisionKind, EventKind, Simulation,
                       TwillPolicy, cli, load_mix, presets)
-from twillsim.cli import ALL_MIXES, main
+from twillsim.cli import main
 
 
 def test_run_prints_the_summary_line(capsys):
@@ -182,10 +182,24 @@ def test_compare_parses_each_model_once_per_mix(capsys, monkeypatch):
                         lambda text: parsed.append(text) or parse(text))
     assert main(["compare"]) == 0
     per_mix = [{r.model for r in load_mix(presets.mix_text(mix)).requests}
-               for mix in ALL_MIXES]
+               for mix in presets.available_mixes()]
     assert len(parsed) == sum(map(len, per_mix))
     assert sorted(parsed) == sorted(presets.model_text(m)
                                     for models in per_mix for m in models)
+
+
+def test_compare_by_default_runs_every_listed_mix(tmp_path, capsys,
+                                                  monkeypatch):
+    # the default is read from presets, so a mix under the config
+    # directory joins the packaged ones
+    (tmp_path / "mixes").mkdir()
+    (tmp_path / "mixes" / "extra.json").write_text(presets.mix_text("mix1"))
+    monkeypatch.setenv(presets.CONFIG_ENV_VAR, str(tmp_path))
+    assert main(["compare", "--policies", "twill", "gpu_queue",
+                 "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "comparison.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1::2]] == [
+        "extra", "mix1", "mix2", "mix3", "mix4", "mix5"]
 
 
 def test_usage_errors_exit_one(capsys):

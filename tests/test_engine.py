@@ -550,6 +550,7 @@ def SET_FREQ(level, cid="gpu0"):
 # gpu0 from the first cycle to past the second
 DVFS_VIOLATIONS = [
     ("float_level", [[SET_FREQ(1.0)]], "SET_FREQ on gpu0 to level 1.0"),
+    ("fractional_level", [[SET_FREQ(1.5)]], "SET_FREQ on gpu0 to level 1.5"),
     ("str_level", [[SET_FREQ("1")]], "SET_FREQ on gpu0 to level '1'"),
     # True == 1, so at level 1 it used to be dropped as no change
     ("bool_level", [[SET_FREQ(1)], [SET_FREQ(True)]],

@@ -1,6 +1,7 @@
 """Platform model: specs, frequency scaling, and the power model."""
 
 import json
+import re
 
 import pytest
 
@@ -49,10 +50,14 @@ def test_set_frequency(platform):
 
 def test_set_frequency_out_of_range(platform):
     gpu = initial_states(platform)["gpu0"]
-    with pytest.raises(PlatformError):
-        set_frequency(gpu, 8)
-    with pytest.raises(PlatformError):
-        set_frequency(gpu, -1)
+    assert gpu.spec.max_level + 1 == 8
+    # 1.5 once gave a state whose freq_mhz raised a raw TypeError, and
+    # True was taken as level 1
+    for level in (1.5, 2.0, True, -1, 8):
+        with pytest.raises(PlatformError, match=(
+                rf"^gpu0: level {re.escape(repr(level))} outside table "
+                rf"\[0, 7\]$")):
+            set_frequency(gpu, level)
 
 
 def test_dla_has_no_dvfs(platform):

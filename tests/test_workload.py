@@ -2,6 +2,7 @@
 
 import csv
 import graphlib
+import hashlib
 import json
 import random
 import re
@@ -365,20 +366,69 @@ def test_random_mix_is_reproducible():
             assert ids[d] < ids[r.request_id]
 
 
-@pytest.mark.parametrize("model_names, n_requests, message", [
-    ("vgg-19", 2, "model_names"),         # once read as its characters
-    ({"vgg-19": 1}, 2, "model_names"),    # once read as its keys
-    ([1, 2], 2, "model_names"),
-    (None, 1, "model_names"),
-    ([], 3, "model_names"),               # once a raw IndexError
-    (["vgg-19"], -2, "n_requests"),       # once an empty scenario
-    (["vgg-19"], True, "n_requests"),     # once taken as 1
-    (["vgg-19"], 2.0, "n_requests"),
+_PACKAGED_MODELS = ["bert-base", "bert-large", "deepseek-r1-1.5b",
+                    "efficientnet-b4", "gemma-3-1b", "resnet-152", "resnet-50",
+                    "vgg-19", "vit-base", "vit-large"]
+_TOY_MODELS = ["toy-conv", "toy-matmul", "toy-mixed"]
+
+
+def _drawn_digest(calls) -> str:
+    h = hashlib.sha256()
+    for args, kwargs in calls:
+        scn = random_mix(*args, **kwargs)
+        h.update(f"{scn.name}\n".encode())
+        for r in scn.requests:
+            h.update(f"{tuple(r)!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_random_mix_draws_what_its_callers_have_always_drawn():
+    # the argument lists of `run --mix random` and the tests that draw
+    # scenarios; the digest was computed when random_mix still took its
+    # arrival window, size range and top priority as options
+    calls = [((seed, _PACKAGED_MODELS, 6), {}) for seed in (0, 7, 8)]
+    calls += [((seed, _TOY_MODELS, 6), {}) for seed in range(1000)]
+    calls += [((seed, _PACKAGED_MODELS, 150), {"dependency_p": 0.3})
+              for seed in (3, 11, 29)]
+    calls += [((seed, _PACKAGED_MODELS, 300), {"dependency_p": 0.3})
+              for seed in (3, 11)]
+    calls += [((11, _PACKAGED_MODELS, 40), {"dependency_p": 0.4})]
+    calls += [((seed, _PACKAGED_MODELS, 40), {}) for seed in (1, 2)]
+    calls += [((5, _PACKAGED_MODELS, 30), {})]
+    calls += [((seed, ["vgg-19", "resnet-50", "bert-base"], 12), {})
+              for seed in (7, 8)]
+    calls += [((3, ("bert-base", "vgg-19"), 5), {}), ((1, [], 0), {})]
+    assert _drawn_digest(calls) == (
+        "574b3caba52773ce36c0c33c3a84c9df0d94b89ac5806ddbce095b157e749336")
+
+
+@pytest.mark.parametrize("arguments, message", [
+    ((1, "vgg-19", 2), "model_names must be"),        # once read as its characters
+    ((1, {"vgg-19": 1}, 2), "model_names must be"),   # once read as its keys
+    ((1, [1, 2], 2), "model_names must be"),
+    ((1, None, 1), "model_names must be"),
+    ((1, [], 3), "model_names must be"),              # once a raw IndexError
+    ((1, ["vgg-19"], -2), "n_requests must be"),      # once an empty scenario
+    ((1, ["vgg-19"], True), "n_requests must be"),    # once taken as 1
+    ((1, ["vgg-19"], 2.0), "n_requests must be"),
+    # None once seeded from the clock, a new scenario on every call
+    ((None, ["vgg-19"], 2), "seed must be an integer, not None$"),
+    ((True, ["vgg-19"], 2), "seed must be an integer, not True$"),
+    ((1.5, ["vgg-19"], 2), "seed must be an integer, not 1.5$"),
+    # 2.0 was once taken as certain
+    ((1, ["vgg-19"], 2, 2.0), r"dependency_p must lie in \[0, 1\], not 2.0$"),
+    ((1, ["vgg-19"], 2, -0.1),
+     "dependency_p must be finite and >= 0, not -0.1$"),
+    ((1, ["vgg-19"], 2, float("nan")),
+     "dependency_p must be finite and >= 0, not nan$"),
+    ((1, ["vgg-19"], 2, True), "dependency_p must be a number, not True$"),
+    ((1, ["vgg-19"], 2, "x"), "dependency_p must be a number, not 'x'$"),
 ], ids=["names-str", "names-dict", "names-int", "names-none", "names-empty",
-        "n-negative", "n-bool", "n-float"])
-def test_random_mix_refuses_bad_arguments(model_names, n_requests, message):
-    with pytest.raises(WorkloadError, match=f"^{message} must be"):
-        random_mix(1, model_names, n_requests)
+        "n-negative", "n-bool", "n-float", "seed-none", "seed-bool",
+        "seed-float", "p-above-one", "p-negative", "p-nan", "p-bool", "p-str"])
+def test_random_mix_refuses_bad_arguments(arguments, message):
+    with pytest.raises(WorkloadError, match=f"^{message}"):
+        random_mix(*arguments)
 
 
 def test_random_mix_takes_any_collection_of_names():
